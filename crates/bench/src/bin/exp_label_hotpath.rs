@@ -2,15 +2,15 @@
 //! the view-based decode over a memory-mapped columnar (v2) snapshot,
 //! against the owned-copy structured decode the pre-rework engine ran.
 //!
-//! "Cold cache" is the regime the LRU cannot help with: every query
-//! decodes both endpoint labels from their stored bits. The old path
+//! "Cold cache" means that every query decodes both endpoint labels
+//! from their stored bits. The old path
 //! paid that twice over: every bit cost a function call
 //! (`mstv_labels::reference` pins that bit-loop reader verbatim — the
 //! baseline is what the hot path actually executed, not a strawman),
 //! and each decode materialised a structured label (separator vector
 //! plus field vector, one heap allocation each) that was dropped as
 //! soon as the answer was combined. The new path is the engine's
-//! cache-disabled cold path: the fused pairwise decoders read whole
+//! answer path: the fused pairwise decoders read whole
 //! words out of `BitSlice`s straight into the memory-mapped file
 //! bytes, stream both separator paths in lockstep, and jump to the one
 //! value field the answer needs — no byte copies, no per-bit calls,
@@ -187,9 +187,8 @@ fn main() {
         }
         owned_secs = owned_secs.min(t0.elapsed().as_secs_f64().max(1e-9));
 
-        // New path: the engine's cache-disabled cold path — fused
-        // pairwise decode over BitSlices into the mapped file, zero
-        // allocations.
+        // New path: the engine's answer path — fused pairwise decode
+        // over BitSlices into the mapped file, zero allocations.
         view_answers.clear();
         let t1 = Instant::now();
         for q in &queries {

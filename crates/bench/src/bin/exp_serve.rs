@@ -1,13 +1,13 @@
 //! E13 — serving throughput from stored labels: queries per second of
-//! the snapshot-backed query engine as shards and decoded-label caches
-//! scale, on a 10k-node instance.
+//! the snapshot-backed query engine as shards scale, on a 10k-node
+//! instance.
 //!
 //! The implicit schemes' contract — any `MAX(u, v)` from the two labels
 //! alone — turns the label stack into a standalone database. This
 //! experiment measures what that buys operationally: the snapshot is
 //! built once, serialized, reloaded through the checked container path,
-//! and then served under a fixed 100k-query workload at every
-//! shards × cache point. Every answer (not just a sample) is
+//! and then served under a fixed 100k-query workload at every shard
+//! count. Every answer (not just a sample) is
 //! cross-checked against an in-memory path oracle on the same tree, so
 //! the table cannot be fast-but-wrong; timings themselves are reported,
 //! never asserted.
@@ -26,7 +26,7 @@ const QUERIES: usize = 100_000;
 const BATCH: usize = 1024;
 
 fn main() {
-    println!("E13: snapshot serving throughput vs shards and cache");
+    println!("E13: snapshot serving throughput vs shards");
 
     let g = workload(NODES, 100_000, 0xE13);
     let mst = kruskal(&g);
@@ -69,39 +69,32 @@ fn main() {
 
     let mut rows = Vec::new();
     for &shards in &[1usize, 2, 4, 8] {
-        for &cache in &[0usize, 4096] {
-            let snap = Snapshot::from_bytes(&bytes).expect("own snapshot reloads");
-            let config = EngineConfig::builder()
-                .shards(shards)
-                .cache_entries(cache)
-                .build()
-                .expect("bench shard counts are valid");
-            let engine = QueryEngine::new(snap, config);
-            let mut answers = Vec::with_capacity(QUERIES);
-            for chunk in queries.chunks(BATCH) {
-                answers.extend(engine.run_batch_response(chunk).results);
-            }
-            check_against_oracle(&queries, &answers, &idx, &wdepth);
-            let m = engine.metrics();
-            // One JSON series point per configuration, greppable.
-            println!(
-                "{{\"experiment\":\"serve\",\"nodes\":{NODES},\"cache\":{cache},{}",
-                m.to_json()
-                    .strip_prefix('{')
-                    .expect("metrics JSON is an object")
-            );
-            rows.push(vec![
-                shards.to_string(),
-                cache.to_string(),
-                m.queries.to_string(),
-                format!("{:.3}", m.hit_ratio()),
-                format!("{:.0}", m.queries_per_sec()),
-            ]);
+        let snap = Snapshot::from_bytes(&bytes).expect("own snapshot reloads");
+        let config = EngineConfig::new(shards).expect("bench shard counts are valid");
+        let engine = QueryEngine::new(snap, config);
+        let mut answers = Vec::with_capacity(QUERIES);
+        for chunk in queries.chunks(BATCH) {
+            answers.extend(engine.run_batch_response(chunk).results);
         }
+        check_against_oracle(&queries, &answers, &idx, &wdepth);
+        let m = engine.metrics();
+        // One JSON series point per configuration, greppable.
+        println!(
+            "{{\"experiment\":\"serve\",\"nodes\":{NODES},{}",
+            m.to_json()
+                .strip_prefix('{')
+                .expect("metrics JSON is an object")
+        );
+        rows.push(vec![
+            shards.to_string(),
+            m.queries.to_string(),
+            m.cache_misses.to_string(),
+            format!("{:.0}", m.queries_per_sec()),
+        ]);
     }
     print_table(
         "serving 100k mixed queries (all answers oracle-checked)",
-        &["shards", "cache", "queries", "hit ratio", "queries/sec"],
+        &["shards", "queries", "label decodes", "queries/sec"],
         &rows,
     );
 }

@@ -341,13 +341,13 @@ impl LatencyHistogram {
     }
 }
 
-/// Counters and gauges for a label-serving tier: cache behaviour and
+/// Counters and gauges for a label-serving tier: label decodes and
 /// throughput of a batch query engine answering `MAX`/`FLOW`/`VerifyEdge`
 /// from stored labels (the `mstv-store` query engine, `mstv query --bench`,
 /// and the `exp_serve` experiment all report through this block).
 ///
 /// Like [`SessionMetrics`], this is a plain struct — no atomics — that the
-/// engine's shards fill in privately and merge; the one-line
+/// engine fills in per batch and merges; the one-line
 /// [`ServeMetrics::to_json`] export keeps experiment scripts serde-free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
@@ -357,9 +357,13 @@ pub struct ServeMetrics {
     pub batches: u64,
     /// Worker shards that served the queries.
     pub shards: u64,
-    /// Decoded-label cache hits across all shards.
+    /// Decoded-label cache hits. The `mstv-store` query engine answers
+    /// every query from the two encoded labels and keeps no decoded
+    /// ones, so it always reports 0.
     pub cache_hits: u64,
-    /// Decoded-label cache misses (each miss decodes a label from bits).
+    /// Label decodes, each a miss of the (empty) decoded-label cache: the
+    /// query engine counts two per `u ≠ v` query, one per endpoint, and
+    /// none for `u == v`.
     pub cache_misses: u64,
     /// Queries that surfaced a typed error instead of an answer.
     pub errors: u64,
@@ -376,8 +380,8 @@ impl ServeMetrics {
         ServeMetrics::default()
     }
 
-    /// Merges another block into this one (shard counters are summed for
-    /// hits/misses/queries; `shards` takes the maximum so merging per-shard
+    /// Merges another block into this one (counters such as decodes and
+    /// queries are summed; `shards` takes the maximum so merging per-shard
     /// blocks reports the fleet width, not the sum of ones).
     pub fn merge(&mut self, other: &ServeMetrics) {
         self.queries += other.queries;
@@ -395,9 +399,10 @@ impl ServeMetrics {
         self.elapsed_nanos = self.elapsed_nanos.saturating_add(d.as_nanos() as u64);
     }
 
-    /// Cache hit ratio in `[0, 1]` (0.0 before any lookup).
+    /// Cache hit ratio in `[0, 1]` (0.0 before any lookup, and always 0.0
+    /// for the query engine, which caches nothing).
     ///
-    /// Always finite: a zero-lookup block (empty batch, cache disabled)
+    /// Always finite: a zero-lookup block (empty batch, no decodes)
     /// reports 0.0 rather than dividing by zero, so the JSON export can
     /// never contain `NaN`.
     pub fn hit_ratio(&self) -> f64 {
@@ -469,12 +474,12 @@ impl fmt::Display for ServeMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} queries in {} batches over {} shards: {:.0} q/s, {:.1}% cache hits, {} errors",
+            "{} queries in {} batches over {} shards: {:.0} q/s, {} label decodes, {} errors",
             self.queries,
             self.batches,
             self.shards,
             self.queries_per_sec(),
-            self.hit_ratio() * 100.0,
+            self.cache_misses,
             self.errors,
         )
     }

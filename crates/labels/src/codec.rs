@@ -21,8 +21,8 @@ use mstv_graph::{NodeId, Weight};
 use mstv_trees::{centroid_decomposition, RootedTree, SeparatorDecomposition};
 
 use crate::{
-    decode_flow, decode_max, flow_labels, max_labels, BitSlice, BitString, DistLabel, DistView,
-    FlowLabel, FlowView, MaxLabel, MaxView, FLOW_INFINITY,
+    decode_flow, decode_max, flow_labels, max_labels, BitSlice, BitString, DistLabel, FlowLabel,
+    MaxLabel, FLOW_INFINITY,
 };
 
 /// How separator-path fields are written.
@@ -232,67 +232,19 @@ impl LabelCodec {
         (r.remaining() == 0).then_some(DistLabel { sep, delta })
     }
 
-    /// Decodes a whole borrowed window — a columnar snapshot record, a
-    /// frame field — straight into the flattened [`MaxView`] the query
-    /// engine caches, with no intermediate [`MaxLabel`]. Same
-    /// validation as [`LabelCodec::try_decode_max_label`]: truncated
-    /// streams, implausible levels, and trailing garbage all return
-    /// `None`.
-    pub fn try_decode_max_view(&self, bits: BitSlice<'_>) -> Option<MaxView> {
-        let (level, fields) = self.decode_packed_fields(bits, self.omega_bits)?;
-        Some(MaxView::from_packed(level, fields))
-    }
-
-    /// [`LabelCodec::try_decode_max_view`] for `FLOW` labels: the raw
-    /// `0` pattern maps to [`FLOW_INFINITY`]'s `u64::MAX` so the view
-    /// decoder's `min` is the `FLOW` decoder.
-    pub fn try_decode_flow_view(&self, bits: BitSlice<'_>) -> Option<FlowView> {
-        let (level, mut fields) = self.decode_packed_fields(bits, self.omega_bits)?;
-        for v in &mut fields[level as usize - 1..] {
-            if *v == 0 {
-                *v = FLOW_INFINITY.0;
-            }
-        }
-        Some(FlowView::from_packed(level, fields))
-    }
-
-    /// [`LabelCodec::try_decode_max_view`] for distance labels, whose
-    /// `δ` fields carry their own scheme-wide width.
-    pub fn try_decode_dist_view(&self, bits: BitSlice<'_>, delta_bits: u32) -> Option<DistView> {
-        let (level, fields) = self.decode_packed_fields(bits, delta_bits)?;
-        Some(DistView::from_packed(level, fields))
-    }
-
-    /// The shared whole-window field decoder behind the view decoders:
-    /// level, then the flattened field block in the views' own layout
-    /// (`level - 1` separator fields followed by `level` raw value
-    /// fields of width `value_bits`) — a single allocation, filled in
-    /// one pass over the bits.
-    fn decode_packed_fields(&self, bits: BitSlice<'_>, value_bits: u32) -> Option<(u32, Vec<u64>)> {
-        let mut r = bits.reader();
-        let l = r.try_read_elias_gamma()? as usize;
-        if l == 0 || l > r.remaining() + 1 {
-            return None;
-        }
-        let mut fields = Vec::with_capacity(2 * l - 1);
-        for _ in 1..l {
-            fields.push(self.try_read_sep_field(&mut r)?);
-        }
-        for _ in 0..l {
-            fields.push(r.try_read_bits(value_bits)?);
-        }
-        (r.remaining() == 0).then_some((l as u32, fields))
-    }
-
     /// Answers `MAX(u, v)` straight from two encoded label windows —
-    /// no intermediate label, no view, no heap allocation. An answer
-    /// only needs the `ω` field at the shared-prefix index, so the
-    /// decoder streams both separator paths in lockstep to find that
-    /// index and then jumps straight to the one value field per label
-    /// (value blocks are fixed-width). This is the cache-disabled cold
-    /// path of the query engine; validation matches
-    /// [`LabelCodec::try_decode_max_view`] — truncation, implausible
-    /// levels, and trailing garbage all return `None`.
+    /// no intermediate label, no heap allocation. An answer only needs
+    /// the `ω` field at the shared-prefix index, so the decoder streams
+    /// both separator paths in lockstep to find that index and then
+    /// jumps straight to the one value field per label (value blocks
+    /// are fixed-width). This is the query engine's answer path;
+    /// validation matches [`LabelCodec::try_decode_max_label`] —
+    /// truncation, implausible levels, and trailing garbage all return
+    /// `None`.
+    ///
+    /// Passing the same window twice validates that one window alone,
+    /// which is how a failed pair decode is attributed to the broken
+    /// label.
     pub fn try_decode_max_pair(&self, a: BitSlice<'_>, b: BitSlice<'_>) -> Option<Weight> {
         let (x, y) = self.pair_values(a, b, self.omega_bits)?;
         Some(Weight(x.max(y)))
@@ -309,7 +261,7 @@ impl LabelCodec {
 
     /// [`LabelCodec::try_decode_max_pair`] for distance labels: the
     /// outer `Option` is window validity, the inner one is the
-    /// [`crate::decode_dist_views`] overflow guard — `Some(None)` when
+    /// [`crate::try_decode_dist`] overflow guard — `Some(None)` when
     /// `δ_u + δ_v` overflows `u64`.
     pub fn try_decode_dist_pair(
         &self,

@@ -37,7 +37,6 @@ mod flow_label;
 mod max_label;
 mod packed;
 pub mod reference;
-mod view;
 
 pub use bits::{elias_gamma_len, BitReader, BitSlice, BitString, MAX_FRAME_BITS, MAX_FRAME_BYTES};
 pub use codec::{ImplicitFlowScheme, ImplicitMaxScheme, LabelCodec, SepFieldCodec};
@@ -55,6 +54,3 @@ pub use max_label::{
     MaxLabel, MaxLabelOracle,
 };
 pub use packed::PackedLabels;
-pub use view::{
-    decode_dist_views, decode_flow_views, decode_max_views, DistView, FlowView, MaxView,
-};

@@ -21,10 +21,10 @@
 //!   lock without dropping a single in-flight query. For small changes
 //!   a full swap is unnecessary: the admin `ApplyDelta` frame folds a
 //!   `MSTVJRNL` journal record into the serving engine *in place*
-//!   ([`QueryEngine::apply_delta`]), evicting only the dirty nodes from
-//!   the decoded-label caches; the reported epoch advances by the
-//!   engine's delta sequence so clients can still attribute every
-//!   answer to one exact post-mutation state.
+//!   ([`QueryEngine::apply_delta`]), rewriting only the record's rows;
+//!   the reported epoch advances by the engine's delta sequence so
+//!   clients can still attribute every answer to one exact
+//!   post-mutation state.
 //! * **Interruptible blocking reads** — each connection gets a reader
 //!   thread with a short read timeout, re-checking the shutdown flag
 //!   between polls, so shutdown never hangs on an idle socket.

@@ -270,8 +270,8 @@ fn hot_swap_under_hammer_drops_nothing() {
 /// clients query while an admin connection streams a burst of
 /// `mstv-dyn` delta records into the serving engine in place. Every
 /// response must carry an epoch whose oracle its answers match exactly
-/// — a stale cached decode surviving a delta's invalidation, or a batch
-/// torn across a delta, would answer from the wrong generation.
+/// — a batch torn across a delta, or one tagged with the wrong delta
+/// sequence, would answer from the wrong generation.
 #[test]
 fn delta_burst_under_hammer_serves_each_generation_exactly() {
     const N: usize = 200;
@@ -317,7 +317,7 @@ fn delta_burst_under_hammer_serves_each_generation_exactly() {
                 (Query::Max { u, v }, Answer::Max(w)) => assert_eq!(
                     w,
                     oracle.max(u, v),
-                    "MAX({u},{v}) wrong for epoch {epoch} — stale cache or torn delta"
+                    "MAX({u},{v}) wrong for epoch {epoch} — torn or mis-tagged delta"
                 ),
                 (Query::Dist { u, v }, Answer::Dist(d)) => assert_eq!(
                     d,
@@ -336,8 +336,8 @@ fn delta_burst_under_hammer_serves_each_generation_exactly() {
             .map(|c| {
                 s.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
-                    // Repeat endpoints across requests so the shard
-                    // caches are hot when the deltas land.
+                    // Repeat the same batch across requests, so every
+                    // generation answers the same questions.
                     let mut batch = Vec::new();
                     for i in 0..50u32 {
                         let u = NodeId((i * 11 + c) % N as u32);
@@ -492,11 +492,7 @@ fn garbage_and_oversized_frames_close_the_connection() {
 fn engine_config_flows_through_serve_config() {
     let tree = tree_of(30, 60, 12);
     let config = ServeConfig {
-        engine: EngineConfig::builder()
-            .shards(2)
-            .cache_entries(8)
-            .build()
-            .unwrap(),
+        engine: EngineConfig::new(2).unwrap(),
         ..ServeConfig::default()
     };
     let server = ServerHandle::spawn(snapshot_of(&tree), config, 0).unwrap();

@@ -73,8 +73,8 @@ pub enum StoreError {
         v: u32,
     },
     /// A shard worker panicked mid-batch, so the queries it was serving
-    /// have no answers. The shard itself recovers (its caches are reset
-    /// on the next lock), so subsequent batches are unaffected.
+    /// have no answers. Shards hold no state between batches, so
+    /// subsequent batches are unaffected.
     ShardPoisoned {
         /// Index of the shard whose worker panicked.
         shard: usize,

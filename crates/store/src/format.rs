@@ -331,6 +331,13 @@ impl Snapshot {
         self.max_labels[v.index()] = BitString::new();
     }
 
+    /// Drops the `MAX` rows of nodes `keep..`, breaking the one-row-per-
+    /// node invariant so that reading one of those rows panics.
+    #[cfg(test)]
+    pub(crate) fn truncate_max_labels_for_test(&mut self, keep: usize) {
+        self.max_labels.truncate(keep);
+    }
+
     /// In-place mutators for the delta-journal applier: a
     /// [`crate::DeltaRecord`] rewrites exactly the dirty rows of each
     /// section plus the scheme-wide header fields. Crate-private so

@@ -170,8 +170,8 @@ pub struct DeltaRecord {
 
 impl DeltaRecord {
     /// The union of node ids this record touches in any section, sorted
-    /// and deduplicated — the set a serving tier must invalidate from
-    /// its caches when applying the record in place.
+    /// and deduplicated — the nodes whose rows applying the record
+    /// rewrites.
     pub fn dirty_nodes(&self) -> Vec<u32> {
         let mut nodes: Vec<u32> = self
             .tree

@@ -19,11 +19,12 @@
 //!    to a *different* tree.
 //!
 //! 2. **[`QueryEngine`]** — a multi-threaded serving layer that
-//!    partitions node-id space across shards, fronts the bit-level
-//!    decoders with per-shard [`LruCache`]s of decoded labels, and
-//!    answers `Max`/`Flow`/`Dist`/`VerifyEdge` batches in input order.
-//!    Serving counters (queries, cache hits/misses, throughput, latency
-//!    percentiles) are reported as [`mstv_core::ServeMetrics`].
+//!    partitions node-id space across shards and answers
+//!    `Max`/`Flow`/`Dist`/`VerifyEdge` batches in input order, each query
+//!    straight from its two encoded labels through the fused pair
+//!    decoders of [`mstv_labels::LabelCodec`]. Serving counters
+//!    (queries, label decodes, throughput, latency percentiles) are
+//!    reported as [`mstv_core::ServeMetrics`].
 //!
 //! 3. **[`proto`]** — the versioned wire protocol over the same
 //!    [`Query`]/[`Answer`] vocabulary: length-prefixed
@@ -50,7 +51,7 @@
 //! // Serving side: load, verify integrity, answer queries.
 //! let snap = Snapshot::from_bytes(&bytes).unwrap();
 //! snap.fsck(100).unwrap();
-//! let config = EngineConfig::builder().shards(2).build()?;
+//! let config = EngineConfig::new(2)?;
 //! let engine = QueryEngine::new(snap, config);
 //! let response = engine.run_batch_response(&[Query::VerifyEdge {
 //!     u: NodeId(3),
@@ -67,14 +68,13 @@ mod engine;
 mod error;
 mod format;
 mod journal;
-mod lru;
 mod mmap;
 pub mod proto;
 
 pub use crc::crc32;
 pub use engine::{
-    Answer, BatchMetrics, BatchResponse, EngineConfig, EngineConfigBuilder, EngineConfigError,
-    Query, QueryEngine, SnapshotStore, MAX_SHARDS,
+    Answer, BatchMetrics, BatchResponse, EngineConfig, EngineConfigError, Query, QueryEngine,
+    SnapshotStore, MAX_SHARDS,
 };
 pub use error::StoreError;
 pub use format::{
@@ -84,5 +84,4 @@ pub use journal::{
     DeltaOutcome, DeltaRecord, Journal, JournalMutation, LabelDelta, TreeDelta, JOURNAL_MAGIC,
     JOURNAL_VERSION,
 };
-pub use lru::LruCache;
 pub use mmap::MappedSnapshot;

@@ -6,8 +6,8 @@
 //! mapped read-only and serves each label as a borrowed
 //! [`BitSlice`] pointing straight into the map; nothing is decoded or
 //! copied until a query actually touches a node, and the query engine's
-//! LRU then caches the *decoded view* ([`mstv_labels::MaxView`] and
-//! friends), never an owned copy of the encoded bits.
+//! pair decoders then read the two windows in place, never an owned
+//! copy of the encoded bits.
 //!
 //! This is only possible for version-2 (columnar) files, whose label
 //! sections are one contiguous bit payload plus an offsets table (see

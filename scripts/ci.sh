@@ -63,7 +63,7 @@ cargo run -q --offline --bin mstv -- gen --nodes 200 --extra 400 --seed 7 > "$tm
 cargo run -q --offline --bin mstv -- snapshot write "$tmp/g.txt" "$tmp/g.snap" >/dev/null
 cargo run -q --offline --bin mstv -- snapshot fsck "$tmp/g.snap" >/dev/null
 cargo run -q --offline --bin mstv -- query "$tmp/g.snap" --bench --queries 5000 \
-    --shards 4 --cache 256 --seed 7 --verify-against "$tmp/g.txt" \
+    --shards 4 --seed 7 --verify-against "$tmp/g.txt" \
     | grep -q "oracle: ok" || { echo "ci: serving smoke failed"; exit 1; }
 
 echo "== networked serving smoke (loopback, vs in-process oracle) =="
@@ -161,13 +161,13 @@ echo "== columnar (v2) snapshot smoke (cross-read + zero-copy serving) =="
 # The golden stage above already byte-pins both container versions and
 # their cross-read; here the CLI path: write the same graph in both
 # formats, require the v2 file to fsck, and serve a seeded workload
-# straight from the mmap'd columnar sections with the label cache off —
-# the cold-cache fused-decode path — with every answer oracle-checked.
+# straight from the mmap'd columnar sections through the fused pair
+# decoders, with every answer oracle-checked.
 "$mstv" snapshot write --format v2 "$tmp/g.txt" "$tmp/g2.snap" >/dev/null
 "$mstv" snapshot fsck "$tmp/g2.snap" >/dev/null
-"$mstv" query "$tmp/g2.snap" --bench --queries 5000 --shards 4 --cache 0 \
+"$mstv" query "$tmp/g2.snap" --bench --queries 5000 --shards 4 \
     --mmap --seed 7 --verify-against "$tmp/g.txt" \
-    | grep -q "oracle: ok" || { echo "ci: v2 cold-cache smoke failed"; exit 1; }
+    | grep -q "oracle: ok" || { echo "ci: v2 mmap serving smoke failed"; exit 1; }
 
 echo "== adversary smoke (256 nodes, one run per fault class, replayed) =="
 # One live run per adversary class on the events engine, each forged

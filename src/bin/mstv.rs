@@ -129,16 +129,16 @@ const USAGE: &str = "usage:
       MST cycle check: accept iff w ≥ MAX(u, v)); --mmap serves label
       bytes straight from a memory map of the file (fastest with
       --format v2 snapshots, which need no load-time repacking)
-  mstv query <file.snap> --batch <query-file> [--shards S] [--cache C] [--mmap]
+  mstv query <file.snap> --batch <query-file> [--shards S] [--mmap]
       one query per line (same syntax), answers in order, then serving
       metrics JSON
-  mstv query <file.snap> --bench [--queries N] [--shards S] [--cache C]
-           [--seed X] [--verify-against <graph-file>] [--mmap]
+  mstv query <file.snap> --bench [--queries N] [--shards S] [--seed X]
+           [--verify-against <graph-file>] [--mmap]
       sharded throughput benchmark over seeded random queries; prints
       ServeMetrics JSON; --verify-against cross-checks every answer
       against an in-memory oracle rebuilt from the graph
   mstv serve --snapshot <file.snap> [--port P] [--workers N] [--shards S]
-           [--cache C] [--queue-depth D] [--max-conns M] [--mmap]
+           [--queue-depth D] [--max-conns M] [--mmap]
       serve the snapshot's labels over TCP (wire protocol v1) on
       127.0.0.1; --port 0 picks an ephemeral port. Prints the bound
       address, then runs until a client sends --shutdown-server.
@@ -1191,18 +1191,14 @@ fn show_answer(a: &Answer) -> String {
     }
 }
 
-/// Builds an [`EngineConfig`] from `--shards` / `--cache`, reporting a
-/// typed validation error (zero or excessive shard count) as a CLI
-/// error instead of silently clamping.
+/// Builds an [`EngineConfig`] from `--shards`, reporting a typed
+/// validation error (zero or excessive shard count) as a CLI error
+/// instead of silently clamping.
 fn engine_config_from_flags(args: &[String]) -> Result<EngineConfig, String> {
-    let mut builder = EngineConfig::builder();
-    if let Some(shards) = flag_value(args, "--shards")? {
-        builder = builder.shards(shards as usize);
+    match flag_value(args, "--shards")? {
+        Some(shards) => EngineConfig::new(shards as usize).map_err(|e| e.to_string()),
+        None => Ok(EngineConfig::default()),
     }
-    if let Some(cache) = flag_value(args, "--cache")? {
-        builder = builder.cache_entries(cache as usize);
-    }
-    builder.build().map_err(|e| e.to_string())
 }
 
 /// Parses a query file: one query per line (`#` comments and blank
@@ -1244,6 +1240,14 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if flag_str(args, "--connect").is_some() {
         return cmd_query_remote(args);
     }
+    const VALUE_FLAGS: [&str; 5] = [
+        "--shards",
+        "--batch",
+        "--queries",
+        "--seed",
+        "--verify-against",
+    ];
+    reject_unknown_flags(args, &VALUE_FLAGS, &["--mmap", "--bench"])?;
     let path = args.first().ok_or("missing snapshot file (or --connect)")?;
     let config = engine_config_from_flags(args)?;
     // --mmap serves label bytes straight from the page cache: the file
@@ -1266,7 +1270,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     } else if args.iter().any(|a| a == "--bench") {
         cmd_query_bench(args, &engine)
     } else {
-        let words = positional_words(&args[1..], &["--shards", "--cache"]);
+        let words = positional_words(&args[1..], &VALUE_FLAGS);
         if words.is_empty() {
             return Err("missing query (or --batch/--bench)".to_owned());
         }
@@ -1275,6 +1279,29 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         println!("{}", show_answer(&a));
         Ok(())
     }
+}
+
+/// Fails with `unknown flag --X` on the first flag that is neither in
+/// `value_flags` (flags followed by a value) nor in `switches`, so a
+/// mistyped or retired flag is an error instead of being skipped while
+/// its value is read as a positional word.
+fn reject_unknown_flags(
+    args: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if value_flags.contains(&a) {
+            i += 2;
+        } else if a.starts_with("--") && !switches.contains(&a) {
+            return Err(format!("unknown flag {a}"));
+        } else {
+            i += 1;
+        }
+    }
+    Ok(())
 }
 
 /// Positional (non-flag) words of an invocation: every argument that
@@ -1301,6 +1328,8 @@ fn positional_words<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str
 /// mode (minus the trailing metrics JSON, which lives on the server —
 /// see `--stats`), so the two modes can be diffed against each other.
 fn cmd_query_remote(args: &[String]) -> Result<(), String> {
+    const VALUE_FLAGS: [&str; 3] = ["--connect", "--batch", "--swap"];
+    reject_unknown_flags(args, &VALUE_FLAGS, &["--stats", "--shutdown-server"])?;
     let addr = flag_str(args, "--connect").ok_or("--connect needs host:port")?;
     let mut client = Client::connect(&addr).map_err(|e| format!("{addr}: {e}"))?;
 
@@ -1334,7 +1363,7 @@ fn cmd_query_remote(args: &[String]) -> Result<(), String> {
         print_batch_answers(&lines, &response.results);
         Ok(())
     } else {
-        let words = positional_words(args, &["--connect", "--batch", "--swap"]);
+        let words = positional_words(args, &VALUE_FLAGS);
         if words.is_empty() {
             return Err("missing query (or --batch/--stats/--swap/--shutdown-server)".to_owned());
         }
@@ -1355,6 +1384,18 @@ fn cmd_query_remote(args: &[String]) -> Result<(), String> {
 /// run until a client asks for shutdown.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use mst_verification::store::SnapshotStore;
+    reject_unknown_flags(
+        args,
+        &[
+            "--snapshot",
+            "--port",
+            "--workers",
+            "--shards",
+            "--queue-depth",
+            "--max-conns",
+        ],
+        &["--mmap"],
+    )?;
     let snap_path = flag_str(args, "--snapshot").ok_or("--snapshot is required")?;
     let port = flag_value(args, "--port")?.unwrap_or(0) as u16;
     let mut config = ServeConfig {

