@@ -62,13 +62,11 @@ pub use metrics::{Histogram, LatencyHistogram, MessageCost, ServeMetrics, Sessio
 pub use mst_scheme::{
     decode_mst_label, encode_mst_label, mst_configuration, MstLabel, MstRejectReason, MstScheme,
 };
-pub use pi_dist::{check_dist_conditions, DistParts, PiDistLabel, PiDistScheme, PiDistState};
-pub use pi_flow::{
-    check_flow_conditions, max_st_configuration, FlowParts, MaxStLabel, MaxStScheme,
-};
+pub use pi_dist::{PiDistLabel, PiDistScheme, PiDistState};
+pub use pi_flow::{max_st_configuration, MaxStLabel, MaxStScheme};
 pub use pi_gamma::{
-    check_gamma_conditions, encode_pi_gamma, orient_field_of, orient_fields,
-    reconstruct_decomposition, GammaParts, Orient, PiGammaLabel, PiGammaScheme, PiGammaState,
+    check_gamma_conditions, encode_pi_gamma, orient_fields, reconstruct_decomposition, GammaParts,
+    Orient, PiGammaLabel, PiGammaScheme, PiGammaState,
 };
 pub use session::{Mutation, VerifySession};
 pub use span::{check_span, span_labels, SpanCodec, SpanLabel, SpanningTreeScheme};

@@ -27,10 +27,10 @@
 //! MST encodings anyway.
 
 use mstv_graph::{ConfigGraph, EdgeId, NodeId, TreeState, Weight};
-use mstv_labels::{try_decode_max, BitString, LabelCodec, MaxLabel, SepFieldCodec};
+use mstv_labels::{try_decode_max, BitString, LabelCodec, MaxAggregate, MaxLabel, SepFieldCodec};
 use mstv_trees::{centroid_decomposition_parallel, par_map_chunks};
 
-use crate::pi_gamma::{check_gamma_conditions, orient_fields_parallel, GammaParts, Orient};
+use crate::pi_gamma::{check_tree_neighbors, orient_fields_parallel, GammaParts, Orient};
 use crate::span::{check_span, span_labels, SpanCodec, SpanLabel};
 use crate::{Labeling, LocalView, MarkerError, ParallelConfig, ProofLabelingScheme};
 
@@ -187,31 +187,16 @@ impl MstScheme {
             return Some(MstRejectReason::SpanningTree);
         }
         // Step 2: the γ sublabels come from some γ ∈ Γ (π_Γ conditions).
-        let own = GammaParts::new(&view.label.orient, &view.label.gamma);
-        let parent = view.state.parent_port.and_then(|p| {
-            view.neighbor_at(p).map(|nb| {
-                (
-                    nb.weight,
-                    GammaParts::new(&nb.label.orient, &nb.label.gamma),
-                )
-            })
-        });
-        if view.state.parent_port.is_some() && parent.is_none() {
-            return Some(MstRejectReason::SpanningTree);
-        }
-        let children: Vec<(Weight, GammaParts<'_>)> = view
-            .neighbors
-            .iter()
-            .filter(|nb| nb.label.span.parent_id == Some(view.state.id))
-            .map(|nb| {
-                (
-                    nb.weight,
-                    GammaParts::new(&nb.label.orient, &nb.label.gamma),
-                )
-            })
-            .collect();
-        if !check_gamma_conditions(&own, parent, &children) {
-            return Some(MstRejectReason::GammaMembership);
+        match check_tree_neighbors::<MaxAggregate, _, _>(
+            view,
+            view.state.parent_port,
+            view.state.id,
+            |l| &l.span,
+            |l| GammaParts::new(&l.orient, &l.gamma.sep, &l.gamma.omega),
+        ) {
+            None => return Some(MstRejectReason::SpanningTree),
+            Some(false) => return Some(MstRejectReason::GammaMembership),
+            Some(true) => {}
         }
         // Step 3: the cycle property at every incident edge.
         for nb in &view.neighbors {
@@ -241,7 +226,7 @@ pub fn encode_mst_label(
 ) -> BitString {
     let mut out = BitString::new();
     span_codec.encode_into(&mut out, &label.span);
-    out.extend_from(&gamma_codec.encode_max(&label.gamma));
+    gamma_codec.encode_max_into(&label.gamma, &mut out);
     for &o in &label.orient {
         out.push_bits(o.to_bits(), 2);
     }

@@ -6,161 +6,24 @@
 //! Structure is `π_Γ` verbatim with the `ω` recurrences made *additive*:
 //! where `π_Γ`'s conditions 7/8 recompute
 //! `ω_k(v) = max(ω_k(next), w)` along the path to the level-`k`
-//! separator, `π_dist` checks `δ_k(v) = δ_k(next) + w`. Everything else —
+//! separator, `π_dist` checks `δ_k(v) = δ_k(next) + w` — the same
+//! checker, run with the `DIST` path aggregate. Everything else —
 //! orientation fields, separator-path prefixes, subtree-rank
 //! distinctness, the "verify membership in the family, not the specific
 //! small scheme" trick — carries over unchanged, which is precisely the
-//! paper's point.
+//! paper's point. The one addition is the own-level pin `δ_l = 0` (see
+//! [`PiDistScheme`]'s verifier).
 
 use mstv_graph::{ConfigGraph, NodeId, Weight};
-use mstv_labels::{BitString, DistLabel};
+use mstv_labels::{
+    dist_fits, encode_dist_label_into, BitString, DistAggregate, DistLabel, SepFieldCodec,
+};
 
-use crate::pi_gamma::{orient_fields, reconstruct_decomposition, Orient};
+use crate::pi_gamma::{
+    check_tree_neighbors, implied_decomposition, orient_fields, GammaParts, Orient,
+};
 use crate::span::{check_span, SpanCodec, SpanLabel};
 use crate::{Labeling, LocalView, MarkerError, ProofLabelingScheme};
-
-/// The pieces of a `π_dist` label the condition checker consumes.
-#[derive(Debug, Clone, Copy)]
-pub struct DistParts<'a> {
-    /// Orientation fields (length `l`).
-    pub orient: &'a [Orient],
-    /// Separator-path fields of the claimed distance label.
-    pub sep: &'a [u64],
-    /// `δ` fields of the claimed distance label.
-    pub delta: &'a [u64],
-}
-
-impl<'a> DistParts<'a> {
-    /// Assembles parts from an orientation sublabel and a distance label.
-    pub fn new(orient: &'a [Orient], label: &'a DistLabel) -> Self {
-        DistParts {
-            orient,
-            sep: &label.sep,
-            delta: &label.delta,
-        }
-    }
-
-    fn level(&self) -> usize {
-        self.orient.len()
-    }
-}
-
-/// The additive analogue of `π_Γ`'s conditions 2–8.
-pub fn check_dist_conditions(
-    own: &DistParts<'_>,
-    parent: Option<(Weight, DistParts<'_>)>,
-    children: &[(Weight, DistParts<'_>)],
-) -> bool {
-    let l = own.level();
-    if l == 0 || own.sep.len() != l || own.delta.len() != l {
-        return false;
-    }
-    if own.orient[l - 1] != Orient::SelfSep {
-        return false;
-    }
-    if own.orient[..l - 1].contains(&Orient::SelfSep) {
-        return false;
-    }
-    let tree_neighbors = parent.iter().chain(children.iter());
-    for (_, w) in tree_neighbors.clone() {
-        let min = l.min(w.sep.len());
-        if own.sep[..min] != w.sep[..min] {
-            return false;
-        }
-    }
-    // The own-level field must be the empty-path distance — unlike MAX,
-    // where deflating the self field is harmless under the decoder's max,
-    // the additive decoder would be misled by a nonzero self field, so we
-    // pin it (our marker writes 0; the check costs nothing).
-    if own.delta[l - 1] != 0 {
-        return false;
-    }
-    for k in 0..l {
-        match own.orient[k] {
-            Orient::Up => {
-                let Some((pw, p)) = parent else {
-                    return false;
-                };
-                if p.level() <= k {
-                    return false;
-                }
-                if children
-                    .iter()
-                    .any(|(_, c)| c.level() > k && c.orient[k] != Orient::Up)
-                {
-                    return false;
-                }
-                if p.delta.len() <= k {
-                    return false;
-                }
-                let expected = if p.orient[k] == Orient::SelfSep {
-                    pw.0
-                } else {
-                    p.delta[k].saturating_add(pw.0)
-                };
-                if own.delta[k] != expected {
-                    return false;
-                }
-            }
-            Orient::Down => {
-                if let Some((_, p)) = parent {
-                    if p.level() > k && p.orient[k] != Orient::Down {
-                        return false;
-                    }
-                }
-                let mut unique: Option<(Weight, &DistParts<'_>)> = None;
-                for (cw, c) in children {
-                    if c.level() > k && matches!(c.orient[k], Orient::Down | Orient::SelfSep) {
-                        if unique.is_some() {
-                            return false;
-                        }
-                        unique = Some((*cw, c));
-                    }
-                }
-                let Some((cw, c)) = unique else {
-                    return false;
-                };
-                if c.delta.len() <= k {
-                    return false;
-                }
-                let expected = if c.orient[k] == Orient::SelfSep {
-                    cw.0
-                } else {
-                    c.delta[k].saturating_add(cw.0)
-                };
-                if own.delta[k] != expected {
-                    return false;
-                }
-            }
-            Orient::SelfSep => {
-                if tree_neighbors.clone().any(|(_, w)| w.level() == l) {
-                    return false;
-                }
-                if let Some((_, p)) = parent {
-                    if p.level() > k && p.orient[k] != Orient::Down {
-                        return false;
-                    }
-                }
-                if children
-                    .iter()
-                    .any(|(_, c)| c.level() > k && c.orient[k] != Orient::Up)
-                {
-                    return false;
-                }
-                let mut seen = Vec::new();
-                for (_, w) in tree_neighbors.clone() {
-                    if w.sep.len() > l {
-                        if seen.contains(&w.sep[l]) {
-                            return false;
-                        }
-                        seen.push(w.sep[l]);
-                    }
-                }
-            }
-        }
-    }
-    true
-}
 
 /// Node state for the distance verification problem: identity, tree
 /// orientation, and the claimed distance label.
@@ -224,17 +87,12 @@ impl ProofLabelingScheme for PiDistScheme {
                 "π_dist operates on configuration trees",
             ));
         }
-        let levels: Vec<u32> = (0..n)
-            .map(|i| cfg.state(NodeId::from_index(i)).dist.sep.len() as u32)
-            .collect();
-        let ranks: Vec<u32> = (0..n)
-            .map(|i| {
-                let s = &cfg.state(NodeId::from_index(i)).dist.sep;
-                *s.last().unwrap_or(&0) as u32
-            })
-            .collect();
-        let sep =
-            reconstruct_decomposition(&tree, &levels, &ranks).map_err(MarkerError::BadStates)?;
+        if !dist_fits(&tree) {
+            return Err(MarkerError::bad_states(
+                "tree weight overflows u64: no distance labels exist",
+            ));
+        }
+        let sep = implied_decomposition(&tree, |v| &cfg.state(v).dist.sep)?;
         let expected = mstv_labels::dist_labels(&tree, &sep);
         for (i, exp) in expected.iter().enumerate() {
             let v = NodeId::from_index(i);
@@ -265,13 +123,7 @@ impl ProofLabelingScheme for PiDistScheme {
             .map(|l| {
                 let mut out = BitString::new();
                 span_codec.encode_into(&mut out, &l.span);
-                out.push_elias_gamma(l.copy.level() as u64);
-                for &f in &l.copy.sep[1..] {
-                    out.push_elias_gamma(f + 1);
-                }
-                for &d in &l.copy.delta {
-                    out.push_bits(d, delta_bits);
-                }
+                encode_dist_label_into(&l.copy, SepFieldCodec::EliasGamma, delta_bits, &mut out);
                 for &o in &l.orient {
                     out.push_bits(o.to_bits(), 2);
                 }
@@ -293,21 +145,21 @@ impl ProofLabelingScheme for PiDistScheme {
         if view.label.copy != view.state.dist {
             return false;
         }
-        let own = DistParts::new(&view.label.orient, &view.label.copy);
-        let parent = view.state.parent_port.and_then(|p| {
-            view.neighbor_at(p)
-                .map(|nb| (nb.weight, DistParts::new(&nb.label.orient, &nb.label.copy)))
-        });
-        if view.state.parent_port.is_some() && parent.is_none() {
+        // The own-level field must be the empty-path distance. Unlike
+        // MAX, where deflating the self field is harmless under the
+        // decoder's max, the additive decoder would be misled by a
+        // nonzero self field, so it is pinned (the marker writes 0).
+        if view.label.copy.delta.last() != Some(&0) {
             return false;
         }
-        let children: Vec<(Weight, DistParts<'_>)> = view
-            .neighbors
-            .iter()
-            .filter(|nb| nb.label.span.parent_id == Some(view.state.id))
-            .map(|nb| (nb.weight, DistParts::new(&nb.label.orient, &nb.label.copy)))
-            .collect();
-        check_dist_conditions(&own, parent, &children)
+        check_tree_neighbors::<DistAggregate, _, _>(
+            view,
+            view.state.parent_port,
+            view.state.id,
+            |l| &l.span,
+            |l| GammaParts::new(&l.orient, &l.copy.sep, &l.copy.delta),
+        )
+        .unwrap_or(false)
     }
 }
 

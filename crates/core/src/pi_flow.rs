@@ -7,164 +7,20 @@
 //! `π_mst` pipeline dualizes field by field: `γ_small`'s `ω` maxima
 //! become `φ` minima (the `FLOW` labels of `mstv-labels`, which the paper
 //! introduces as a byproduct), and the Lemma 3.3 conditions 7/8
-//! accumulate with `min` instead of `max`. As with `MAX`, the self-level
-//! field needs no pinning: the decoder's `min` means an adversary can
-//! only *deflate* it, which makes verification stricter, never laxer.
+//! accumulate with `min` instead of `max` (the same checker, run with the
+//! `FLOW` path aggregate). As with `MAX`, the self-level field needs no
+//! pinning: the decoder's `min` means an adversary can only *deflate*
+//! it, which makes verification stricter, never laxer.
 
-use mstv_graph::{ConfigGraph, NodeId, TreeState, Weight};
-use mstv_labels::{BitString, FlowLabel, LabelCodec, SepFieldCodec};
+use mstv_graph::{ConfigGraph, NodeId, TreeState};
+use mstv_labels::{
+    try_decode_flow, BitString, FlowAggregate, FlowLabel, LabelCodec, SepFieldCodec,
+};
 use mstv_trees::{centroid_decomposition_parallel, par_map_chunks};
 
-use crate::pi_gamma::{orient_fields_parallel, Orient};
+use crate::pi_gamma::{check_tree_neighbors, orient_fields_parallel, GammaParts, Orient};
 use crate::span::{check_span, span_labels, SpanCodec, SpanLabel};
 use crate::{Labeling, LocalView, MarkerError, ParallelConfig, ProofLabelingScheme};
-
-/// The pieces of a `π_flow` label the condition checker consumes.
-#[derive(Debug, Clone, Copy)]
-pub struct FlowParts<'a> {
-    /// Orientation fields (length `l`).
-    pub orient: &'a [Orient],
-    /// Separator-path fields of the claimed `FLOW` label.
-    pub sep: &'a [u64],
-    /// `φ` fields of the claimed `FLOW` label.
-    pub phi: &'a [Weight],
-}
-
-impl<'a> FlowParts<'a> {
-    /// Assembles parts from an orientation sublabel and a `FLOW` label.
-    pub fn new(orient: &'a [Orient], label: &'a FlowLabel) -> Self {
-        FlowParts {
-            orient,
-            sep: &label.sep,
-            phi: &label.phi,
-        }
-    }
-
-    fn level(&self) -> usize {
-        self.orient.len()
-    }
-}
-
-/// The min-accumulating analogue of `π_Γ`'s conditions 2–8.
-pub fn check_flow_conditions(
-    own: &FlowParts<'_>,
-    parent: Option<(Weight, FlowParts<'_>)>,
-    children: &[(Weight, FlowParts<'_>)],
-) -> bool {
-    let l = own.level();
-    if l == 0 || own.sep.len() != l || own.phi.len() != l {
-        return false;
-    }
-    if own.orient[l - 1] != Orient::SelfSep {
-        return false;
-    }
-    if own.orient[..l - 1].contains(&Orient::SelfSep) {
-        return false;
-    }
-    let tree_neighbors = parent.iter().chain(children.iter());
-    for (_, w) in tree_neighbors.clone() {
-        let min = l.min(w.sep.len());
-        if own.sep[..min] != w.sep[..min] {
-            return false;
-        }
-    }
-    for k in 0..l {
-        match own.orient[k] {
-            Orient::Up => {
-                let Some((pw, p)) = parent else {
-                    return false;
-                };
-                if p.level() <= k || p.phi.len() <= k {
-                    return false;
-                }
-                if children
-                    .iter()
-                    .any(|(_, c)| c.level() > k && c.orient[k] != Orient::Up)
-                {
-                    return false;
-                }
-                let expected = if p.orient[k] == Orient::SelfSep {
-                    pw
-                } else {
-                    p.phi[k].min(pw)
-                };
-                if own.phi[k] != expected {
-                    return false;
-                }
-            }
-            Orient::Down => {
-                if let Some((_, p)) = parent {
-                    if p.level() > k && p.orient[k] != Orient::Down {
-                        return false;
-                    }
-                }
-                let mut unique: Option<(Weight, &FlowParts<'_>)> = None;
-                for (cw, c) in children {
-                    if c.level() > k && matches!(c.orient[k], Orient::Down | Orient::SelfSep) {
-                        if unique.is_some() {
-                            return false;
-                        }
-                        unique = Some((*cw, c));
-                    }
-                }
-                let Some((cw, c)) = unique else {
-                    return false;
-                };
-                if c.phi.len() <= k {
-                    return false;
-                }
-                let expected = if c.orient[k] == Orient::SelfSep {
-                    cw
-                } else {
-                    c.phi[k].min(cw)
-                };
-                if own.phi[k] != expected {
-                    return false;
-                }
-            }
-            Orient::SelfSep => {
-                if tree_neighbors.clone().any(|(_, w)| w.level() == l) {
-                    return false;
-                }
-                if let Some((_, p)) = parent {
-                    if p.level() > k && p.orient[k] != Orient::Down {
-                        return false;
-                    }
-                }
-                if children
-                    .iter()
-                    .any(|(_, c)| c.level() > k && c.orient[k] != Orient::Up)
-                {
-                    return false;
-                }
-                let mut seen = Vec::new();
-                for (_, w) in tree_neighbors.clone() {
-                    if w.sep.len() > l {
-                        if seen.contains(&w.sep[l]) {
-                            return false;
-                        }
-                        seen.push(w.sep[l]);
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Non-panicking `FLOW` decoder for adversarial labels.
-fn try_decode_flow(a: &FlowLabel, b: &FlowLabel) -> Option<Weight> {
-    let cp = a
-        .sep
-        .iter()
-        .zip(b.sep.iter())
-        .take_while(|(x, y)| x == y)
-        .count();
-    if cp == 0 || cp > a.phi.len() || cp > b.phi.len() {
-        return None;
-    }
-    Some(a.phi[cp - 1].min(b.phi[cp - 1]))
-}
 
 /// The `π_maxst` label: spanning sublabel, `FLOW` sublabel, orientation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,7 +90,7 @@ impl MaxStScheme {
                     let l = &labels[i];
                     let mut out = BitString::new();
                     span_codec.encode_into(&mut out, &l.span);
-                    out.extend_from(&codec.encode_flow(&l.flow));
+                    codec.encode_flow_into(&l.flow, &mut out);
                     for &o in &l.orient {
                         out.push_bits(o.to_bits(), 2);
                     }
@@ -263,21 +119,14 @@ impl ProofLabelingScheme for MaxStScheme {
         if !check_span(view.state, &view.label.span, &spans) {
             return false;
         }
-        let own = FlowParts::new(&view.label.orient, &view.label.flow);
-        let parent = view.state.parent_port.and_then(|p| {
-            view.neighbor_at(p)
-                .map(|nb| (nb.weight, FlowParts::new(&nb.label.orient, &nb.label.flow)))
-        });
-        if view.state.parent_port.is_some() && parent.is_none() {
-            return false;
-        }
-        let children: Vec<(Weight, FlowParts<'_>)> = view
-            .neighbors
-            .iter()
-            .filter(|nb| nb.label.span.parent_id == Some(view.state.id))
-            .map(|nb| (nb.weight, FlowParts::new(&nb.label.orient, &nb.label.flow)))
-            .collect();
-        if !check_flow_conditions(&own, parent, &children) {
+        let gamma = check_tree_neighbors::<FlowAggregate, _, _>(
+            view,
+            view.state.parent_port,
+            view.state.id,
+            |l| &l.span,
+            |l| GammaParts::new(&l.orient, &l.flow.sep, &l.flow.phi),
+        );
+        if gamma != Some(true) {
             return false;
         }
         // The dual cycle property: ω(v, u) ≤ FLOW(v, u) at every edge.
@@ -305,7 +154,7 @@ pub fn max_st_configuration(graph: mstv_graph::Graph) -> ConfigGraph<TreeState> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mstv_graph::{gen, tree_states, Graph};
+    use mstv_graph::{gen, tree_states, Graph, Weight};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -24,7 +24,7 @@
 //! worked example in this module's tests.
 
 use mstv_graph::{ConfigGraph, NodeId, Port, Weight};
-use mstv_labels::{BitString, LabelCodec, MaxLabel, SepFieldCodec};
+use mstv_labels::{BitString, LabelCodec, MaxAggregate, MaxLabel, PathAggregate, SepFieldCodec};
 use mstv_trees::{LcaIndex, RootedTree, SeparatorDecomposition};
 
 use crate::span::{check_span, SpanCodec, SpanLabel};
@@ -71,25 +71,27 @@ impl Orient {
     }
 }
 
-/// The pieces of a `π_Γ` label a condition checker consumes: orientation
-/// fields plus the (claimed) `γ` label's separator-path and `ω` fields.
+/// The pieces of a `Γ`-family proof label the condition checker
+/// consumes: orientation fields plus the claimed label's separator-path
+/// and aggregate fields (`ω` for `MAX`, `φ` for `FLOW`, `δ` for `DIST`).
 #[derive(Debug, Clone, Copy)]
-pub struct GammaParts<'a> {
+pub struct GammaParts<'a, T> {
     /// Orientation fields (length `l`).
     pub orient: &'a [Orient],
-    /// Separator-path fields of the claimed `γ` label.
+    /// Separator-path fields of the claimed label.
     pub sep: &'a [u64],
-    /// `ω` fields of the claimed `γ` label.
-    pub omega: &'a [Weight],
+    /// Aggregate fields of the claimed label.
+    pub values: &'a [T],
 }
 
-impl<'a> GammaParts<'a> {
-    /// Assembles parts from an orientation sublabel and a `γ` label.
-    pub fn new(orient: &'a [Orient], gamma: &'a MaxLabel) -> Self {
+impl<'a, T> GammaParts<'a, T> {
+    /// Assembles parts from an orientation sublabel and a label's
+    /// separator-path and aggregate fields.
+    pub fn new(orient: &'a [Orient], sep: &'a [u64], values: &'a [T]) -> Self {
         GammaParts {
             orient,
-            sep: &gamma.sep,
-            omega: &gamma.omega,
+            sep,
+            values,
         }
     }
 
@@ -98,22 +100,23 @@ impl<'a> GammaParts<'a> {
     }
 }
 
-/// The verifier conditions 2–8 of Lemma 3.3 at one node, given the parts
-/// of the node itself, of its tree parent (with the connecting weight),
-/// and of its tree children (condition 1 — the label copies the state — is
-/// the caller's responsibility, since compositions differ in where the `γ`
+/// The verifier conditions 2–8 of Lemma 3.3 at one node, for the label
+/// family whose fields carry the path aggregate `A`, given the parts of
+/// the node itself, of its tree parent (with the connecting weight), and
+/// of its tree children (condition 1 — the label copies the state — is
+/// the caller's responsibility, since compositions differ in where the
 /// label lives).
 ///
 /// Returns `true` iff every condition holds locally.
-pub fn check_gamma_conditions(
-    own: &GammaParts<'_>,
-    parent: Option<(Weight, GammaParts<'_>)>,
-    children: &[(Weight, GammaParts<'_>)],
+pub fn check_gamma_conditions<A: PathAggregate>(
+    own: &GammaParts<'_, A::Value>,
+    parent: Option<(Weight, GammaParts<'_, A::Value>)>,
+    children: &[(Weight, GammaParts<'_, A::Value>)],
 ) -> bool {
     let l = own.level();
     // Structural consistency (condition 4): the three sublabels agree on
     // the field count, the last orientation field is `*`, and no other is.
-    if l == 0 || own.sep.len() != l || own.omega.len() != l {
+    if l == 0 || own.sep.len() != l || own.values.len() != l {
         return false;
     }
     if own.orient[l - 1] != Orient::SelfSep {
@@ -131,6 +134,20 @@ pub fn check_gamma_conditions(
             return false;
         }
     }
+    // Conditions 7/8: field k of the node is field k of the next node
+    // towards the level-k separator, extended by the connecting edge —
+    // from the empty path when that next node is the separator itself.
+    let accumulates = |next: &GammaParts<'_, A::Value>, w: Weight, k: usize| {
+        if next.values.len() <= k {
+            return false;
+        }
+        let from = if next.orient[k] == Orient::SelfSep {
+            A::EMPTY
+        } else {
+            next.values[k]
+        };
+        own.values[k] == A::extend(from, w)
+    };
     for k in 0..l {
         match own.orient[k] {
             Orient::Up => {
@@ -149,16 +166,8 @@ pub fn check_gamma_conditions(
                 {
                     return false;
                 }
-                // Condition 7: the ω field accumulates along the parent.
-                if p.omega.len() <= k {
-                    return false;
-                }
-                let expected = if p.orient[k] == Orient::SelfSep {
-                    pw
-                } else {
-                    p.omega[k].max(pw)
-                };
-                if own.omega[k] != expected {
+                // Condition 7: the field accumulates along the parent.
+                if !accumulates(&p, pw, k) {
                     return false;
                 }
             }
@@ -171,7 +180,7 @@ pub fn check_gamma_conditions(
                         return false;
                     }
                 }
-                let mut unique: Option<(Weight, &GammaParts<'_>)> = None;
+                let mut unique: Option<(Weight, &GammaParts<'_, A::Value>)> = None;
                 for (cw, c) in children {
                     if c.level() > k && matches!(c.orient[k], Orient::Down | Orient::SelfSep) {
                         if unique.is_some() {
@@ -183,16 +192,8 @@ pub fn check_gamma_conditions(
                 let Some((cw, c)) = unique else {
                     return false;
                 };
-                // Condition 8: the ω field accumulates along that child.
-                if c.omega.len() <= k {
-                    return false;
-                }
-                let expected = if c.orient[k] == Orient::SelfSep {
-                    cw
-                } else {
-                    c.omega[k].max(cw)
-                };
-                if own.omega[k] != expected {
+                // Condition 8: the field accumulates along that child.
+                if !accumulates(c, cw, k) {
                     return false;
                 }
             }
@@ -234,19 +235,52 @@ pub fn check_gamma_conditions(
     true
 }
 
+/// Runs [`check_gamma_conditions`] at a view's node against its tree
+/// neighbors: the parent behind `parent_port`, and the children — the
+/// neighbors whose span label names `id` as their parent. `parts` reads a
+/// label's `Γ` parts and `span` its spanning sublabel. `None` when
+/// `parent_port` names no neighbor.
+pub(crate) fn check_tree_neighbors<'v, A: PathAggregate, S, L>(
+    view: &'v LocalView<'_, S, L>,
+    parent_port: Option<Port>,
+    id: u64,
+    span: impl Fn(&L) -> &SpanLabel,
+    parts: impl Fn(&'v L) -> GammaParts<'v, A::Value>,
+) -> Option<bool> {
+    let parent = match parent_port {
+        Some(port) => {
+            let nb = view.neighbor_at(port)?;
+            Some((nb.weight, parts(nb.label)))
+        }
+        None => None,
+    };
+    let children: Vec<(Weight, GammaParts<'v, A::Value>)> = view
+        .neighbors
+        .iter()
+        .filter(|nb| span(nb.label).parent_id == Some(id))
+        .map(|nb| (nb.weight, parts(nb.label)))
+        .collect();
+    Some(check_gamma_conditions::<A>(
+        &parts(view.label),
+        parent,
+        &children,
+    ))
+}
+
 /// Computes the honest orientation fields for every node, given the rooted
-/// tree and the separator decomposition the marker used.
+/// tree and the separator decomposition the marker used: the one-worker
+/// [`orient_fields_parallel`].
 pub fn orient_fields(tree: &RootedTree, sep: &SeparatorDecomposition) -> Vec<Vec<Orient>> {
-    let lca = LcaIndex::new(tree);
-    let mut chain = Vec::new();
-    tree.nodes()
-        .map(|v| orient_field_of_buf(&lca, sep, v, &mut chain))
-        .collect()
+    orient_fields_parallel(
+        tree,
+        sep,
+        crate::ParallelConfig::with_threads(std::num::NonZeroUsize::MIN),
+    )
 }
 
 /// [`orient_fields`] with per-node assembly fanned across a scoped thread
 /// pool (the LCA index is built once and shared read-only). Output is
-/// identical to the sequential builder for every thread count.
+/// identical for every thread count.
 pub fn orient_fields_parallel(
     tree: &RootedTree,
     sep: &SeparatorDecomposition,
@@ -256,30 +290,19 @@ pub fn orient_fields_parallel(
     mstv_trees::par_map_chunks(tree.num_nodes(), config.resolved_threads(), |lo, hi| {
         let mut chain = Vec::new();
         (lo..hi)
-            .map(|i| orient_field_of_buf(&lca, sep, mstv_graph::NodeId::from_index(i), &mut chain))
+            .map(|i| orient_field(&lca, sep, NodeId::from_index(i), &mut chain))
             .collect()
     })
 }
 
-/// Assembles the orientation field of a single node — the unit of work
-/// [`orient_fields`] maps over every node. Public for incremental
-/// relabelers, which reassemble only dirty nodes.
-pub fn orient_field_of(
+/// The orientation field of a single node, with the separator chain
+/// staged in a caller-owned buffer so the builder allocates one chain
+/// per worker instead of one per node.
+fn orient_field(
     lca: &LcaIndex,
     sep: &SeparatorDecomposition,
-    v: mstv_graph::NodeId,
-) -> Vec<Orient> {
-    orient_field_of_buf(lca, sep, v, &mut Vec::new())
-}
-
-/// [`orient_field_of`] with the separator chain staged in a caller-owned
-/// buffer, so the batch builders allocate one chain per worker instead of
-/// one per node.
-fn orient_field_of_buf(
-    lca: &LcaIndex,
-    sep: &SeparatorDecomposition,
-    v: mstv_graph::NodeId,
-    chain: &mut Vec<mstv_graph::NodeId>,
+    v: NodeId,
+    chain: &mut Vec<NodeId>,
 ) -> Vec<Orient> {
     sep.ancestors_into(v, chain);
     chain
@@ -436,6 +459,23 @@ pub fn reconstruct_decomposition(
     )
 }
 
+/// The decomposition that claimed separator paths imply — a node's level
+/// is its path's length, its rank the path's last field — rebuilt by
+/// [`reconstruct_decomposition`].
+pub(crate) fn implied_decomposition<'a>(
+    tree: &RootedTree,
+    sep_path: impl Fn(NodeId) -> &'a [u64],
+) -> Result<SeparatorDecomposition, MarkerError> {
+    let (levels, ranks): (Vec<u32>, Vec<u32>) = tree
+        .nodes()
+        .map(|v| {
+            let path = sep_path(v);
+            (path.len() as u32, *path.last().unwrap_or(&0) as u32)
+        })
+        .unzip();
+    reconstruct_decomposition(tree, &levels, &ranks).map_err(MarkerError::BadStates)
+}
+
 impl ProofLabelingScheme for PiGammaScheme {
     type State = PiGammaState;
     type Label = PiGammaLabel;
@@ -460,17 +500,7 @@ impl ProofLabelingScheme for PiGammaScheme {
         }
         // Reconstruct the decomposition the states imply and re-derive the
         // labels; the predicate holds iff they match the states.
-        let levels: Vec<u32> = (0..n)
-            .map(|i| cfg.state(NodeId::from_index(i)).gamma.sep.len() as u32)
-            .collect();
-        let ranks: Vec<u32> = (0..n)
-            .map(|i| {
-                let s = &cfg.state(NodeId::from_index(i)).gamma.sep;
-                *s.last().unwrap_or(&0) as u32
-            })
-            .collect();
-        let sep =
-            reconstruct_decomposition(&tree, &levels, &ranks).map_err(MarkerError::BadStates)?;
+        let sep = implied_decomposition(&tree, |v| &cfg.state(v).gamma.sep)?;
         let expected = mstv_labels::max_labels(&tree, &sep);
         for (i, exp) in expected.iter().enumerate() {
             let v = NodeId::from_index(i);
@@ -515,21 +545,14 @@ impl ProofLabelingScheme for PiGammaScheme {
             return false;
         }
         // Conditions 2–8 against tree parent and children.
-        let own = GammaParts::new(&view.label.orient, &view.label.copy);
-        let parent = view.state.parent_port.and_then(|p| {
-            view.neighbor_at(p)
-                .map(|nb| (nb.weight, GammaParts::new(&nb.label.orient, &nb.label.copy)))
-        });
-        if view.state.parent_port.is_some() && parent.is_none() {
-            return false;
-        }
-        let children: Vec<(Weight, GammaParts<'_>)> = view
-            .neighbors
-            .iter()
-            .filter(|nb| nb.label.span.parent_id == Some(view.state.id))
-            .map(|nb| (nb.weight, GammaParts::new(&nb.label.orient, &nb.label.copy)))
-            .collect();
-        check_gamma_conditions(&own, parent, &children)
+        check_tree_neighbors::<MaxAggregate, _, _>(
+            view,
+            view.state.parent_port,
+            view.state.id,
+            |l| &l.span,
+            |l| GammaParts::new(&l.orient, &l.copy.sep, &l.copy.omega),
+        )
+        .unwrap_or(false)
     }
 }
 
@@ -541,8 +564,7 @@ pub fn encode_pi_gamma(
 ) -> BitString {
     let mut out = BitString::new();
     span_codec.encode_into(&mut out, &label.span);
-    let gamma_bits = gamma_codec.encode_max(&label.copy);
-    out.extend_from(&gamma_bits);
+    gamma_codec.encode_max_into(&label.copy, &mut out);
     // Orientation fields: 2 bits each; the count equals the γ label's
     // field count, already encoded above.
     for &o in &label.orient {

@@ -29,17 +29,14 @@
 
 use mstv_graph::{EdgeId, Graph, NodeId, Weight};
 use mstv_labels::{
-    decode_max, dist_label_of, dist_label_of_walk, encode_dist_label, encode_dist_label_into,
-    flow_label_of, flow_label_of_walk, max_label_of, max_label_of_walk, BitString, DistLabel,
-    DistOracle, FlowLabel, LabelCodec, MaxLabel, SepFieldCodec,
+    decode_max, dist_labels, encode_dist_label, encode_dist_label_into, flow_labels, max_labels,
+    walk_labels, BitString, DistLabel, FlowLabel, LabelCodec, MaxLabel, SepFieldCodec,
 };
 use mstv_mst::{kruskal, repair_after_weight_change_in, Repair};
 use mstv_store::{
     DeltaOutcome, DeltaRecord, DistSection, JournalMutation, LabelDelta, Snapshot, TreeDelta,
 };
-use mstv_trees::{
-    centroid_decomposition, KruskalTree, PathMaxIndex, RootedTree, SeparatorDecomposition,
-};
+use mstv_trees::{centroid_decomposition, RootedTree, SeparatorDecomposition};
 
 /// Errors surfaced by [`DynMarker`]; everything else (internal
 /// inconsistency) is a panic, because the marker owns its state.
@@ -61,6 +58,9 @@ pub enum DynError {
         /// Second endpoint.
         v: u32,
     },
+    /// The minimum spanning tree's total weight does not fit in a `u64`,
+    /// so the tree has no `DIST` labels (see `mstv_labels::dist_fits`).
+    TreeWeightOverflow,
 }
 
 impl std::fmt::Display for DynError {
@@ -71,6 +71,10 @@ impl std::fmt::Display for DynError {
                 write!(f, "node {node} out of range for {nodes} nodes")
             }
             DynError::UnknownEdge { u, v } => write!(f, "no edge between {u} and {v}"),
+            DynError::TreeWeightOverflow => write!(
+                f,
+                "the spanning tree's total weight overflows u64, so it has no distance labels"
+            ),
         }
     }
 }
@@ -105,6 +109,9 @@ pub struct DynMarker {
     max_weight: Weight,
     omega_bits: u32,
     delta_bits: u32,
+    /// Summed weight of the tree edges, at most `u64::MAX`: trees past
+    /// that have no `DIST` labels, and the marker refuses them.
+    tree_weight: u128,
     seq: u64,
 }
 
@@ -116,12 +123,21 @@ impl DynMarker {
     ///
     /// # Errors
     ///
-    /// [`DynError::Disconnected`] when the graph has no spanning tree.
+    /// [`DynError::Disconnected`] when the graph has no spanning tree,
+    /// [`DynError::TreeWeightOverflow`] when its minimum spanning tree's
+    /// total weight overflows `u64`.
     pub fn new(graph: Graph, sep_codec: SepFieldCodec) -> Result<DynMarker, DynError> {
         if graph.num_nodes() == 0 || !graph.is_connected() {
             return Err(DynError::Disconnected);
         }
         let tree_edges = kruskal(&graph);
+        let tree_weight = tree_edges
+            .iter()
+            .map(|&e| u128::from(graph.weight(e).0))
+            .sum();
+        if tree_weight > u128::from(u64::MAX) {
+            return Err(DynError::TreeWeightOverflow);
+        }
         let mut in_tree = vec![false; graph.num_edges()];
         for &e in &tree_edges {
             in_tree[e.index()] = true;
@@ -147,6 +163,7 @@ impl DynMarker {
             max_weight: Weight(1),
             omega_bits: 1,
             delta_bits: 1,
+            tree_weight,
             seq: 0,
         };
         marker.rebuild_all_labels();
@@ -212,8 +229,10 @@ impl DynMarker {
     /// # Errors
     ///
     /// [`DynError::NodeOutOfRange`] / [`DynError::UnknownEdge`] for
-    /// mutations naming nonexistent endpoints; the state is unmodified
-    /// on error.
+    /// mutations naming nonexistent endpoints, and
+    /// [`DynError::TreeWeightOverflow`] for a mutation after which the
+    /// minimum spanning tree's total weight would overflow `u64`; the
+    /// state is unmodified on error.
     pub fn apply(&mut self, mutation: JournalMutation) -> Result<DeltaRecord, DynError> {
         let steps = match mutation {
             JournalMutation::SetWeight { u, v, w } => {
@@ -225,7 +244,7 @@ impl DynMarker {
                 vec![(e1, self.graph.weight(e2)), (e2, self.graph.weight(e1))]
             }
         };
-        Ok(self.apply_steps(mutation, &steps))
+        self.apply_steps(mutation, &steps)
     }
 
     fn resolve_edge(&self, u: u32, v: u32) -> Result<EdgeId, DynError> {
@@ -244,17 +263,17 @@ impl DynMarker {
         &mut self,
         mutation: JournalMutation,
         steps: &[(EdgeId, Weight)],
-    ) -> DeltaRecord {
+    ) -> Result<DeltaRecord, DynError> {
         let n = self.graph.num_nodes();
         if steps.iter().all(|&(e, w)| self.graph.weight(e) == w) {
-            return self.finish_record(
+            return Ok(self.finish_record(
                 mutation,
                 DeltaOutcome::NoOp,
                 vec![],
                 vec![],
                 vec![],
                 vec![],
-            );
+            ));
         }
         // Old-side context, needed for crossing tests after a swap. The
         // old tree itself stays untouched in `self.tree` until commit;
@@ -278,10 +297,17 @@ impl DynMarker {
         // says no later step re-priced a tree edge behind its back.
         let mut mid_tree: Option<RootedTree> = None;
         let mut mid_valid = false;
+        // The tree weight follows every re-priced tree edge and swap, so
+        // a mutation whose tree would have no DIST labels is refused
+        // (and undone through `undo`) before anything is relabelled.
+        let mut tree_weight = self.tree_weight;
+        let mut undo: Vec<(EdgeId, Weight)> = Vec::with_capacity(steps.len());
         for &(e, w) in steps {
-            if self.graph.weight(e) == w {
+            let old_w = self.graph.weight(e);
+            if old_w == w {
                 continue;
             }
+            undo.push((e, old_w));
             if single && !self.in_tree[e.index()] {
                 // O(1) sensitivity test straight off the maintained MAX
                 // labels: a non-tree edge strictly heavier than the path
@@ -300,6 +326,9 @@ impl DynMarker {
             }
             self.graph.set_weight(e, w);
             let was_tree = self.in_tree[e.index()];
+            if was_tree {
+                tree_weight = tree_weight - u128::from(old_w.0) + u128::from(w.0);
+            }
             let cur_tree = mid_tree.as_ref().unwrap_or(&self.tree);
             match repair_after_weight_change_in(
                 &self.graph,
@@ -315,6 +344,8 @@ impl DynMarker {
                     }
                 }
                 Repair::Swapped { removed, added } => {
+                    tree_weight = tree_weight - u128::from(self.graph.weight(removed).0)
+                        + u128::from(self.graph.weight(added).0);
                     self.in_tree[removed.index()] = false;
                     self.in_tree[added.index()] = true;
                     removed_edges.push(removed);
@@ -327,18 +358,33 @@ impl DynMarker {
                 }
             }
         }
+        if tree_weight > u128::from(u64::MAX) {
+            for &(e, w) in undo.iter().rev() {
+                self.graph.set_weight(e, w);
+            }
+            self.in_tree = old_in_tree;
+            // The edge set is the one before the mutation; its order is
+            // unspecified (see `tree_edges`).
+            self.tree_edges = self
+                .graph
+                .edge_ids()
+                .filter(|e| self.in_tree[e.index()])
+                .collect();
+            return Err(DynError::TreeWeightOverflow);
+        }
+        self.tree_weight = tree_weight;
         let topo_changed = !removed_edges.is_empty();
         if !topo_changed && touched.is_empty() {
             // Only harmless non-tree weights moved: labels and widths
             // depend on tree edges alone.
-            return self.finish_record(
+            return Ok(self.finish_record(
                 mutation,
                 DeltaOutcome::NoOp,
                 vec![],
                 vec![],
                 vec![],
                 vec![],
-            );
+            ));
         }
 
         // Phase 2: rebuild the structural state that actually moved. A
@@ -402,30 +448,24 @@ impl DynMarker {
             }
         }
 
-        // Phase 4: re-assemble structured labels for dirty nodes only,
-        // through the same per-node assemblers the batch builder maps
-        // over every node — bit-identity by construction. Small dirty
-        // sets use the zero-preprocessing path-walk assemblers (exact
-        // same outputs, O(depth) per chain entry); only a dirty set big
-        // enough to amortize them pays the O(n log n) oracle builds.
+        // Phase 4: re-assemble structured labels. Small dirty sets walk
+        // each dirty node's chain paths (`walk_labels`: no preprocessing,
+        // O(depth) per chain entry); a dirty set big enough to amortize
+        // it pays for the O(n log n) batch sweeps over the whole tree,
+        // whose labels outside the dirty set are unchanged. The walk and
+        // the sweeps are bit-identical.
         let ndirty = dirty.iter().filter(|d| **d).count();
         if ndirty.saturating_mul(16) <= n.max(16_384) {
             for (v, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
-                let vv = NodeId(v as u32);
-                self.max_s[v] = max_label_of_walk(new_tree, new_sep, vv);
-                self.flow_s[v] = flow_label_of_walk(new_tree, new_sep, vv);
-                self.dist_s[v] = dist_label_of_walk(new_tree, new_sep, vv);
+                let (max, flow, dist) = walk_labels(new_tree, new_sep, NodeId(v as u32));
+                self.max_s[v] = max;
+                self.flow_s[v] = flow;
+                self.dist_s[v] = dist;
             }
         } else {
-            let kt = KruskalTree::new(new_tree);
-            let pmi = PathMaxIndex::new(new_tree);
-            let oracle = DistOracle::new(new_tree, new_sep);
-            for (v, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
-                let vv = NodeId(v as u32);
-                self.max_s[v] = max_label_of(&kt, new_sep, vv);
-                self.flow_s[v] = flow_label_of(&pmi, new_sep, vv);
-                self.dist_s[v] = dist_label_of(&oracle, new_sep, vv);
-            }
+            self.max_s = max_labels(new_tree, new_sep);
+            self.flow_s = flow_labels(new_tree, new_sep);
+            self.dist_s = dist_labels(new_tree, new_sep);
         }
         for (v, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
             self.dist_max[v] = self.dist_s[v].delta.iter().copied().max().unwrap_or(0);
@@ -548,7 +588,7 @@ impl DynMarker {
         self.max_weight = new_max_weight;
         self.omega_bits = new_omega_bits;
         self.delta_bits = new_delta_bits;
-        self.finish_record(mutation, outcome, tree_d, max_d, flow_d, dist_d)
+        Ok(self.finish_record(mutation, outcome, tree_d, max_d, flow_d, dist_d))
     }
 
     fn finish_record(
@@ -578,24 +618,9 @@ impl DynMarker {
     /// Full batch (re)build of structured and encoded labels — the
     /// constructor's path, also reusable as a hard reset.
     fn rebuild_all_labels(&mut self) {
-        let kt = KruskalTree::new(&self.tree);
-        let pmi = PathMaxIndex::new(&self.tree);
-        let oracle = DistOracle::new(&self.tree, &self.sep);
-        self.max_s = self
-            .tree
-            .nodes()
-            .map(|v| max_label_of(&kt, &self.sep, v))
-            .collect();
-        self.flow_s = self
-            .tree
-            .nodes()
-            .map(|v| flow_label_of(&pmi, &self.sep, v))
-            .collect();
-        self.dist_s = self
-            .tree
-            .nodes()
-            .map(|v| dist_label_of(&oracle, &self.sep, v))
-            .collect();
+        self.max_s = max_labels(&self.tree, &self.sep);
+        self.flow_s = flow_labels(&self.tree, &self.sep);
+        self.dist_s = dist_labels(&self.tree, &self.sep);
         self.dist_max = self
             .dist_s
             .iter()
@@ -608,12 +633,7 @@ impl DynMarker {
             .max()
             .unwrap_or(Weight(1));
         self.omega_bits = self.max_weight.bit_width();
-        let max_delta = self
-            .dist_s
-            .iter()
-            .flat_map(|l| l.delta.iter().copied())
-            .max()
-            .unwrap_or(0);
+        let max_delta = self.dist_max.iter().copied().max().unwrap_or(0);
         self.delta_bits = Weight(max_delta).bit_width();
         let codec = LabelCodec {
             sep_codec: self.sep_codec,
@@ -979,6 +999,74 @@ mod tests {
         }
         assert_eq!(marker.seq(), 0);
         assert_eq!(marker.snapshot().to_bytes(), before);
+    }
+
+    #[test]
+    fn large_dirty_sets_relabel_through_the_batch_builders() {
+        // Past 1024 dirty nodes (at n ≤ 16384) phase 4 switches from the
+        // per-node walk to the batch sweeps; evicting tree edges until a
+        // swap re-labels more rows than that exercises the switch.
+        let (mut marker, mut rng) = random_marker(1100, 1500, 1 << 20, 31);
+        let mut batch_sized = 0;
+        for _ in 0..12 {
+            let e = marker.tree_edges()[rng.gen_range(0..marker.tree_edges().len())];
+            let ed = marker.graph().edge(e);
+            let record = marker
+                .apply(JournalMutation::SetWeight {
+                    u: ed.u.0,
+                    v: ed.v.0,
+                    w: 1 << 20,
+                })
+                .unwrap();
+            assert_in_sync(&marker, "tree-edge eviction");
+            if record.outcome == DeltaOutcome::TreeSwap && record.max.len() > 1024 {
+                batch_sized += 1;
+            }
+        }
+        assert!(batch_sized > 0, "no swap dirtied more than 1024 nodes");
+    }
+
+    #[test]
+    fn trees_without_dist_labels_are_refused() {
+        let big = 1u64 << 63;
+        let mut path = Graph::new(5);
+        for i in 0..4 {
+            path.add_edge(NodeId(i), NodeId(i + 1), Weight(big))
+                .unwrap();
+        }
+        assert_eq!(
+            DynMarker::new(path, SepFieldCodec::EliasGamma).err(),
+            Some(DynError::TreeWeightOverflow)
+        );
+
+        // Path 0-1-2 plus a chord; the tree {01, 12} weighs 2^63 + 1.
+        let mut g = Graph::new(3);
+        g.add_edge(NodeId(0), NodeId(1), Weight(big)).unwrap();
+        g.add_edge(NodeId(1), NodeId(2), Weight(1)).unwrap();
+        g.add_edge(NodeId(0), NodeId(2), Weight(big + 1)).unwrap();
+        let mut marker = DynMarker::new(g, SepFieldCodec::EliasGamma).unwrap();
+        let before = marker.snapshot().to_bytes();
+        let tree_before = canon(marker.tree_edges().to_vec());
+        for w in [
+            // Re-pricing a tree edge: the tree stays and weighs 2^64.
+            big,
+            // Evicting it: the chord enters and the tree weighs 2^64 + 1.
+            u64::MAX,
+        ] {
+            assert_eq!(
+                marker.apply(JournalMutation::SetWeight { u: 1, v: 2, w }),
+                Err(DynError::TreeWeightOverflow)
+            );
+            assert_eq!(marker.snapshot().to_bytes(), before);
+            assert_eq!(canon(marker.tree_edges().to_vec()), tree_before);
+            assert_eq!(marker.graph().weight(EdgeId(1)), Weight(1));
+            assert_eq!(marker.seq(), 0);
+        }
+        // A mutation whose tree fits still applies, in sync.
+        marker
+            .apply(JournalMutation::SetWeight { u: 1, v: 2, w: 7 })
+            .unwrap();
+        assert_in_sync(&marker, "after refused mutations");
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! honest.
 
 use mstv_graph::{NodeId, Weight};
-use mstv_trees::{centroid_decomposition, RootedTree, SeparatorDecomposition};
+use mstv_trees::{centroid_decomposition, ParallelConfig, RootedTree, SeparatorDecomposition};
 
 use crate::{
-    decode_flow, decode_max, flow_labels, max_labels, BitSlice, BitString, DistLabel, FlowLabel,
-    MaxLabel, FLOW_INFINITY,
+    decode_flow, decode_max, flow_labels_parallel, max_labels_parallel, BitSlice, BitString,
+    DistLabel, FlowLabel, MaxLabel, FLOW_INFINITY,
 };
 
 /// How separator-path fields are written.
@@ -65,18 +65,56 @@ impl LabelCodec {
         }
     }
 
-    fn read_sep_field(&self, r: &mut crate::BitReader<'_>) -> u64 {
-        match self.sep_codec {
-            SepFieldCodec::EliasGamma => r.read_elias_gamma() - 1,
-            SepFieldCodec::FixedWidth { bits } => r.read_bits(bits),
-        }
-    }
-
     fn try_read_sep_field(&self, r: &mut crate::BitReader<'_>) -> Option<u64> {
         match self.sep_codec {
             SepFieldCodec::EliasGamma => Some(r.try_read_elias_gamma()? - 1),
             SepFieldCodec::FixedWidth { bits } => r.try_read_bits(bits),
         }
+    }
+
+    /// Writes one `Γ` label, the layout all three families share:
+    /// `gamma(l)`, the `l - 1` non-constant separator fields, then the
+    /// `l` raw value fields at `value_bits` each.
+    pub(crate) fn encode_fields_into(
+        &self,
+        sep: &[u64],
+        values: impl IntoIterator<Item = u64>,
+        value_bits: u32,
+        out: &mut BitString,
+    ) {
+        out.push_elias_gamma(sep.len() as u64);
+        for &f in &sep[1..] {
+            self.push_sep_field(out, f);
+        }
+        for v in values {
+            out.push_bits(v, value_bits);
+        }
+    }
+
+    /// Reads one `Γ` label written by [`LabelCodec::encode_fields_into`],
+    /// mapping each raw value field through `value`; `None` on a
+    /// truncated or implausible stream (a claimed level that cannot fit
+    /// in the remaining bits).
+    fn try_decode_fields_from<T>(
+        &self,
+        r: &mut crate::BitReader<'_>,
+        value_bits: u32,
+        value: impl Fn(u64) -> T,
+    ) -> Option<(Vec<u64>, Vec<T>)> {
+        let l = r.try_read_elias_gamma()? as usize;
+        if l == 0 || l > r.remaining() + 1 {
+            return None;
+        }
+        let mut sep = Vec::with_capacity(l);
+        sep.push(0);
+        for _ in 1..l {
+            sep.push(self.try_read_sep_field(r)?);
+        }
+        let mut values = Vec::with_capacity(l);
+        for _ in 0..l {
+            values.push(value(r.try_read_bits(value_bits)?));
+        }
+        Some((sep, values))
     }
 
     /// Reads one separator field as an equality-comparable token (see
@@ -111,13 +149,8 @@ impl LabelCodec {
     ///
     /// As [`LabelCodec::encode_max`].
     pub fn encode_max_into(&self, label: &MaxLabel, out: &mut BitString) {
-        out.push_elias_gamma(label.level() as u64);
-        for &f in &label.sep[1..] {
-            self.push_sep_field(out, f);
-        }
-        for &w in &label.omega {
-            out.push_bits(w.0, self.omega_bits);
-        }
+        let omega = label.omega.iter().map(|w| w.0);
+        self.encode_fields_into(&label.sep, omega, self.omega_bits, out);
     }
 
     /// Deserializes a `MAX` label.
@@ -137,16 +170,7 @@ impl LabelCodec {
     ///
     /// Panics on a truncated bit string.
     pub fn decode_max_from(&self, r: &mut crate::BitReader<'_>) -> MaxLabel {
-        let l = r.read_elias_gamma() as usize;
-        let mut sep = Vec::with_capacity(l);
-        sep.push(0);
-        for _ in 1..l {
-            sep.push(self.read_sep_field(r));
-        }
-        let omega = (0..l)
-            .map(|_| Weight(r.read_bits(self.omega_bits)))
-            .collect();
-        MaxLabel { sep, omega }
+        self.try_decode_max_from(r).expect("truncated MAX label")
     }
 
     /// Non-panicking [`LabelCodec::decode_max_from`]: returns `None` on a
@@ -154,19 +178,7 @@ impl LabelCodec {
     /// in the remaining bits), for wire-level validation of untrusted
     /// frames.
     pub fn try_decode_max_from(&self, r: &mut crate::BitReader<'_>) -> Option<MaxLabel> {
-        let l = r.try_read_elias_gamma()? as usize;
-        if l == 0 || l > r.remaining() + 1 {
-            return None;
-        }
-        let mut sep = Vec::with_capacity(l);
-        sep.push(0);
-        for _ in 1..l {
-            sep.push(self.try_read_sep_field(r)?);
-        }
-        let mut omega = Vec::with_capacity(l);
-        for _ in 0..l {
-            omega.push(Weight(r.try_read_bits(self.omega_bits)?));
-        }
+        let (sep, omega) = self.try_decode_fields_from(r, self.omega_bits, Weight)?;
         Some(MaxLabel { sep, omega })
     }
 
@@ -184,20 +196,7 @@ impl LabelCodec {
     /// returns `None` on a truncated or implausible stream, for
     /// validating untrusted frames and snapshot records.
     pub fn try_decode_flow_from(&self, r: &mut crate::BitReader<'_>) -> Option<FlowLabel> {
-        let l = r.try_read_elias_gamma()? as usize;
-        if l == 0 || l > r.remaining() + 1 {
-            return None;
-        }
-        let mut sep = Vec::with_capacity(l);
-        sep.push(0);
-        for _ in 1..l {
-            sep.push(self.try_read_sep_field(r)?);
-        }
-        let mut phi = Vec::with_capacity(l);
-        for _ in 0..l {
-            let raw = r.try_read_bits(self.omega_bits)?;
-            phi.push(if raw == 0 { FLOW_INFINITY } else { Weight(raw) });
-        }
+        let (sep, phi) = self.try_decode_fields_from(r, self.omega_bits, flow_value)?;
         Some(FlowLabel { sep, phi })
     }
 
@@ -216,19 +215,7 @@ impl LabelCodec {
     /// `n·W`, not `W`). Rejects truncated streams and trailing garbage.
     pub fn try_decode_dist_label(&self, bits: &BitString, delta_bits: u32) -> Option<DistLabel> {
         let mut r = bits.reader();
-        let l = r.try_read_elias_gamma()? as usize;
-        if l == 0 || l > r.remaining() + 1 {
-            return None;
-        }
-        let mut sep = Vec::with_capacity(l);
-        sep.push(0);
-        for _ in 1..l {
-            sep.push(self.try_read_sep_field(&mut r)?);
-        }
-        let mut delta = Vec::with_capacity(l);
-        for _ in 0..l {
-            delta.push(r.try_read_bits(delta_bits)?);
-        }
+        let (sep, delta) = self.try_decode_fields_from(&mut r, delta_bits, |d| d)?;
         (r.remaining() == 0).then_some(DistLabel { sep, delta })
     }
 
@@ -254,9 +241,7 @@ impl LabelCodec {
     /// `0` pattern means [`FLOW_INFINITY`], and the combine is `min`.
     pub fn try_decode_flow_pair(&self, a: BitSlice<'_>, b: BitSlice<'_>) -> Option<Weight> {
         let (x, y) = self.pair_values(a, b, self.omega_bits)?;
-        let x = if x == 0 { FLOW_INFINITY } else { Weight(x) };
-        let y = if y == 0 { FLOW_INFINITY } else { Weight(y) };
-        Some(x.min(y))
+        Some(flow_value(x).min(flow_value(y)))
     }
 
     /// [`LabelCodec::try_decode_max_pair`] for distance labels: the
@@ -336,14 +321,11 @@ impl LabelCodec {
     ///
     /// As [`LabelCodec::encode_flow`].
     pub fn encode_flow_into(&self, label: &FlowLabel, out: &mut BitString) {
-        out.push_elias_gamma(label.level() as u64);
-        for &f in &label.sep[1..] {
-            self.push_sep_field(out, f);
-        }
-        for &w in &label.phi {
-            let raw = if w == FLOW_INFINITY { 0 } else { w.0 };
-            out.push_bits(raw, self.omega_bits);
-        }
+        let phi = label
+            .phi
+            .iter()
+            .map(|&w| if w == FLOW_INFINITY { 0 } else { w.0 });
+        self.encode_fields_into(&label.sep, phi, self.omega_bits, out);
     }
 
     /// Deserializes a `FLOW` label.
@@ -352,37 +334,94 @@ impl LabelCodec {
     ///
     /// Panics on a truncated bit string.
     pub fn decode_flow_label(&self, bits: &BitString) -> FlowLabel {
-        let mut r = bits.reader();
-        let l = r.read_elias_gamma() as usize;
-        let mut sep = Vec::with_capacity(l);
-        sep.push(0);
-        for _ in 1..l {
-            sep.push(self.read_sep_field(&mut r));
-        }
-        let phi = (0..l)
-            .map(|_| {
-                let raw = r.read_bits(self.omega_bits);
-                if raw == 0 {
-                    FLOW_INFINITY
-                } else {
-                    Weight(raw)
-                }
-            })
-            .collect();
-        FlowLabel { sep, phi }
+        self.try_decode_flow_from(&mut bits.reader())
+            .expect("truncated FLOW label")
     }
 }
 
-/// A fully materialized implicit `MAX` labeling scheme over one tree:
+/// A raw `FLOW` field: the reserved pattern `0` is [`FLOW_INFINITY`]
+/// (weights are positive, so `0` is free).
+fn flow_value(raw: u64) -> Weight {
+    if raw == 0 {
+        FLOW_INFINITY
+    } else {
+        Weight(raw)
+    }
+}
+
+/// One worker: the configuration each sequential builder pins its
+/// parallel twin to.
+pub(crate) fn one_worker() -> ParallelConfig {
+    ParallelConfig::with_threads(std::num::NonZeroUsize::MIN)
+}
+
+/// Encodes every label with `encode`, chunked across `config`'s workers.
+pub(crate) fn encode_all<L: Sync>(
+    labels: &[L],
+    config: ParallelConfig,
+    encode: impl Fn(&L) -> BitString + Sync,
+) -> Vec<BitString> {
+    mstv_trees::par_map_chunks(labels.len(), config.resolved_threads(), |lo, hi| {
+        labels[lo..hi].iter().map(&encode).collect()
+    })
+}
+
+/// A label family [`ImplicitScheme`] materializes: `MAX` ([`MaxLabel`])
+/// or `FLOW` ([`FlowLabel`]), whose value fields share the codec's
+/// `ω` width.
+pub trait SchemeLabel: Sized + Send + Sync {
+    /// The family's batch builder, e.g. [`max_labels_parallel`].
+    fn build(tree: &RootedTree, sep: &SeparatorDecomposition, config: ParallelConfig) -> Vec<Self>;
+    /// The family's encoder, e.g. [`LabelCodec::encode_max_into`].
+    fn encode_into(&self, codec: &LabelCodec, out: &mut BitString);
+    /// The family's decoder, e.g. [`decode_max`].
+    fn decode(a: &Self, b: &Self) -> Weight;
+}
+
+impl SchemeLabel for MaxLabel {
+    fn build(tree: &RootedTree, sep: &SeparatorDecomposition, config: ParallelConfig) -> Vec<Self> {
+        max_labels_parallel(tree, sep, config)
+    }
+
+    fn encode_into(&self, codec: &LabelCodec, out: &mut BitString) {
+        codec.encode_max_into(self, out);
+    }
+
+    fn decode(a: &Self, b: &Self) -> Weight {
+        decode_max(a, b)
+    }
+}
+
+impl SchemeLabel for FlowLabel {
+    fn build(tree: &RootedTree, sep: &SeparatorDecomposition, config: ParallelConfig) -> Vec<Self> {
+        flow_labels_parallel(tree, sep, config)
+    }
+
+    fn encode_into(&self, codec: &LabelCodec, out: &mut BitString) {
+        codec.encode_flow_into(self, out);
+    }
+
+    fn decode(a: &Self, b: &Self) -> Weight {
+        decode_flow(a, b)
+    }
+}
+
+/// A fully materialized implicit labeling scheme over one tree:
 /// structured labels, their exact bit encodings, and the decoder.
 #[derive(Debug, Clone)]
-pub struct ImplicitMaxScheme {
+pub struct ImplicitScheme<L> {
     codec: LabelCodec,
-    labels: Vec<MaxLabel>,
+    labels: Vec<L>,
     encoded: Vec<BitString>,
 }
 
-impl ImplicitMaxScheme {
+/// The implicit `MAX` scheme; its small member is `γ_small`.
+pub type ImplicitMaxScheme = ImplicitScheme<MaxLabel>;
+
+/// The implicit `FLOW` scheme derived from `γ_small` (Section 3.1.2).
+pub type ImplicitFlowScheme = ImplicitScheme<FlowLabel>;
+
+impl<L: SchemeLabel> ImplicitScheme<L> {
     /// `γ_small` (Lemma 3.2): perfect (centroid) separator decomposition
     /// with size-ordered Elias-gamma ranks — `O(log n log W)` bits.
     pub fn gamma_small(tree: &RootedTree) -> Self {
@@ -392,14 +431,16 @@ impl ImplicitMaxScheme {
 
     /// The unoptimized baseline: centroid decomposition with fixed-width
     /// `⌈log₂ n⌉`-bit separator fields — `O(log² n + log n log W)` bits,
-    /// the size of the previously known schemes.
+    /// the size of the previously known schemes (\[KKP05\] for `MAX`,
+    /// \[KKKP04\] for `FLOW`).
     pub fn fixed_width_baseline(tree: &RootedTree) -> Self {
         let sep = centroid_decomposition(tree);
         let bits = (usize::BITS - tree.num_nodes().leading_zeros()).max(1);
         Self::with_decomposition(tree, &sep, SepFieldCodec::FixedWidth { bits })
     }
 
-    /// An arbitrary member of `Γ`: any decomposition, any codec.
+    /// An arbitrary member of the family, any decomposition and any
+    /// codec: the one-worker [`ImplicitScheme::with_decomposition_parallel`].
     ///
     /// # Panics
     ///
@@ -410,36 +451,30 @@ impl ImplicitMaxScheme {
         sep: &SeparatorDecomposition,
         sep_codec: SepFieldCodec,
     ) -> Self {
-        let codec = LabelCodec::for_tree(tree, sep_codec);
-        let labels = max_labels(tree, sep);
-        let encoded = labels.iter().map(|l| codec.encode_max(l)).collect();
-        ImplicitMaxScheme {
-            codec,
-            labels,
-            encoded,
-        }
+        Self::with_decomposition_parallel(tree, sep, sep_codec, one_worker())
     }
 
-    /// [`ImplicitMaxScheme::with_decomposition`] with label assembly and
+    /// [`ImplicitScheme::with_decomposition`] with label assembly and
     /// encoding fanned across a scoped thread pool. Byte-identical to
     /// the sequential builder for every thread count.
     ///
     /// # Panics
     ///
-    /// As [`ImplicitMaxScheme::with_decomposition`].
+    /// As [`ImplicitScheme::with_decomposition`].
     pub fn with_decomposition_parallel(
         tree: &RootedTree,
         sep: &SeparatorDecomposition,
         sep_codec: SepFieldCodec,
-        config: mstv_trees::ParallelConfig,
+        config: ParallelConfig,
     ) -> Self {
         let codec = LabelCodec::for_tree(tree, sep_codec);
-        let labels = crate::max_labels_parallel(tree, sep, config);
-        let encoded =
-            mstv_trees::par_map_chunks(labels.len(), config.resolved_threads(), |lo, hi| {
-                labels[lo..hi].iter().map(|l| codec.encode_max(l)).collect()
-            });
-        ImplicitMaxScheme {
+        let labels = L::build(tree, sep, config);
+        let encoded = encode_all(&labels, config, |l| {
+            let mut out = BitString::new();
+            l.encode_into(&codec, &mut out);
+            out
+        });
+        ImplicitScheme {
             codec,
             labels,
             encoded,
@@ -452,12 +487,12 @@ impl ImplicitMaxScheme {
     }
 
     /// The structured label of `v`.
-    pub fn label(&self, v: NodeId) -> &MaxLabel {
+    pub fn label(&self, v: NodeId) -> &L {
         &self.labels[v.index()]
     }
 
     /// All structured labels.
-    pub fn labels(&self) -> &[MaxLabel] {
+    pub fn labels(&self) -> &[L] {
         &self.labels
     }
 
@@ -476,107 +511,9 @@ impl ImplicitMaxScheme {
         self.encoded.iter().map(BitString::len).sum()
     }
 
-    /// `MAX(u, v)` through the decoder.
+    /// `MAX(u, v)` or `FLOW(u, v)` through the decoder.
     pub fn query(&self, u: NodeId, v: NodeId) -> Weight {
-        decode_max(self.label(u), self.label(v))
-    }
-}
-
-/// A fully materialized implicit `FLOW` labeling scheme; mirrors
-/// [`ImplicitMaxScheme`].
-#[derive(Debug, Clone)]
-pub struct ImplicitFlowScheme {
-    codec: LabelCodec,
-    labels: Vec<FlowLabel>,
-    encoded: Vec<BitString>,
-}
-
-impl ImplicitFlowScheme {
-    /// The `O(log n log W)` `FLOW` scheme derived from `γ_small`.
-    pub fn gamma_small(tree: &RootedTree) -> Self {
-        let sep = centroid_decomposition(tree);
-        Self::with_decomposition(tree, &sep, SepFieldCodec::EliasGamma)
-    }
-
-    /// The `O(log² n + log n log W)` baseline shape of \[KKKP04\].
-    pub fn fixed_width_baseline(tree: &RootedTree) -> Self {
-        let sep = centroid_decomposition(tree);
-        let bits = (usize::BITS - tree.num_nodes().leading_zeros()).max(1);
-        Self::with_decomposition(tree, &sep, SepFieldCodec::FixedWidth { bits })
-    }
-
-    /// An arbitrary member of the family.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sep` does not match `tree`.
-    pub fn with_decomposition(
-        tree: &RootedTree,
-        sep: &SeparatorDecomposition,
-        sep_codec: SepFieldCodec,
-    ) -> Self {
-        let codec = LabelCodec::for_tree(tree, sep_codec);
-        let labels = flow_labels(tree, sep);
-        let encoded = labels.iter().map(|l| codec.encode_flow(l)).collect();
-        ImplicitFlowScheme {
-            codec,
-            labels,
-            encoded,
-        }
-    }
-
-    /// [`ImplicitFlowScheme::with_decomposition`] with label assembly
-    /// and encoding fanned across a scoped thread pool. Byte-identical
-    /// to the sequential builder for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// As [`ImplicitFlowScheme::with_decomposition`].
-    pub fn with_decomposition_parallel(
-        tree: &RootedTree,
-        sep: &SeparatorDecomposition,
-        sep_codec: SepFieldCodec,
-        config: mstv_trees::ParallelConfig,
-    ) -> Self {
-        let codec = LabelCodec::for_tree(tree, sep_codec);
-        let labels = crate::flow_labels_parallel(tree, sep, config);
-        let encoded =
-            mstv_trees::par_map_chunks(labels.len(), config.resolved_threads(), |lo, hi| {
-                labels[lo..hi]
-                    .iter()
-                    .map(|l| codec.encode_flow(l))
-                    .collect()
-            });
-        ImplicitFlowScheme {
-            codec,
-            labels,
-            encoded,
-        }
-    }
-
-    /// The codec shared by all labels.
-    pub fn codec(&self) -> LabelCodec {
-        self.codec
-    }
-
-    /// The structured label of `v`.
-    pub fn label(&self, v: NodeId) -> &FlowLabel {
-        &self.labels[v.index()]
-    }
-
-    /// The bit encoding of `v`'s label.
-    pub fn encoded(&self, v: NodeId) -> &BitString {
-        &self.encoded[v.index()]
-    }
-
-    /// The scheme's size: the maximum label length in bits.
-    pub fn max_label_bits(&self) -> usize {
-        self.encoded.iter().map(BitString::len).max().unwrap_or(0)
-    }
-
-    /// `FLOW(u, v)` through the decoder.
-    pub fn query(&self, u: NodeId, v: NodeId) -> Weight {
-        decode_flow(self.label(u), self.label(v))
+        L::decode(self.label(u), self.label(v))
     }
 }
 
@@ -681,7 +618,7 @@ mod tests {
 
     #[test]
     fn pair_decoders_agree_with_structured_decoders() {
-        use crate::{dist_labels, try_decode_dist};
+        use crate::{dist_labels, flow_labels, max_labels, try_decode_dist};
         use mstv_trees::centroid_decomposition;
         let t = tree_of(90, 800, 13);
         let sep = centroid_decomposition(&t);

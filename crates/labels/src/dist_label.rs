@@ -8,16 +8,18 @@
 //! separator `x` of `u` and `v` lies on the tree path between them, so
 //! `dist(u, v) = δ_i(u) + δ_i(v)` exactly.
 //!
-//! Field values are bounded by `n·W`, so the scheme costs
-//! `O(log n · (log n + log W))` bits with a perfect decomposition —
-//! matching the classic exact-distance labeling bounds built from
-//! separators.
+//! Field values are bounded by the tree's total weight, at most `n·W`,
+//! so the scheme costs `O(log n · (log n + log W))` bits with a perfect
+//! decomposition — matching the classic exact-distance labeling bounds
+//! built from separators. The labels exist only for trees whose total
+//! weight fits in a `u64` ([`dist_fits`]).
 
 use mstv_graph::{NodeId, Weight};
-use mstv_trees::{LcaIndex, RootedTree, SeparatorDecomposition};
+use mstv_trees::{ParallelConfig, RootedTree, SeparatorDecomposition};
 
-use crate::max_label::common_prefix;
-use crate::{BitString, SepFieldCodec};
+use crate::codec::{encode_all, one_worker};
+use crate::gamma::{common_prefix, gamma_fields, DistAggregate};
+use crate::{BitString, LabelCodec, SepFieldCodec};
 
 /// A distance label for one vertex; shape mirrors [`crate::MaxLabel`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -36,101 +38,47 @@ impl DistLabel {
     }
 }
 
-/// Encodes distance labels for every vertex under the given decomposition.
+/// Whether `tree` has distance labels. Every `δ` field and every decoded
+/// distance is at most the tree's total weight, so the labels exist
+/// exactly when that total fits in a `u64`.
+pub fn dist_fits(tree: &RootedTree) -> bool {
+    tree.edges()
+        .try_fold(0u64, |total, (_, _, w)| total.checked_add(w.0))
+        .is_some()
+}
+
+/// Encodes distance labels for every vertex under the given
+/// decomposition: the one-worker [`dist_labels_parallel`].
 ///
 /// # Panics
 ///
-/// Panics if `sep` does not belong to `tree`.
+/// As [`dist_labels_parallel`].
 pub fn dist_labels(tree: &RootedTree, sep: &SeparatorDecomposition) -> Vec<DistLabel> {
-    let oracle = DistOracle::new(tree, sep);
-    tree.nodes()
-        .map(|v| dist_label_of(&oracle, sep, v))
-        .collect()
+    dist_labels_parallel(tree, sep, one_worker())
 }
 
-/// [`dist_labels`] with per-node assembly fanned across a scoped thread
-/// pool (the distance oracle is built once and shared read-only). Output
-/// is identical to the sequential builder for every thread count.
+/// Distance labels for every vertex from the same per-separator sweep as
+/// [`crate::max_labels_parallel`], carrying sums; the separator fields
+/// are fanned across a scoped thread pool. Output is identical for every
+/// thread count.
+///
+/// # Panics
+///
+/// Panics if `sep` does not belong to `tree`, or if the tree's total
+/// weight overflows `u64` ([`dist_fits`] is false): such a tree has no
+/// distance labels, and the sweep never wraps a sum.
 pub fn dist_labels_parallel(
     tree: &RootedTree,
     sep: &SeparatorDecomposition,
-    config: mstv_trees::ParallelConfig,
+    config: ParallelConfig,
 ) -> Vec<DistLabel> {
-    let oracle = DistOracle::new(tree, sep);
-    mstv_trees::par_map_chunks(tree.num_nodes(), config.resolved_threads(), |lo, hi| {
-        (lo..hi)
-            .map(|i| dist_label_of(&oracle, sep, NodeId::from_index(i)))
-            .collect()
-    })
-}
-
-/// Weighted depth from the root lets dist(u, v) be computed through
-/// the LCA in O(1) per (vertex, separator) pair. Public so incremental
-/// relabelers can build it once and assemble only dirty labels through
-/// [`dist_label_of`].
-pub struct DistOracle {
-    lca: LcaIndex,
-    wdepth: Vec<u64>,
-}
-
-impl DistOracle {
-    /// Builds the oracle for `tree`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sep` does not match `tree` (mismatched node counts).
-    pub fn new(tree: &RootedTree, sep: &SeparatorDecomposition) -> Self {
-        assert_eq!(
-            tree.num_nodes(),
-            sep.num_nodes(),
-            "decomposition does not match tree"
-        );
-        let lca = LcaIndex::new(tree);
-        let mut wdepth = vec![0u64; tree.num_nodes()];
-        for &v in tree.order() {
-            if let Some(p) = tree.parent(v) {
-                wdepth[v.index()] = wdepth[p.index()] + tree.parent_weight(v).0;
-            }
-        }
-        DistOracle { lca, wdepth }
-    }
-
-    fn dist(&self, u: NodeId, v: NodeId) -> u64 {
-        let x = self.lca.lca(u, v);
-        self.wdepth[u.index()] + self.wdepth[v.index()] - 2 * self.wdepth[x.index()]
-    }
-}
-
-/// Assembles the distance label of a single vertex — the unit of work
-/// [`dist_labels`] maps over every node. Public for incremental
-/// relabelers, which rebuild only dirty nodes.
-pub fn dist_label_of(oracle: &DistOracle, sep: &SeparatorDecomposition, v: NodeId) -> DistLabel {
-    let chain = sep.ancestors(v);
-    let mut fields = Vec::with_capacity(chain.len());
-    fields.push(0u64);
-    for &a in &chain[1..] {
-        fields.push(u64::from(sep.child_rank(a)));
-    }
-    let delta = chain.iter().map(|&a| oracle.dist(v, a)).collect();
-    DistLabel { sep: fields, delta }
-}
-
-/// [`dist_label_of`] computed by direct path walks instead of a prebuilt
-/// LCA + weighted-depth oracle: the summed edge weight of the walked path
-/// *is* the tree distance, so the output is identical, with zero
-/// preprocessing. For incremental relabelers with small dirty sets.
-pub fn dist_label_of_walk(tree: &RootedTree, sep: &SeparatorDecomposition, v: NodeId) -> DistLabel {
-    let chain = sep.ancestors(v);
-    let mut fields = Vec::with_capacity(chain.len());
-    fields.push(0u64);
-    for &a in &chain[1..] {
-        fields.push(u64::from(sep.child_rank(a)));
-    }
-    let delta = chain
-        .iter()
-        .map(|&a| tree.path_stats_naive(v, a).2)
-        .collect();
-    DistLabel { sep: fields, delta }
+    assert!(
+        dist_fits(tree),
+        "tree weight overflows u64: no distance labels"
+    );
+    gamma_fields::<DistAggregate>(tree, sep, config)
+        .map(|(sep, delta)| DistLabel { sep, delta })
+        .collect()
 }
 
 /// Serializes one distance label exactly as [`ImplicitDistScheme`] (and
@@ -165,16 +113,11 @@ pub fn encode_dist_label_into(
     delta_bits: u32,
     out: &mut BitString,
 ) {
-    out.push_elias_gamma(label.level() as u64);
-    for &f in &label.sep[1..] {
-        match sep_codec {
-            SepFieldCodec::EliasGamma => out.push_elias_gamma(f + 1),
-            SepFieldCodec::FixedWidth { bits } => out.push_bits(f, bits),
-        }
-    }
-    for &d in &label.delta {
-        out.push_bits(d, delta_bits);
-    }
+    let codec = LabelCodec {
+        sep_codec,
+        omega_bits: delta_bits,
+    };
+    codec.encode_fields_into(&label.sep, label.delta.iter().copied(), delta_bits, out);
 }
 
 /// The distance decoder: exact `dist(u, v)` from the two labels.
@@ -200,7 +143,7 @@ pub fn try_decode_dist(a: &DistLabel, b: &DistLabel) -> Option<u64> {
 }
 
 /// A fully materialized implicit distance scheme with exact bit sizes;
-/// mirrors [`crate::ImplicitMaxScheme`].
+/// mirrors [`crate::ImplicitScheme`].
 #[derive(Debug, Clone)]
 pub struct ImplicitDistScheme {
     sep_codec: SepFieldCodec,
@@ -216,55 +159,42 @@ impl ImplicitDistScheme {
         Self::with_decomposition(tree, &sep, SepFieldCodec::EliasGamma)
     }
 
-    /// An arbitrary member of the family.
+    /// An arbitrary member of the family: the one-worker
+    /// [`ImplicitDistScheme::with_decomposition_parallel`].
     ///
     /// # Panics
     ///
-    /// Panics if `sep` does not match `tree`.
+    /// As [`dist_labels_parallel`].
     pub fn with_decomposition(
         tree: &RootedTree,
         sep: &SeparatorDecomposition,
         sep_codec: SepFieldCodec,
     ) -> Self {
-        Self::from_labels(
-            dist_labels(tree, sep),
-            sep_codec,
-            std::num::NonZeroUsize::MIN,
-        )
+        Self::with_decomposition_parallel(tree, sep, sep_codec, one_worker())
     }
 
     /// [`ImplicitDistScheme::with_decomposition`] with label assembly
     /// and encoding fanned across a scoped thread pool. Byte-identical
     /// to the sequential builder for every thread count.
+    ///
+    /// # Panics
+    ///
+    /// As [`dist_labels_parallel`].
     pub fn with_decomposition_parallel(
         tree: &RootedTree,
         sep: &SeparatorDecomposition,
         sep_codec: SepFieldCodec,
-        config: mstv_trees::ParallelConfig,
+        config: ParallelConfig,
     ) -> Self {
-        Self::from_labels(
-            dist_labels_parallel(tree, sep, config),
-            sep_codec,
-            config.resolved_threads(),
-        )
-    }
-
-    fn from_labels(
-        labels: Vec<DistLabel>,
-        sep_codec: SepFieldCodec,
-        threads: std::num::NonZeroUsize,
-    ) -> Self {
+        let labels = dist_labels_parallel(tree, sep, config);
         let max_delta = labels
             .iter()
             .flat_map(|l| l.delta.iter().copied())
             .max()
             .unwrap_or(0);
         let delta_bits = Weight(max_delta).bit_width();
-        let encoded = mstv_trees::par_map_chunks(labels.len(), threads, |lo, hi| {
-            labels[lo..hi]
-                .iter()
-                .map(|l| encode_dist_label(l, sep_codec, delta_bits))
-                .collect()
+        let encoded = encode_all(&labels, config, |l| {
+            encode_dist_label(l, sep_codec, delta_bits)
         });
         ImplicitDistScheme {
             sep_codec,
@@ -332,18 +262,6 @@ mod tests {
             }
         }
         d
-    }
-
-    #[test]
-    fn walk_assembler_identical_to_oracle_assembler() {
-        for (n, seed) in [(2usize, 70u64), (17, 71), (120, 72)] {
-            let t = tree_of(n, 300, seed);
-            let d = centroid_decomposition(&t);
-            let oracle = DistOracle::new(&t, &d);
-            for v in t.nodes() {
-                assert_eq!(dist_label_of(&oracle, &d, v), dist_label_of_walk(&t, &d, v));
-            }
-        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! The construction is the `MAX` scheme with minima in the `ω` fields and a
 //! `min` in the decoder; the empty path carries the neutral element `+∞`.
 
-use mstv_graph::{NodeId, Weight};
-use mstv_trees::{PathMaxIndex, RootedTree, SeparatorDecomposition};
+use mstv_graph::Weight;
+use mstv_trees::{ParallelConfig, RootedTree, SeparatorDecomposition};
 
-use crate::max_label::common_prefix;
+use crate::codec::one_worker;
+use crate::gamma::{common_prefix, gamma_fields, FlowAggregate};
 
 /// The neutral element of the path minimum: `FLOW(v, v)`.
 pub const FLOW_INFINITY: Weight = Weight(u64::MAX);
@@ -30,72 +31,32 @@ impl FlowLabel {
     }
 }
 
-/// Encodes `FLOW` labels for every vertex under the given decomposition.
+/// Encodes `FLOW` labels for every vertex under the given decomposition:
+/// the one-worker [`flow_labels_parallel`].
 ///
 /// # Panics
 ///
 /// Panics if `sep` does not belong to `tree`.
 pub fn flow_labels(tree: &RootedTree, sep: &SeparatorDecomposition) -> Vec<FlowLabel> {
-    assert_eq!(
-        tree.num_nodes(),
-        sep.num_nodes(),
-        "decomposition does not match tree"
-    );
-    let idx = PathMaxIndex::new(tree);
-    tree.nodes().map(|v| flow_label_of(&idx, sep, v)).collect()
+    flow_labels_parallel(tree, sep, one_worker())
 }
 
-/// [`flow_labels`] with per-node assembly fanned across a scoped thread
-/// pool (the lifting oracle is built once and shared read-only). Output
-/// is identical to the sequential builder for every thread count.
+/// `FLOW` labels for every vertex from the same per-separator sweep as
+/// [`crate::max_labels_parallel`], carrying minima; the separator fields
+/// are fanned across a scoped thread pool. Output is identical for every
+/// thread count.
+///
+/// # Panics
+///
+/// Panics if `sep` does not belong to `tree`.
 pub fn flow_labels_parallel(
     tree: &RootedTree,
     sep: &SeparatorDecomposition,
-    config: mstv_trees::ParallelConfig,
+    config: ParallelConfig,
 ) -> Vec<FlowLabel> {
-    assert_eq!(
-        tree.num_nodes(),
-        sep.num_nodes(),
-        "decomposition does not match tree"
-    );
-    let idx = PathMaxIndex::new(tree);
-    mstv_trees::par_map_chunks(tree.num_nodes(), config.resolved_threads(), |lo, hi| {
-        (lo..hi)
-            .map(|i| flow_label_of(&idx, sep, NodeId::from_index(i)))
-            .collect()
-    })
-}
-
-/// Assembles the `FLOW` label of a single vertex from a prebuilt lifting
-/// index — the unit of work [`flow_labels`] maps over every node. Public
-/// for incremental relabelers, which rebuild only dirty nodes.
-pub fn flow_label_of(idx: &PathMaxIndex, sep: &SeparatorDecomposition, v: NodeId) -> FlowLabel {
-    let chain = sep.ancestors(v);
-    let mut fields = Vec::with_capacity(chain.len());
-    fields.push(0u64);
-    for &a in &chain[1..] {
-        fields.push(u64::from(sep.child_rank(a)));
-    }
-    let phi = chain.iter().map(|&a| idx.min_on_path(v, a)).collect();
-    FlowLabel { sep: fields, phi }
-}
-
-/// [`flow_label_of`] computed by direct path walks instead of a prebuilt
-/// lifting index: O(depth) per chain entry, zero preprocessing, identical
-/// output (same empty-path convention `Weight(u64::MAX)` at the node's
-/// own separator). For incremental relabelers with small dirty sets.
-pub fn flow_label_of_walk(tree: &RootedTree, sep: &SeparatorDecomposition, v: NodeId) -> FlowLabel {
-    let chain = sep.ancestors(v);
-    let mut fields = Vec::with_capacity(chain.len());
-    fields.push(0u64);
-    for &a in &chain[1..] {
-        fields.push(u64::from(sep.child_rank(a)));
-    }
-    let phi = chain
-        .iter()
-        .map(|&a| tree.min_on_path_naive(v, a))
-        .collect();
-    FlowLabel { sep: fields, phi }
+    gamma_fields::<FlowAggregate>(tree, sep, config)
+        .map(|(sep, phi)| FlowLabel { sep, phi })
+        .collect()
 }
 
 /// The `FLOW` decoder: returns the smallest edge weight on the tree path
@@ -123,40 +84,10 @@ pub fn try_decode_flow(a: &FlowLabel, b: &FlowLabel) -> Option<Weight> {
     Some(a.phi[cp - 1].min(b.phi[cp - 1]))
 }
 
-/// Whole-tree `FLOW` oracle for tests and benchmarks.
-#[derive(Debug, Clone)]
-pub struct FlowLabelOracle {
-    labels: Vec<FlowLabel>,
-}
-
-impl FlowLabelOracle {
-    /// Encodes labels under the given decomposition.
-    pub fn new(tree: &RootedTree, sep: &SeparatorDecomposition) -> Self {
-        FlowLabelOracle {
-            labels: flow_labels(tree, sep),
-        }
-    }
-
-    /// The label of vertex `v`.
-    pub fn label(&self, v: NodeId) -> &FlowLabel {
-        &self.labels[v.index()]
-    }
-
-    /// All labels.
-    pub fn labels(&self) -> &[FlowLabel] {
-        &self.labels
-    }
-
-    /// `FLOW(u, v)` via the two labels.
-    pub fn query(&self, u: NodeId, v: NodeId) -> Weight {
-        decode_flow(self.label(u), self.label(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mstv_graph::gen;
+    use mstv_graph::{gen, NodeId};
     use mstv_trees::{centroid_decomposition, random_decomposition};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -167,16 +98,8 @@ mod tests {
         RootedTree::from_graph(&g, NodeId(0)).unwrap()
     }
 
-    #[test]
-    fn walk_assembler_identical_to_index_assembler() {
-        for (n, seed) in [(2usize, 60u64), (17, 61), (120, 62)] {
-            let t = tree_of(n, 300, seed);
-            let d = centroid_decomposition(&t);
-            let idx = PathMaxIndex::new(&t);
-            for v in t.nodes() {
-                assert_eq!(flow_label_of(&idx, &d, v), flow_label_of_walk(&t, &d, v));
-            }
-        }
+    fn oracle(t: &RootedTree, d: &SeparatorDecomposition) -> crate::ImplicitFlowScheme {
+        crate::ImplicitFlowScheme::with_decomposition(t, d, crate::SepFieldCodec::EliasGamma)
     }
 
     #[test]
@@ -184,7 +107,7 @@ mod tests {
         for (n, seed) in [(2usize, 40u64), (9, 41), (70, 42)] {
             let t = tree_of(n, 200, seed);
             let d = centroid_decomposition(&t);
-            let oracle = FlowLabelOracle::new(&t, &d);
+            let oracle = oracle(&t, &d);
             for u in t.nodes() {
                 for v in t.nodes() {
                     if u != v {
@@ -204,7 +127,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let t = tree_of(40, 60, 44);
         let d = random_decomposition(&t, &mut rng);
-        let oracle = FlowLabelOracle::new(&t, &d);
+        let oracle = oracle(&t, &d);
         for u in t.nodes() {
             for v in t.nodes() {
                 if u != v {
@@ -218,7 +141,7 @@ mod tests {
     fn self_query_is_infinity() {
         let t = tree_of(10, 9, 45);
         let d = centroid_decomposition(&t);
-        let oracle = FlowLabelOracle::new(&t, &d);
+        let oracle = oracle(&t, &d);
         assert_eq!(oracle.query(NodeId(3), NodeId(3)), FLOW_INFINITY);
     }
 
@@ -226,7 +149,7 @@ mod tests {
     fn try_decode_matches_decode_and_rejects_foreign() {
         let t = tree_of(30, 40, 47);
         let d = centroid_decomposition(&t);
-        let oracle = FlowLabelOracle::new(&t, &d);
+        let oracle = oracle(&t, &d);
         for u in t.nodes() {
             for v in t.nodes() {
                 assert_eq!(
@@ -253,7 +176,7 @@ mod tests {
     fn last_field_is_neutral() {
         let t = tree_of(25, 30, 46);
         let d = centroid_decomposition(&t);
-        for l in FlowLabelOracle::new(&t, &d).labels() {
+        for l in oracle(&t, &d).labels() {
             assert_eq!(l.phi[l.level() - 1], FLOW_INFINITY);
         }
     }

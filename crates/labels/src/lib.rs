@@ -1,17 +1,23 @@
-//! Implicit labeling schemes for `MAX` and `FLOW` on weighted trees, with
-//! bit-exact label encodings.
+//! Implicit labeling schemes for `MAX`, `FLOW` and `DIST` on weighted
+//! trees, with bit-exact label encodings.
 //!
 //! An *implicit labeling scheme* `(E, D)` (Kannan–Naor–Rudich; Peleg)
 //! assigns a label to every vertex such that a decoder, given the labels of
 //! *any* two vertices, computes a function of the pair — here `MAX(u, v)`
 //! (the heaviest edge on the tree path, the quantity behind the MST cycle
-//! property) and `FLOW(u, v)` (the lightest edge).
+//! property), `FLOW(u, v)` (the lightest edge) and `DIST(u, v)` (the
+//! summed weight).
 //!
 //! This crate implements the family `Γ` of Section 3.1 of Korman & Kutten
 //! (any separator decomposition, any subtree numbering) and its small
 //! member `γ_small` of size `O(log n log W)` (Lemma 3.2), along with a
 //! fixed-width variant matching the `O(log² n + log n log W)` size of the
 //! previously known schemes — the baseline for the size experiments.
+//! The three families share one construction and differ only in the
+//! path aggregate their value fields carry ([`PathAggregate`]); each has
+//! one batch builder (`*_labels_parallel`, with `*_labels` its one-worker
+//! pin), and [`walk_labels`] assembles all three labels of a single
+//! vertex for incremental relabelers.
 //!
 //! ```
 //! use mstv_graph::{gen, NodeId};
@@ -34,23 +40,22 @@ mod bits;
 mod codec;
 mod dist_label;
 mod flow_label;
+mod gamma;
 mod max_label;
 mod packed;
 pub mod reference;
 
 pub use bits::{elias_gamma_len, BitReader, BitSlice, BitString, MAX_FRAME_BITS, MAX_FRAME_BYTES};
-pub use codec::{ImplicitFlowScheme, ImplicitMaxScheme, LabelCodec, SepFieldCodec};
+pub use codec::{
+    ImplicitFlowScheme, ImplicitMaxScheme, ImplicitScheme, LabelCodec, SchemeLabel, SepFieldCodec,
+};
 pub use dist_label::{
-    decode_dist, dist_label_of, dist_label_of_walk, dist_labels, dist_labels_parallel,
-    encode_dist_label, encode_dist_label_into, try_decode_dist, DistLabel, DistOracle,
-    ImplicitDistScheme,
+    decode_dist, dist_fits, dist_labels, dist_labels_parallel, encode_dist_label,
+    encode_dist_label_into, try_decode_dist, DistLabel, ImplicitDistScheme,
 };
 pub use flow_label::{
-    decode_flow, flow_label_of, flow_label_of_walk, flow_labels, flow_labels_parallel,
-    try_decode_flow, FlowLabel, FlowLabelOracle, FLOW_INFINITY,
+    decode_flow, flow_labels, flow_labels_parallel, try_decode_flow, FlowLabel, FLOW_INFINITY,
 };
-pub use max_label::{
-    decode_max, max_label_of, max_label_of_walk, max_labels, max_labels_parallel, try_decode_max,
-    MaxLabel, MaxLabelOracle,
-};
+pub use gamma::{walk_labels, DistAggregate, FlowAggregate, MaxAggregate, PathAggregate};
+pub use max_label::{decode_max, max_labels, max_labels_parallel, try_decode_max, MaxLabel};
 pub use packed::PackedLabels;

@@ -17,8 +17,11 @@
 //! the path between them — and returns
 //! `max(E_ω_i(u), E_ω_i(v)) = max(MAX(u, x), MAX(v, x)) = MAX(u, v)`.
 
-use mstv_graph::{NodeId, Weight};
-use mstv_trees::{KruskalTree, RootedTree, SeparatorDecomposition};
+use mstv_graph::Weight;
+use mstv_trees::{ParallelConfig, RootedTree, SeparatorDecomposition};
+
+use crate::codec::one_worker;
+use crate::gamma::{common_prefix, gamma_fields, MaxAggregate};
 
 /// A `Γ`-family label for one vertex.
 ///
@@ -41,177 +44,33 @@ impl MaxLabel {
 }
 
 /// Encodes `MAX` labels for every vertex of `tree` under the given
-/// separator decomposition (any member of the family `Γ`).
-///
-/// Runs in `O(Σ_v level(v))` time — `O(n log n)` for a perfect
-/// decomposition — via one cache-friendly DFS sweep per separator over
-/// its own component (see `omega_sweep`), with no auxiliary
-/// path-maximum index.
+/// separator decomposition (any member of the family `Γ`): the
+/// one-worker [`max_labels_parallel`].
 ///
 /// # Panics
 ///
 /// Panics if `sep` does not belong to `tree` (mismatched node counts).
 pub fn max_labels(tree: &RootedTree, sep: &SeparatorDecomposition) -> Vec<MaxLabel> {
-    // One worker = no pool is spawned; the parallel builder is
-    // bit-identical at any thread count.
-    max_labels_parallel(
-        tree,
-        sep,
-        mstv_trees::ParallelConfig::with_threads(std::num::NonZeroUsize::MIN),
-    )
+    max_labels_parallel(tree, sep, one_worker())
 }
 
-/// [`max_labels`] with the separator-field assembly fanned across a
-/// scoped thread pool. The `ω` sweep itself is a single linear pass (see
-/// [`omega_sweep`]) and stays sequential. Output is identical to the
-/// sequential builder for every thread count.
+/// `MAX` labels for every vertex in `O(Σ_v level(v))` time — `O(n log n)`
+/// for a perfect decomposition — via one cache-friendly DFS sweep per
+/// separator over its own component, with no auxiliary path-maximum
+/// index. The separator fields are fanned across a scoped thread pool;
+/// output is identical for every thread count.
+///
+/// # Panics
+///
+/// Panics if `sep` does not belong to `tree` (mismatched node counts).
 pub fn max_labels_parallel(
     tree: &RootedTree,
     sep: &SeparatorDecomposition,
-    config: mstv_trees::ParallelConfig,
+    config: ParallelConfig,
 ) -> Vec<MaxLabel> {
-    assert_eq!(
-        tree.num_nodes(),
-        sep.num_nodes(),
-        "decomposition does not match tree"
-    );
-    let omegas = omega_sweep(tree, sep);
-    let fields: Vec<Vec<u64>> =
-        mstv_trees::par_map_chunks(tree.num_nodes(), config.resolved_threads(), |lo, hi| {
-            let mut chain = Vec::new();
-            (lo..hi)
-                .map(|i| sep_fields(sep, NodeId::from_index(i), &mut chain))
-                .collect()
-        });
-    fields
-        .into_iter()
-        .zip(omegas)
+    gamma_fields::<MaxAggregate>(tree, sep, config)
         .map(|(sep, omega)| MaxLabel { sep, omega })
         .collect()
-}
-
-/// The `E_ω` sublabels of every vertex, computed by one DFS sweep per
-/// separator over its own component: the sweep from `s` carries the
-/// running path maximum outward, so each of the `Σ_v level(v)` fields
-/// costs O(1) amortized with near-sequential array traffic. The random
-/// path-maximum queries of the per-node assembler ([`max_label_of`])
-/// compute the exact same maxima, so the two routes are bit-identical;
-/// this one is the cache-friendly batch path, that one the
-/// O(1)-per-dirty-node incremental path.
-fn omega_sweep(tree: &RootedTree, sep: &SeparatorDecomposition) -> Vec<Vec<Weight>> {
-    let n = tree.num_nodes();
-    let mut omega: Vec<Vec<Weight>> = (0..n)
-        .map(|i| vec![Weight::ZERO; sep.level(NodeId::from_index(i)) as usize])
-        .collect();
-    // Interval-label the separator tree so "u lies in the component of
-    // separator s" is the O(1) test tin[s] <= tin[u] < tout[s] (u's
-    // level-l(s) separator is s iff s is its separator-tree ancestor).
-    // Children live in one flat CSR array to keep the setup allocation-
-    // and cache-cheap.
-    let mut off = vec![0u32; n + 1];
-    for i in 0..n {
-        if let Some(p) = sep.sep_parent(NodeId::from_index(i)) {
-            off[p.index() + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        off[i + 1] += off[i];
-    }
-    let mut kids = vec![NodeId(0); n.saturating_sub(1)];
-    let mut cursor: Vec<u32> = off[..n].to_vec();
-    for i in 0..n {
-        let v = NodeId::from_index(i);
-        if let Some(p) = sep.sep_parent(v) {
-            kids[cursor[p.index()] as usize] = v;
-            cursor[p.index()] += 1;
-        }
-    }
-    let mut tin = vec![0u32; n];
-    let mut tout = vec![0u32; n];
-    let mut timer = 0u32;
-    let mut walk: Vec<(NodeId, u32)> = vec![(sep.root(), off[sep.root().index()])];
-    tin[sep.root().index()] = timer;
-    timer += 1;
-    while let Some(top) = walk.last_mut() {
-        let (v, next_child) = *top;
-        if next_child < off[v.index() + 1] {
-            top.1 += 1;
-            let c = kids[next_child as usize];
-            tin[c.index()] = timer;
-            timer += 1;
-            walk.push((c, off[c.index()]));
-        } else {
-            tout[v.index()] = timer;
-            walk.pop();
-        }
-    }
-    // One DFS per separator, confined to its component, carrying the
-    // running maximum; entries are (node, predecessor, MAX(node, s)).
-    let mut stack: Vec<(NodeId, NodeId, Weight)> = Vec::new();
-    for i in 0..n {
-        let s = NodeId::from_index(i);
-        let slot = sep.level(s) as usize - 1;
-        let (lo, hi) = (tin[i], tout[i]);
-        let inside = |u: NodeId| (lo..hi).contains(&tin[u.index()]);
-        stack.push((s, s, Weight::ZERO));
-        while let Some((u, prev, m)) = stack.pop() {
-            omega[u.index()][slot] = m;
-            if let Some(p) = tree.parent(u) {
-                if p != prev && inside(p) {
-                    stack.push((p, u, m.max(tree.parent_weight(u))));
-                }
-            }
-            for &c in tree.children(u) {
-                if c != prev && inside(c) {
-                    stack.push((c, u, m.max(tree.parent_weight(c))));
-                }
-            }
-        }
-    }
-    omega
-}
-
-/// The `E_sep` fields of one vertex, with the separator chain staged in a
-/// caller-owned buffer so batch builders allocate one chain per worker.
-fn sep_fields(sep: &SeparatorDecomposition, v: NodeId, chain: &mut Vec<NodeId>) -> Vec<u64> {
-    sep.ancestors_into(v, chain);
-    let mut fields = Vec::with_capacity(chain.len());
-    fields.push(0u64);
-    for &a in &chain[1..] {
-        fields.push(u64::from(sep.child_rank(a)));
-    }
-    fields
-}
-
-/// Assembles the `MAX` label of a single vertex from a prebuilt Kruskal
-/// reconstruction tree. Public so incremental relabelers can rebuild only
-/// dirty nodes while staying bit-identical to the batch builder: both
-/// compute the exact path maxima, whatever the route.
-pub fn max_label_of(kt: &KruskalTree, sep: &SeparatorDecomposition, v: NodeId) -> MaxLabel {
-    let mut chain = Vec::new();
-    let fields = sep_fields(sep, v, &mut chain);
-    let omega = chain.iter().map(|&a| kt.max_on_path(v, a)).collect();
-    MaxLabel { sep: fields, omega }
-}
-
-/// [`max_label_of`] computed by direct path walks on the tree instead of
-/// a prebuilt Kruskal reconstruction tree: O(depth) per chain entry and
-/// zero preprocessing, identical output (both are exact `MAX` oracles,
-/// and the separator fields are assembled the same way). Incremental
-/// relabelers use this when the dirty set is too small to amortize an
-/// O(n log n) index build.
-pub fn max_label_of_walk(tree: &RootedTree, sep: &SeparatorDecomposition, v: NodeId) -> MaxLabel {
-    let chain = sep.ancestors(v);
-    let mut fields = Vec::with_capacity(chain.len());
-    fields.push(0u64);
-    for &a in &chain[1..] {
-        fields.push(u64::from(sep.child_rank(a)));
-    }
-    let omega = chain
-        .iter()
-        .map(|&a| tree.max_on_path_naive(v, a))
-        .collect();
-    MaxLabel { sep: fields, omega }
 }
 
 /// The decoder `D_γ`, identical for every scheme in `Γ`: returns
@@ -238,45 +97,10 @@ pub fn try_decode_max(a: &MaxLabel, b: &MaxLabel) -> Option<Weight> {
     Some(a.omega[cp - 1].max(b.omega[cp - 1]))
 }
 
-pub(crate) fn common_prefix(a: &[u64], b: &[u64]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
-}
-
-/// Convenience oracle: encodes labels for a whole tree and answers
-/// `MAX(u, v)` queries through the decoder, for tests and benchmarks.
-#[derive(Debug, Clone)]
-pub struct MaxLabelOracle {
-    labels: Vec<MaxLabel>,
-}
-
-impl MaxLabelOracle {
-    /// Encodes labels under the given decomposition.
-    pub fn new(tree: &RootedTree, sep: &SeparatorDecomposition) -> Self {
-        MaxLabelOracle {
-            labels: max_labels(tree, sep),
-        }
-    }
-
-    /// The label of vertex `v`.
-    pub fn label(&self, v: NodeId) -> &MaxLabel {
-        &self.labels[v.index()]
-    }
-
-    /// All labels.
-    pub fn labels(&self) -> &[MaxLabel] {
-        &self.labels
-    }
-
-    /// `MAX(u, v)` via the two labels.
-    pub fn query(&self, u: NodeId, v: NodeId) -> Weight {
-        decode_max(self.label(u), self.label(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mstv_graph::gen;
+    use mstv_graph::{gen, NodeId};
     use mstv_trees::{centroid_decomposition, first_vertex_decomposition, random_decomposition};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -287,48 +111,8 @@ mod tests {
         RootedTree::from_graph(&g, NodeId(0)).unwrap()
     }
 
-    #[test]
-    fn walk_assembler_identical_to_index_assembler() {
-        for (n, seed) in [(2usize, 50u64), (17, 51), (120, 52)] {
-            let t = tree_of(n, 300, seed);
-            for d in [centroid_decomposition(&t), first_vertex_decomposition(&t)] {
-                let kt = mstv_trees::KruskalTree::new(&t);
-                for v in t.nodes() {
-                    assert_eq!(max_label_of(&kt, &d, v), max_label_of_walk(&t, &d, v));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_sweep_identical_to_per_node_assembler() {
-        // The batch builder's per-separator ω sweep and the per-node
-        // Kruskal-oracle assembler must agree field-for-field on every
-        // member of Γ — the incremental relabelers depend on it.
-        let mut rng = StdRng::seed_from_u64(59);
-        for (n, seed) in [(2usize, 60u64), (17, 61), (120, 62), (301, 63)] {
-            let t = tree_of(n, 300, seed);
-            for d in [
-                centroid_decomposition(&t),
-                first_vertex_decomposition(&t),
-                random_decomposition(&t, &mut rng),
-            ] {
-                let kt = mstv_trees::KruskalTree::new(&t);
-                let batch = max_labels(&t, &d);
-                let par = max_labels_parallel(
-                    &t,
-                    &d,
-                    mstv_trees::ParallelConfig::with_threads(
-                        std::num::NonZeroUsize::new(3).unwrap(),
-                    ),
-                );
-                for v in t.nodes() {
-                    let one = max_label_of(&kt, &d, v);
-                    assert_eq!(batch[v.index()], one, "n={n} v={v}");
-                    assert_eq!(par[v.index()], one, "n={n} v={v} (3 workers)");
-                }
-            }
-        }
+    fn oracle(t: &RootedTree, d: &SeparatorDecomposition) -> crate::ImplicitMaxScheme {
+        crate::ImplicitMaxScheme::with_decomposition(t, d, crate::SepFieldCodec::EliasGamma)
     }
 
     #[test]
@@ -351,7 +135,7 @@ mod tests {
         for (n, seed) in [(2usize, 2u64), (7, 3), (40, 4), (120, 5)] {
             let t = tree_of(n, 500, seed);
             let d = centroid_decomposition(&t);
-            let oracle = MaxLabelOracle::new(&t, &d);
+            let oracle = oracle(&t, &d);
             for u in t.nodes() {
                 for v in t.nodes() {
                     if u == v {
@@ -378,7 +162,7 @@ mod tests {
                 random_decomposition(&t, &mut rng),
             ] {
                 d.validate(&t).unwrap();
-                let oracle = MaxLabelOracle::new(&t, &d);
+                let oracle = oracle(&t, &d);
                 for u in t.nodes() {
                     for v in t.nodes() {
                         if u != v {
@@ -413,7 +197,7 @@ mod tests {
         // u's label and the answer comes from v's omega field.
         let t = tree_of(64, 300, 8);
         let d = centroid_decomposition(&t);
-        let oracle = MaxLabelOracle::new(&t, &d);
+        let oracle = oracle(&t, &d);
         let root = d.root();
         for v in t.nodes() {
             if v != root {
@@ -432,7 +216,7 @@ mod tests {
         let t2 =
             RootedTree::from_parents(NodeId(0), vec![None, Some((NodeId(0), Weight(42)))]).unwrap();
         let d2 = centroid_decomposition(&t2);
-        let oracle = MaxLabelOracle::new(&t2, &d2);
+        let oracle = oracle(&t2, &d2);
         assert_eq!(oracle.query(NodeId(0), NodeId(1)), Weight(42));
     }
 

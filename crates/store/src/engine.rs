@@ -689,7 +689,9 @@ impl QueryEngine {
                     })?
                     // `None` is a u64 overflow of the summed half-distances —
                     // only possible when the two labels came from different
-                    // schemes (honest distances are bounded by n·W).
+                    // schemes: honest distances are bounded by the tree's
+                    // total weight, and a tree whose total overflows u64
+                    // gets no dist section at all.
                     .ok_or(StoreError::LabelMismatch { u: u.0, v: v.0 })?;
                 Ok(Answer::Dist(d))
             }

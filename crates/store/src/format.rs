@@ -60,8 +60,8 @@ use std::path::Path;
 
 use mstv_graph::{NodeId, Weight};
 use mstv_labels::{
-    BitString, ImplicitDistScheme, ImplicitFlowScheme, ImplicitMaxScheme, LabelCodec, PackedLabels,
-    SepFieldCodec,
+    dist_fits, BitString, ImplicitDistScheme, ImplicitFlowScheme, ImplicitMaxScheme, LabelCodec,
+    PackedLabels, SepFieldCodec,
 };
 use mstv_trees::{centroid_decomposition_parallel, ParallelConfig, PathMaxIndex, RootedTree};
 
@@ -178,7 +178,9 @@ pub struct Snapshot {
 impl Snapshot {
     /// Runs the markers over `tree` and captures the full label stack:
     /// `MAX`, `FLOW`, and `DIST` labels under one shared centroid
-    /// decomposition and the given separator-field codec.
+    /// decomposition and the given separator-field codec. A tree whose
+    /// total weight overflows `u64` has no `DIST` labels
+    /// ([`mstv_labels::dist_fits`]), and its snapshot no dist section.
     pub fn build(tree: &RootedTree, sep_codec: SepFieldCodec) -> Snapshot {
         Self::build_parallel(
             tree,
@@ -205,8 +207,9 @@ impl Snapshot {
             ImplicitMaxScheme::with_decomposition_parallel(tree, &sep, sep_codec, config);
         let flow_scheme =
             ImplicitFlowScheme::with_decomposition_parallel(tree, &sep, sep_codec, config);
-        let dist_scheme =
-            ImplicitDistScheme::with_decomposition_parallel(tree, &sep, sep_codec, config);
+        let dist_scheme = dist_fits(tree).then(|| {
+            ImplicitDistScheme::with_decomposition_parallel(tree, &sep, sep_codec, config)
+        });
         let parents = tree
             .nodes()
             .map(|v| tree.parent(v).map(|p| (p, tree.parent_weight(v))))
@@ -219,9 +222,9 @@ impl Snapshot {
             parents,
             max_labels: collect(&|v| max_scheme.encoded(v).clone()),
             flow_labels: collect(&|v| flow_scheme.encoded(v).clone()),
-            dist: Some(DistSection {
-                delta_bits: dist_scheme.delta_bits(),
-                labels: collect(&|v| dist_scheme.encoded(v).clone()),
+            dist: dist_scheme.map(|d| DistSection {
+                delta_bits: d.delta_bits(),
+                labels: collect(&|v| d.encoded(v).clone()),
             }),
         }
     }
@@ -638,9 +641,19 @@ impl Snapshot {
         let tree = self.tree()?;
         let idx = PathMaxIndex::new(&tree);
         let mut wdepth = vec![0u64; tree.num_nodes()];
-        for &v in tree.order() {
-            if let Some(p) = tree.parent(v) {
-                wdepth[v.index()] = wdepth[p.index()] + tree.parent_weight(v).0;
+        if self.dist.is_some() {
+            // Weighted depths fit whenever the tree has distance labels.
+            for &v in tree.order() {
+                if let Some(p) = tree.parent(v) {
+                    wdepth[v.index()] = wdepth[p.index()]
+                        .checked_add(tree.parent_weight(v).0)
+                        .ok_or(StoreError::Malformed {
+                            context: "dist section",
+                            reason: "the stored tree's total weight overflows u64, so it has \
+                                     no distance labels"
+                                .to_owned(),
+                        })?;
+                }
             }
         }
         let mut checked = 0;

@@ -322,6 +322,11 @@ impl RootedTree {
     /// `u == v`. Zero preprocessing, so incremental relabelers can
     /// re-assemble a handful of dirty labels without paying a full
     /// O(n log n) index build first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the summed weight overflows `u64` (never on a tree
+    /// whose total weight fits).
     pub fn path_stats_naive(&self, u: NodeId, v: NodeId) -> (Weight, Weight, u64) {
         let (mut a, mut b) = (u, v);
         let (mut max, mut min, mut sum) = (Weight::ZERO, Weight(u64::MAX), 0u64);
@@ -334,7 +339,7 @@ impl RootedTree {
             let w = self.parent_weight(*step);
             max = max.max(w);
             min = min.min(w);
-            sum += w.0;
+            sum = sum.checked_add(w.0).expect("path weight overflows u64");
             *step = self.parent(*step).expect("non-root node has parent");
         }
         (max, min, sum)

@@ -43,9 +43,15 @@ echo "== parallel marker equivalence (pinned at 2 workers) =="
 # whole label pipeline hanging off them) are identical under explicit
 # 1-, 2-, and 8-worker pools, so even a single-core CI box exercises
 # the multi-worker scheduling paths. The marker-level tests repeat the
-# check at the label/bit level for both π_mst and π_flow.
+# check at the label/bit level for both π_mst and π_flow. The per-node
+# walk is the only per-node reference the batch builders have: the
+# labels test pins MAX/FLOW/DIST batch output at 1 and 3 workers to the
+# walk, and dyn's stream test pins the walk-relabelled state to a full
+# Snapshot::build after every mutation.
 cargo test -q --offline -p mstv-trees --test separator_parallel_proptest
 cargo test -q --offline -p mstv-core marker_parallel_is_byte_identical
+cargo test -q --offline -p mstv-labels batch_sweep_identical_to_per_node_assembler
+cargo test -q --offline -p mstv-dyn every_mutation_stays_bit_identical_to_rebuild
 
 echo "== label-store golden fixture (byte-for-byte) =="
 # The committed fixture pins the snapshot container layout and the label

@@ -815,10 +815,9 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
         .ok_or("snapshot needs a subcommand: write, inspect, or fsck")?;
     match sub.as_str() {
         "write" => {
-            let positionals = positional_words(
-                &args[1..],
-                &["--from-net", "--codec", "--threads", "--format"],
-            );
+            const VALUE_FLAGS: [&str; 4] = ["--from-net", "--codec", "--threads", "--format"];
+            reject_unknown_flags(&args[1..], &VALUE_FLAGS, &["--no-dist"])?;
+            let positionals = positional_words(&args[1..], &VALUE_FLAGS);
             let (g, mst) = if let Some(log_path) = flag_str(args, "--from-net") {
                 // The tree the network built: replay the construction
                 // log and snapshot its MST. Replay is exact, so this
@@ -980,18 +979,17 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
     if args.first().map(String::as_str) == Some("--compact") {
         return cmd_mutate_compact(&args[1..]);
     }
-    let positionals = positional_words(
-        args,
-        &[
-            "--gen",
-            "--seed",
-            "--max-weight",
-            "--stream",
-            "--journal",
-            "--codec",
-            "--emit-graph",
-        ],
-    );
+    const VALUE_FLAGS: [&str; 7] = [
+        "--gen",
+        "--seed",
+        "--max-weight",
+        "--stream",
+        "--journal",
+        "--codec",
+        "--emit-graph",
+    ];
+    reject_unknown_flags(args, &VALUE_FLAGS, &["--verify-rebuild"])?;
+    let positionals = positional_words(args, &VALUE_FLAGS);
     let gpath = positionals.first().ok_or("missing graph file")?;
     let g = load_graph(gpath)?;
 
@@ -1095,6 +1093,7 @@ fn cmd_mutate_gen(
 
 /// `mstv mutate --compact`: fold a journal into its base snapshot.
 fn cmd_mutate_compact(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &[], &[])?;
     let [base_path, journal_path, out] =
         positional_words(args, &[])
             .try_into()
@@ -1172,10 +1171,13 @@ fn parse_query(words: &[&str], loc: &str) -> Result<Query, String> {
     }
 }
 
-fn show_answer(a: &Answer) -> String {
+/// One answer as printed. `FLOW(u, u)` — the empty path — prints as
+/// `inf`; between distinct nodes the path minimum prints as a number
+/// even when it is `u64::MAX`, the `FLOW_INFINITY` value.
+fn show_answer(q: &Query, a: &Answer) -> String {
     match *a {
         Answer::Max(w) => format!("{w}"),
-        Answer::Flow(w) if w == mst_verification::labels::FLOW_INFINITY => "inf".to_owned(),
+        Answer::Flow(_) if matches!(*q, Query::Flow { u, v } if u == v) => "inf".to_owned(),
         Answer::Flow(w) => format!("{w}"),
         Answer::Dist(d) => format!("{d}"),
         Answer::VerifyEdge {
@@ -1224,10 +1226,10 @@ fn read_batch_file(batch_path: &str) -> Result<(Vec<String>, Vec<Query>), String
     Ok((lines, queries))
 }
 
-fn print_batch_answers(lines: &[String], results: &[Result<Answer, ErrorCode>]) {
-    for (line, result) in lines.iter().zip(results) {
+fn print_batch_answers(lines: &[String], queries: &[Query], results: &[Result<Answer, ErrorCode>]) {
+    for ((line, q), result) in lines.iter().zip(queries).zip(results) {
         match result {
-            Ok(a) => println!("{line}: {}", show_answer(a)),
+            Ok(a) => println!("{line}: {}", show_answer(q, a)),
             Err(e) => println!("{line}: error — {e}"),
         }
     }
@@ -1264,7 +1266,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if let Some(batch_path) = flag_str(args, "--batch") {
         let (lines, queries) = read_batch_file(&batch_path)?;
         let response = engine.run_batch_response(&queries);
-        print_batch_answers(&lines, &response.results);
+        print_batch_answers(&lines, &queries, &response.results);
         println!("{}", engine.metrics().to_json());
         Ok(())
     } else if args.iter().any(|a| a == "--bench") {
@@ -1276,7 +1278,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         }
         let q = parse_query(&words, "query")?;
         let a = engine.query(q).map_err(|e| e.to_string())?;
-        println!("{}", show_answer(&a));
+        println!("{}", show_answer(&q, &a));
         Ok(())
     }
 }
@@ -1352,7 +1354,7 @@ fn cmd_query_remote(args: &[String]) -> Result<(), String> {
 
     if let Some(batch_path) = flag_str(args, "--batch") {
         let (lines, queries) = read_batch_file(&batch_path)?;
-        let response = client.request(queries).map_err(|e| e.to_string())?;
+        let response = client.request(queries.clone()).map_err(|e| e.to_string())?;
         if response.results.len() != lines.len() {
             return Err(format!(
                 "server answered {} of {} queries",
@@ -1360,7 +1362,7 @@ fn cmd_query_remote(args: &[String]) -> Result<(), String> {
                 lines.len()
             ));
         }
-        print_batch_answers(&lines, &response.results);
+        print_batch_answers(&lines, &queries, &response.results);
         Ok(())
     } else {
         let words = positional_words(args, &VALUE_FLAGS);
@@ -1371,7 +1373,7 @@ fn cmd_query_remote(args: &[String]) -> Result<(), String> {
         let response = client.request(vec![q]).map_err(|e| e.to_string())?;
         match response.results.first() {
             Some(Ok(a)) => {
-                println!("{}", show_answer(a));
+                println!("{}", show_answer(&q, a));
                 Ok(())
             }
             Some(Err(e)) => Err(e.to_string()),
@@ -1473,10 +1475,12 @@ fn cmd_query_bench(args: &[String], engine: &QueryEngine) -> Result<(), String> 
             ));
         }
         let idx = PathMaxIndex::new(&tree);
+        // Distances mod 2^64: exact whenever the snapshot has DIST labels
+        // (the tree's total weight fits), and no panic when it has none.
         let mut wdepth = vec![0u64; tree.num_nodes()];
         for &v in tree.order() {
             if let Some(p) = tree.parent(v) {
-                wdepth[v.index()] = wdepth[p.index()] + tree.parent_weight(v).0;
+                wdepth[v.index()] = wdepth[p.index()].wrapping_add(tree.parent_weight(v).0);
             }
         }
         for (q, a) in queries.iter().zip(&answers) {
@@ -1500,7 +1504,9 @@ fn cmd_query_bench(args: &[String], engine: &QueryEngine) -> Result<(), String> 
                 }
                 (Query::Dist { u, v }, Answer::Dist(d)) => {
                     let x = idx.lca(u, v);
-                    d == wdepth[u.index()] + wdepth[v.index()] - 2 * wdepth[x.index()]
+                    d == wdepth[u.index()]
+                        .wrapping_add(wdepth[v.index()])
+                        .wrapping_sub(wdepth[x.index()].wrapping_mul(2))
                 }
                 (
                     Query::VerifyEdge { u, v, w },

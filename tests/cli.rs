@@ -409,3 +409,111 @@ fn query_and_serve_reject_unknown_flags() {
         );
     }
 }
+
+/// Runs `mstv args` and returns its standard error, panicking unless the
+/// command fails.
+fn run_err(args: &[&str]) -> String {
+    let out = mstv().args(args).output().unwrap();
+    assert!(!out.status.success(), "mstv {args:?} succeeded");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn dist_section_exists_only_when_the_tree_weight_fits_u64() {
+    let dir = test_dir("dist_section_exists_only_when_the_tree_weight_fits_u64");
+    let snap = dir.join("p.snap");
+    let snap = snap.to_string_lossy();
+    // A 5-node path of four 2^63 edges: every edge fits, the total 2^65
+    // does not, so the tree has no distance labels.
+    let path = "nodes 5\n0 1 9223372036854775808\n1 2 9223372036854775808\n\
+                2 3 9223372036854775808\n3 4 9223372036854775808\n";
+    run_ok(
+        &dir,
+        &["snapshot", "write", "g.txt", &snap],
+        &[("g.txt", path)],
+    );
+    let inspect = run_ok(&dir, &["snapshot", "inspect", &snap], &[]);
+    assert!(inspect.contains("dist:       absent"), "{inspect}");
+    let fsck = run_ok(&dir, &["snapshot", "fsck", &snap], &[]);
+    assert!(fsck.contains("(no dist section)"), "{fsck}");
+    let err = run_err(&["query", &snap, "dist", "0", "2"]);
+    assert!(err.contains("snapshot has no dist section"), "{err}");
+    // MAX and FLOW are unaffected.
+    let max = run_ok(&dir, &["query", &snap, "max", "0", "2"], &[]);
+    assert_eq!(max.trim(), "9223372036854775808");
+    let flow = run_ok(&dir, &["query", &snap, "flow", "4", "1"], &[]);
+    assert_eq!(flow.trim(), "9223372036854775808");
+    // The incremental marker refuses the tree with a typed error.
+    let stream = dir.join("s.txt");
+    std::fs::write(&stream, "set 0 1 5\n").unwrap();
+    let journal = dir.join("j.jrnl");
+    let err = run_err(&[
+        "mutate",
+        &dir.join("g.txt").to_string_lossy(),
+        "--stream",
+        &stream.to_string_lossy(),
+        "--journal",
+        &journal.to_string_lossy(),
+    ]);
+    assert!(err.contains("no distance labels"), "{err}");
+
+    // A path minimum of 2^64 - 1 between distinct nodes is a number;
+    // only FLOW(u, u), the empty path, is `inf`.
+    let snap = dir.join("f.snap");
+    let snap = snap.to_string_lossy();
+    let heavy = "nodes 3\n0 1 18446744073709551615\n1 2 18446744073709551615\n";
+    run_ok(
+        &dir,
+        &["snapshot", "write", "h.txt", &snap],
+        &[("h.txt", heavy)],
+    );
+    let flow = run_ok(&dir, &["query", &snap, "flow", "0", "2"], &[]);
+    assert_eq!(flow.trim(), "18446744073709551615");
+    let flow = run_ok(&dir, &["query", &snap, "flow", "1", "1"], &[]);
+    assert_eq!(flow.trim(), "inf");
+}
+
+#[test]
+fn snapshot_write_and_mutate_reject_unknown_flags() {
+    let dir = test_dir("snapshot_write_and_mutate_reject_unknown_flags");
+    let graph = run_ok(&dir, &["gen", "--nodes", "12", "--seed", "2"], &[]);
+    let g = dir.join("g.txt");
+    std::fs::write(&g, &graph).unwrap();
+    let g = g.to_string_lossy();
+    let out = dir.join("o.snap");
+    let out = out.to_string_lossy();
+
+    let cases: [(Vec<&str>, &str); 4] = [
+        (
+            vec!["snapshot", "write", "--no-dsit", &g, &out],
+            "--no-dsit",
+        ),
+        (
+            vec!["snapshot", "write", "--thread", "2", &g, &out],
+            "--thread",
+        ),
+        (vec!["mutate", &g, "--gen", "3", "--sed", "1"], "--sed"),
+        (
+            vec!["mutate", "--compact", &out, &out, &out, "--bogus"],
+            "--bogus",
+        ),
+    ];
+    for (args, flag) in cases {
+        let err = run_err(&args);
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "mstv {args:?}: {err}"
+        );
+    }
+    assert!(
+        !dir.join("o.snap").exists(),
+        "a refused write left a file behind"
+    );
+    // The flags they do know still parse.
+    run_ok(
+        &dir,
+        &["snapshot", "write", "--no-dist", "--threads", "2", &g, &out],
+        &[],
+    );
+    run_ok(&dir, &["mutate", &g, "--gen", "3", "--seed", "1"], &[]);
+}
