@@ -3,10 +3,12 @@
 //! a 100k-node snapshot, over loopback, as server workers and client
 //! connections scale.
 //!
-//! E13 measured the in-process engine; this experiment adds the whole
-//! wire path — v1 frame encoding, loopback TCP, the per-connection
-//! FIFO queue, the worker pool — and reports what the network tier
-//! costs. Each client pipelines fixed-size query batches (a bounded
+//! The engine answers each batch inline on a server worker, so the
+//! worker count is the tier's query parallelism. On top of the decoding
+//! that `mstv query --bench` times in-process, this experiment adds the
+//! whole wire path — v1 frame encoding, loopback TCP, the
+//! per-connection FIFO queue, the worker pool — and reports what the
+//! network tier costs. Each client pipelines fixed-size query batches (a bounded
 //! number of requests in flight) and records the latency of every
 //! request from send to response; per-point histograms are merged
 //! across clients for p50/p99/p999. Every 16th query of every batch is

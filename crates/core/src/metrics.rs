@@ -192,7 +192,7 @@ impl Histogram {
 /// value (≤ 12.5% relative error) — fine enough for honest p50/p99/p999
 /// quantiles without storing raw samples. The struct is a plain `Copy`
 /// array (no atomics, no allocation), matching the rest of this module:
-/// shards fill private blocks and merge.
+/// each recorder fills a private block, and blocks merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; Self::BUCKETS],
@@ -343,11 +343,11 @@ impl LatencyHistogram {
 
 /// Counters and gauges for a label-serving tier: label decodes and
 /// throughput of a batch query engine answering `MAX`/`FLOW`/`VerifyEdge`
-/// from stored labels (the `mstv-store` query engine, `mstv query --bench`,
-/// and the `exp_serve` experiment all report through this block).
+/// from stored labels (the `mstv-store` query engine, the `mstv-serve`
+/// server and `mstv query --bench` all report through this block).
 ///
 /// Like [`SessionMetrics`], this is a plain struct — no atomics — that the
-/// engine fills in per batch and merges; the one-line
+/// engine fills in per batch under one lock; the one-line
 /// [`ServeMetrics::to_json`] export keeps experiment scripts serde-free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
@@ -355,8 +355,6 @@ pub struct ServeMetrics {
     pub queries: u64,
     /// Batches executed.
     pub batches: u64,
-    /// Worker shards that served the queries.
-    pub shards: u64,
     /// Decoded-label cache hits. The `mstv-store` query engine answers
     /// every query from the two encoded labels and keeps no decoded
     /// ones, so it always reports 0.
@@ -378,20 +376,6 @@ impl ServeMetrics {
     /// A zeroed metrics block.
     pub fn new() -> Self {
         ServeMetrics::default()
-    }
-
-    /// Merges another block into this one (counters such as decodes and
-    /// queries are summed; `shards` takes the maximum so merging per-shard
-    /// blocks reports the fleet width, not the sum of ones).
-    pub fn merge(&mut self, other: &ServeMetrics) {
-        self.queries += other.queries;
-        self.batches += other.batches;
-        self.shards = self.shards.max(other.shards);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.errors += other.errors;
-        self.elapsed_nanos += other.elapsed_nanos;
-        self.latency.merge(&other.latency);
     }
 
     /// Adds `d` to the batch-execution wall-clock.
@@ -431,14 +415,13 @@ impl ServeMetrics {
     /// One-line JSON export of every counter plus the derived gauges.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"queries\":{},\"batches\":{},\"shards\":{},\"cache_hits\":{},\
+            "{{\"queries\":{},\"batches\":{},\"cache_hits\":{},\
              \"cache_misses\":{},\"hit_ratio\":{:.4},\"errors\":{},\
              \"elapsed_nanos\":{},\"queries_per_sec\":{:.1},\
              \"lat_p50_nanos\":{},\"lat_p99_nanos\":{},\"lat_p999_nanos\":{},\
              \"lat_max_nanos\":{}}}",
             self.queries,
             self.batches,
-            self.shards,
             self.cache_hits,
             self.cache_misses,
             self.hit_ratio(),
@@ -464,20 +447,13 @@ fn finite_or_zero(x: f64) -> f64 {
     }
 }
 
-impl AddAssign for ServeMetrics {
-    fn add_assign(&mut self, rhs: ServeMetrics) {
-        self.merge(&rhs);
-    }
-}
-
 impl fmt::Display for ServeMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} queries in {} batches over {} shards: {:.0} q/s, {} label decodes, {} errors",
+            "{} queries in {} batches: {:.0} q/s, {} label decodes, {} errors",
             self.queries,
             self.batches,
-            self.shards,
             self.queries_per_sec(),
             self.cache_misses,
             self.errors,
@@ -664,7 +640,6 @@ mod tests {
         let mut m = ServeMetrics::new();
         m.queries = 1000;
         m.batches = 2;
-        m.shards = 4;
         m.cache_hits = 750;
         m.cache_misses = 250;
         m.add_elapsed(Duration::from_millis(500));
@@ -676,17 +651,7 @@ mod tests {
         assert!(json.contains("\"hit_ratio\":0.7500"));
         assert!(json.contains("\"queries_per_sec\":2000.0"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Merging per-shard blocks: counts sum, shard width is a max.
-        let mut total = ServeMetrics {
-            shards: 4,
-            ..ServeMetrics::new()
-        };
-        total += m;
-        total.merge(&m);
-        assert_eq!(total.queries, 2000);
-        assert_eq!(total.shards, 4);
-        assert_eq!(total.cache_hits, 1500);
-        assert!(total.to_string().contains("q/s"));
+        assert!(m.to_string().contains("q/s"));
     }
 
     #[test]
@@ -705,7 +670,6 @@ mod tests {
         let m = ServeMetrics {
             queries: 0,
             batches: 1,
-            shards: 4,
             cache_hits: 0,
             cache_misses: 0,
             errors: 0,

@@ -9,7 +9,10 @@
 //! * **[`mstv_trees::KeyedQueue`]** — one key per connection slot. A
 //!   connection's requests are posted to its slot, so the per-key FIFO
 //!   lease guarantees in-order responses per connection while a bounded
-//!   pool of workers serves all connections. `try_post` with the
+//!   pool of workers serves all connections. A worker answers its
+//!   request's whole batch itself ([`QueryEngine::run_batch_response`]
+//!   runs inline), so the pool is the server's only query concurrency
+//!   and `workers` sizes it. `try_post` with the
 //!   configured queue depth is the admission-control point: a request
 //!   arriving at a full inbox is answered immediately with
 //!   [`ErrorCode::Overloaded`] instead of buffering without bound.
@@ -41,7 +44,7 @@ use mstv_store::proto::{
     header_payload_len, AdminReply, AdminRequest, ErrorCode, Frame, ProtoError, Request, Response,
     FRAME_HEADER_LEN,
 };
-use mstv_store::{DeltaRecord, EngineConfig, QueryEngine, Snapshot, SnapshotStore};
+use mstv_store::{DeltaRecord, QueryEngine, Snapshot, SnapshotStore};
 use mstv_trees::KeyedQueue;
 
 use crate::io::write_frame;
@@ -50,7 +53,9 @@ use crate::ServeError;
 /// Sizing knobs for [`ServerHandle::spawn`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Worker threads answering queued requests.
+    /// Worker threads answering queued requests, one request's whole
+    /// batch at a time: the server's only query concurrency, since the
+    /// [`QueryEngine`] answers each batch on the worker that submits it.
     pub workers: usize,
     /// Concurrent connections the server accepts; further connections
     /// are refused (dropped at accept time) until a slot frees up.
@@ -59,9 +64,6 @@ pub struct ServeConfig {
     /// served) before new ones are rejected with
     /// [`ErrorCode::Overloaded`].
     pub queue_depth: usize,
-    /// Sizing of the [`QueryEngine`] wrapped around each snapshot —
-    /// both the initial one and every hot-swapped replacement.
-    pub engine: EngineConfig,
     /// Serve label bytes straight from memory-mapped snapshot files.
     /// Applies to hot swaps by path (`AdminRequest::SwapSnapshot`):
     /// the replacement file is opened with [`Snapshot::open_mmap`]
@@ -76,7 +78,6 @@ impl Default for ServeConfig {
             workers: 2,
             max_connections: 64,
             queue_depth: 64,
-            engine: EngineConfig::default(),
             mmap: false,
         }
     }
@@ -136,7 +137,7 @@ impl Shared {
     /// generation reported (its base plus its applied deltas), so the
     /// epoch a client sees never goes backwards.
     fn swap_in(&self, store: SnapshotStore) -> u64 {
-        let engine = QueryEngine::from_store(store, self.config.engine);
+        let engine = QueryEngine::from_store(store);
         let mut guard = self.serving.write().unwrap_or_else(|e| e.into_inner());
         let epoch = guard.epoch + guard.engine.delta_seq() + 1;
         *guard = Arc::new(Serving { epoch, engine });
@@ -196,15 +197,11 @@ impl ServerHandle {
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         let max_connections = config.max_connections.max(1);
-        let engine = QueryEngine::from_store(store, config.engine);
-        let shards = engine.num_shards() as u64;
+        let engine = QueryEngine::from_store(store);
         let shared = Arc::new(Shared {
             serving: RwLock::new(Arc::new(Serving { epoch: 1, engine })),
             queue: KeyedQueue::new(max_connections),
-            metrics: Mutex::new(ServeMetrics {
-                shards,
-                ..ServeMetrics::new()
-            }),
+            metrics: Mutex::new(ServeMetrics::new()),
             shutdown: AtomicBool::new(false),
             config,
             free_slots: Mutex::new((0..max_connections).rev().collect()),

@@ -11,7 +11,7 @@ use mstv_graph::{gen, NodeId, Weight};
 use mstv_labels::SepFieldCodec;
 use mstv_serve::{Client, ServeConfig, ServerHandle};
 use mstv_store::proto::{ErrorCode, PROTO_MAGIC, PROTO_VERSION};
-use mstv_store::{Answer, EngineConfig, Query, Snapshot};
+use mstv_store::{Answer, Query, Snapshot};
 use mstv_trees::{PathMaxIndex, RootedTree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -485,24 +485,5 @@ fn garbage_and_oversized_frames_close_the_connection() {
         }])
         .unwrap();
     assert!(resp.results[0].is_ok());
-    server.shutdown();
-}
-
-#[test]
-fn engine_config_flows_through_serve_config() {
-    let tree = tree_of(30, 60, 12);
-    let config = ServeConfig {
-        engine: EngineConfig::new(2).unwrap(),
-        ..ServeConfig::default()
-    };
-    let server = ServerHandle::spawn(snapshot_of(&tree), config, 0).unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    client
-        .request(vec![Query::Max {
-            u: NodeId(3),
-            v: NodeId(4),
-        }])
-        .unwrap();
-    assert_eq!(server.engine_metrics().shards, 2);
     server.shutdown();
 }

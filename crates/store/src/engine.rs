@@ -1,4 +1,4 @@
-//! The sharded query engine over a loaded snapshot.
+//! The query engine over a loaded snapshot.
 //!
 //! One [`QueryEngine`] owns a [`Snapshot`] and answers `MAX`, `FLOW`,
 //! `DIST`, and `VerifyEdge` queries purely from the stored label stack —
@@ -8,13 +8,14 @@
 //! and its `FLOW`/`DIST` twins), which read the two encoded windows in
 //! place without allocating; the engine keeps no decoded labels.
 //!
-//! Node-id space is partitioned across shards (`u mod shards`). Batches
-//! fan out with scoped threads, one per non-empty shard, and results
-//! come back in input order. All failures are typed: unknown node ids,
-//! undecodable records, and foreign label pairs are answers, not
-//! panics. Even a worker panic is contained — its batch's queries
-//! report a poisoned-shard error, and since shards hold no state
-//! between batches, one bad batch never takes the engine down.
+//! A batch is answered inline, by the caller that submits it, in input
+//! order. An answer costs two window reads, far less than handing the
+//! batch to a worker would, so serving concurrency comes from the
+//! callers instead: the `mstv-serve` worker pool, or any number of
+//! callers sharing one engine by reference. All failures are typed:
+//! unknown node ids, undecodable records, and foreign label pairs are
+//! answers, not panics — the pair decoders return `None` on any window
+//! they cannot read.
 //!
 //! The batch entry point is [`QueryEngine::run_batch_response`], which
 //! returns a [`BatchResponse`]: per-query results carrying the wire
@@ -22,8 +23,6 @@
 //! same vocabulary the `mstv-serve` network tier sends to clients, so
 //! in-process and remote callers see identical failure taxonomies.
 
-use std::fmt;
-use std::num::NonZeroUsize;
 use std::sync::{Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -34,94 +33,10 @@ use mstv_labels::{BitSlice, LabelCodec, FLOW_INFINITY};
 use crate::proto::ErrorCode;
 use crate::{DeltaRecord, MappedSnapshot, Snapshot, StoreError};
 
-/// Upper bound on the shard count a config may request — far above any
-/// sensible fan-out, low enough that a typo (`--shards 1000000`) is a
-/// typed error instead of a million-way fan-out.
-pub const MAX_SHARDS: usize = 4096;
-
-/// Engine sizing, validated at construction: the number of shards a
-/// batch fans out over (4 by default).
-///
-/// An invalid shard count is a typed [`EngineConfigError`] rather than
-/// a silently clamped value (mirroring the `NonZeroUsize` discipline of
-/// `mstv_trees::ParallelConfig`):
-///
-/// ```
-/// use mstv_store::EngineConfig;
-///
-/// let cfg = EngineConfig::new(8)?;
-/// assert_eq!(cfg.shards(), 8);
-/// assert!(EngineConfig::new(0).is_err());
-/// # Ok::<(), mstv_store::EngineConfigError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    shards: NonZeroUsize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            shards: NonZeroUsize::new(4).expect("4 != 0"),
-        }
-    }
-}
-
-impl EngineConfig {
-    /// A config fanning batches out over `shards` shards.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineConfigError::ZeroShards`] for a zero shard count and
-    /// [`EngineConfigError::TooManyShards`] above [`MAX_SHARDS`].
-    pub fn new(shards: usize) -> Result<EngineConfig, EngineConfigError> {
-        let shards = NonZeroUsize::new(shards).ok_or(EngineConfigError::ZeroShards)?;
-        if shards.get() > MAX_SHARDS {
-            return Err(EngineConfigError::TooManyShards {
-                requested: shards.get(),
-                max: MAX_SHARDS,
-            });
-        }
-        Ok(EngineConfig { shards })
-    }
-
-    /// Number of shards (threads) a batch fans out over.
-    pub fn shards(&self) -> usize {
-        self.shards.get()
-    }
-}
-
-/// An invalid [`EngineConfig`] request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineConfigError {
-    /// A zero shard count — a batch needs at least one shard to route to.
-    ZeroShards,
-    /// A shard count above [`MAX_SHARDS`].
-    TooManyShards {
-        /// The shard count that was asked for.
-        requested: usize,
-        /// The bound it exceeded.
-        max: usize,
-    },
-}
-
-impl fmt::Display for EngineConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineConfigError::ZeroShards => {
-                write!(f, "engine config: shard count must be at least 1")
-            }
-            EngineConfigError::TooManyShards { requested, max } => {
-                write!(
-                    f,
-                    "engine config: {requested} shards exceeds the maximum of {max}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineConfigError {}
+/// Engine construction settings. It carries none: every batch is
+/// answered inline by its caller, so there is nothing left to size.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineConfig {}
 
 /// A single query against the label store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,18 +72,6 @@ pub enum Query {
         /// The non-tree edge's weight.
         w: Weight,
     },
-}
-
-impl Query {
-    /// The endpoint that picks the serving shard.
-    fn primary(&self) -> NodeId {
-        match *self {
-            Query::Max { u, .. }
-            | Query::Flow { u, .. }
-            | Query::Dist { u, .. }
-            | Query::VerifyEdge { u, .. } => u,
-        }
-    }
 }
 
 /// A successful query result.
@@ -217,7 +120,7 @@ pub struct BatchResponse {
     /// The engine's delta sequence number when this batch ran — how many
     /// [`DeltaRecord`]s had been applied to the serving snapshot. All
     /// answers of one batch come from a single delta generation, never a
-    /// mix: the batch holds the state lock for its whole fan-out.
+    /// mix: the batch holds the state lock until its last answer.
     pub delta_seq: u64,
 }
 
@@ -329,7 +232,8 @@ struct EngineState {
     delta_seq: u64,
 }
 
-/// A multi-threaded query service over one loaded [`Snapshot`].
+/// A query service over one loaded [`Snapshot`], shared by reference
+/// among its callers.
 ///
 /// The snapshot is not immutable for the engine's lifetime:
 /// [`QueryEngine::apply_delta`] folds a journal [`DeltaRecord`] into the
@@ -337,32 +241,31 @@ struct EngineState {
 /// swap unnecessary for small changes.
 pub struct QueryEngine {
     state: RwLock<EngineState>,
-    shards: usize,
     agg: Mutex<ServeMetrics>,
 }
 
 impl QueryEngine {
     /// Wraps a loaded snapshot in a serving engine (delta sequence 0).
-    pub fn new(snap: Snapshot, config: EngineConfig) -> QueryEngine {
-        Self::from_store(SnapshotStore::Owned(snap), config)
+    /// The [`EngineConfig`] carries no settings.
+    pub fn new(snap: Snapshot, _config: EngineConfig) -> QueryEngine {
+        Self::from_store(SnapshotStore::Owned(snap))
     }
 
     /// Wraps a memory-mapped snapshot in a serving engine. Labels decode
     /// lazily out of the map on first touch; [`QueryEngine::apply_delta`]
     /// reports [`StoreError::ReadOnlySnapshot`].
-    pub fn new_mapped(snap: MappedSnapshot, config: EngineConfig) -> QueryEngine {
-        Self::from_store(SnapshotStore::Mapped(snap), config)
+    pub fn new_mapped(snap: MappedSnapshot) -> QueryEngine {
+        Self::from_store(SnapshotStore::Mapped(snap))
     }
 
     /// Wraps either snapshot backing in a serving engine (delta
     /// sequence 0).
-    pub fn from_store(store: SnapshotStore, config: EngineConfig) -> QueryEngine {
+    pub fn from_store(store: SnapshotStore) -> QueryEngine {
         QueryEngine {
             state: RwLock::new(EngineState {
                 store,
                 delta_seq: 0,
             }),
-            shards: config.shards(),
             agg: Mutex::new(ServeMetrics::new()),
         }
     }
@@ -436,11 +339,6 @@ impl QueryEngine {
         Ok(state.delta_seq)
     }
 
-    /// Number of shards the engine fans out over.
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
     /// Locks the serving state for reading, recovering from poisoning
     /// (writers mutate nothing on the failure paths that could panic
     /// mid-update; see [`QueryEngine::apply_delta`]).
@@ -467,18 +365,16 @@ impl QueryEngine {
             .expect("one query in, one answer out")
     }
 
-    /// Answers a batch, fanning out across shards; results come back in
-    /// input order with the wire protocol's typed [`ErrorCode`]s, plus
-    /// the batch's cost counters.
+    /// Answers a batch inline; results come back in input order with the
+    /// wire protocol's typed [`ErrorCode`]s, plus the batch's cost
+    /// counters.
     ///
     /// The batch itself never fails — per-query statuses are:
     /// [`ErrorCode::UnknownNode`] for an endpoint the snapshot carries
     /// no label for, [`ErrorCode::CorruptLabel`] when a stored record
     /// does not decode, [`ErrorCode::LabelMismatch`] when two labels
-    /// come from different schemes, [`ErrorCode::MissingSection`] for
-    /// `Dist` queries against a snapshot without a dist section, and
-    /// [`ErrorCode::ShardPoisoned`] for every query a panicking shard
-    /// worker was serving.
+    /// come from different schemes, and [`ErrorCode::MissingSection`]
+    /// for `Dist` queries against a snapshot without a dist section.
     pub fn run_batch_response(&self, queries: &[Query]) -> BatchResponse {
         let (results, metrics, delta_seq) = self.run_batch_inner(queries);
         BatchResponse {
@@ -494,18 +390,18 @@ impl QueryEngine {
     /// The shared batch executor behind [`QueryEngine::query`] and
     /// [`QueryEngine::run_batch_response`].
     ///
-    /// The state read lock is held for the whole fan-out, so every
+    /// The state read lock is held for the whole batch, so every
     /// answer of the batch comes from one delta generation (the returned
     /// sequence number); an [`QueryEngine::apply_delta`] waits for the
     /// batch rather than tearing it.
     ///
     /// Admission-first counting: `queries` and `batches` are bumped
-    /// under the aggregate lock *before* the fan-out, and the remaining
-    /// counters (errors, label decodes, elapsed, latency) after it. A
-    /// concurrent [`QueryEngine::metrics`] reader therefore sees every
-    /// in-flight batch's queries already counted, so derived invariants
-    /// (decodes ≤ 2 per counted query, errors ≤ counted queries) hold at
-    /// every instant, not just between batches.
+    /// under the aggregate lock *before* the batch runs, and the
+    /// remaining counters (errors, label decodes, elapsed, latency)
+    /// after it. A concurrent [`QueryEngine::metrics`] reader therefore
+    /// sees every in-flight batch's queries already counted, so derived
+    /// invariants (decodes ≤ 2 per counted query, errors ≤ counted
+    /// queries) hold at every instant, not just between batches.
     fn run_batch_inner(
         &self,
         queries: &[Query],
@@ -516,71 +412,15 @@ impl QueryEngine {
             agg.queries += queries.len() as u64;
             agg.batches += 1;
         }
-        let state = self.read_state();
-        let store = &state.store;
-        let ns = self.shards;
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); ns];
-        for (i, q) in queries.iter().enumerate() {
-            buckets[q.primary().0 as usize % ns].push(i);
-        }
-        let mut results: Vec<Option<Result<Answer, StoreError>>> =
-            (0..queries.len()).map(|_| None).collect();
         let mut decodes = 0u64;
-        if ns == 1 {
-            for &i in &buckets[0] {
-                results[i] = Some(Self::answer(store, &queries[i], &mut decodes));
-            }
-        } else {
-            type ShardOutcome<'a> = (
-                usize,
-                &'a [usize],
-                std::thread::Result<(Vec<(usize, Result<Answer, StoreError>)>, u64)>,
-            );
-            let per_shard: Vec<ShardOutcome<'_>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, bucket)| !bucket.is_empty())
-                    .map(|(si, bucket)| {
-                        let handle = scope.spawn(move || {
-                            let mut decodes = 0u64;
-                            let answers = bucket
-                                .iter()
-                                .map(|&i| (i, Self::answer(store, &queries[i], &mut decodes)))
-                                .collect();
-                            (answers, decodes)
-                        });
-                        (si, bucket.as_slice(), handle)
-                    })
-                    .collect();
-                // Joining every handle here keeps a worker panic from
-                // re-raising when the scope closes.
-                workers
-                    .into_iter()
-                    .map(|(si, bucket, w)| (si, bucket, w.join()))
-                    .collect()
-            });
-            for (si, bucket, outcome) in per_shard {
-                match outcome {
-                    Ok((pairs, shard_decodes)) => {
-                        decodes += shard_decodes;
-                        for (i, r) in pairs {
-                            results[i] = Some(r);
-                        }
-                    }
-                    // The worker panicked: its queries get a typed error.
-                    // Shards hold no state, so later batches are unaffected.
-                    Err(_) => {
-                        for &i in bucket {
-                            results[i] = Some(Err(StoreError::ShardPoisoned { shard: si }));
-                        }
-                    }
-                }
-            }
-        }
+        let state = self.read_state();
+        let results: Vec<Result<Answer, StoreError>> = queries
+            .iter()
+            .map(|q| Self::answer(&state.store, q, &mut decodes))
+            .collect();
         let delta_seq = state.delta_seq;
         drop(state);
-        let errors = results.iter().filter(|r| matches!(r, Some(Err(_)))).count() as u64;
+        let errors = results.iter().filter(|r| r.is_err()).count() as u64;
         let elapsed = start.elapsed();
         {
             let mut agg = self.lock_metrics();
@@ -594,14 +434,7 @@ impl QueryEngine {
             errors,
             elapsed_nanos: elapsed.as_nanos() as u64,
         };
-        (
-            results
-                .into_iter()
-                .map(|r| r.expect("every query was routed to a shard"))
-                .collect(),
-            batch,
-            delta_seq,
-        )
+        (results, batch, delta_seq)
     }
 
     /// A point-in-time snapshot of the serving counters.
@@ -613,9 +446,7 @@ impl QueryEngine {
     /// engine keeps no decoded labels to hit; both names are kept for
     /// the `ServeMetrics` JSON schema.
     pub fn metrics(&self) -> ServeMetrics {
-        let mut m = *self.lock_metrics();
-        m.shards = self.shards as u64;
-        m
+        *self.lock_metrics()
     }
 
     fn check_node(store: &SnapshotStore, v: NodeId) -> Result<(), StoreError> {
@@ -760,30 +591,15 @@ mod tests {
         RootedTree::from_graph(&g, NodeId(0)).unwrap()
     }
 
-    fn engine_of(tree: &RootedTree, shards: usize) -> QueryEngine {
-        let snap = Snapshot::build(tree, SepFieldCodec::EliasGamma);
-        let config = EngineConfig::new(shards).expect("test configs are valid");
-        QueryEngine::new(snap, config)
+    fn engine_of(tree: &RootedTree) -> QueryEngine {
+        QueryEngine::new(
+            Snapshot::build(tree, SepFieldCodec::EliasGamma),
+            EngineConfig::default(),
+        )
     }
 
     #[test]
-    fn config_validates_instead_of_clamping() {
-        assert_eq!(EngineConfig::new(8).unwrap().shards(), 8);
-        assert_eq!(EngineConfig::new(0), Err(EngineConfigError::ZeroShards));
-        assert_eq!(
-            EngineConfig::new(MAX_SHARDS + 1),
-            Err(EngineConfigError::TooManyShards {
-                requested: MAX_SHARDS + 1,
-                max: MAX_SHARDS
-            })
-        );
-        // The boundary itself is allowed, and the default is valid.
-        assert!(EngineConfig::new(MAX_SHARDS).is_ok());
-        assert_eq!(EngineConfig::default().shards(), 4);
-    }
-
-    #[test]
-    fn answers_match_tree_oracle_across_shard_counts() {
+    fn answers_match_tree_oracle() {
         let t = tree_of(150, 700, 11);
         let idx = PathMaxIndex::new(&t);
         let mut wdepth = vec![0u64; t.num_nodes()];
@@ -811,70 +627,67 @@ mod tests {
                 }
             }
         }
-        for shards in [1usize, 2, 4, 8] {
-            let engine = engine_of(&t, shards);
-            let response = engine.run_batch_response(&queries);
-            assert_eq!(response.results.len(), queries.len());
-            assert_eq!(response.metrics.queries, queries.len() as u64);
-            assert_eq!(response.metrics.errors, 0);
-            assert_eq!(response.error_count(), 0);
-            for (q, a) in queries.iter().zip(&response.results) {
-                let a = a.as_ref().expect("in-range queries succeed");
-                match (*q, *a) {
-                    (Query::Max { u, v }, Answer::Max(w)) => {
-                        let want = if u == v {
-                            Weight::ZERO
-                        } else {
-                            idx.max_on_path(u, v)
-                        };
-                        assert_eq!(w, want, "MAX({u}, {v}) shards={shards}");
-                    }
-                    (Query::Flow { u, v }, Answer::Flow(w)) => {
-                        let want = if u == v {
-                            FLOW_INFINITY
-                        } else {
-                            idx.min_on_path(u, v)
-                        };
-                        assert_eq!(w, want, "FLOW({u}, {v}) shards={shards}");
-                    }
-                    (Query::Dist { u, v }, Answer::Dist(d)) => {
-                        let x = idx.lca(u, v);
-                        let want = wdepth[u.index()] + wdepth[v.index()] - 2 * wdepth[x.index()];
-                        assert_eq!(d, want, "DIST({u}, {v}) shards={shards}");
-                    }
-                    (
-                        Query::VerifyEdge { u, v, w },
-                        Answer::VerifyEdge {
-                            accept,
-                            max_on_path,
-                        },
-                    ) => {
-                        let want = if u == v {
-                            Weight::ZERO
-                        } else {
-                            idx.max_on_path(u, v)
-                        };
-                        assert_eq!(max_on_path, want);
-                        assert_eq!(accept, w >= want, "verify({u}, {v}, {w})");
-                    }
-                    other => panic!("answer kind mismatch: {other:?}"),
+        let engine = engine_of(&t);
+        let response = engine.run_batch_response(&queries);
+        assert_eq!(response.results.len(), queries.len());
+        assert_eq!(response.metrics.queries, queries.len() as u64);
+        assert_eq!(response.metrics.errors, 0);
+        assert_eq!(response.error_count(), 0);
+        for (q, a) in queries.iter().zip(&response.results) {
+            let a = a.as_ref().expect("in-range queries succeed");
+            match (*q, *a) {
+                (Query::Max { u, v }, Answer::Max(w)) => {
+                    let want = if u == v {
+                        Weight::ZERO
+                    } else {
+                        idx.max_on_path(u, v)
+                    };
+                    assert_eq!(w, want, "MAX({u}, {v})");
                 }
+                (Query::Flow { u, v }, Answer::Flow(w)) => {
+                    let want = if u == v {
+                        FLOW_INFINITY
+                    } else {
+                        idx.min_on_path(u, v)
+                    };
+                    assert_eq!(w, want, "FLOW({u}, {v})");
+                }
+                (Query::Dist { u, v }, Answer::Dist(d)) => {
+                    let x = idx.lca(u, v);
+                    let want = wdepth[u.index()] + wdepth[v.index()] - 2 * wdepth[x.index()];
+                    assert_eq!(d, want, "DIST({u}, {v})");
+                }
+                (
+                    Query::VerifyEdge { u, v, w },
+                    Answer::VerifyEdge {
+                        accept,
+                        max_on_path,
+                    },
+                ) => {
+                    let want = if u == v {
+                        Weight::ZERO
+                    } else {
+                        idx.max_on_path(u, v)
+                    };
+                    assert_eq!(max_on_path, want);
+                    assert_eq!(accept, w >= want, "verify({u}, {v}, {w})");
+                }
+                other => panic!("answer kind mismatch: {other:?}"),
             }
-            let m = engine.metrics();
-            assert_eq!(m.queries, queries.len() as u64);
-            assert_eq!(m.batches, 1);
-            assert_eq!(m.shards, shards as u64);
-            assert_eq!(m.errors, 0);
-            assert_eq!(m.latency.count(), 1, "one batch, one latency sample");
-            assert_eq!(m.cache_misses, decodes);
-            assert_eq!(m.cache_hits, 0);
         }
+        let m = engine.metrics();
+        assert_eq!(m.queries, queries.len() as u64);
+        assert_eq!(m.batches, 1);
+        assert_eq!(m.errors, 0);
+        assert_eq!(m.latency.count(), 1, "one batch, one latency sample");
+        assert_eq!(m.cache_misses, decodes);
+        assert_eq!(m.cache_hits, 0);
     }
 
     #[test]
     fn unknown_nodes_are_typed_errors_not_panics() {
         let t = tree_of(10, 50, 12);
-        let engine = engine_of(&t, 2);
+        let engine = engine_of(&t);
         for q in [
             Query::Max {
                 u: NodeId(10),
@@ -968,39 +781,6 @@ mod tests {
             .is_ok());
     }
 
-    #[test]
-    fn panicking_worker_poisons_only_its_own_queries() {
-        let t = tree_of(30, 90, 16);
-        let mut snap = Snapshot::build(&t, SepFieldCodec::EliasGamma);
-        // Nodes 20.. keep their slot in the node range but lose their
-        // MAX row, so the worker that reads one panics mid-batch.
-        snap.truncate_max_labels_for_test(20);
-        let engine = QueryEngine::new(snap, EngineConfig::new(2).unwrap());
-        let batch = [
-            Query::Max {
-                u: NodeId(22),
-                v: NodeId(3),
-            },
-            Query::Max {
-                u: NodeId(1),
-                v: NodeId(4),
-            },
-            Query::Max {
-                u: NodeId(2),
-                v: NodeId(5),
-            },
-        ];
-        let resp = engine.run_batch_response(&batch);
-        assert_eq!(resp.results[0], Err(ErrorCode::ShardPoisoned { shard: 0 }));
-        assert_eq!(resp.results[2], Err(ErrorCode::ShardPoisoned { shard: 0 }));
-        assert!(resp.results[1].is_ok(), "shard 1 never read a missing row");
-        // Shards keep nothing between batches: the next one is served.
-        let again = engine.run_batch_response(&batch[1..]);
-        assert!(again.results[0].is_ok());
-        assert!(again.results[1].is_ok());
-        assert_eq!(engine.metrics().errors, 2);
-    }
-
     /// The full row-diff between two same-shape snapshots, as a journal
     /// record — the sound-by-construction delta the serving tests use.
     fn diff_record(
@@ -1048,10 +828,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_serves_the_new_generation_from_every_shard() {
+    fn apply_delta_serves_the_new_generation() {
         // Two trees over the same node set, differing in one parent-edge
-        // weight: after the delta, answers from every shard must match
-        // the *new* oracle.
+        // weight: after the delta, every answer must match the *new*
+        // oracle.
         let t_old = tree_of(90, 300, 31);
         let mut parents: Vec<Option<(NodeId, Weight)>> = (0..90u32)
             .map(|i| {
@@ -1073,8 +853,8 @@ mod tests {
         let record = diff_record(1, mutation, &snap_old, &snap_new);
         assert!(!record.max.is_empty(), "a reweight must move MAX labels");
 
-        let engine = QueryEngine::new(snap_old, EngineConfig::new(3).unwrap());
-        // Serve the pre-delta generation from every shard.
+        let engine = QueryEngine::new(snap_old, EngineConfig::default());
+        // Serve the pre-delta generation.
         let mut queries = Vec::new();
         for u in 0..90u32 {
             queries.push(Query::Max {
@@ -1129,7 +909,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let t = tree_of(120, 500, 17);
-        let engine = engine_of(&t, 4);
+        let engine = engine_of(&t);
         let stop = AtomicBool::new(false);
         // Max-only batches with u != v: each query decodes two labels
         // and never errors. Admission-first counting makes the
@@ -1201,9 +981,8 @@ mod tests {
         let mapped = Snapshot::open_mmap(&path).unwrap();
         assert!(mapped.is_zero_copy());
 
-        let config = EngineConfig::new(3).unwrap();
-        let owned = QueryEngine::new(snap, config);
-        let engine = QueryEngine::new_mapped(mapped, config);
+        let owned = QueryEngine::new(snap, EngineConfig::default());
+        let engine = QueryEngine::new_mapped(mapped);
         assert!(engine.with_store(|s| matches!(s, SnapshotStore::Mapped(_))));
 
         let mut queries = Vec::new();
@@ -1260,7 +1039,7 @@ mod tests {
         };
         let record = diff_record(1, mutation, &snap, &snap_new);
 
-        let engine = QueryEngine::new_mapped(mapped, EngineConfig::default());
+        let engine = QueryEngine::new_mapped(mapped);
         match engine.apply_delta(&record) {
             Err(StoreError::ReadOnlySnapshot) => {}
             other => panic!("expected ReadOnlySnapshot, got {other:?}"),

@@ -72,13 +72,6 @@ pub enum StoreError {
         /// Second query endpoint.
         v: u32,
     },
-    /// A shard worker panicked mid-batch, so the queries it was serving
-    /// have no answers. Shards hold no state between batches, so
-    /// subsequent batches are unaffected.
-    ShardPoisoned {
-        /// Index of the shard whose worker panicked.
-        shard: usize,
-    },
     /// A mutation (delta-journal apply) was attempted against a
     /// memory-mapped snapshot, which serves its labels directly from the
     /// read-only file bytes. Reopen the snapshot as an owned
@@ -120,10 +113,6 @@ impl fmt::Display for StoreError {
             StoreError::LabelMismatch { u, v } => write!(
                 f,
                 "labels of {u} and {v} share no separator prefix (foreign snapshot?)"
-            ),
-            StoreError::ShardPoisoned { shard } => write!(
-                f,
-                "shard {shard} worker panicked mid-batch; its queries were dropped"
             ),
             StoreError::ReadOnlySnapshot => write!(
                 f,
@@ -176,9 +165,6 @@ mod tests {
         assert!(StoreError::LabelMismatch { u: 1, v: 2 }
             .to_string()
             .contains("prefix"));
-        assert!(StoreError::ShardPoisoned { shard: 3 }
-            .to_string()
-            .contains("shard 3"));
         assert!(StoreError::ReadOnlySnapshot
             .to_string()
             .contains("read-only"));

@@ -334,13 +334,6 @@ impl Snapshot {
         self.max_labels[v.index()] = BitString::new();
     }
 
-    /// Drops the `MAX` rows of nodes `keep..`, breaking the one-row-per-
-    /// node invariant so that reading one of those rows panics.
-    #[cfg(test)]
-    pub(crate) fn truncate_max_labels_for_test(&mut self, keep: usize) {
-        self.max_labels.truncate(keep);
-    }
-
     /// In-place mutators for the delta-journal applier: a
     /// [`crate::DeltaRecord`] rewrites exactly the dirty rows of each
     /// section plus the scheme-wide header fields. Crate-private so
@@ -716,12 +709,12 @@ impl Snapshot {
 /// Two properties the fsck depends on, by construction:
 ///
 /// * **Full endpoint coverage** — `u = i mod n`, so any window of `n`
-///   consecutive indices visits every node (and therefore every
-///   `u mod s` residue class of an `s`-sharded query tier) as a first
-///   endpoint. The earlier multiplicative sweep
-///   (`i·0x9E37_79B9 mod n`) visited only `gcd`-reachable residues for
-///   unlucky `n` and could pair a node with itself, silently skipping
-///   the check.
+///   consecutive indices visits every node as a first endpoint, and
+///   every stored record takes part in a cross-check. The earlier
+///   multiplicative sweep (`i·0x9E37_79B9 mod n`) visited only
+///   `gcd`-reachable residues for unlucky `n`, leaving whole residue
+///   classes of nodes unchecked, and could pair a node with itself,
+///   silently skipping the check.
 /// * **Distinct endpoints** — the offset `1 + splitmix64(i) mod (n-1)`
 ///   lies in `[1, n-1]`, so `v` never wraps onto `u`. The
 ///   `mod (n-1)` of a 64-bit hash carries bias at most `(n-1)/2⁶⁴` per
@@ -1206,34 +1199,33 @@ mod tests {
     }
 
     #[test]
-    fn fsck_pair_covers_every_shard_residue_without_degenerate_pairs() {
-        // The serving tier shards by node id mod shard count (default
-        // 4): a sampler that never produces an endpoint in some residue
-        // class would leave those shards' records uncrosschecked. 257
-        // is prime (and 1 mod 4), the worst case for the old
-        // multiplicative sweep's residue reachability.
-        const SHARDS: u32 = 4;
+    fn fsck_pair_covers_every_residue_without_degenerate_pairs() {
+        // A sampler that never produces an endpoint in some residue
+        // class mod 4 leaves the records of every node in that class
+        // uncrosschecked. 257 is prime (and 1 mod 4), the worst case
+        // for the old multiplicative sweep's residue reachability.
+        const MODULUS: u32 = 4;
         for n in [1u32, 2, 3, 257] {
             if n < 2 {
                 assert_eq!(fsck_pair(0, n), None);
                 assert_eq!(fsck_pair(17, n), None);
                 continue;
             }
-            let mut u_classes = vec![false; SHARDS as usize];
-            let mut v_classes = vec![false; SHARDS as usize];
+            let mut u_classes = vec![false; MODULUS as usize];
+            let mut v_classes = vec![false; MODULUS as usize];
             let pairs = 4 * n as usize;
             for i in 0..pairs {
                 let (u, v) = fsck_pair(i, n).expect("n >= 2 always yields a pair");
                 assert!(u < n && v < n, "n={n} i={i}: ({u}, {v}) out of range");
                 assert_ne!(u, v, "n={n} i={i}: degenerate pair");
-                u_classes[(u % SHARDS) as usize] = true;
-                v_classes[(v % SHARDS) as usize] = true;
+                u_classes[(u % MODULUS) as usize] = true;
+                v_classes[(v % MODULUS) as usize] = true;
             }
             // Every residue class a node of this instance can inhabit
             // must appear among the sampled endpoints.
-            for c in 0..SHARDS.min(n) as usize {
-                assert!(u_classes[c], "n={n}: no pair with u ≡ {c} (mod {SHARDS})");
-                assert!(v_classes[c], "n={n}: no pair with v ≡ {c} (mod {SHARDS})");
+            for c in 0..MODULUS.min(n) as usize {
+                assert!(u_classes[c], "n={n}: no pair with u ≡ {c} (mod {MODULUS})");
+                assert!(v_classes[c], "n={n}: no pair with v ≡ {c} (mod {MODULUS})");
             }
         }
     }

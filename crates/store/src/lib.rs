@@ -1,11 +1,11 @@
-//! `mstv-store`: persistent label snapshots and a sharded query service.
+//! `mstv-store`: persistent label snapshots and a query service over them.
 //!
 //! The paper's labeling schemes ([`mstv_labels`]) assign every vertex a
 //! short label such that `MAX(u, v)` — the heaviest edge on the tree
 //! path — is computable from the two labels alone. That definition is
 //! *made for serving*: once the marker has run, the labels are the whole
 //! database. This crate takes that observation to its operational
-//! conclusion in two layers:
+//! conclusion in three layers:
 //!
 //! 1. **[`Snapshot`]** — a versioned little-endian container
 //!    (`MSTVSNAP`) persisting one marked tree plus its full label stack
@@ -18,11 +18,12 @@
 //!    catching the one corruption CRCs cannot: intact labels belonging
 //!    to a *different* tree.
 //!
-//! 2. **[`QueryEngine`]** — a multi-threaded serving layer that
-//!    partitions node-id space across shards and answers
-//!    `Max`/`Flow`/`Dist`/`VerifyEdge` batches in input order, each query
-//!    straight from its two encoded labels through the fused pair
-//!    decoders of [`mstv_labels::LabelCodec`]. Serving counters
+//! 2. **[`QueryEngine`]** — a serving layer that answers
+//!    `Max`/`Flow`/`Dist`/`VerifyEdge` batches inline, in input order,
+//!    each query straight from its two encoded labels through the fused
+//!    pair decoders of [`mstv_labels::LabelCodec`]. Callers share one
+//!    engine by reference; the `mstv-serve` worker pool is one such
+//!    caller. Serving counters
 //!    (queries, label decodes, throughput, latency percentiles) are
 //!    reported as [`mstv_core::ServeMetrics`].
 //!
@@ -51,8 +52,7 @@
 //! // Serving side: load, verify integrity, answer queries.
 //! let snap = Snapshot::from_bytes(&bytes).unwrap();
 //! snap.fsck(100).unwrap();
-//! let config = EngineConfig::new(2)?;
-//! let engine = QueryEngine::new(snap, config);
+//! let engine = QueryEngine::new(snap, EngineConfig::default());
 //! let response = engine.run_batch_response(&[Query::VerifyEdge {
 //!     u: NodeId(3),
 //!     v: NodeId(42),
@@ -60,7 +60,6 @@
 //! }]);
 //! assert!(response.results[0].is_ok());
 //! assert_eq!(response.metrics.queries, 1);
-//! # Ok::<(), mstv_store::EngineConfigError>(())
 //! ```
 
 mod crc;
@@ -73,8 +72,7 @@ pub mod proto;
 
 pub use crc::crc32;
 pub use engine::{
-    Answer, BatchMetrics, BatchResponse, EngineConfig, EngineConfigError, Query, QueryEngine,
-    SnapshotStore, MAX_SHARDS,
+    Answer, BatchMetrics, BatchResponse, EngineConfig, Query, QueryEngine, SnapshotStore,
 };
 pub use error::StoreError;
 pub use format::{

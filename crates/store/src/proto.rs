@@ -176,6 +176,12 @@ impl SectionKind {
 ///
 /// Wire layout: the status byte named next to each variant, followed by
 /// the variant's fields in order, little-endian.
+///
+/// Status `5` is retired and never reused, so that no peer built against
+/// an older version can read a new code as the failure it once named (a
+/// panicked shard worker, which an engine that answers each batch inline
+/// cannot have). A response carrying it decodes as
+/// [`ProtoError::Malformed`] with context `"result status"`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// Status `1`: a query endpoint the snapshot carries no label for
@@ -205,11 +211,6 @@ pub enum ErrorCode {
     MissingSection {
         /// The absent section.
         section: SectionKind,
-    },
-    /// Status `5`: a shard worker panicked mid-batch (`shard: u32`).
-    ShardPoisoned {
-        /// Index of the shard whose worker panicked.
-        shard: u32,
     },
     /// Status `6`: the server refused the request because its queue was
     /// full (`pending: u32 | limit: u32`) — admission control, not an
@@ -242,9 +243,6 @@ impl fmt::Display for ErrorCode {
             }
             ErrorCode::MissingSection { section } => {
                 write!(f, "snapshot has no {} section", section.name())
-            }
-            ErrorCode::ShardPoisoned { shard } => {
-                write!(f, "shard {shard} worker panicked mid-batch")
             }
             ErrorCode::Overloaded { pending, limit } => {
                 write!(
@@ -280,9 +278,6 @@ impl From<&StoreError> for ErrorCode {
             StoreError::MissingSection { section } => match section_of(section) {
                 Some(section) => ErrorCode::MissingSection { section },
                 None => ErrorCode::Internal,
-            },
-            StoreError::ShardPoisoned { shard } => ErrorCode::ShardPoisoned {
-                shard: shard.min(u32::MAX as usize) as u32,
             },
             _ => ErrorCode::Internal,
         }
@@ -717,10 +712,6 @@ fn encode_result(out: &mut Vec<u8>, r: &Result<Answer, ErrorCode>) {
                 out.push(4);
                 out.push(section.code());
             }
-            ErrorCode::ShardPoisoned { shard } => {
-                out.push(5);
-                put_u32(out, shard);
-            }
             ErrorCode::Overloaded { pending, limit } => {
                 out.push(6);
                 put_u32(out, pending);
@@ -753,9 +744,6 @@ fn decode_result(r: &mut Reader<'_>) -> Result<Result<Answer, ErrorCode>, ProtoE
         }),
         4 => Err(ErrorCode::MissingSection {
             section: section(r)?,
-        }),
-        5 => Err(ErrorCode::ShardPoisoned {
-            shard: r.u32("poisoned shard")?,
         }),
         6 => Err(ErrorCode::Overloaded {
             pending: r.u32("pending count")?,
@@ -930,7 +918,7 @@ mod tests {
 
     #[test]
     fn error_code_mapping_covers_the_queryable_subset() {
-        let cases: [(StoreError, ErrorCode); 5] = [
+        let cases: [(StoreError, ErrorCode); 4] = [
             (
                 StoreError::UnknownNode { node: 9, nodes: 4 },
                 ErrorCode::UnknownNode { node: 9, nodes: 4 },
@@ -954,10 +942,6 @@ mod tests {
                 ErrorCode::MissingSection {
                     section: SectionKind::Dist,
                 },
-            ),
-            (
-                StoreError::ShardPoisoned { shard: 3 },
-                ErrorCode::ShardPoisoned { shard: 3 },
             ),
         ];
         for (store, wire) in cases {

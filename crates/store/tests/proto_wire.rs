@@ -62,7 +62,6 @@ fn error_strategy() -> impl Strategy<Value = ErrorCode> {
             .prop_map(|(section, node)| ErrorCode::CorruptLabel { section, node }),
         (any::<u32>(), any::<u32>()).prop_map(|(u, v)| ErrorCode::LabelMismatch { u, v }),
         section_strategy().prop_map(|section| ErrorCode::MissingSection { section }),
-        any::<u32>().prop_map(|shard| ErrorCode::ShardPoisoned { shard }),
         (any::<u32>(), any::<u32>())
             .prop_map(|(pending, limit)| ErrorCode::Overloaded { pending, limit }),
         Just(ErrorCode::Internal),
@@ -237,6 +236,29 @@ fn unknown_interior_tags_are_malformed() {
         Frame::decode(&bytes),
         Err(ProtoError::Malformed {
             context: "query tag"
+        })
+    );
+
+    // Result status 5 is retired: a response carrying it, laid out as it
+    // once was (status | shard: u32), is malformed.
+    let mut retired = Frame::Response(Response {
+        id: 1,
+        server_epoch: 1,
+        results: vec![Err(ErrorCode::Internal)],
+    })
+    .encode()
+    .unwrap();
+    // The status byte sits right after id (8) + epoch (8) + count (4).
+    let status = FRAME_HEADER_LEN + 20;
+    assert_eq!(retired[status], 7, "Internal is status 7");
+    retired[status] = 5;
+    retired.extend_from_slice(&3u32.to_le_bytes());
+    let payload_len = (retired.len() - FRAME_HEADER_LEN) as u32;
+    retired[FRAME_HEADER_LEN - 4..FRAME_HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    assert_eq!(
+        Frame::decode(&retired),
+        Err(ProtoError::Malformed {
+            context: "result status"
         })
     );
 

@@ -69,7 +69,7 @@ cargo run -q --offline --bin mstv -- gen --nodes 200 --extra 400 --seed 7 > "$tm
 cargo run -q --offline --bin mstv -- snapshot write "$tmp/g.txt" "$tmp/g.snap" >/dev/null
 cargo run -q --offline --bin mstv -- snapshot fsck "$tmp/g.snap" >/dev/null
 cargo run -q --offline --bin mstv -- query "$tmp/g.snap" --bench --queries 5000 \
-    --shards 4 --seed 7 --verify-against "$tmp/g.txt" \
+    --seed 7 --verify-against "$tmp/g.txt" \
     | grep -q "oracle: ok" || { echo "ci: serving smoke failed"; exit 1; }
 
 echo "== networked serving smoke (loopback, vs in-process oracle) =="
@@ -171,7 +171,7 @@ echo "== columnar (v2) snapshot smoke (cross-read + zero-copy serving) =="
 # decoders, with every answer oracle-checked.
 "$mstv" snapshot write --format v2 "$tmp/g.txt" "$tmp/g2.snap" >/dev/null
 "$mstv" snapshot fsck "$tmp/g2.snap" >/dev/null
-"$mstv" query "$tmp/g2.snap" --bench --queries 5000 --shards 4 \
+"$mstv" query "$tmp/g2.snap" --bench --queries 5000 \
     --mmap --seed 7 --verify-against "$tmp/g.txt" \
     | grep -q "oracle: ok" || { echo "ci: v2 mmap serving smoke failed"; exit 1; }
 

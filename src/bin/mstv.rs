@@ -129,18 +129,19 @@ const USAGE: &str = "usage:
       MST cycle check: accept iff w ≥ MAX(u, v)); --mmap serves label
       bytes straight from a memory map of the file (fastest with
       --format v2 snapshots, which need no load-time repacking)
-  mstv query <file.snap> --batch <query-file> [--shards S] [--mmap]
+  mstv query <file.snap> --batch <query-file> [--mmap]
       one query per line (same syntax), answers in order, then serving
       metrics JSON
-  mstv query <file.snap> --bench [--queries N] [--shards S] [--seed X]
+  mstv query <file.snap> --bench [--queries N] [--seed X]
            [--verify-against <graph-file>] [--mmap]
-      sharded throughput benchmark over seeded random queries; prints
+      throughput benchmark over seeded random queries; prints
       ServeMetrics JSON; --verify-against cross-checks every answer
       against an in-memory oracle rebuilt from the graph
-  mstv serve --snapshot <file.snap> [--port P] [--workers N] [--shards S]
+  mstv serve --snapshot <file.snap> [--port P] [--workers N]
            [--queue-depth D] [--max-conns M] [--mmap]
       serve the snapshot's labels over TCP (wire protocol v1) on
-      127.0.0.1; --port 0 picks an ephemeral port. Prints the bound
+      127.0.0.1; --port 0 picks an ephemeral port. --workers threads
+      answer queued requests, one batch each. Prints the bound
       address, then runs until a client sends --shutdown-server.
       --mmap memory-maps the snapshot (and every hot-swapped
       replacement); mapped generations reject delta applies as
@@ -156,46 +157,67 @@ const USAGE: &str = "usage:
   mstv dot <graph-file> [<tree-file>]
       Graphviz DOT rendering (tree edges bold)";
 
+/// Runs the named command. A missing or unknown command is the one
+/// error that prints the usage text: every other error is about the
+/// command's input, and its one line says all there is to say.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let Some(cmd) = args.first() else {
+        eprintln!("mstv: missing command\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let run = match cmd.as_str() {
+        "gen" => cmd_gen,
+        "mst" => cmd_mst,
+        "label" => cmd_label,
+        "verify" => cmd_verify,
+        "sensitivity" => cmd_sensitivity,
+        "session" => cmd_session,
+        "net" => cmd_net,
+        "snapshot" => cmd_snapshot,
+        "mutate" => cmd_mutate,
+        "query" => cmd_query,
+        "serve" => cmd_serve,
+        "dot" => cmd_dot,
+        other => {
+            eprintln!("mstv: unknown command {other:?}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match run(&args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("mstv: {msg}");
-            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let cmd = args.first().ok_or("missing command")?;
-    match cmd.as_str() {
-        "gen" => cmd_gen(&args[1..]),
-        "mst" => cmd_mst(&args[1..]),
-        "label" => cmd_label(&args[1..]),
-        "verify" => cmd_verify(&args[1..]),
-        "sensitivity" => cmd_sensitivity(&args[1..]),
-        "session" => cmd_session(&args[1..]),
-        "net" => cmd_net(&args[1..]),
-        "snapshot" => cmd_snapshot(&args[1..]),
-        "mutate" => cmd_mutate(&args[1..]),
-        "query" => cmd_query(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "dot" => cmd_dot(&args[1..]),
-        other => Err(format!("unknown command {other:?}")),
-    }
+/// Parses a number at the width it is used at, so a value that does not
+/// fit (`4294967297` for a node id, `65536` for a port) is refused with
+/// an error naming `what` instead of being truncated into another value.
+fn parse_num<T>(word: &str, what: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    word.parse()
+        .map_err(|e| format!("{what}: bad number {word:?}: {e}"))
 }
 
-fn flag_value(args: &[String], name: &str) -> Result<Option<u64>, String> {
+/// The value of flag `name`, parsed by [`parse_num`], or `None` if the
+/// flag is absent.
+fn flag_value<T>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     match args.iter().position(|a| a == name) {
         Some(i) => {
             let raw = args
                 .get(i + 1)
                 .ok_or_else(|| format!("{name} needs a value"))?;
-            raw.parse()
-                .map(Some)
-                .map_err(|e| format!("bad value for {name}: {e}"))
+            parse_num(raw, name).map(Some)
         }
         None => Ok(None),
     }
@@ -211,11 +233,11 @@ fn load_graph(path: &str) -> Result<mst_verification::graph::Graph, String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let n = flag_value(args, "--nodes")?.ok_or("--nodes is required")? as usize;
+    let n: usize = flag_value(args, "--nodes")?.ok_or("--nodes is required")?;
     if n == 0 {
         return Err("--nodes must be positive".to_owned());
     }
-    let extra = flag_value(args, "--extra")?.unwrap_or(2 * n as u64) as usize;
+    let extra = flag_value(args, "--extra")?.unwrap_or(2 * n);
     let max_w = flag_value(args, "--max-weight")?.unwrap_or(1000);
     let seed = flag_value(args, "--seed")?.unwrap_or(0);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -332,37 +354,33 @@ fn cmd_session(args: &[String]) -> Result<(), String> {
         }
         let loc = format!("{spath}:{}", lineno + 1);
         let words: Vec<&str> = line.split_whitespace().collect();
-        let parse = |w: &str| -> Result<u64, String> {
-            w.parse()
-                .map_err(|e| format!("{loc}: bad number {w:?}: {e}"))
-        };
         let mutation = match words.as_slice() {
             ["setweight", e, w] => Mutation::SetWeight {
-                edge: EdgeId(parse(e)? as u32),
-                weight: Weight(parse(w)?),
+                edge: EdgeId(parse_num(e, &loc)?),
+                weight: Weight(parse_num(w, &loc)?),
             },
             ["corrupt", v, from] => {
-                let from = NodeId(parse(from)? as u32);
+                let from = NodeId(parse_num(from, &loc)?);
                 let label = session
                     .labeling()
                     .try_label(from)
                     .ok_or_else(|| format!("{loc}: node {from} out of range"))?
                     .clone();
                 Mutation::CorruptLabel {
-                    node: NodeId(parse(v)? as u32),
+                    node: NodeId(parse_num(v, &loc)?),
                     label,
                 }
             }
             ["flip", v, "root"] => Mutation::FlipTreeEdge {
-                node: NodeId(parse(v)? as u32),
+                node: NodeId(parse_num(v, &loc)?),
                 new_parent: None,
             },
             ["flip", v, p] => Mutation::FlipTreeEdge {
-                node: NodeId(parse(v)? as u32),
-                new_parent: Some(Port(parse(p)? as u32)),
+                node: NodeId(parse_num(v, &loc)?),
+                new_parent: Some(Port(parse_num(p, &loc)?)),
             },
             ["restore", v] => Mutation::RestoreLabel {
-                node: NodeId(parse(v)? as u32),
+                node: NodeId(parse_num(v, &loc)?),
             },
             _ => return Err(format!("{loc}: cannot parse mutation {line:?}")),
         };
@@ -531,13 +549,13 @@ struct NetRunFlags {
 fn parse_net_run_flags(args: &[String]) -> Result<NetRunFlags, String> {
     use mst_verification::net::{Engine, FaultProfile, NetConfig};
 
-    let nodes = flag_value(args, "--nodes")?.ok_or("--nodes is required")? as usize;
+    let nodes: usize = flag_value(args, "--nodes")?.ok_or("--nodes is required")?;
     if nodes == 0 {
         return Err("--nodes must be positive".to_owned());
     }
     let params = NetInstanceParams {
         nodes,
-        extra: flag_value(args, "--extra")?.unwrap_or(2 * nodes as u64) as usize,
+        extra: flag_value(args, "--extra")?.unwrap_or(2 * nodes),
         max_weight: flag_value(args, "--max-weight")?.unwrap_or(1000),
         seed: flag_value(args, "--seed")?.unwrap_or(0),
         fault: flag_str(args, "--fault").unwrap_or_else(|| "none".to_owned()),
@@ -545,7 +563,7 @@ fn parse_net_run_flags(args: &[String]) -> Result<NetRunFlags, String> {
     let profile = FaultProfile {
         drop: flag_f64(args, "--drop")?.unwrap_or(0.0),
         duplicate: flag_f64(args, "--dup")?.unwrap_or(0.0),
-        max_delay: flag_value(args, "--delay")?.unwrap_or(0) as u32,
+        max_delay: flag_value(args, "--delay")?.unwrap_or(0),
         crash: flag_f64(args, "--crash")?.unwrap_or(0.0),
         max_crashes: flag_value(args, "--max-crashes")?.unwrap_or(8),
     };
@@ -556,10 +574,7 @@ fn parse_net_run_flags(args: &[String]) -> Result<NetRunFlags, String> {
     let workers = match flag_value(args, "--workers")? {
         None => ParallelConfig::default(),
         Some(w) => {
-            let w = usize::try_from(w)
-                .ok()
-                .and_then(std::num::NonZeroUsize::new)
-                .ok_or("--workers must be a positive integer")?;
+            let w = std::num::NonZeroUsize::new(w).ok_or("--workers must be a positive integer")?;
             ParallelConfig::with_threads(w)
         }
     };
@@ -873,9 +888,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
             let config = match flag_value(args, "--threads")? {
                 None => ParallelConfig::default(),
                 Some(n) => {
-                    let n = usize::try_from(n)
-                        .ok()
-                        .and_then(std::num::NonZeroUsize::new)
+                    let n = std::num::NonZeroUsize::new(n)
                         .ok_or("--threads must be a positive integer")?;
                     ParallelConfig::with_threads(n)
                 }
@@ -935,7 +948,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
         }
         "fsck" => {
             let path = args.get(1).ok_or("missing snapshot file")?;
-            let pairs = flag_value(args, "--pairs")?.unwrap_or(256) as usize;
+            let pairs = flag_value(args, "--pairs")?.unwrap_or(256);
             let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             if bytes.starts_with(&JOURNAL_MAGIC) {
                 let journal = Journal::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -994,7 +1007,7 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
     let g = load_graph(gpath)?;
 
     if let Some(count) = flag_value(args, "--gen")? {
-        return cmd_mutate_gen(args, &g, count as usize);
+        return cmd_mutate_gen(args, &g, count);
     }
 
     let stream_path = flag_str(args, "--stream").ok_or("--stream (or --gen/--compact) needed")?;
@@ -1118,22 +1131,18 @@ fn cmd_mutate_compact(args: &[String]) -> Result<(), String> {
 
 /// Parses one mutation-stream line: `set u v w` or `swap u1 v1 u2 v2`.
 fn parse_mutation(line: &str, loc: &str) -> Result<JournalMutation, String> {
-    let num = |w: &str| -> Result<u64, String> {
-        w.parse()
-            .map_err(|e| format!("{loc}: bad number {w:?}: {e}"))
-    };
     let words: Vec<&str> = line.split_whitespace().collect();
     match words.as_slice() {
         ["set", u, v, w] => Ok(JournalMutation::SetWeight {
-            u: num(u)? as u32,
-            v: num(v)? as u32,
-            w: num(w)?,
+            u: parse_num(u, loc)?,
+            v: parse_num(v, loc)?,
+            w: parse_num(w, loc)?,
         }),
         ["swap", u1, v1, u2, v2] => Ok(JournalMutation::SwapWeights {
-            u1: num(u1)? as u32,
-            v1: num(v1)? as u32,
-            u2: num(u2)? as u32,
-            v2: num(v2)? as u32,
+            u1: parse_num(u1, loc)?,
+            v1: parse_num(v1, loc)?,
+            u2: parse_num(u2, loc)?,
+            v2: parse_num(v2, loc)?,
         }),
         _ => Err(format!(
             "{loc}: cannot parse mutation (expected `set u v w` or `swap u1 v1 u2 v2`)"
@@ -1142,11 +1151,7 @@ fn parse_mutation(line: &str, loc: &str) -> Result<JournalMutation, String> {
 }
 
 fn parse_query(words: &[&str], loc: &str) -> Result<Query, String> {
-    let num = |w: &str| -> Result<u64, String> {
-        w.parse()
-            .map_err(|e| format!("{loc}: bad number {w:?}: {e}"))
-    };
-    let node = |w: &str| -> Result<NodeId, String> { Ok(NodeId(num(w)? as u32)) };
+    let node = |w: &str| parse_num(w, loc).map(NodeId);
     match words {
         ["max", u, v] => Ok(Query::Max {
             u: node(u)?,
@@ -1163,7 +1168,7 @@ fn parse_query(words: &[&str], loc: &str) -> Result<Query, String> {
         ["verify", u, v, w] => Ok(Query::VerifyEdge {
             u: node(u)?,
             v: node(v)?,
-            w: Weight(num(w)?),
+            w: Weight(parse_num(w, loc)?),
         }),
         _ => Err(format!(
             "{loc}: cannot parse query (expected max|flow|dist U V or verify U V W)"
@@ -1190,16 +1195,6 @@ fn show_answer(q: &Query, a: &Answer) -> String {
                 format!("reject (path max {max_on_path})")
             }
         }
-    }
-}
-
-/// Builds an [`EngineConfig`] from `--shards`, reporting a typed
-/// validation error (zero or excessive shard count) as a CLI error
-/// instead of silently clamping.
-fn engine_config_from_flags(args: &[String]) -> Result<EngineConfig, String> {
-    match flag_value(args, "--shards")? {
-        Some(shards) => EngineConfig::new(shards as usize).map_err(|e| e.to_string()),
-        None => Ok(EngineConfig::default()),
     }
 }
 
@@ -1242,25 +1237,18 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if flag_str(args, "--connect").is_some() {
         return cmd_query_remote(args);
     }
-    const VALUE_FLAGS: [&str; 5] = [
-        "--shards",
-        "--batch",
-        "--queries",
-        "--seed",
-        "--verify-against",
-    ];
+    const VALUE_FLAGS: [&str; 4] = ["--batch", "--queries", "--seed", "--verify-against"];
     reject_unknown_flags(args, &VALUE_FLAGS, &["--mmap", "--bench"])?;
     let path = args.first().ok_or("missing snapshot file (or --connect)")?;
-    let config = engine_config_from_flags(args)?;
     // --mmap serves label bytes straight from the page cache: the file
     // is validated once at open, then every label decode slices the
     // mapped bytes instead of owned copies.
     let engine = if args.iter().any(|a| a == "--mmap") {
         let mapped = Snapshot::open_mmap(path).map_err(|e| format!("{path}: {e}"))?;
-        QueryEngine::new_mapped(mapped, config)
+        QueryEngine::new_mapped(mapped)
     } else {
         let snap = Snapshot::read_file(path).map_err(|e| format!("{path}: {e}"))?;
-        QueryEngine::new(snap, config)
+        QueryEngine::new(snap, EngineConfig::default())
     };
 
     if let Some(batch_path) = flag_str(args, "--batch") {
@@ -1392,26 +1380,22 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--snapshot",
             "--port",
             "--workers",
-            "--shards",
             "--queue-depth",
             "--max-conns",
         ],
         &["--mmap"],
     )?;
     let snap_path = flag_str(args, "--snapshot").ok_or("--snapshot is required")?;
-    let port = flag_value(args, "--port")?.unwrap_or(0) as u16;
-    let mut config = ServeConfig {
-        engine: engine_config_from_flags(args)?,
-        ..ServeConfig::default()
-    };
+    let port = flag_value(args, "--port")?.unwrap_or(0);
+    let mut config = ServeConfig::default();
     if let Some(w) = flag_value(args, "--workers")? {
-        config.workers = w as usize;
+        config.workers = w;
     }
     if let Some(d) = flag_value(args, "--queue-depth")? {
-        config.queue_depth = d as usize;
+        config.queue_depth = d;
     }
     if let Some(m) = flag_value(args, "--max-conns")? {
-        config.max_connections = m as usize;
+        config.max_connections = m;
     }
     config.mmap = args.iter().any(|a| a == "--mmap");
     let store = if config.mmap {
@@ -1433,7 +1417,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 fn cmd_query_bench(args: &[String], engine: &QueryEngine) -> Result<(), String> {
     const BATCH: usize = 1024;
-    let count = flag_value(args, "--queries")?.unwrap_or(100_000) as usize;
+    let count = flag_value(args, "--queries")?.unwrap_or(100_000);
     let seed = flag_value(args, "--seed")?.unwrap_or(0);
     let (n, has_dist, max_w) =
         engine.with_store(|s| (s.num_nodes(), s.has_dist(), s.max_weight().0));

@@ -177,6 +177,25 @@ fn helpful_errors() {
     let out = mstv().args(["gen"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--nodes is required"));
+
+    // Every other error is its one line: the usage text follows only a
+    // missing or unknown command.
+    let dir = test_dir("helpful_errors");
+    let snap = dir.join("s.snap");
+    let snap = snap.to_string_lossy();
+    let graph = run_ok(
+        &dir,
+        &["gen", "--nodes", "30", "--extra", "30", "--seed", "1"],
+        &[],
+    );
+    run_ok(
+        &dir,
+        &["snapshot", "write", "g.txt", &snap],
+        &[("g.txt", &graph)],
+    );
+    let err = run_err(&["query", &snap, "max", "1", "99"]);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("node 99 is not labelled"), "{err}");
 }
 
 #[test]
@@ -360,14 +379,14 @@ fn query_flags_may_precede_the_query_words() {
         &[("g.txt", &graph)],
     );
 
-    // Flag placement must not matter: `--mmap`/`--shards` before the
+    // Flag placement must not matter: `--mmap`/`--seed` before the
     // positional query words parse the same as after them, and the
     // zero-copy answer equals the owned-path answer.
     let owned = run_ok(&dir, &["query", &snap, "max", "3", "17"], &[]);
     let flags_after = run_ok(&dir, &["query", &snap, "max", "3", "17", "--mmap"], &[]);
     let flags_before = run_ok(
         &dir,
-        &["query", &snap, "--mmap", "--shards", "2", "max", "3", "17"],
+        &["query", &snap, "--mmap", "--seed", "2", "max", "3", "17"],
         &[],
     );
     assert_eq!(owned, flags_after);
@@ -386,18 +405,21 @@ fn query_and_serve_reject_unknown_flags() {
         &[("g.txt", &graph)],
     );
 
-    // The retired cache-size flag, spelled in two parts so that a search
-    // for leftover uses of it finds none. It must be refused rather than
-    // skipped with its value read as a query word.
+    // The retired cache-size and shard-count flags, spelled in two parts
+    // so that a search for leftover uses of them finds none. They must be
+    // refused rather than skipped with their value read as a query word.
     let cache = ["--", "cache"].concat();
-    let cases: [(Vec<&str>, &str); 4] = [
+    let shards = ["--", "shards"].concat();
+    let cases: [(Vec<&str>, &str); 6] = [
         (vec!["query", &snap, &cache, "0", "max", "1", "2"], &cache),
+        (vec!["query", &snap, &shards, "2", "max", "1", "2"], &shards),
         (vec!["query", &snap, "max", "1", "2", "--bogus"], "--bogus"),
         (
             vec!["query", "--connect", "127.0.0.1:1", &cache, "0", "--stats"],
             &cache,
         ),
         (vec!["serve", "--snapshot", &snap, &cache, "64"], &cache),
+        (vec!["serve", "--snapshot", &snap, &shards, "4"], &shards),
     ];
     for (args, flag) in cases {
         let out = mstv().args(&args).output().unwrap();
@@ -516,4 +538,53 @@ fn snapshot_write_and_mutate_reject_unknown_flags() {
         &[],
     );
     run_ok(&dir, &["mutate", &g, "--gen", "3", "--seed", "1"], &[]);
+}
+
+#[test]
+fn numbers_wider_than_their_field_are_refused() {
+    let dir = test_dir("numbers_wider_than_their_field_are_refused");
+    let snap = dir.join("s.snap");
+    let snap = snap.to_string_lossy();
+    let graph = run_ok(
+        &dir,
+        &["gen", "--nodes", "30", "--extra", "30", "--seed", "1"],
+        &[],
+    );
+    let g = dir.join("g.txt");
+    std::fs::write(&g, &graph).unwrap();
+    let g = g.to_string_lossy();
+    run_ok(&dir, &["snapshot", "write", &g, &snap], &[]);
+
+    // 2^32 + 1 cut to a u32 node id is node 1, which the snapshot holds:
+    // the word must be refused, not answered as `max 1 2`.
+    let wide = "4294967297";
+    let err = run_err(&["query", &snap, "max", wide, "2"]);
+    assert!(err.contains(&format!("bad number \"{wide}\"")), "{err}");
+    let batch = dir.join("b.txt");
+    std::fs::write(&batch, format!("max 1 2\nmax {wide} 2\n")).unwrap();
+    let err = run_err(&["query", &snap, "--batch", &batch.to_string_lossy()]);
+    assert!(err.contains("b.txt:2: bad number"), "{err}");
+
+    let stream = dir.join("m.txt");
+    std::fs::write(&stream, format!("set {wide} 2 5\n")).unwrap();
+    let err = run_err(&[
+        "mutate",
+        &g,
+        "--stream",
+        &stream.to_string_lossy(),
+        "--journal",
+        &dir.join("j.jrnl").to_string_lossy(),
+    ]);
+    assert!(err.contains("m.txt:1: bad number"), "{err}");
+
+    // 65536 cut to a u16 is port 0, an ephemeral port. The flag is
+    // refused before the (absent) snapshot is opened, so no server starts.
+    let err = run_err(&[
+        "serve",
+        "--snapshot",
+        &dir.join("absent.snap").to_string_lossy(),
+        "--port",
+        "65536",
+    ]);
+    assert!(err.contains("--port: bad number"), "{err}");
 }

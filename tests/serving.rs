@@ -134,7 +134,7 @@ fn live_deltas_keep_every_answer_on_the_current_tree() {
         &mut rng,
     );
     let mut marker = DynMarker::new(graph, SepFieldCodec::EliasGamma).unwrap();
-    let engine = QueryEngine::new(marker.snapshot(), EngineConfig::new(3).unwrap());
+    let engine = QueryEngine::new(marker.snapshot(), EngineConfig::default());
     let queries = query_mix(&mut rng);
 
     let mut swaps = 0;
@@ -165,7 +165,7 @@ fn live_deltas_keep_every_answer_on_the_current_tree() {
         .with_snapshot(|s| s.write_file_format(&path, SnapshotFormat::V2))
         .unwrap();
     let mapped = Snapshot::open_mmap(&path).unwrap();
-    let mapped = QueryEngine::new_mapped(mapped, EngineConfig::default());
+    let mapped = QueryEngine::new_mapped(mapped);
     assert_eq!(
         mapped.run_batch_response(&queries).results,
         engine.run_batch_response(&queries).results
