@@ -19,12 +19,12 @@
 //! the rejecting verification), the detector count, and recovery cost
 //! (rounds of the distributed Borůvka recomputation).
 //!
-//! The memory point reruns E15's 100k-node events-engine cell against
-//! the compact per-node machine layout: certificates enter as shared
-//! `Arc<BitString>`s via `run_verification_encoded_with`, no
-//! structured `Labeling` exists during the run, and received frames
+//! The memory point reruns the 100k-node cell of the retired E15 scaling
+//! experiment against the compact per-node machine layout: certificates
+//! enter as shared `Arc<BitString>`s via `run_verification_encoded_with`,
+//! no structured `Labeling` exists during the run, and received frames
 //! live bit-packed in per-node arenas. Peak RSS (`VmHWM`, reset via
-//! `/proc/self/clear_refs` exactly as E15 measures it) is asserted at
+//! `/proc/self/clear_refs` exactly as E15 measured it) is asserted at
 //! least [`RSS_REDUCTION_FLOOR`]× below the layout E15 recorded
 //! ([`E15_BASELINE_RSS_KB`]) on the identical instance, profile, and
 //! link seed.
@@ -54,8 +54,8 @@ const SEEDS: [u64; 3] = [11, 47, 101];
 const K_SWEEP: [usize; 3] = [1, 2, 4];
 /// Instance size for the memory point — E15's largest cell.
 const RSS_NODES: usize = 100_000;
-/// `peak_rss_kb` of E15's events-engine 100k cell (`BENCH_net.json`),
-/// measured on the pre-compaction machine layout.
+/// `peak_rss_kb` of E15's 100k cell on the worker pool, measured on the
+/// pre-compaction machine layout (the README keeps E15's table).
 const E15_BASELINE_RSS_KB: u64 = 570_904;
 /// The memory point must land at least this factor below the baseline.
 const RSS_REDUCTION_FLOOR: f64 = 3.0;
@@ -95,13 +95,13 @@ struct Outcome {
 }
 
 fn main() {
-    // The events engine allocates report and send buffers on worker
+    // The worker pool allocates report and send buffers on worker
     // threads and frees them on the router thread; under glibc's
     // default per-thread arenas that cross-thread churn strands freed
     // blocks in arenas that never reuse them, and measured RSS becomes
     // allocator retention, not protocol state. Cap the arena count
     // before any worker spawns so the memory point measures the
-    // engine's layout.
+    // runtime's layout.
     #[cfg(target_os = "linux")]
     {
         unsafe extern "C" {
@@ -237,7 +237,7 @@ fn run_scenario(sc: &Scenario, seed: u64) -> Outcome {
     let mut link = AdversaryLink::new(spec, PROFILE, seed ^ 0x51ab, n);
     let mut stab = NetSelfStab::from_parts(cfg, labeling);
     let cycle = stab
-        .cycle_with(&mut link, NetConfig::default(), Engine::events())
+        .cycle(&mut link, NetConfig::default())
         .expect("adversarial cycles converge");
     let NetStabOutcome::Recovered {
         detectors,
@@ -261,7 +261,7 @@ fn run_scenario(sc: &Scenario, seed: u64) -> Outcome {
         sc.k
     );
     let clean = stab
-        .cycle_with(&mut PerfectLink, NetConfig::default(), Engine::events())
+        .cycle(&mut PerfectLink, NetConfig::default())
         .expect("clean cycle converges");
     assert!(
         !clean.fault_detected(),
@@ -327,8 +327,9 @@ fn rss_point() -> RssPoint {
 
     reset_peak_rss();
     let t0 = Instant::now();
-    let run = run_verification_encoded_with(&wire, &cfg, encoded, &mut link, net, Engine::events())
-        .expect("fair-lossy run converges");
+    let run =
+        run_verification_encoded_with(&wire, &cfg, encoded, &mut link, net, Engine::default())
+            .expect("fair-lossy run converges");
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     let peak = peak_rss_kb();
     assert!(run.verdict.accepted(), "clean labels must verify");

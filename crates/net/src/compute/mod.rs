@@ -4,7 +4,7 @@
 //!
 //! [`run_compute`] takes a raw weighted [`Graph`] (no states, no
 //! precomputed tree) and drives one [`ComputeMachine`] per node over
-//! the same router/link/engine machinery as verification runs. The
+//! the same router, link and worker pool as verification runs. The
 //! protocol stacks three phases, each handing off to the next with
 //! tree messages only:
 //!

@@ -5,10 +5,9 @@
 //! between nodes as shared-memory references, rounds are global
 //! barriers, and nothing is ever lost. This crate drops those
 //! idealizations. Each graph node runs as a mailbox-driven state
-//! machine on one of two interchangeable [`Engine`]s — one OS thread
-//! per node ([`Engine::Threads`]), or all nodes multiplexed over a
-//! bounded worker pool ([`Engine::Events`], the only way to run
-//! 100k-node instances); everything that crosses a link is a serialized
+//! machine, all nodes multiplexed over a bounded worker pool whose size
+//! [`Engine`] sets (`min(workers, n)` threads, so a 100k-node instance
+//! needs no 100k threads); everything that crosses a link is a serialized
 //! [`WireMsg`] — real bits, encoded with the instance-wide codecs, so
 //! the measured per-message cost is exactly the label size the paper
 //! bounds by `O(log n · log W)`. A pluggable [`Link`] decides each
@@ -23,21 +22,20 @@
 //! schedule it builds (and logs) is a deterministic function of the
 //! instance and the link seed. Three properties follow:
 //!
-//! * **Engine equivalence**: [`Engine::Threads`] and
-//!   [`Engine::Events`] produce the same verdict, the same
-//!   [`MessageCost`](mstv_core::MessageCost), and byte-identical
-//!   [`EventLog`]s for the same inputs — the scheduler is
-//!   unobservable. The equivalence tests assert this on every seed.
+//! * **Pool-size independence**: one worker and many produce the same
+//!   verdict, the same [`MessageCost`](mstv_core::MessageCost), and
+//!   byte-identical [`EventLog`]s for the same inputs — the scheduler
+//!   is unobservable. The equivalence tests assert this on every seed.
 //! * **Replay** ([`replay`]): the router logs every dispatched event
 //!   ([`EventLog`]); node machines are pure functions of their event
 //!   sequence; so re-feeding the log on a single thread reproduces the
 //!   live run's verdict *and* its message/bit counters exactly —
-//!   whichever engine recorded the log.
+//!   whatever pool size recorded the log.
 //! * **Verdict stability**: whatever schedule the router and the
 //!   fault injector produce, a run that converges must end in the same
 //!   verdict as the offline `verify_all` — the protocol's outcome is
 //!   schedule-independent. The property tests and the CI smoke loop
-//!   check this across seeds, on both engines.
+//!   check this across seeds and pool sizes.
 //!
 //! # Fault knobs vs. the Korman–Kutten self-stabilization model
 //!

@@ -143,8 +143,8 @@ impl WireScheme for MstWireScheme {
 /// the protocol cannot ping-pong.
 /// # Memory layout
 ///
-/// The machine keeps a *compact* per-node footprint so the events
-/// engine can multiplex hundreds of thousands of them: neighbor labels
+/// The machine keeps a *compact* per-node footprint so the worker
+/// pool can multiplex hundreds of thousands of them: neighbor labels
 /// are **not** decoded (or even copied) on arrival. A delivered frame's
 /// payload is retained *by pointer* — the [`Arc<BitString>`] inside the
 /// frame aliases the sender's own certificate allocation, so no matter

@@ -9,11 +9,12 @@
 //! trailer comparison a real cross-check of the runtime and not a
 //! tautology.
 //!
-//! The replayer is engine-agnostic: a log records the router's
-//! dispatch schedule, which both [`Engine`](crate::runtime::Engine)s
-//! produce identically, so logs recorded under the thread-per-node
-//! engine and the event-driven engine replay the same way — there is
-//! no engine marker in the format and none is needed.
+//! The replayer is the reference the live runtime is checked against:
+//! a log records the router's dispatch schedule, which every worker-pool
+//! size produces identically, so a log replays the same way whatever
+//! pool recorded it — there is no scheduler marker in the format and
+//! none is needed. Logs that carry an `engine` provenance header from
+//! older builds replay unchanged: headers are free-form provenance.
 
 use mstv_core::{Labeling, MessageCost, Verdict};
 use mstv_graph::{ConfigGraph, NodeId};
@@ -23,7 +24,7 @@ use crate::log::EventLog;
 use crate::machine::{ProtocolMachine, VerifierMachine, WireScheme};
 use crate::runtime::{NetRun, PhaseTally};
 
-/// The engine-agnostic replay core: feeds the schedule to `machines`
+/// The replay core: feeds the schedule to `machines`
 /// and recomputes the counters exactly as the live router did — sends
 /// are charged in the round that is current when their triggering event
 /// is fed, which the log's `Round` markers reproduce.

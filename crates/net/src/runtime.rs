@@ -1,5 +1,5 @@
 //! The live concurrent runtime: a router on the calling thread driving
-//! one of two execution engines.
+//! a bounded pool of worker threads.
 //!
 //! Workers own their node's [`ProtocolMachine`] — a
 //! [`VerifierMachine`](crate::machine::VerifierMachine) for pure
@@ -12,27 +12,22 @@
 //! the protocol (drop, delay, duplicate, crash) is made in one place,
 //! in a well-defined order, and logged.
 //!
-//! # Engines
+//! # The worker pool
 //!
-//! Two [`Engine`]s execute the same router schedule:
+//! Machine steps are scheduled as events on a
+//! [`KeyedQueue`](mstv_trees::KeyedQueue) of per-node FIFO inboxes
+//! multiplexed over `min(workers, n)` threads ([`Engine`] sizes the
+//! pool). Per-node event order is preserved by the queue's lease
+//! discipline, so machines observe exactly the sequences the router
+//! dispatched.
 //!
-//! * [`Engine::Threads`] — one OS thread per node with a `mpsc`
-//!   mailbox. Faithful to "every node is a processor", but a 100k-node
-//!   instance means 100k threads, which no host runs happily.
-//! * [`Engine::Events`] — a bounded worker pool (a
-//!   [`KeyedQueue`](mstv_trees::KeyedQueue) of per-node FIFO inboxes
-//!   multiplexed over `min(workers, n)` threads) that schedules machine
-//!   steps as events. Per-node event order is preserved by the queue's
-//!   lease discipline, so machines observe exactly the sequences the
-//!   router dispatched.
-//!
-//! The two engines are **observably identical**: the router consumes
-//! worker reports in *dispatch order* (per-node report channels under
-//! the threads engine, a sequence-numbered reorder buffer under the
-//! events engine), so the sequence of link decisions, dispatches, and
-//! therefore the [`EventLog`], the verdict, and every counter are
-//! deterministic functions of `(instance, link)` — byte-identical
-//! across engines and across runs. Replay accepts logs from either.
+//! The pool size is **unobservable**: the router consumes worker
+//! reports in *dispatch order* (a sequence-numbered reorder buffer), so
+//! the sequence of link decisions, dispatches, and therefore the
+//! [`EventLog`], the verdict, and every counter are deterministic
+//! functions of `(instance, link)` — byte-identical for one worker and
+//! for many, and across runs. The single-threaded
+//! [`replay`](crate::replay::replay) reproduces them from the log.
 //!
 //! Quiescence is tracked by an outstanding-event counter: an event is
 //! outstanding from dispatch until its worker's report (outputs +
@@ -42,12 +37,9 @@
 //! the round counter increments, the link may pick crash victims, and
 //! every node gets a tick to re-offer unacknowledged frames.
 //!
-//! A worker that dies (its machine panics) while an event is
-//! outstanding surfaces as [`NetError::WorkerDied`] naming the node —
-//! never a hang. Under the threads engine each node reports on its own
-//! channel, so a dead worker closes *its* channel instead of hiding
-//! behind live ones; under the events engine the panic is caught at the
-//! machine step and reported in-band.
+//! A worker whose machine panics while an event is outstanding surfaces
+//! as [`NetError::WorkerDied`] naming the node — never a hang: the
+//! panic is caught at the machine step and reported in-band.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,7 +66,7 @@ pub struct NetConfig {
     /// Record the dispatched schedule in the returned [`EventLog`]
     /// (default `true`). Recording never affects the run — verdict and
     /// counters are identical either way — but a 100k-node lossy run
-    /// logs millions of frames, so benchmarks measuring engine memory
+    /// logs millions of frames, so benchmarks measuring runtime memory
     /// switch it off; the returned log then carries only headers and
     /// the summary trailer and is not replayable.
     pub record_log: bool,
@@ -89,26 +81,22 @@ impl Default for NetConfig {
     }
 }
 
-/// Which execution engine runs the node machines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// How the node machines are scheduled: multiplexed over a bounded
+/// worker pool of `min(workers, n)` threads with per-node FIFO inboxes.
+/// The pool size changes wall time only — never the verdict, the cost,
+/// or the event log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// One OS thread per node. Faithful but caps out at a few thousand
-    /// nodes; the default for small instances and existing callers.
-    #[default]
-    Threads,
-    /// Event-driven: all machines multiplexed over a bounded worker
-    /// pool of `min(workers, n)` threads with per-node FIFO inboxes.
-    /// The only engine that reaches serving-tier instance sizes.
+    /// Event-driven scheduling over the worker pool.
     Events {
-        /// Worker-pool sizing; the default resolves to the host's
-        /// available parallelism.
+        /// Worker-pool sizing.
         workers: ParallelConfig,
     },
 }
 
-impl Engine {
-    /// The event-driven engine with the default (host-sized) pool.
-    pub fn events() -> Self {
+impl Default for Engine {
+    /// The pool sized to the host's available parallelism.
+    fn default() -> Self {
         Engine::Events {
             workers: ParallelConfig::default(),
         }
@@ -255,16 +243,6 @@ struct HeldFrame {
     msg: WireMsg,
 }
 
-/// What the router needs from an engine: deliver an event to a node's
-/// machine, and hand back reports **in dispatch order** — the ordering
-/// contract that makes the router (and the event log) deterministic.
-trait Transport {
-    /// Queues `ev` for `node`'s machine.
-    fn dispatch(&mut self, node: usize, ev: NodeEvent) -> Result<(), NetError>;
-    /// Blocks for the report of the oldest not-yet-reported dispatch.
-    fn next_report(&mut self) -> Result<Report, NetError>;
-}
-
 /// Runs one machine step, converting a panic into an in-band report so
 /// the router can surface [`NetError::WorkerDied`] instead of hanging.
 fn machine_step<M: ProtocolMachine>(machine: &mut M, node: usize, ev: &NodeEvent) -> WorkerReport {
@@ -281,110 +259,11 @@ fn machine_step<M: ProtocolMachine>(machine: &mut M, node: usize, ev: &NodeEvent
     }
 }
 
-/// The thread-per-node engine: each machine moves onto its own OS
-/// thread; events arrive through a `mpsc` mailbox and reports leave on
-/// a per-node channel (so a dead worker closes its own report channel
-/// rather than hiding behind the live ones). Each thread returns its
-/// machine on exit so [`ThreadTransport::collect`] can hand the final
-/// states back to the caller — construction runs read the computed
-/// labels out of them.
-struct ThreadTransport<M> {
-    mailboxes: Vec<mpsc::Sender<NodeEvent>>,
-    reports: Vec<mpsc::Receiver<WorkerReport>>,
-    /// Nodes with an outstanding report, in dispatch order.
-    pending: VecDeque<usize>,
-    joins: Vec<thread::JoinHandle<Option<M>>>,
-}
-
-impl<M: ProtocolMachine> ThreadTransport<M> {
-    fn spawn(machines: Vec<M>) -> Self {
-        let n = machines.len();
-        let mut mailboxes = Vec::with_capacity(n);
-        let mut reports = Vec::with_capacity(n);
-        let mut joins = Vec::with_capacity(n);
-        for (v, machine) in machines.into_iter().enumerate() {
-            let (ev_tx, ev_rx) = mpsc::channel::<NodeEvent>();
-            let (rep_tx, rep_rx) = mpsc::channel::<WorkerReport>();
-            mailboxes.push(ev_tx);
-            reports.push(rep_rx);
-            joins.push(thread::spawn(move || {
-                let mut machine = machine;
-                while let Ok(ev) = ev_rx.recv() {
-                    let report = machine_step(&mut machine, v, &ev);
-                    if matches!(report, WorkerReport::Panicked) {
-                        // The machine's state is unknown after a panic;
-                        // report the death and withhold the carcass.
-                        let _ = rep_tx.send(report);
-                        return None;
-                    }
-                    if rep_tx.send(report).is_err() {
-                        break; // router gone; the machine is still sound
-                    }
-                }
-                Some(machine)
-            }));
-        }
-        ThreadTransport {
-            mailboxes,
-            reports,
-            pending: VecDeque::new(),
-            joins,
-        }
-    }
-
-    /// Shuts the workers down and returns each node's final machine
-    /// (`None` for machines lost to a panic).
-    fn collect(mut self) -> Vec<Option<M>> {
-        // Closing every mailbox ends each worker's recv loop; joining
-        // afterwards cannot hang.
-        self.mailboxes.clear();
-        self.joins
-            .drain(..)
-            .map(|join| join.join().ok().flatten())
-            .collect()
-    }
-}
-
-impl<M: ProtocolMachine> Transport for ThreadTransport<M> {
-    fn dispatch(&mut self, node: usize, ev: NodeEvent) -> Result<(), NetError> {
-        // A closed mailbox means the worker's recv loop ended — it died.
-        self.mailboxes[node]
-            .send(ev)
-            .map_err(|_| NetError::WorkerDied {
-                node: NodeId(node as u32),
-            })?;
-        self.pending.push_back(node);
-        Ok(())
-    }
-
-    fn next_report(&mut self) -> Result<Report, NetError> {
-        let node = self.pending.pop_front().expect("a report is outstanding");
-        match self.reports[node].recv() {
-            Ok(WorkerReport::Done(report)) => Ok(report),
-            // An in-band panic report, or a channel closed by the
-            // worker dying without one: either way the node is dead.
-            Ok(WorkerReport::Panicked) | Err(_) => Err(NetError::WorkerDied {
-                node: NodeId(node as u32),
-            }),
-        }
-    }
-}
-
-impl<M> Drop for ThreadTransport<M> {
-    fn drop(&mut self) {
-        // Same shutdown as `collect`, for the error paths that never
-        // ask for the machines back.
-        self.mailboxes.clear();
-        for join in self.joins.drain(..) {
-            let _ = join.join();
-        }
-    }
-}
-
-/// The event-driven engine's router side: dispatches carry a global
+/// The router's side of the worker pool: dispatches carry a global
 /// sequence number, reports come back tagged over one shared channel,
-/// and a stash re-orders them into dispatch order.
-struct EventTransport<'q> {
+/// and a stash re-orders them into dispatch order — the ordering
+/// contract that makes the router (and the event log) deterministic.
+struct Pool<'q> {
     queue: &'q KeyedQueue<(u64, NodeEvent)>,
     report_rx: mpsc::Receiver<(u64, WorkerReport)>,
     /// `(seq, node)` of every outstanding dispatch, in dispatch order.
@@ -394,14 +273,15 @@ struct EventTransport<'q> {
     next_seq: u64,
 }
 
-impl Transport for EventTransport<'_> {
-    fn dispatch(&mut self, node: usize, ev: NodeEvent) -> Result<(), NetError> {
+impl Pool<'_> {
+    /// Queues `ev` for `node`'s machine.
+    fn dispatch(&mut self, node: usize, ev: NodeEvent) {
         self.queue.post(node, (self.next_seq, ev));
         self.pending.push_back((self.next_seq, node));
         self.next_seq += 1;
-        Ok(())
     }
 
+    /// Blocks for the report of the oldest not-yet-reported dispatch.
     fn next_report(&mut self) -> Result<Report, NetError> {
         let (seq, node) = self.pending.pop_front().expect("a report is outstanding");
         loop {
@@ -459,10 +339,10 @@ impl<T> Drop for CloseOnDrop<'_, T> {
     }
 }
 
-/// The engine-independent router: owns the link, the log, the counters,
-/// the holdback buffer, and the quiescence/retransmission logic. Both
-/// engines drive their runs through this exact code, which is what
-/// makes their schedules — and logs — identical.
+/// The router: owns the link, the log, the counters, the holdback
+/// buffer, and the quiescence/retransmission logic. It runs on the
+/// calling thread and alone decides the schedule, which is why the pool
+/// size never shows in the log.
 struct RouterCore<'l> {
     net: NetConfig,
     link: &'l mut dyn Link,
@@ -480,7 +360,7 @@ struct RouterCore<'l> {
     held: Vec<HeldFrame>,
     /// Events queued for dispatch, in dispatch order. Everything goes
     /// through this queue so [`DISPATCH_WINDOW`] can bound how far the
-    /// engines run ahead of the router without reordering anything.
+    /// workers run ahead of the router without reordering anything.
     ready: VecDeque<LogEvent>,
     outstanding: usize,
     crash_restarts: u64,
@@ -490,7 +370,7 @@ struct RouterCore<'l> {
 /// pipeline's serial stage, so without a bound the workers run a whole
 /// round ahead of it and every in-flight frame, inbox entry, and
 /// report sits allocated at once — O(round traffic) live memory at
-/// 100k nodes. Dispatching through [`RouterCore::ready`] keeps engine
+/// 100k nodes. Dispatching through [`RouterCore::ready`] keeps the pool's
 /// queues and report backlogs O(window) instead, and costs no
 /// wall-clock (the router was the bottleneck anyway). The *order* of
 /// dispatches is exactly the unbounded order — the queue is FIFO and
@@ -531,32 +411,30 @@ impl<'l> RouterCore<'l> {
         }
     }
 
-    fn dispatch<T: Transport>(&mut self, t: &mut T, ev: LogEvent) -> Result<(), NetError> {
+    fn dispatch(&mut self, pool: &mut Pool<'_>, ev: LogEvent) {
         let node = ev.target().expect("dispatched events target a node") as usize;
         let nev = ev.to_node_event().expect("dispatched events map to inputs");
         if self.net.record_log {
             self.log.events.push(ev);
         }
-        t.dispatch(node, nev)?;
+        pool.dispatch(node, nev);
         self.outstanding += 1;
-        Ok(())
     }
 
     /// Dispatches queued events until the window is full or the queue
     /// is empty.
-    fn pump_ready<T: Transport>(&mut self, t: &mut T) -> Result<(), NetError> {
+    fn pump_ready(&mut self, pool: &mut Pool<'_>) {
         while self.outstanding < DISPATCH_WINDOW {
             let Some(ev) = self.ready.pop_front() else {
-                return Ok(());
+                return;
             };
-            self.dispatch(t, ev)?;
+            self.dispatch(pool, ev);
         }
-        Ok(())
     }
 
     /// One scheduler step over the holdback buffer: everything due is
     /// dispatched, the rest of the holdback ages by one.
-    fn pump_held<T: Transport>(&mut self, t: &mut T) -> Result<(), NetError> {
+    fn pump_held(&mut self, pool: &mut Pool<'_>) {
         let mut still_held = Vec::with_capacity(self.held.len());
         for mut frame in std::mem::take(&mut self.held) {
             if frame.steps == 0 {
@@ -571,19 +449,19 @@ impl<'l> RouterCore<'l> {
             }
         }
         self.held = still_held;
-        self.pump_ready(t)
+        self.pump_ready(pool);
     }
 
-    fn drive<T: Transport>(&mut self, t: &mut T) -> Result<(), NetError> {
+    fn drive(&mut self, pool: &mut Pool<'_>) -> Result<(), NetError> {
         let n = self.verdicts.len();
         self.link.round_start(self.cost.rounds);
         for v in 0..n {
             self.ready.push_back(LogEvent::Start { node: v as u32 });
         }
         loop {
-            self.pump_ready(t)?;
+            self.pump_ready(pool);
             while self.outstanding > 0 {
-                let report = t.next_report()?;
+                let report = pool.next_report()?;
                 self.outstanding -= 1;
                 self.verdicts[report.node] = report.verdict;
                 for (port, msg) in report.sends {
@@ -602,14 +480,14 @@ impl<'l> RouterCore<'l> {
                         });
                     }
                 }
-                self.pump_held(t)?;
-                self.pump_ready(t)?;
+                self.pump_held(pool);
+                self.pump_ready(pool);
             }
 
             if !self.held.is_empty() {
                 // Quiescent but frames are still aging: advance the
                 // clock without a retransmission round.
-                self.pump_held(t)?;
+                self.pump_held(pool);
                 continue;
             }
 
@@ -686,11 +564,12 @@ fn build_machines<W: WireScheme>(
         .collect()
 }
 
-/// Drives a set of node machines to quiescence on the chosen engine,
-/// returning the run outcome together with each node's final machine
-/// (`None` for a machine the user's panic hook ate — unreachable when
-/// the run itself succeeded). This is the shared chassis under
-/// [`run_verification_with`] and [`run_compute`](crate::run_compute).
+/// Drives a set of node machines to quiescence on `engine`'s worker
+/// pool, returning the run outcome together with each node's final
+/// machine (`None` for a machine the user's panic hook ate —
+/// unreachable when the run itself succeeded). This is the shared
+/// chassis under [`run_verification_with`] and
+/// [`run_compute`](crate::run_compute).
 pub(crate) fn run_machines<M: ProtocolMachine>(
     machines: Vec<M>,
     g: &Graph,
@@ -700,54 +579,44 @@ pub(crate) fn run_machines<M: ProtocolMachine>(
 ) -> Result<(NetRun, Vec<Option<M>>), NetError> {
     let n = machines.len();
     assert_eq!(n, g.num_nodes(), "one machine per node");
+    let Engine::Events { workers } = engine;
+    let threads = workers.resolved_threads().get().min(n.max(1));
     let mut core = RouterCore::new(g, link, net);
-    let finals = match engine {
-        Engine::Threads => {
-            let mut transport = ThreadTransport::spawn(machines);
-            let result = core.drive(&mut transport);
-            let finals = transport.collect(); // close mailboxes, join workers
-            result?;
-            finals
+    let machines: Vec<Mutex<M>> = machines.into_iter().map(Mutex::new).collect();
+    let queue: KeyedQueue<(u64, NodeEvent)> = KeyedQueue::new(n);
+    let (report_tx, report_rx) = mpsc::channel();
+    let result = thread::scope(|s| {
+        let _closer = CloseOnDrop(&queue);
+        for _ in 0..threads {
+            let tx = report_tx.clone();
+            let machines = &machines;
+            let queue = &queue;
+            s.spawn(move || event_worker(machines, queue, &tx));
         }
-        Engine::Events { workers } => {
-            let pool = workers.resolved_threads().get().min(n.max(1));
-            let machines: Vec<Mutex<M>> = machines.into_iter().map(Mutex::new).collect();
-            let queue: KeyedQueue<(u64, NodeEvent)> = KeyedQueue::new(n);
-            let (report_tx, report_rx) = mpsc::channel();
-            let result = thread::scope(|s| {
-                let _closer = CloseOnDrop(&queue);
-                for _ in 0..pool {
-                    let tx = report_tx.clone();
-                    let machines = &machines;
-                    let queue = &queue;
-                    s.spawn(move || event_worker(machines, queue, &tx));
-                }
-                let mut transport = EventTransport {
-                    queue: &queue,
-                    report_rx,
-                    pending: VecDeque::new(),
-                    stash: HashMap::new(),
-                    next_seq: 0,
-                };
-                core.drive(&mut transport)
-                // `_closer` drops here: the queue closes and the scope
-                // can join its workers, error or not.
-            });
-            drop(report_tx);
-            result?;
-            machines
-                .into_iter()
-                .map(|m| m.into_inner().ok()) // poisoned = panicked machine
-                .collect()
-        }
-    };
+        let mut pool = Pool {
+            queue: &queue,
+            report_rx,
+            pending: VecDeque::new(),
+            stash: HashMap::new(),
+            next_seq: 0,
+        };
+        core.drive(&mut pool)
+        // `_closer` drops here: the queue closes and the scope can join
+        // its workers, error or not.
+    });
+    drop(report_tx);
+    result?;
+    let finals = machines
+        .into_iter()
+        .map(|m| m.into_inner().ok()) // poisoned = panicked machine
+        .collect();
     Ok((core.finish(), finals))
 }
 
 /// Runs the ack-hardened one-round verification protocol live on the
-/// thread-per-node engine, frames subjected to `link`'s fault
+/// host-sized worker pool, frames subjected to `link`'s fault
 /// decisions. Equivalent to [`run_verification_with`] with
-/// [`Engine::Threads`].
+/// [`Engine::default`].
 ///
 /// Returns the aggregated verdict, the exact communication cost, and
 /// an event log whose replay reproduces both.
@@ -768,14 +637,14 @@ pub fn run_verification<W: WireScheme>(
     link: &mut dyn Link,
     net: NetConfig,
 ) -> Result<NetRun, NetError> {
-    run_verification_with(scheme, cfg, labeling, link, net, Engine::Threads)
+    run_verification_with(scheme, cfg, labeling, link, net, Engine::default())
 }
 
-/// [`run_verification`] on a chosen [`Engine`].
+/// [`run_verification`] on a worker pool of a chosen size.
 ///
-/// Both engines execute the identical router schedule (see the module
-/// docs): for the same instance and link, they return the same verdict,
-/// the same [`MessageCost`], and byte-identical event logs.
+/// Every pool size executes the identical router schedule (see the
+/// module docs): for the same instance and link, it returns the same
+/// verdict, the same [`MessageCost`], and a byte-identical event log.
 ///
 /// # Errors
 ///
@@ -807,7 +676,7 @@ pub fn run_verification_with<W: WireScheme>(
 /// exist anywhere in the process. Certificates travel as shared
 /// [`Arc`]s, so beyond the bit payloads each machine costs only its
 /// port list and receive slots; this is the entry point the scale
-/// benches use to measure the engine, not the instance materializer.
+/// benches use to measure the runtime, not the instance materializer.
 ///
 /// # Errors
 ///

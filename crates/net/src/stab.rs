@@ -101,8 +101,9 @@ impl NetSelfStab {
         mstv_mst::is_mst(self.cfg.graph(), &self.cfg.induced_edges())
     }
 
-    /// One maintenance cycle: a live verification round over `link`;
-    /// on rejection, distributed recomputation plus relabeling.
+    /// One maintenance cycle: a live verification round over `link` on
+    /// the host-sized worker pool; on rejection, distributed
+    /// recomputation plus relabeling.
     ///
     /// # Errors
     ///
@@ -113,12 +114,11 @@ impl NetSelfStab {
         link: &mut dyn Link,
         net: NetConfig,
     ) -> Result<NetStabOutcome, NetError> {
-        self.cycle_with(link, net, Engine::Threads)
+        self.cycle_with(link, net, Engine::default())
     }
 
-    /// [`NetSelfStab::cycle`] with the verification round on a chosen
-    /// [`Engine`] — the events engine is what makes maintenance cycles
-    /// over serving-tier instances feasible.
+    /// [`NetSelfStab::cycle`] with the verification round on a worker
+    /// pool of a chosen size.
     ///
     /// # Errors
     ///

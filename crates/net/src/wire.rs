@@ -53,7 +53,7 @@ pub enum WireMsg {
     Label {
         /// The label bits. Shared (`Arc`) because one broadcast clones
         /// the same payload once per port, the link may duplicate it,
-        /// the holdback buffer, the engine queues, and the event log
+        /// the holdback buffer, the pool's queues, and the event log
         /// each hold copies — at 100k nodes the sharing is most of the
         /// difference between a 5.6 KB/node and a sub-2 KB/node run.
         /// Sharing is unobservable on the wire: framing, equality, and

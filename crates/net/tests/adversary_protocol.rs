@@ -1,6 +1,6 @@
 //! Integration tests for the adversarial fault layer: Byzantine
-//! forgery soundness on both engines, healing partitions with
-//! self-stabilizing recovery, worst-case reordering (including the
+//! forgery soundness on one worker and on several, healing partitions
+//! with self-stabilizing recovery, worst-case reordering (including the
 //! phase-rounds attribution invariant), churn, and scripted
 //! crash-restarts at the construction phase hand-off.
 
@@ -36,7 +36,7 @@ fn offline_verdict(cfg: &ConfigGraph<TreeState>, labeling: &Labeling<MstLabel>) 
     MstScheme::new().verify_all(cfg, labeling)
 }
 
-fn events(workers: usize) -> Engine {
+fn pool(workers: usize) -> Engine {
     Engine::Events {
         workers: ParallelConfig::with_threads(NonZeroUsize::new(workers).expect("nonzero")),
     }
@@ -62,13 +62,13 @@ fn assert_phases_sum(phases: &PhaseCost, total: &mstv_core::MessageCost, context
 
 // The soundness claim, adversarially: for random instances and
 // k ∈ {1, 2, 4} colluding forgers of every class, the forged labeling
-// is rejected by the wire protocol on *both* engines with exactly the
-// offline verifier's witness set, and replaying the recorded log
-// reproduces the same reject witness.
+// is rejected by the wire protocol on one worker and on three with
+// exactly the offline verifier's witness set, and replaying the
+// recorded log reproduces the same reject witness.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
-    fn forged_labelings_reject_on_both_engines_and_replay(
+    fn forged_labelings_reject_on_every_pool_size_and_replay(
         n in 8usize..36,
         extra in 0usize..24,
         seed in 0u64..1_000,
@@ -91,7 +91,7 @@ proptest! {
         prop_assert!(!offline.accepted(), "forgery must break the labeling");
 
         let mut runs = Vec::new();
-        for engine in [Engine::Threads, events(3)] {
+        for engine in [pool(1), pool(3)] {
             let mut link = mstv_net::PerfectLink;
             let run = run_verification_with(
                 &wire, &cfg, &labeling, &mut link, NetConfig::default(), engine,
@@ -105,7 +105,7 @@ proptest! {
         }
         prop_assert_eq!(
             runs[0].log.to_string(), runs[1].log.to_string(),
-            "engines diverged under forgery"
+            "pool sizes diverged under forgery"
         );
     }
 }
@@ -133,7 +133,7 @@ fn partition_heals_and_selfstab_recovers_through_it() {
         &labeling,
         &mut link,
         NetConfig::default(),
-        events(3),
+        pool(3),
     )
     .expect("healed partition converges");
     assert!(clean.verdict.accepted());
@@ -149,7 +149,7 @@ fn partition_heals_and_selfstab_recovers_through_it() {
     let mut stab = NetSelfStab::from_parts(cfg, labeling);
     let mut link = AdversaryLink::new(spec, profile, 8, n);
     match stab
-        .cycle_with(&mut link, NetConfig::default(), events(3))
+        .cycle_with(&mut link, NetConfig::default(), pool(3))
         .expect("cycle converges")
     {
         NetStabOutcome::Recovered { detectors, .. } => {
@@ -161,7 +161,7 @@ fn partition_heals_and_selfstab_recovers_through_it() {
     let mut link = AdversaryLink::new(spec, profile, 9, n);
     assert!(
         !stab
-            .cycle_with(&mut link, NetConfig::default(), events(3))
+            .cycle_with(&mut link, NetConfig::default(), pool(3))
             .expect("cycle converges")
             .fault_detected(),
         "recovered labeling must verify clean"
@@ -170,7 +170,7 @@ fn partition_heals_and_selfstab_recovers_through_it() {
 
 /// The reordering adversary releases every window of frames in reverse
 /// offer order. Construction must still match the centralized oracle,
-/// both engines must stay byte-identical, and — the attribution
+/// one worker and three must stay byte-identical, and — the attribution
 /// invariant — per-phase rounds must still sum to the total.
 #[test]
 fn reorder_adversary_preserves_phase_attribution_and_equivalence() {
@@ -183,38 +183,38 @@ fn reorder_adversary_preserves_phase_attribution_and_equivalence() {
     };
     let spec: AdversarySpec = "reorder:window=7;seed=2".parse().expect("spec");
 
-    let mut threads_link = AdversaryLink::new(spec, profile, 42, g.num_nodes());
-    let threads = run_compute(&g, &mut threads_link, NetConfig::default(), Engine::Threads)
-        .expect("threads run converges");
-    let mut events_link = AdversaryLink::new(spec, profile, 42, g.num_nodes());
-    let evs = run_compute(&g, &mut events_link, NetConfig::default(), events(3))
-        .expect("events run converges");
+    let mut single_link = AdversaryLink::new(spec, profile, 42, g.num_nodes());
+    let single = run_compute(&g, &mut single_link, NetConfig::default(), pool(1))
+        .expect("one-worker run converges");
+    let mut many_link = AdversaryLink::new(spec, profile, 42, g.num_nodes());
+    let many = run_compute(&g, &mut many_link, NetConfig::default(), pool(3))
+        .expect("three-worker run converges");
 
     assert_eq!(
-        threads.net.log.to_string(),
-        evs.net.log.to_string(),
-        "engines diverged under reordering"
+        single.net.log.to_string(),
+        many.net.log.to_string(),
+        "pool sizes diverged under reordering"
     );
-    assert_eq!(threads.net.verdict, evs.net.verdict);
-    assert_eq!(threads.net.cost, evs.net.cost);
-    assert_eq!(threads.net.phases, evs.net.phases);
-    assert_phases_sum(&threads.net.phases, &threads.net.cost, "reorder compute");
-    assert!(threads.net.verdict.accepted());
+    assert_eq!(single.net.verdict, many.net.verdict);
+    assert_eq!(single.net.cost, many.net.cost);
+    assert_eq!(single.net.phases, many.net.phases);
+    assert_phases_sum(&single.net.phases, &single.net.cost, "reorder compute");
+    assert!(single.net.verdict.accepted());
 
     // The construction still matches the centralized oracle.
     let cfg = mst_configuration(g.clone());
     let oracle = MstScheme::new().marker(&cfg).expect("marker labels");
     for v in 0..g.num_nodes() {
         let v = NodeId(v as u32);
-        assert_eq!(threads.labeling.label(v), oracle.label(v));
-        assert_eq!(threads.labeling.encoded(v), oracle.encoded(v));
+        assert_eq!(single.labeling.label(v), oracle.label(v));
+        assert_eq!(single.labeling.encoded(v), oracle.encoded(v));
     }
 
     // And the log replays to the identical outcome, counters included.
-    let again = replay_compute(&g, &threads.net.log).expect("log replays");
-    assert_eq!(again.net.verdict, threads.net.verdict);
-    assert_eq!(again.net.cost, threads.net.cost);
-    assert_eq!(again.net.phases, threads.net.phases);
+    let again = replay_compute(&g, &single.net.log).expect("log replays");
+    assert_eq!(again.net.verdict, single.net.verdict);
+    assert_eq!(again.net.cost, single.net.cost);
+    assert_eq!(again.net.phases, single.net.phases);
 
     // A pure verification run under the same adversary also keeps the
     // attribution exhaustive (everything in `verify`).
@@ -226,7 +226,7 @@ fn reorder_adversary_preserves_phase_attribution_and_equivalence() {
         &labeling,
         &mut link,
         NetConfig::default(),
-        events(3),
+        pool(3),
     )
     .expect("verification converges");
     assert_eq!(run.phases.verify.rounds, run.cost.rounds);
@@ -253,7 +253,7 @@ fn churn_runs_converge_to_the_offline_verdict() {
         &labeling,
         &mut link,
         NetConfig::default(),
-        events(3),
+        pool(3),
     )
     .expect("churning run converges");
     assert!(link.departures() > 0, "churn never fired — test is vacuous");
@@ -274,7 +274,7 @@ fn churn_runs_converge_to_the_offline_verdict() {
         &labeling,
         &mut link,
         NetConfig::default(),
-        events(3),
+        pool(3),
     )
     .expect("churning run converges");
     assert!(!run.verdict.accepted());
@@ -284,7 +284,7 @@ fn churn_runs_converge_to_the_offline_verdict() {
 /// Regression for the phase-B→C hand-off: crash-restarts scripted into
 /// the rounds where construction hands off from marker to verification
 /// must leave the convergecast, the phase attribution, and the built
-/// labeling intact — on both engines, with replay agreeing.
+/// labeling intact — on one worker and on three, with replay agreeing.
 #[test]
 fn scripted_crashes_at_the_phase_handoff_are_survived() {
     let mut rng = StdRng::seed_from_u64(53);
@@ -308,49 +308,46 @@ fn scripted_crashes_at_the_phase_handoff_are_survived() {
     };
 
     for link_seed in [4u64, 17, 99] {
-        let mut threads_link = build_link(link_seed);
-        let threads = run_compute(&g, &mut threads_link, NetConfig::default(), Engine::Threads)
-            .expect("threads run converges");
-        let mut events_link = build_link(link_seed);
-        let evs = run_compute(&g, &mut events_link, NetConfig::default(), events(3))
-            .expect("events run converges");
+        let mut single_link = build_link(link_seed);
+        let single = run_compute(&g, &mut single_link, NetConfig::default(), pool(1))
+            .expect("one-worker run converges");
+        let mut many_link = build_link(link_seed);
+        let many = run_compute(&g, &mut many_link, NetConfig::default(), pool(3))
+            .expect("three-worker run converges");
 
         let context = format!("handoff crashes, link_seed={link_seed}");
         assert!(
-            threads.net.crash_restarts >= script.len() as u64,
+            single.net.crash_restarts >= script.len() as u64,
             "{context}: scripted crashes did not fire"
         );
         assert_eq!(
-            threads.net.log.to_string(),
-            evs.net.log.to_string(),
-            "{context}: engines diverged"
+            single.net.log.to_string(),
+            many.net.log.to_string(),
+            "{context}: pool sizes diverged"
         );
-        assert!(
-            threads.net.verdict.accepted(),
-            "{context}: network rejected"
-        );
-        assert_phases_sum(&threads.net.phases, &threads.net.cost, &context);
+        assert!(single.net.verdict.accepted(), "{context}: network rejected");
+        assert_phases_sum(&single.net.phases, &single.net.cost, &context);
 
         let cfg = mst_configuration(g.clone());
         let oracle = MstScheme::new().marker(&cfg).expect("marker labels");
         for v in 0..g.num_nodes() {
             let v = NodeId(v as u32);
             assert_eq!(
-                threads.labeling.encoded(v),
+                single.labeling.encoded(v),
                 oracle.encoded(v),
                 "{context}: {v} built a different certificate"
             );
         }
 
-        let again = replay_compute(&g, &threads.net.log).expect("log replays");
-        assert_eq!(again.net.verdict, threads.net.verdict, "{context}");
-        assert_eq!(again.net.cost, threads.net.cost, "{context}");
-        assert_eq!(again.net.phases, threads.net.phases, "{context}");
+        let again = replay_compute(&g, &single.net.log).expect("log replays");
+        assert_eq!(again.net.verdict, single.net.verdict, "{context}");
+        assert_eq!(again.net.cost, single.net.cost, "{context}");
+        assert_eq!(again.net.phases, single.net.phases, "{context}");
     }
 }
 
 /// The full stack at once: forgery + partition + reorder + churn in a
-/// single spec, both engines, replay cross-checked. The forged
+/// single spec, one worker and three, replay cross-checked. The forged
 /// labeling must still be rejected with the offline witness set.
 #[test]
 fn combined_adversary_is_still_sound() {
@@ -372,7 +369,7 @@ fn combined_adversary_is_still_sound() {
             .expect("spec");
     let n = cfg.graph().num_nodes();
     let mut logs = Vec::new();
-    for engine in [Engine::Threads, events(3)] {
+    for engine in [pool(1), pool(3)] {
         let mut link = AdversaryLink::new(spec, profile, 23, n);
         let run = run_verification_with(
             &wire,
@@ -392,6 +389,6 @@ fn combined_adversary_is_still_sound() {
     }
     assert_eq!(
         logs[0], logs[1],
-        "engines diverged under combined adversary"
+        "pool sizes diverged under combined adversary"
     );
 }

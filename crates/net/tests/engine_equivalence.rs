@@ -1,8 +1,8 @@
-//! Cross-engine equivalence and regression tests: the thread-per-node
-//! and event-driven engines must be observably identical (verdict,
-//! MessageCost, byte-identical EventLog), replay must accept either
-//! engine's logs, and a worker that panics mid-run must surface as a
-//! typed error — never a hang.
+//! Pool-size equivalence and regression tests: a run on one worker and
+//! a run on several must be observably identical (verdict, MessageCost,
+//! byte-identical EventLog), the single-threaded replay must reproduce
+//! both from the log, and a worker that panics mid-run must surface as
+//! a typed error — never a hang.
 
 use std::num::NonZeroUsize;
 
@@ -33,7 +33,7 @@ fn make_instance(
     (cfg, labeling, wire)
 }
 
-fn events(workers: usize) -> Engine {
+fn pool(workers: usize) -> Engine {
     Engine::Events {
         workers: ParallelConfig::with_threads(NonZeroUsize::new(workers).expect("nonzero")),
     }
@@ -43,10 +43,11 @@ fn offline_verdict(cfg: &ConfigGraph<TreeState>, labeling: &Labeling<MstLabel>) 
     MstScheme::new().verify_all(cfg, labeling)
 }
 
-/// Runs the same instance on both engines under the same (re-seeded)
-/// link and asserts verdict, cost, crash count, and the *entire event
-/// log* are identical.
-fn assert_engines_agree(
+/// Runs the same instance on one worker and on `workers` under the same
+/// (re-seeded) link and asserts verdict, cost, crash count, and the
+/// *entire event log* are identical — and that the single-threaded
+/// replay of that log reproduces the verdict and cost.
+fn assert_pools_agree(
     cfg: &ConfigGraph<TreeState>,
     labeling: &Labeling<MstLabel>,
     wire: &MstWireScheme,
@@ -59,23 +60,26 @@ fn assert_engines_agree(
         run_verification_with(wire, cfg, labeling, &mut link, NetConfig::default(), engine)
             .expect("fair-lossy run converges")
     };
-    let threads = run_on(Engine::Threads);
-    let evented = run_on(events(workers));
-    assert_eq!(evented.verdict, threads.verdict, "seed {link_seed}");
-    assert_eq!(evented.cost, threads.cost, "seed {link_seed}");
+    let single = run_on(pool(1));
+    let many = run_on(pool(workers));
+    assert_eq!(many.verdict, single.verdict, "seed {link_seed}");
+    assert_eq!(many.cost, single.cost, "seed {link_seed}");
     assert_eq!(
-        evented.crash_restarts, threads.crash_restarts,
+        many.crash_restarts, single.crash_restarts,
         "seed {link_seed}"
     );
     assert_eq!(
-        evented.log.to_string(),
-        threads.log.to_string(),
-        "seed {link_seed}: engines recorded different schedules"
+        many.log.to_string(),
+        single.log.to_string(),
+        "seed {link_seed}: pool sizes recorded different schedules"
     );
+    let replayed = replay(wire, cfg, labeling, &single.log).expect("log replays");
+    assert_eq!(replayed.verdict, single.verdict, "seed {link_seed}");
+    assert_eq!(replayed.cost, single.cost, "seed {link_seed}");
 }
 
 #[test]
-fn engines_are_observably_identical_across_seeds() {
+fn pool_sizes_are_observably_identical_across_seeds() {
     let (cfg, labeling, wire) = make_instance(40, 60, 128, 17);
     let profile = FaultProfile {
         drop: 0.2,
@@ -85,7 +89,7 @@ fn engines_are_observably_identical_across_seeds() {
         max_crashes: 3,
     };
     for link_seed in [0u64, 1, 2, 42, 0xdead_beef] {
-        assert_engines_agree(&cfg, &labeling, &wire, profile, link_seed, 4);
+        assert_pools_agree(&cfg, &labeling, &wire, profile, link_seed, 4);
     }
     // A perfect link too: the degenerate single-round schedule.
     let run_on = |engine: Engine| {
@@ -99,10 +103,10 @@ fn engines_are_observably_identical_across_seeds() {
         )
         .expect("perfect link converges")
     };
-    let threads = run_on(Engine::Threads);
-    let evented = run_on(events(4));
-    assert_eq!(evented.cost, threads.cost);
-    assert_eq!(evented.log.to_string(), threads.log.to_string());
+    let single = run_on(pool(1));
+    let many = run_on(pool(4));
+    assert_eq!(many.cost, single.cost);
+    assert_eq!(many.log.to_string(), single.log.to_string());
 }
 
 #[test]
@@ -123,7 +127,7 @@ fn events_engine_is_deterministic_across_pool_sizes() {
             &labeling,
             &mut link,
             NetConfig::default(),
-            events(workers),
+            pool(workers),
         )
         .expect("fair-lossy run converges")
     };
@@ -141,9 +145,9 @@ fn events_engine_is_deterministic_across_pool_sizes() {
 
 #[test]
 fn events_engine_log_replays_to_exact_cost() {
-    // The satellite contract: record on the events engine with a wide
-    // pool under a lossy schedule, replay single-threaded, and get the
-    // same verdict and the exact MessageCost back.
+    // Record on a wide pool under a lossy schedule, replay
+    // single-threaded, and get the same verdict and the exact
+    // MessageCost back.
     let (cfg, labeling, wire) = make_instance(28, 40, 80, 31);
     let profile = FaultProfile {
         drop: 0.3,
@@ -159,10 +163,10 @@ fn events_engine_log_replays_to_exact_cost() {
         &labeling,
         &mut link,
         NetConfig::default(),
-        events(8),
+        pool(8),
     )
     .expect("fair-lossy run converges");
-    let replayed = replay(&wire, &cfg, &labeling, &live.log).expect("events log replays");
+    let replayed = replay(&wire, &cfg, &labeling, &live.log).expect("log replays");
     assert_eq!(replayed.verdict, live.verdict);
     assert_eq!(replayed.cost, live.cost);
     assert_eq!(replayed.crash_restarts, live.crash_restarts);
@@ -173,14 +177,14 @@ fn events_engine_log_replays_to_exact_cost() {
 }
 
 #[test]
-fn single_node_and_single_edge_instances_run_on_both_engines() {
-    // n = 1: no edges, every engine must still dispatch Start and
+fn single_node_and_single_edge_instances_run_on_every_pool_size() {
+    // n = 1: no edges, every pool must still dispatch Start and
     // collect the lone verdict (the machine decides on its own label
     // immediately). n = 2: one edge, the smallest real exchange.
     for (n, extra) in [(1usize, 0usize), (2, 0)] {
         let (cfg, labeling, wire) = make_instance(n, extra, 10, 91 + n as u64);
         let expected = offline_verdict(&cfg, &labeling);
-        for engine in [Engine::Threads, events(1), events(4)] {
+        for engine in [pool(1), pool(3), pool(4)] {
             let run = run_verification_with(
                 &wire,
                 &cfg,
@@ -204,17 +208,18 @@ fn single_node_and_single_edge_instances_run_on_both_engines() {
                 crash: 0.0,
                 max_crashes: 0,
             };
-            assert_engines_agree(&cfg, &labeling, &wire, profile, 5, 2);
+            assert_pools_agree(&cfg, &labeling, &wire, profile, 5, 3);
         }
     }
 }
 
 #[test]
-fn compute_engines_are_observably_identical() {
+fn compute_pool_sizes_are_observably_identical() {
     // The construction protocol (GHS + marker + verify) through the
-    // same lens as verification: both engines must produce the same
-    // artifacts, the same total and per-phase counters, and the same
-    // event schedule — and the log must replay to all of it exactly.
+    // same lens as verification: one worker and four must produce the
+    // same artifacts, the same total and per-phase counters, and the
+    // same event schedule — and the log must replay to all of it
+    // exactly.
     let mut rng = StdRng::seed_from_u64(29);
     let g = gen::random_connected(24, 32, gen::WeightDist::Uniform { max: 96 }, &mut rng);
     let profile = FaultProfile {
@@ -230,36 +235,37 @@ fn compute_engines_are_observably_identical() {
             mstv_net::run_compute(&g, &mut link, NetConfig::default(), engine)
                 .expect("fair-lossy construction converges")
         };
-        let threads = run_on(Engine::Threads);
-        let evented = run_on(events(4));
-        assert_eq!(evented.net.verdict, threads.net.verdict, "seed {link_seed}");
-        assert_eq!(evented.net.cost, threads.net.cost, "seed {link_seed}");
-        assert_eq!(evented.net.phases, threads.net.phases, "seed {link_seed}");
-        assert_eq!(evented.states, threads.states, "seed {link_seed}");
-        assert_eq!(evented.mst_edges, threads.mst_edges, "seed {link_seed}");
+        let single = run_on(pool(1));
+        let many = run_on(pool(4));
+        assert_eq!(many.net.verdict, single.net.verdict, "seed {link_seed}");
+        assert_eq!(many.net.cost, single.net.cost, "seed {link_seed}");
+        assert_eq!(many.net.phases, single.net.phases, "seed {link_seed}");
         assert_eq!(
-            evented.net.log.to_string(),
-            threads.net.log.to_string(),
-            "seed {link_seed}: engines recorded different construction schedules"
-        );
-        let replayed =
-            mstv_net::replay_compute(&g, &threads.net.log).expect("construction log replays");
-        assert_eq!(
-            replayed.net.verdict, threads.net.verdict,
+            many.net.crash_restarts, single.net.crash_restarts,
             "seed {link_seed}"
         );
-        assert_eq!(replayed.net.cost, threads.net.cost, "seed {link_seed}");
-        assert_eq!(replayed.net.phases, threads.net.phases, "seed {link_seed}");
-        assert_eq!(replayed.states, threads.states, "seed {link_seed}");
+        assert_eq!(many.states, single.states, "seed {link_seed}");
+        assert_eq!(many.mst_edges, single.mst_edges, "seed {link_seed}");
+        assert_eq!(
+            many.net.log.to_string(),
+            single.net.log.to_string(),
+            "seed {link_seed}: pool sizes recorded different construction schedules"
+        );
+        let replayed =
+            mstv_net::replay_compute(&g, &single.net.log).expect("construction log replays");
+        assert_eq!(replayed.net.verdict, single.net.verdict, "seed {link_seed}");
+        assert_eq!(replayed.net.cost, single.net.cost, "seed {link_seed}");
+        assert_eq!(replayed.net.phases, single.net.phases, "seed {link_seed}");
+        assert_eq!(replayed.states, single.states, "seed {link_seed}");
     }
 }
 
 /// A scheme rigged to panic whenever a label is decoded: on an n = 1
 /// instance the lone node decodes its own certificate while handling
 /// `Start`; on larger instances the first delivered label frame blows
-/// up its receiver while every other worker stays alive — exactly the
-/// scenario where the old router hung forever on a report channel that
-/// live workers kept open.
+/// up its receiver while every other worker stays alive, keeping its
+/// end of the shared report channel open — the router must still not
+/// wait forever.
 #[derive(Clone)]
 struct PanicOnDecode;
 
@@ -287,10 +293,8 @@ fn unit_labeling(labeling: &Labeling<MstLabel>, n: usize) -> Labeling<()> {
 
 #[test]
 fn panicking_worker_is_a_typed_error_not_a_hang() {
-    // n = 1: the machine panics while handling its Start event — the
-    // regression case from the issue, where the router's shared report
-    // channel never closed because there were no other workers to
-    // notice, and `recv()` blocked forever.
+    // n = 1: the machine panics while handling its Start event, with no
+    // other worker to notice.
     let (cfg1, labeling1, _) = make_instance(1, 0, 10, 7);
     let unit1 = unit_labeling(&labeling1, 1);
     // n = 8: one receiver panics on the first label delivery while
@@ -298,7 +302,7 @@ fn panicking_worker_is_a_typed_error_not_a_hang() {
     let (cfg8, labeling8, _) = make_instance(8, 10, 10, 8);
     let unit8 = unit_labeling(&labeling8, 8);
 
-    for engine in [Engine::Threads, events(1), events(4)] {
+    for engine in [pool(1), pool(4)] {
         let err = run_verification_with(
             &PanicOnDecode,
             &cfg1,
@@ -342,7 +346,7 @@ fn record_log_off_changes_nothing_but_the_log() {
         crash: 0.0,
         max_crashes: 0,
     };
-    for engine in [Engine::Threads, events(4)] {
+    for engine in [pool(1), pool(4)] {
         let mut link = LossyLink::new(profile, 3);
         let recorded = run_verification_with(
             &wire,

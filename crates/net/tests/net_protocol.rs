@@ -1,6 +1,8 @@
 //! Integration tests for the concurrent runtime: verdict stability
 //! under lossy schedules, exact replay, and crash-restart behavior.
 
+use std::num::NonZeroUsize;
+
 use mstv_core::{
     encode_mst_label, mst_configuration, Labeling, MstLabel, MstScheme, ProofLabelingScheme,
     SpanCodec, Verdict,
@@ -8,8 +10,10 @@ use mstv_core::{
 use mstv_graph::{gen, ConfigGraph, Graph, NodeId, TreeState};
 use mstv_labels::{LabelCodec, SepFieldCodec};
 use mstv_net::{
-    replay, run_verification, FaultProfile, Link, LossyLink, MstWireScheme, NetConfig, PerfectLink,
+    replay, run_verification, run_verification_with, Engine, FaultProfile, Link, LossyLink,
+    MstWireScheme, NetConfig, PerfectLink,
 };
+use mstv_trees::ParallelConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -162,8 +166,10 @@ fn env_seed() -> u64 {
         .unwrap_or(0)
 }
 
-#[test]
-fn lossy_smoke_verdicts_are_schedule_independent() {
+/// One half of the CI smoke sweep: clean and corrupted certificates
+/// over a seeded lossy link on `engine`'s pool, each verdict checked
+/// against the offline verifier.
+fn lossy_smoke(engine: Engine) {
     let seed = env_seed();
     let (cfg, labeling, wire) = make_instance(48, 72, 128, seed ^ 0xa5a5);
     let profile = FaultProfile {
@@ -173,63 +179,36 @@ fn lossy_smoke_verdicts_are_schedule_independent() {
         crash: 0.02,
         max_crashes: 3,
     };
+    let net = NetConfig::default();
     let mut link = LossyLink::new(profile, seed);
-    let clean = run_verification(&wire, &cfg, &labeling, &mut link, NetConfig::default())
+    let clean = run_verification_with(&wire, &cfg, &labeling, &mut link, net, engine)
         .expect("clean run converges");
     assert_eq!(clean.verdict, offline_verdict(&cfg, &labeling));
 
     let corrupted = corrupt_label(&cfg, &labeling, NodeId(7));
     let mut link = LossyLink::new(profile, seed.wrapping_add(1));
-    let faulty = run_verification(&wire, &cfg, &corrupted, &mut link, NetConfig::default())
+    let faulty = run_verification_with(&wire, &cfg, &corrupted, &mut link, net, engine)
         .expect("faulty run converges");
     assert_eq!(faulty.verdict, offline_verdict(&cfg, &corrupted));
 }
 
-/// The events-engine half of the CI smoke sweep: same instances and
-/// fault profile as the threads smoke test, scheduled by the bounded
-/// worker pool instead of one thread per node.
+fn pool(workers: usize) -> Engine {
+    Engine::Events {
+        workers: ParallelConfig::with_threads(NonZeroUsize::new(workers).expect("nonzero")),
+    }
+}
+
+/// The one-worker half of the CI smoke sweep.
+#[test]
+fn lossy_smoke_verdicts_are_schedule_independent() {
+    lossy_smoke(pool(1));
+}
+
+/// The wide-pool half of the CI smoke sweep: the same instances and
+/// fault profile, scheduled on eight workers.
 #[test]
 fn lossy_smoke_events_engine_matches_offline() {
-    use mstv_net::{run_verification_with, Engine};
-
-    let seed = env_seed();
-    let (cfg, labeling, wire) = make_instance(48, 72, 128, seed ^ 0xa5a5);
-    let profile = FaultProfile {
-        drop: 0.25,
-        duplicate: 0.1,
-        max_delay: 2,
-        crash: 0.02,
-        max_crashes: 3,
-    };
-    let engine = Engine::Events {
-        workers: mstv_trees::ParallelConfig::with_threads(
-            std::num::NonZeroUsize::new(8).expect("nonzero"),
-        ),
-    };
-    let mut link = LossyLink::new(profile, seed);
-    let clean = run_verification_with(
-        &wire,
-        &cfg,
-        &labeling,
-        &mut link,
-        NetConfig::default(),
-        engine,
-    )
-    .expect("clean run converges");
-    assert_eq!(clean.verdict, offline_verdict(&cfg, &labeling));
-
-    let corrupted = corrupt_label(&cfg, &labeling, NodeId(7));
-    let mut link = LossyLink::new(profile, seed.wrapping_add(1));
-    let faulty = run_verification_with(
-        &wire,
-        &cfg,
-        &corrupted,
-        &mut link,
-        NetConfig::default(),
-        engine,
-    )
-    .expect("faulty run converges");
-    assert_eq!(faulty.verdict, offline_verdict(&cfg, &corrupted));
+    lossy_smoke(pool(8));
 }
 
 proptest! {

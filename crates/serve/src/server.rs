@@ -32,7 +32,7 @@
 //!   thread with a short read timeout, re-checking the shutdown flag
 //!   between polls, so shutdown never hangs on an idle socket.
 
-use std::io::Read;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -50,7 +50,9 @@ use mstv_trees::KeyedQueue;
 use crate::io::write_frame;
 use crate::ServeError;
 
-/// Sizing knobs for [`ServerHandle::spawn`].
+/// Sizing knobs for [`ServerHandle::spawn`]. The three sizes must be
+/// positive: a server with no worker, no connection slot, or no room
+/// for one waiting request could never answer.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Worker threads answering queued requests, one request's whole
@@ -171,7 +173,8 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] if the listener cannot bind.
+    /// [`ServeError::Io`] if the listener cannot bind, or with
+    /// [`io::ErrorKind::InvalidInput`] if a size in `config` is zero.
     pub fn spawn(
         snap: Snapshot,
         config: ServeConfig,
@@ -186,29 +189,40 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] if the listener cannot bind.
+    /// [`ServeError::Io`] if the listener cannot bind, or with
+    /// [`io::ErrorKind::InvalidInput`] if a size in `config` is zero.
     pub fn spawn_store(
         store: SnapshotStore,
         config: ServeConfig,
         port: u16,
     ) -> Result<ServerHandle, ServeError> {
+        for (name, size) in [
+            ("workers", config.workers),
+            ("max_connections", config.max_connections),
+            ("queue_depth", config.queue_depth),
+        ] {
+            if size == 0 {
+                return Err(ServeError::Io(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("ServeConfig::{name} must be positive"),
+                )));
+            }
+        }
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let max_connections = config.max_connections.max(1);
         let engine = QueryEngine::from_store(store);
         let shared = Arc::new(Shared {
             serving: RwLock::new(Arc::new(Serving { epoch: 1, engine })),
-            queue: KeyedQueue::new(max_connections),
+            queue: KeyedQueue::new(config.max_connections),
             metrics: Mutex::new(ServeMetrics::new()),
             shutdown: AtomicBool::new(false),
             config,
-            free_slots: Mutex::new((0..max_connections).rev().collect()),
+            free_slots: Mutex::new((0..config.max_connections).rev().collect()),
             readers: Mutex::new(Vec::new()),
         });
-        let mut threads = Vec::with_capacity(workers + 1);
-        for _ in 0..workers {
+        let mut threads = Vec::with_capacity(config.workers + 1);
+        for _ in 0..config.workers {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || worker_loop(&shared)));
         }

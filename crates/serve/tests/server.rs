@@ -1,5 +1,6 @@
 //! End-to-end tests of the serving tier over real loopback sockets:
-//! oracle-checked answers, typed overload rejection, the hot-swap
+//! oracle-checked answers, typed overload rejection, refused zero
+//! sizes, the hot-swap
 //! guarantee (no dropped or torn queries), admin operations, and
 //! malformed-frame handling.
 
@@ -9,8 +10,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use mstv_graph::{gen, NodeId, Weight};
 use mstv_labels::SepFieldCodec;
-use mstv_serve::{Client, ServeConfig, ServerHandle};
-use mstv_store::proto::{ErrorCode, PROTO_MAGIC, PROTO_VERSION};
+use mstv_serve::{Client, ServeConfig, ServeError, ServerHandle};
+use mstv_store::proto::{
+    header_payload_len, ErrorCode, Frame, Request, Response, FRAME_HEADER_LEN, PROTO_MAGIC,
+    PROTO_VERSION,
+};
 use mstv_store::{Answer, Query, Snapshot};
 use mstv_trees::{PathMaxIndex, RootedTree};
 use rand::rngs::StdRng;
@@ -128,43 +132,121 @@ fn roundtrip_matches_in_process_oracle() {
     server.shutdown();
 }
 
+/// Reads one response frame off a raw connection.
+fn read_response(raw: &mut TcpStream) -> Response {
+    let mut frame = vec![0u8; FRAME_HEADER_LEN];
+    raw.read_exact(&mut frame).unwrap();
+    let header: &[u8; FRAME_HEADER_LEN] = frame[..].try_into().unwrap();
+    let len = header_payload_len(header).unwrap();
+    frame.resize(FRAME_HEADER_LEN + len, 0);
+    raw.read_exact(&mut frame[FRAME_HEADER_LEN..]).unwrap();
+    match Frame::decode(&frame).unwrap() {
+        Frame::Response(resp) => resp,
+        other => panic!("expected a response, got {other:?}"),
+    }
+}
+
 #[test]
 fn overload_is_a_typed_rejection_not_a_hang() {
     let tree = tree_of(50, 100, 42);
-    // queue_depth 0: every request finds a full (zero-capacity) inbox,
-    // so the admission-control path answers all of them inline.
+    let oracle = oracle_of(&tree);
+    // One worker and room for one waiting request. The three requests
+    // reach the server's reader in one write; while the worker is busy
+    // with the large first batch, the second request fills the inbox and
+    // the third is refused. The first batch is sized so the worker
+    // cannot finish it in the moment the reader takes to parse two
+    // small frames.
     let config = ServeConfig {
-        queue_depth: 0,
+        workers: 1,
+        queue_depth: 1,
         ..ServeConfig::default()
     };
     let server = ServerHandle::spawn(snapshot_of(&tree), config, 0).unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    let resp = client
-        .request(vec![
-            Query::Max {
-                u: NodeId(1),
-                v: NodeId(2),
-            },
-            Query::Dist {
-                u: NodeId(3),
-                v: NodeId(4),
-            },
-        ])
-        .unwrap();
-    assert_eq!(resp.server_epoch, 1);
-    for r in &resp.results {
-        assert_eq!(
-            *r,
-            Err(ErrorCode::Overloaded {
-                pending: 0,
-                limit: 0
-            })
-        );
+    let big = mixed_batch(50, 25_000);
+    let small = vec![
+        Query::Max {
+            u: NodeId(1),
+            v: NodeId(2),
+        },
+        Query::Dist {
+            u: NodeId(3),
+            v: NodeId(4),
+        },
+    ];
+    let mut bytes = Vec::new();
+    for (id, batch) in [(1, big.clone()), (2, small.clone()), (3, small.clone())] {
+        bytes.extend(Frame::Request(Request { id, batch }).encode().unwrap());
     }
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(&bytes).unwrap();
+
+    let mut overloaded = 0;
+    for _ in 0..3 {
+        let resp = read_response(&mut raw);
+        assert_eq!(resp.server_epoch, 1);
+        let batch = if resp.id == 1 { &big } else { &small };
+        assert_eq!(resp.results.len(), batch.len(), "request {}", resp.id);
+        if resp.results[0]
+            == Err(ErrorCode::Overloaded {
+                pending: 1,
+                limit: 1,
+            })
+        {
+            assert_ne!(resp.id, 1, "an idle server refused the first request");
+            assert!(
+                resp.results.iter().all(|r| *r == resp.results[0]),
+                "a refusal covers the whole batch"
+            );
+            overloaded += 1;
+            continue;
+        }
+        for (q, r) in batch.iter().zip(&resp.results) {
+            match (*q, r) {
+                (Query::Max { u, v }, Ok(Answer::Max(w))) => assert_eq!(*w, oracle.max(u, v)),
+                (Query::Dist { u, v }, Ok(Answer::Dist(d))) => assert_eq!(*d, oracle.dist(u, v)),
+                (Query::Flow { .. }, Ok(Answer::Flow(_)))
+                | (Query::VerifyEdge { .. }, Ok(Answer::VerifyEdge { .. })) => {}
+                other => panic!("request {}: unexpected answer {other:?}", resp.id),
+            }
+        }
+    }
+    assert!(overloaded >= 1, "no request was refused");
     // Rejections are visible in the server metrics as errors.
     let m = server.metrics();
-    assert_eq!(m.errors, 2);
+    assert_eq!(m.errors, overloaded * small.len() as u64);
     server.shutdown();
+}
+
+#[test]
+fn zero_sizes_are_refused() {
+    let tree = tree_of(20, 100, 3);
+    let zeroed = [
+        ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        },
+        ServeConfig {
+            max_connections: 0,
+            ..ServeConfig::default()
+        },
+        ServeConfig {
+            queue_depth: 0,
+            ..ServeConfig::default()
+        },
+    ];
+    for (config, field) in zeroed
+        .into_iter()
+        .zip(["workers", "max_connections", "queue_depth"])
+    {
+        let err = ServerHandle::spawn(snapshot_of(&tree), config, 0)
+            .err()
+            .unwrap_or_else(|| panic!("a server with zero {field} started"));
+        let ServeError::Io(io) = &err else {
+            panic!("zero {field}: {err}");
+        };
+        assert_eq!(io.kind(), std::io::ErrorKind::InvalidInput, "{field}");
+        assert!(err.to_string().contains(field), "{err}");
+    }
 }
 
 /// The acceptance-criteria test: hammer the server from concurrent

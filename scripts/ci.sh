@@ -13,25 +13,26 @@ echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
-# RUST_TEST_THREADS deliberately unpinned: the mstv-net runtime spawns
-# one OS thread per node, and the suite must pass under whatever
-# parallelism the host picks — serializing tests could mask races.
+# RUST_TEST_THREADS deliberately unpinned: the suite must pass under
+# whatever parallelism the host picks — serializing tests could mask
+# races between the mstv-net worker pools, the serving tier's workers
+# and the parallel label builders.
 unset RUST_TEST_THREADS
 cargo test -q --offline --workspace
 
-echo "== mstv-net engine equivalence =="
-# The two execution engines (thread-per-node and event-driven pool)
-# must be observably identical: same verdict, same MessageCost,
-# byte-identical event logs, and replay accepts either engine's logs.
+echo "== mstv-net pool-size equivalence =="
+# One worker and several must be observably identical: same verdict,
+# same MessageCost, byte-identical event logs, and the single-threaded
+# replay reproduces both from the log.
 cargo test -q --offline -p mstv-net --test engine_equivalence
 
-echo "== mstv-net determinism smoke (16 seeds, both engines) =="
+echo "== mstv-net determinism smoke (16 seeds, 1 and 8 workers) =="
 # A loom-style sweep: the lossy-convergence tests assert that whatever
 # schedule the workers and the fault injector produce, the wire verdict
 # equals the offline verifier's. Sixteen distinct seeds give sixteen
 # different fault schedules; any nondeterministic verdict fails the
-# run. The lossy_smoke_ filter picks up both the thread-per-node and
-# the events-engine variant of the test.
+# run. The lossy_smoke_ filter picks up both the one-worker and the
+# eight-worker variant of the test.
 for seed in $(seq 0 15); do
     MSTV_NET_SEED="$seed" cargo test -q --offline -p mstv-net --test net_protocol \
         lossy_smoke >/dev/null \
@@ -111,25 +112,25 @@ diff "$tmp/net_b.txt" "$tmp/local_b.txt" \
 "$mstv" query --connect "127.0.0.1:$port" --shutdown-server >/dev/null
 wait "$serve_pid" || { echo "ci: server did not exit cleanly"; exit 1; }
 
-echo "== distributed construction smoke (256 nodes, lossy, both engines) =="
+echo "== distributed construction smoke (256 nodes, lossy, 1 vs 4 workers) =="
 # Build the MST and its labels on the network under a lossy link, on
-# both engines, and diff everything against the centralized marker:
-# the two engines must print identical verdict/cost/phase lines, the
+# one worker and on four, and diff everything against the centralized
+# marker: both runs must print identical verdict/cost/phase lines, the
 # label sizes must match `mstv label` on the same graph, and the
 # snapshot written from the construction log must be byte-identical to
 # the snapshot of the locally computed MST. (The bit-exact per-node
 # label diff runs in `cargo test -p mstv-net --test compute_protocol`.)
 compute_flags=(--nodes 256 --extra 512 --seed 17 --drop 0.15 --dup 0.05 --delay 2)
-"$mstv" net --compute "${compute_flags[@]}" --engine threads > "$tmp/compute_t.txt"
-"$mstv" net --compute "${compute_flags[@]}" --engine events \
-    --log "$tmp/compute.log" > "$tmp/compute_e.txt"
-grep -q 'accepted by all 256 nodes' "$tmp/compute_t.txt" \
+"$mstv" net --compute "${compute_flags[@]}" --workers 1 > "$tmp/compute_1.txt"
+"$mstv" net --compute "${compute_flags[@]}" --workers 4 \
+    --log "$tmp/compute.log" > "$tmp/compute_4.txt"
+grep -q 'accepted by all 256 nodes' "$tmp/compute_1.txt" \
     || { echo "ci: construction run rejected"; exit 1; }
-diff "$tmp/compute_t.txt" <(sed '$d' "$tmp/compute_e.txt") \
-    || { echo "ci: construction engines diverge"; exit 1; }
+diff "$tmp/compute_1.txt" <(sed '$d' "$tmp/compute_4.txt") \
+    || { echo "ci: construction runs diverge between 1 and 4 workers"; exit 1; }
 "$mstv" gen --nodes 256 --extra 512 --seed 17 > "$tmp/c.txt"
 central_bits="$("$mstv" label "$tmp/c.txt" | sed -n 's/.*max label: \([0-9]*\) bits.*/\1/p')"
-grep -q "labels: max $central_bits bits" "$tmp/compute_e.txt" \
+grep -q "labels: max $central_bits bits" "$tmp/compute_4.txt" \
     || { echo "ci: constructed labels differ from the centralized marker's"; exit 1; }
 "$mstv" net --replay "$tmp/compute.log" \
     | grep -q 'replay: matches the recorded run' \
@@ -176,18 +177,17 @@ echo "== columnar (v2) snapshot smoke (cross-read + zero-copy serving) =="
     | grep -q "oracle: ok" || { echo "ci: v2 mmap serving smoke failed"; exit 1; }
 
 echo "== adversary smoke (256 nodes, one run per fault class, replayed) =="
-# One live run per adversary class on the events engine, each forged
+# One live run per adversary class on four workers, each forged
 # labeling required to be rejected, each log required to replay -- the
 # forge schedule rides the log's `adversary` header, so the replay
 # reconstructs the forged labeling from the spec alone. The honest
 # partition/reorder/churn schedule must still converge to accept, and
-# the threads engine must print the same verdict/cost lines as the
-# events engine under it.
+# one worker must print the same verdict/cost lines as four under it.
 adv_flags=(--nodes 256 --extra 512 --seed 17 --drop 0.1 --dup 0.02 --delay 1)
 for spec in "forge:class=root,k=2;seed=7" \
             "forge:class=omega,k=2;seed=7" \
             "forge:class=bits,k=2;seed=7"; do
-    "$mstv" net "${adv_flags[@]}" --engine events --adversary "$spec" \
+    "$mstv" net "${adv_flags[@]}" --workers 4 --adversary "$spec" \
         --log "$tmp/adv.log" > "$tmp/adv.txt"
     grep -q 'verdict: rejected at' "$tmp/adv.txt" \
         || { echo "ci: forged labeling accepted ($spec)"; exit 1; }
@@ -196,15 +196,15 @@ for spec in "forge:class=root,k=2;seed=7" \
         || { echo "ci: adversary log does not replay ($spec)"; exit 1; }
 done
 honest="partition:start=2,heal=5;reorder:window=8;churn:rate=0.02,away=2,cap=8;seed=7"
-"$mstv" net "${adv_flags[@]}" --engine events --adversary "$honest" \
-    --log "$tmp/adv_h.log" > "$tmp/adv_e.txt"
-grep -q 'accepted by all 256 nodes' "$tmp/adv_e.txt" \
+"$mstv" net "${adv_flags[@]}" --workers 4 --adversary "$honest" \
+    --log "$tmp/adv_h.log" > "$tmp/adv_4.txt"
+grep -q 'accepted by all 256 nodes' "$tmp/adv_4.txt" \
     || { echo "ci: honest labels rejected under schedule adversary"; exit 1; }
 "$mstv" net --replay "$tmp/adv_h.log" \
     | grep -q 'replay: matches the recorded run' \
     || { echo "ci: schedule-adversary log does not replay"; exit 1; }
-"$mstv" net "${adv_flags[@]}" --engine threads --adversary "$honest" > "$tmp/adv_t.txt"
-diff "$tmp/adv_t.txt" <(sed '$d' "$tmp/adv_e.txt") \
-    || { echo "ci: adversary engines diverge"; exit 1; }
+"$mstv" net "${adv_flags[@]}" --workers 1 --adversary "$honest" > "$tmp/adv_1.txt"
+diff "$tmp/adv_1.txt" <(sed '$d' "$tmp/adv_4.txt") \
+    || { echo "ci: adversary runs diverge between 1 and 4 workers"; exit 1; }
 
 echo "ci: all checks passed"

