@@ -3,10 +3,13 @@
 //! bit-level encoding) as the worker count grows, on 10k- and 100k-node
 //! instances.
 //!
-//! Three stages are timed separately so the table shows where the time
-//! goes: the `π_mst` marker (`MstScheme::marker_parallel`), and the full
+//! The stages are timed separately so the table shows where the time
+//! goes: the `π_mst` marker (`MstScheme::marker_parallel`), the full
 //! snapshot pipeline (`Snapshot::build_parallel`, which additionally
-//! builds `FLOW` and `DIST` labels and serializes nothing). Every
+//! builds `FLOW` and `DIST` labels and serializes nothing), and the two
+//! single-threaded steps that turn the MST's edge list into what those
+//! consume: the distributed tree states (`tree_states`) and the rooted
+//! tree (`RootedTree::from_graph_edges`). Every
 //! parallel run is cross-checked bit-for-bit against the single-worker
 //! baseline on the same instance, so the table cannot be
 //! fast-but-wrong; timings themselves are reported, never asserted.
@@ -39,7 +42,7 @@ use std::time::Instant;
 
 use mstv_bench::{mst_workload, print_table};
 use mstv_core::{MstScheme, ParallelConfig};
-use mstv_graph::NodeId;
+use mstv_graph::{tree_states, NodeId};
 use mstv_labels::SepFieldCodec;
 use mstv_mst::kruskal;
 use mstv_store::Snapshot;
@@ -55,6 +58,8 @@ struct Point {
     total_fields: usize,
     marker_secs: f64,
     snapshot_secs: f64,
+    tree_states_secs: f64,
+    rooted_tree_secs: f64,
     host_parallelism: usize,
 }
 
@@ -118,8 +123,21 @@ fn main() {
             // repetition's outputs feed the bit-identity checks below.
             let mut marker_secs = f64::INFINITY;
             let mut snapshot_secs = f64::INFINITY;
+            let mut tree_states_secs = f64::INFINITY;
+            let mut rooted_tree_secs = f64::INFINITY;
             let mut last = None;
             for _ in 0..REPS {
+                let t = Instant::now();
+                let states = tree_states(cfg.graph(), &mst, NodeId(0)).expect("kruskal spans");
+                tree_states_secs = tree_states_secs.min(t.elapsed().as_secs_f64().max(1e-9));
+                assert_eq!(states, cfg.states(), "tree states diverged");
+
+                let t = Instant::now();
+                let rooted = RootedTree::from_graph_edges(cfg.graph(), &mst, NodeId(0))
+                    .expect("kruskal spans");
+                rooted_tree_secs = rooted_tree_secs.min(t.elapsed().as_secs_f64().max(1e-9));
+                assert_eq!(rooted, tree, "rooted tree diverged");
+
                 let t0 = Instant::now();
                 let labeling = scheme
                     .marker_parallel(&cfg, pc)
@@ -151,11 +169,14 @@ fn main() {
                 total_fields,
                 marker_secs,
                 snapshot_secs,
+                tree_states_secs,
+                rooted_tree_secs,
                 host_parallelism: host,
             };
             println!(
                 "{{\"experiment\":\"marker_scaling\",\"nodes\":{},\"threads\":{},\
                  \"total_fields\":{},\"marker_secs\":{:.6},\"snapshot_secs\":{:.6},\
+                 \"tree_states_secs\":{:.6},\"rooted_tree_secs\":{:.6},\
                  \"labels_per_sec\":{:.1},\"fields_per_sec\":{:.1},\
                  \"host_parallelism\":{},\"oversubscribed\":{}}}",
                 p.nodes,
@@ -163,6 +184,8 @@ fn main() {
                 p.total_fields,
                 p.marker_secs,
                 p.snapshot_secs,
+                p.tree_states_secs,
+                p.rooted_tree_secs,
                 p.labels_per_sec(),
                 p.fields_per_sec(),
                 p.host_parallelism,
@@ -186,6 +209,8 @@ fn main() {
                 format!("{:.0}", p.fields_per_sec()),
                 format!("{:.2}x", p.labels_per_sec() / base_lps),
                 format!("{:.3}", p.snapshot_secs),
+                format!("{:.3}", p.tree_states_secs),
+                format!("{:.3}", p.rooted_tree_secs),
                 if p.oversubscribed() { "yes" } else { "" }.to_owned(),
             ]
         }));
@@ -199,6 +224,8 @@ fn main() {
             "fields/sec",
             "speedup",
             "snapshot secs",
+            "states secs",
+            "tree secs",
             "oversub",
         ],
         &rows,
@@ -230,6 +257,7 @@ fn series_json(points: &[Point]) -> String {
         out.push_str(&format!(
             "    {{\"nodes\": {}, \"threads\": {}, \"total_fields\": {}, \
              \"marker_secs\": {:.6}, \"snapshot_secs\": {:.6}, \
+             \"tree_states_secs\": {:.6}, \"rooted_tree_secs\": {:.6}, \
              \"labels_per_sec\": {:.1}, \"fields_per_sec\": {:.1}, \
              \"host_parallelism\": {}, \"oversubscribed\": {}}}{}\n",
             p.nodes,
@@ -237,6 +265,8 @@ fn series_json(points: &[Point]) -> String {
             p.total_fields,
             p.marker_secs,
             p.snapshot_secs,
+            p.tree_states_secs,
+            p.rooted_tree_secs,
             p.labels_per_sec(),
             p.fields_per_sec(),
             p.host_parallelism,

@@ -29,14 +29,14 @@
 
 use mstv_graph::{EdgeId, Graph, NodeId, Weight};
 use mstv_labels::{
-    decode_max, dist_labels, encode_dist_label, encode_dist_label_into, flow_labels, max_labels,
-    walk_labels, BitString, DistLabel, FlowLabel, LabelCodec, MaxLabel, SepFieldCodec,
+    decode_max, encode_dist_label_into, walk_labels, BitString, DistLabel, FlowLabel, GammaPass,
+    LabelCodec, MaxLabel, SepFieldCodec,
 };
 use mstv_mst::{kruskal, repair_after_weight_change_in, Repair};
 use mstv_store::{
     DeltaOutcome, DeltaRecord, DistSection, JournalMutation, LabelDelta, Snapshot, TreeDelta,
 };
-use mstv_trees::{centroid_decomposition, RootedTree, SeparatorDecomposition};
+use mstv_trees::{centroid_decomposition, ParallelConfig, RootedTree, SeparatorDecomposition};
 
 /// Errors surfaced by [`DynMarker`]; everything else (internal
 /// inconsistency) is a panic, because the marker owns its state.
@@ -138,11 +138,10 @@ impl DynMarker {
         if tree_weight > u128::from(u64::MAX) {
             return Err(DynError::TreeWeightOverflow);
         }
-        let mut in_tree = vec![false; graph.num_edges()];
-        for &e in &tree_edges {
-            in_tree[e.index()] = true;
-        }
-        let tree = RootedTree::from_graph_edges(&graph, &tree_edges, NodeId(0))
+        let in_tree = graph
+            .edge_membership(&tree_edges)
+            .expect("kruskal returns distinct edge ids");
+        let tree = RootedTree::from_tree_membership(&graph, &in_tree, NodeId(0))
             .expect("kruskal returns a spanning tree");
         let sep = centroid_decomposition(&tree);
         let mut marker = DynMarker {
@@ -451,9 +450,10 @@ impl DynMarker {
         // Phase 4: re-assemble structured labels. Small dirty sets walk
         // each dirty node's chain paths (`walk_labels`: no preprocessing,
         // O(depth) per chain entry); a dirty set big enough to amortize
-        // it pays for the O(n log n) batch sweeps over the whole tree,
-        // whose labels outside the dirty set are unchanged. The walk and
-        // the sweeps are bit-identical.
+        // it pays for one O(n log n) batch pass over the whole tree
+        // (`GammaPass`, all three families from one sweep), whose labels
+        // outside the dirty set are unchanged. The walk and the pass are
+        // bit-identical.
         let ndirty = dirty.iter().filter(|d| **d).count();
         if ndirty.saturating_mul(16) <= n.max(16_384) {
             for (v, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
@@ -463,9 +463,10 @@ impl DynMarker {
                 self.dist_s[v] = dist;
             }
         } else {
-            self.max_s = max_labels(new_tree, new_sep);
-            self.flow_s = flow_labels(new_tree, new_sep);
-            self.dist_s = dist_labels(new_tree, new_sep);
+            let (max, flow, dist) = GammaPass::build(new_tree, new_sep, one_worker()).into_labels();
+            self.max_s = max;
+            self.flow_s = flow;
+            self.dist_s = dist.expect("the marker refuses trees without distance labels");
         }
         for (v, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
             self.dist_max[v] = self.dist_s[v].delta.iter().copied().max().unwrap_or(0);
@@ -615,17 +616,11 @@ impl DynMarker {
         }
     }
 
-    /// Full batch (re)build of structured and encoded labels — the
-    /// constructor's path, also reusable as a hard reset.
+    /// Full batch (re)build of structured and encoded labels from one
+    /// [`GammaPass`] — the constructor's path, also reusable as a hard
+    /// reset.
     fn rebuild_all_labels(&mut self) {
-        self.max_s = max_labels(&self.tree, &self.sep);
-        self.flow_s = flow_labels(&self.tree, &self.sep);
-        self.dist_s = dist_labels(&self.tree, &self.sep);
-        self.dist_max = self
-            .dist_s
-            .iter()
-            .map(|l| l.delta.iter().copied().max().unwrap_or(0))
-            .collect();
+        let pass = GammaPass::build(&self.tree, &self.sep, one_worker());
         self.max_weight = self
             .tree
             .edges()
@@ -633,20 +628,33 @@ impl DynMarker {
             .max()
             .unwrap_or(Weight(1));
         self.omega_bits = self.max_weight.bit_width();
-        let max_delta = self.dist_max.iter().copied().max().unwrap_or(0);
-        self.delta_bits = Weight(max_delta).bit_width();
         let codec = LabelCodec {
             sep_codec: self.sep_codec,
             omega_bits: self.omega_bits,
         };
-        self.enc_max = self.max_s.iter().map(|l| codec.encode_max(l)).collect();
-        self.enc_flow = self.flow_s.iter().map(|l| codec.encode_flow(l)).collect();
-        self.enc_dist = self
+        let enc = pass.encode(codec, one_worker());
+        let (delta_bits, enc_dist) = enc
+            .dist
+            .expect("the marker refuses trees without distance labels");
+        self.delta_bits = delta_bits;
+        self.enc_max = enc.max;
+        self.enc_flow = enc.flow;
+        self.enc_dist = enc_dist;
+        let (max, flow, dist) = pass.into_labels();
+        self.max_s = max;
+        self.flow_s = flow;
+        self.dist_s = dist.expect("the marker refuses trees without distance labels");
+        self.dist_max = self
             .dist_s
             .iter()
-            .map(|l| encode_dist_label(l, self.sep_codec, self.delta_bits))
+            .map(|l| l.delta.iter().copied().max().unwrap_or(0))
             .collect();
     }
+}
+
+/// One worker: the marker relabels on its caller's thread.
+fn one_worker() -> ParallelConfig {
+    ParallelConfig::with_threads(std::num::NonZeroUsize::MIN)
 }
 
 fn parent_entries(tree: &RootedTree) -> Vec<Option<(NodeId, Weight)>> {

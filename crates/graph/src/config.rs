@@ -5,8 +5,6 @@
 //! is pointed at (through its local port number) by the state of at least
 //! one endpoint.
 
-use std::collections::BTreeSet;
-
 use crate::{EdgeId, Graph, GraphError, NodeId, Port, Weight};
 
 /// Types of node state that designate some of the node's ports, thereby
@@ -226,36 +224,31 @@ impl<S: PortPointers> ConfigGraph<S> {
 ///
 /// # Errors
 ///
-/// Returns an error if `tree_edges` is not a spanning tree of `graph`.
+/// [`GraphError::NotASpanningTree`] if `tree_edges` is not a spanning
+/// tree of `graph` (an id out of range or listed twice included), and
+/// [`GraphError::NodeOutOfRange`] if `root` is not a node of it.
 pub fn tree_states(
     graph: &Graph,
     tree_edges: &[EdgeId],
     root: NodeId,
 ) -> Result<Vec<TreeState>, GraphError> {
-    if !graph.is_spanning_tree(tree_edges) {
-        return Err(GraphError::NotASpanningTree {
-            reason: "edge set fails spanning-tree check".to_owned(),
-        });
-    }
+    let in_tree =
+        graph
+            .spanning_tree_membership(tree_edges)
+            .ok_or_else(|| GraphError::NotASpanningTree {
+                reason: "edge set fails spanning-tree check".to_owned(),
+            })?;
     let n = graph.num_nodes();
-    let in_tree: BTreeSet<EdgeId> = tree_edges.iter().copied().collect();
-    let mut states: Vec<TreeState> = (0..n).map(|i| TreeState::root(i as u64)).collect();
-    let mut seen = vec![false; n];
-    seen[root.index()] = true;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        for nb in graph.neighbors(v) {
-            if in_tree.contains(&nb.edge) && !seen[nb.node.index()] {
-                seen[nb.node.index()] = true;
-                let back = graph
-                    .port_towards(nb.node, v)
-                    .expect("tree edge must be visible from both endpoints");
-                states[nb.node.index()].parent_port = Some(back);
-                queue.push_back(nb.node);
-            }
-        }
+    if root.index() >= n {
+        return Err(GraphError::NodeOutOfRange { node: root, n });
     }
+    let mut states: Vec<TreeState> = (0..n).map(|i| TreeState::root(i as u64)).collect();
+    graph.bfs_tree(&in_tree, root, |v, nb| {
+        let back = graph
+            .port_towards(nb.node, v)
+            .expect("tree edge must be visible from both endpoints");
+        states[nb.node.index()].parent_port = Some(back);
+    });
     Ok(states)
 }
 
@@ -266,14 +259,14 @@ pub fn tree_states(
 ///
 /// Panics if some state points at a port `>= deg(v)`.
 pub fn induced_subgraph<S: PortPointers>(graph: &Graph, states: &[S]) -> Vec<EdgeId> {
-    let mut set = BTreeSet::new();
+    let mut induced = vec![false; graph.num_edges()];
     for (i, s) in states.iter().enumerate() {
         let v = NodeId::from_index(i);
         for p in s.pointed_ports() {
-            set.insert(graph.edge_at_port(v, p));
+            induced[graph.edge_at_port(v, p).index()] = true;
         }
     }
-    set.into_iter().collect()
+    graph.edge_ids().filter(|e| induced[e.index()]).collect()
 }
 
 #[cfg(test)]
@@ -365,7 +358,57 @@ mod tests {
     #[test]
     fn tree_states_rejects_non_tree() {
         let g = path3();
-        assert!(tree_states(&g, &[EdgeId(0)], NodeId(0)).is_err());
+        let not_spanning = Err(GraphError::NotASpanningTree {
+            reason: "edge set fails spanning-tree check".to_owned(),
+        });
+        assert_eq!(tree_states(&g, &[EdgeId(0)], NodeId(0)), not_spanning);
+        // A duplicate and an out-of-range id, each with the n - 1 ids a
+        // tree has.
+        assert_eq!(
+            tree_states(&g, &[EdgeId(0), EdgeId(0)], NodeId(0)),
+            not_spanning
+        );
+        assert_eq!(
+            tree_states(&g, &[EdgeId(0), EdgeId(7)], NodeId(0)),
+            not_spanning
+        );
+        // n - 1 edges that close a cycle and miss a node.
+        let mut h = Graph::new(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (2, 3)] {
+            h.add_edge(NodeId(u), NodeId(v), Weight(1)).unwrap();
+        }
+        let cycle = [EdgeId(0), EdgeId(1), EdgeId(2)];
+        assert_eq!(tree_states(&h, &cycle, NodeId(0)), not_spanning);
+        // A spanning tree hung from a node the graph does not have.
+        assert_eq!(
+            tree_states(&g, &[EdgeId(0), EdgeId(1)], NodeId(3)),
+            Err(GraphError::NodeOutOfRange {
+                node: NodeId(3),
+                n: 3
+            })
+        );
+    }
+
+    #[test]
+    fn tree_states_of_one_node() {
+        let g = Graph::new(1);
+        assert_eq!(
+            tree_states(&g, &[], NodeId(0)),
+            Ok(vec![TreeState::root(0)])
+        );
+    }
+
+    #[test]
+    fn induced_edges_are_sorted_and_deduplicated() {
+        let g = path3();
+        // Node 2 points at edge 1 and node 1 at edge 0; node 0 points at
+        // edge 0 too.
+        let states = vec![
+            TreeState::child(0, Port(0)),
+            TreeState::child(1, Port(0)),
+            TreeState::child(2, Port(0)),
+        ];
+        assert_eq!(induced_subgraph(&g, &states), vec![EdgeId(0), EdgeId(1)]);
     }
 
     #[test]

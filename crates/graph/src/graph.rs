@@ -1,8 +1,5 @@
 //! The port-numbered weighted undirected graph.
 
-use std::collections::HashSet;
-use std::collections::VecDeque;
-
 use crate::{EdgeId, GraphError, NodeId, Port, Weight};
 
 /// An undirected weighted edge.
@@ -261,64 +258,84 @@ impl Graph {
     /// Whether the graph is connected (the empty graph is connected).
     pub fn is_connected(&self) -> bool {
         let n = self.num_nodes();
-        if n <= 1 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::new();
-        seen[0] = true;
-        queue.push_back(NodeId(0));
-        let mut count = 1;
-        while let Some(v) = queue.pop_front() {
-            for nb in self.neighbors(v) {
-                if !seen[nb.node.index()] {
-                    seen[nb.node.index()] = true;
-                    count += 1;
-                    queue.push_back(nb.node);
-                }
-            }
-        }
-        count == n
+        n <= 1 || self.bfs_tree(&vec![true; self.num_edges()], NodeId(0), |_, _| {}) == n
     }
 
     /// Whether the given edge set forms a spanning tree of this graph.
     pub fn is_spanning_tree(&self, tree_edges: &[EdgeId]) -> bool {
+        self.spanning_tree_membership(tree_edges).is_some()
+    }
+
+    /// The membership slice of `tree_edges` (`in_tree[e]` says whether
+    /// edge `e` is listed) when they form a spanning tree of this graph,
+    /// `None` otherwise. The check builds the slice, so a caller that
+    /// goes on to test tree membership takes it from here.
+    pub fn spanning_tree_membership(&self, tree_edges: &[EdgeId]) -> Option<Vec<bool>> {
         let n = self.num_nodes();
-        if n == 0 {
-            return tree_edges.is_empty();
+        if tree_edges.len() != n.saturating_sub(1) {
+            return None;
         }
-        if tree_edges.len() != n - 1 {
-            return false;
-        }
-        let distinct: HashSet<EdgeId> = tree_edges.iter().copied().collect();
-        if distinct.len() != tree_edges.len() {
-            return false;
-        }
-        // n-1 distinct edges + connectivity over them => spanning tree.
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &e in tree_edges {
-            if e.index() >= self.num_edges() {
-                return false;
+        let in_tree = self.edge_membership(tree_edges)?;
+        // n - 1 distinct edges that reach every node form a spanning tree.
+        (n == 0 || self.bfs_tree(&in_tree, NodeId(0), |_, _| {}) == n).then_some(in_tree)
+    }
+
+    /// `edges` as a membership slice over this graph's edge ids, or
+    /// `None` when an id is out of range or listed twice.
+    pub fn edge_membership(&self, edges: &[EdgeId]) -> Option<Vec<bool>> {
+        let mut member = vec![false; self.num_edges()];
+        for &e in edges {
+            match member.get_mut(e.index()) {
+                Some(slot) if !*slot => *slot = true,
+                _ => return None,
             }
-            let edge = self.edge(e);
-            adj[edge.u.index()].push(edge.v);
-            adj[edge.v.index()].push(edge.u);
         }
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::new();
-        seen[0] = true;
-        queue.push_back(NodeId(0));
-        let mut count = 1;
-        while let Some(v) = queue.pop_front() {
-            for &u in &adj[v.index()] {
+        Some(member)
+    }
+
+    /// Breadth-first search from `root` over the edges `e` with
+    /// `in_tree[e]`: calls `reach(v, nb)` once for every node `nb.node`,
+    /// when it is first reached from `v`, and returns how many nodes
+    /// were reached, `root` included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is out of range or `in_tree` is shorter than
+    /// the edge count.
+    pub fn bfs_tree(
+        &self,
+        in_tree: &[bool],
+        root: NodeId,
+        mut reach: impl FnMut(NodeId, Neighbor),
+    ) -> usize {
+        let mut seen = vec![false; self.num_nodes()];
+        seen[root.index()] = true;
+        let mut queue = vec![root];
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for (p, &e) in self.adj[v.index()].iter().enumerate() {
+                if !in_tree[e.index()] {
+                    continue;
+                }
+                let edge = self.edge(e);
+                let u = edge.other(v);
                 if !seen[u.index()] {
                     seen[u.index()] = true;
-                    count += 1;
-                    queue.push_back(u);
+                    reach(
+                        v,
+                        Neighbor {
+                            port: Port(p as u32),
+                            edge: e,
+                            node: u,
+                            weight: edge.w,
+                        },
+                    );
+                    queue.push(u);
                 }
             }
         }
-        count == n
+        queue.len()
     }
 
     fn check_node(&self, v: NodeId) -> Result<(), GraphError> {
@@ -452,6 +469,50 @@ mod tests {
         assert!(g.is_spanning_tree(&[e0, e1, e3]));
         // 0-1, 0-3, 2 isolated? No: e3=(0,3), e0=(0,1) leaves node 2 only via e1/e2.
         assert!(!g.is_spanning_tree(&[e0, e3, EdgeId(99)]));
+    }
+
+    #[test]
+    fn membership_edge_cases() {
+        let g = triangle();
+        let (e0, e1, e2) = (EdgeId(0), EdgeId(1), EdgeId(2));
+        assert_eq!(g.edge_membership(&[e2, e0]), Some(vec![true, false, true]));
+        assert_eq!(g.edge_membership(&[]), Some(vec![false; 3]));
+        // A duplicate or out-of-range id has no membership slice, and no
+        // spanning tree either.
+        assert_eq!(g.edge_membership(&[e0, e0]), None);
+        assert_eq!(g.edge_membership(&[e0, EdgeId(3)]), None);
+        assert_eq!(g.spanning_tree_membership(&[e0, e0]), None);
+        assert_eq!(g.spanning_tree_membership(&[e0, EdgeId(3)]), None);
+        assert!(!g.is_spanning_tree(&[e0, EdgeId(3)]));
+        assert_eq!(
+            g.spanning_tree_membership(&[e1, e2]),
+            Some(vec![false, true, true])
+        );
+        // One node spans itself with no edges; no node, with none.
+        assert!(Graph::new(1).is_spanning_tree(&[]));
+        assert_eq!(Graph::new(1).spanning_tree_membership(&[]), Some(vec![]));
+        assert!(Graph::new(0).is_spanning_tree(&[]));
+        assert!(!Graph::new(0).is_spanning_tree(&[e0]));
+    }
+
+    #[test]
+    fn bfs_tree_reaches_along_members_only() {
+        let mut g = Graph::new(4);
+        let e0 = g.add_edge(NodeId(0), NodeId(1), Weight(5)).unwrap();
+        g.add_edge(NodeId(1), NodeId(2), Weight(6)).unwrap();
+        let e2 = g.add_edge(NodeId(0), NodeId(3), Weight(7)).unwrap();
+        let mut reached = Vec::new();
+        let count = g.bfs_tree(&[true, false, true], NodeId(0), |v, nb| {
+            reached.push((v, nb.node, nb.edge, nb.port, nb.weight));
+        });
+        assert_eq!(count, 3);
+        assert_eq!(
+            reached,
+            vec![
+                (NodeId(0), NodeId(1), e0, Port(0), Weight(5)),
+                (NodeId(0), NodeId(3), e2, Port(1), Weight(7)),
+            ]
+        );
     }
 
     #[test]

@@ -204,6 +204,33 @@ impl BitString {
         self.push_chunk(stream_chunk(value, width), width);
     }
 
+    /// Appends every value at `width` bits, exactly as one
+    /// [`BitString::push_bits`] per value would, with as many values per
+    /// 64-bit chunk as fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64` or a value does not fit in `width` bits.
+    pub fn push_fields(&mut self, values: impl IntoIterator<Item = u64>, width: u32) {
+        assert!(width <= 64, "width exceeds 64");
+        let (mut chunk, mut filled) = (0u64, 0u32);
+        for value in values {
+            assert!(
+                width == 64 || value < 1u64 << width,
+                "value {value} does not fit in {width} bits"
+            );
+            if filled + width > 64 {
+                self.push_chunk(chunk, filled);
+                (chunk, filled) = (0, 0);
+            }
+            // `filled + width <= 64` here, so a nonzero width keeps the
+            // shift below 64 (and a zero-width value adds nothing).
+            chunk |= stream_chunk(value, width).checked_shl(filled).unwrap_or(0);
+            filled += width;
+        }
+        self.push_chunk(chunk, filled);
+    }
+
     /// Appends the Elias gamma code of `value` (requires `value >= 1`):
     /// `⌊log₂ v⌋` zeros, then the binary expansion of `v`. Costs
     /// `2⌊log₂ v⌋ + 1` bits.
@@ -214,8 +241,13 @@ impl BitString {
     pub fn push_elias_gamma(&mut self, value: u64) {
         assert!(value >= 1, "Elias gamma encodes positive integers");
         let bits = 64 - value.leading_zeros();
-        self.push_chunk(0, bits - 1);
-        self.push_bits(value, bits);
+        if bits <= 32 {
+            // Zeros and value in one chunk: the zeros are its low bits.
+            self.push_chunk(stream_chunk(value, bits) << (bits - 1), 2 * bits - 1);
+        } else {
+            self.push_chunk(0, bits - 1);
+            self.push_bits(value, bits);
+        }
     }
 
     /// Appends the Elias delta code of `value >= 1`: the gamma code of the

@@ -86,9 +86,7 @@ impl LabelCodec {
         for &f in &sep[1..] {
             self.push_sep_field(out, f);
         }
-        for v in values {
-            out.push_bits(v, value_bits);
-        }
+        out.push_fields(values, value_bits);
     }
 
     /// Reads one `Γ` label written by [`LabelCodec::encode_fields_into`],
@@ -321,10 +319,7 @@ impl LabelCodec {
     ///
     /// As [`LabelCodec::encode_flow`].
     pub fn encode_flow_into(&self, label: &FlowLabel, out: &mut BitString) {
-        let phi = label
-            .phi
-            .iter()
-            .map(|&w| if w == FLOW_INFINITY { 0 } else { w.0 });
+        let phi = label.phi.iter().map(|&w| flow_raw(w));
         self.encode_fields_into(&label.sep, phi, self.omega_bits, out);
     }
 
@@ -336,6 +331,16 @@ impl LabelCodec {
     pub fn decode_flow_label(&self, bits: &BitString) -> FlowLabel {
         self.try_decode_flow_from(&mut bits.reader())
             .expect("truncated FLOW label")
+    }
+}
+
+/// A `FLOW` field as written: [`FLOW_INFINITY`] is the reserved
+/// pattern `0` (weights are positive, so `0` is free).
+pub(crate) fn flow_raw(w: Weight) -> u64 {
+    if w == FLOW_INFINITY {
+        0
+    } else {
+        w.0
     }
 }
 

@@ -9,12 +9,15 @@
 //! that aggregate ([`PathAggregate`]): `MAX` is the maximum from 0, `FLOW`
 //! the minimum from [`FLOW_INFINITY`], `DIST` the sum from 0. The batch
 //! sweep and the per-node walk below are written once for all three, and
-//! so is the Lemma 3.3 checker in `mstv-core`.
+//! so is the Lemma 3.3 checker in `mstv-core`. [`GammaPass`] runs the
+//! sweep once with all three aggregates side by side, for callers that
+//! want every family of one tree.
 
 use mstv_graph::{NodeId, Weight};
 use mstv_trees::{par_map_chunks, ParallelConfig, RootedTree, SeparatorDecomposition};
 
-use crate::{DistLabel, FlowLabel, MaxLabel, FLOW_INFINITY};
+use crate::codec::flow_raw;
+use crate::{dist_fits, BitString, DistLabel, FlowLabel, LabelCodec, MaxLabel, FLOW_INFINITY};
 
 /// The path aggregate a `Γ` label family stores in its value fields.
 ///
@@ -72,6 +75,142 @@ impl PathAggregate for DistAggregate {
     #[inline]
     fn extend(acc: u64, w: Weight) -> u64 {
         acc.saturating_add(w.0)
+    }
+}
+
+/// One field of all three families: `(MAX, FLOW, DIST)`.
+type Triple = (Weight, Weight, u64);
+
+/// `MAX`, `FLOW` and `DIST` side by side, each extended by its own
+/// family's rule: the aggregate one sweep carries to fill every family.
+struct TripleAggregate;
+
+impl PathAggregate for TripleAggregate {
+    type Value = Triple;
+    const EMPTY: Self::Value = (
+        MaxAggregate::EMPTY,
+        FlowAggregate::EMPTY,
+        DistAggregate::EMPTY,
+    );
+
+    #[inline]
+    fn extend((max, min, sum): Self::Value, w: Weight) -> Self::Value {
+        (
+            MaxAggregate::extend(max, w),
+            FlowAggregate::extend(min, w),
+            DistAggregate::extend(sum, w),
+        )
+    }
+}
+
+/// The fields of all three `Γ` families over one tree and decomposition,
+/// from one pass: each vertex's separator fields once, and one
+/// [`omega_sweep`] carrying the `(max, min, sum)` triple. The families'
+/// labels are projections of it, encoded straight to bits
+/// ([`GammaPass::encode`]) or materialized ([`GammaPass::into_labels`]),
+/// and equal what the per-family builders ([`crate::max_labels_parallel`]
+/// and its twins) produce. `DIST` is projected only when the tree's total
+/// weight fits in a `u64` ([`crate::dist_fits`]).
+#[derive(Debug, Clone)]
+pub struct GammaPass {
+    nodes: Vec<(Vec<u64>, Vec<Triple>)>,
+    /// Width of the `δ` fields (the bit width of the largest one), when
+    /// the tree has `DIST` labels.
+    delta_bits: Option<u32>,
+}
+
+/// The bit encodings [`GammaPass::encode`] writes, one per vertex and
+/// family.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GammaEncoding {
+    /// The `MAX` labels.
+    pub max: Vec<BitString>,
+    /// The `FLOW` labels.
+    pub flow: Vec<BitString>,
+    /// The `δ` field width and the `DIST` labels, when the tree has them.
+    pub dist: Option<(u32, Vec<BitString>)>,
+}
+
+impl GammaPass {
+    /// Runs the pass: separator fields fanned across `config`'s workers,
+    /// then one sweep. Output is identical for every worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sep` does not belong to `tree` (mismatched node counts).
+    pub fn build(tree: &RootedTree, sep: &SeparatorDecomposition, config: ParallelConfig) -> Self {
+        let nodes: Vec<_> = gamma_fields::<TripleAggregate>(tree, sep, config).collect();
+        let delta_bits = dist_fits(tree).then(|| {
+            let max_delta = nodes
+                .iter()
+                .flat_map(|(_, values)| values.iter().map(|&(_, _, sum)| sum))
+                .max()
+                .unwrap_or(0);
+            Weight(max_delta).bit_width()
+        });
+        GammaPass { nodes, delta_bits }
+    }
+
+    /// Every vertex's `MAX` and `FLOW` label under `codec`, and its
+    /// `DIST` label with `δ` fields as wide as the widest one — bit for
+    /// bit what [`crate::ImplicitScheme`] and
+    /// [`crate::ImplicitDistScheme`] write — with the vertices fanned
+    /// across `config`'s workers. Output is identical for every worker
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `MAX` or `FLOW` value does not fit in
+    /// `codec.omega_bits`, or a separator field overflows a fixed-width
+    /// codec.
+    pub fn encode(&self, codec: LabelCodec, config: ParallelConfig) -> GammaEncoding {
+        // One family at a time, so each family's labels are allocated
+        // together and a section is read back from contiguous memory.
+        let family = |bits: u32, field: fn(&Triple) -> u64| {
+            par_map_chunks(self.nodes.len(), config.resolved_threads(), |lo, hi| {
+                let mut scratch = BitString::new();
+                self.nodes[lo..hi]
+                    .iter()
+                    .map(|(sep, values)| {
+                        scratch.clear();
+                        codec.encode_fields_into(sep, values.iter().map(field), bits, &mut scratch);
+                        scratch.clone()
+                    })
+                    .collect()
+            })
+        };
+        GammaEncoding {
+            max: family(codec.omega_bits, |v| v.0 .0),
+            flow: family(codec.omega_bits, |v| flow_raw(v.1)),
+            dist: self.delta_bits.map(|bits| (bits, family(bits, |v| v.2))),
+        }
+    }
+
+    /// The structured labels of every vertex: `MAX`, `FLOW`, and `DIST`
+    /// when the tree has them.
+    pub fn into_labels(self) -> (Vec<MaxLabel>, Vec<FlowLabel>, Option<Vec<DistLabel>>) {
+        let n = self.nodes.len();
+        let has_dist = self.delta_bits.is_some();
+        let mut max = Vec::with_capacity(n);
+        let mut flow = Vec::with_capacity(n);
+        let mut dist = Vec::with_capacity(if has_dist { n } else { 0 });
+        for (sep, values) in self.nodes {
+            max.push(MaxLabel {
+                sep: sep.clone(),
+                omega: values.iter().map(|v| v.0).collect(),
+            });
+            flow.push(FlowLabel {
+                sep: sep.clone(),
+                phi: values.iter().map(|v| v.1).collect(),
+            });
+            if has_dist {
+                dist.push(DistLabel {
+                    sep,
+                    delta: values.iter().map(|v| v.2).collect(),
+                });
+            }
+        }
+        (max, flow, has_dist.then_some(dist))
     }
 }
 
@@ -260,10 +399,10 @@ mod tests {
 
     #[test]
     fn batch_sweep_identical_to_per_node_assembler() {
-        // The batch builders' per-separator sweeps and the per-node walk
-        // must agree field for field on every member of Γ, for all three
-        // aggregates and at any worker count — the incremental relabeler
-        // mixes the two.
+        // The batch builders' per-separator sweeps, the one pass carrying
+        // all three aggregates, and the per-node walk must agree field
+        // for field on every member of Γ, for all three aggregates and
+        // at any worker count — the incremental relabeler mixes them.
         let mut rng = StdRng::seed_from_u64(59);
         for (n, seed) in [(1usize, 64u64), (2, 60), (17, 61), (120, 62), (301, 63)] {
             let t = tree_of(n, 300, seed);
@@ -278,11 +417,18 @@ mod tests {
                     let max = max_labels_parallel(&t, &d, pc);
                     let flow = flow_labels_parallel(&t, &d, pc);
                     let dist = dist_labels_parallel(&t, &d, pc);
+                    let (pass_max, pass_flow, pass_dist) =
+                        GammaPass::build(&t, &d, pc).into_labels();
+                    let pass_dist = pass_dist.expect("a 300-weight tree has distance labels");
                     for v in t.nodes() {
                         let (m, f, x) = walk_labels(&t, &d, v);
-                        assert_eq!(max[v.index()], m, "MAX n={n} v={v} threads={threads}");
-                        assert_eq!(flow[v.index()], f, "FLOW n={n} v={v} threads={threads}");
-                        assert_eq!(dist[v.index()], x, "DIST n={n} v={v} threads={threads}");
+                        let i = v.index();
+                        assert_eq!(max[i], m, "MAX n={n} v={v} threads={threads}");
+                        assert_eq!(flow[i], f, "FLOW n={n} v={v} threads={threads}");
+                        assert_eq!(dist[i], x, "DIST n={n} v={v} threads={threads}");
+                        assert_eq!(pass_max[i], m, "pass MAX n={n} v={v} threads={threads}");
+                        assert_eq!(pass_flow[i], f, "pass FLOW n={n} v={v} threads={threads}");
+                        assert_eq!(pass_dist[i], x, "pass DIST n={n} v={v} threads={threads}");
                     }
                 }
             }

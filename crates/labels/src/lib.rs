@@ -16,8 +16,9 @@
 //! The three families share one construction and differ only in the
 //! path aggregate their value fields carry ([`PathAggregate`]); each has
 //! one batch builder (`*_labels_parallel`, with `*_labels` its one-worker
-//! pin), and [`walk_labels`] assembles all three labels of a single
-//! vertex for incremental relabelers.
+//! pin), [`GammaPass`] fills all three from one sweep for callers that
+//! want every family of a tree, and [`walk_labels`] assembles all three
+//! labels of a single vertex for incremental relabelers.
 //!
 //! ```
 //! use mstv_graph::{gen, NodeId};
@@ -56,6 +57,9 @@ pub use dist_label::{
 pub use flow_label::{
     decode_flow, flow_labels, flow_labels_parallel, try_decode_flow, FlowLabel, FLOW_INFINITY,
 };
-pub use gamma::{walk_labels, DistAggregate, FlowAggregate, MaxAggregate, PathAggregate};
+pub use gamma::{
+    walk_labels, DistAggregate, FlowAggregate, GammaEncoding, GammaPass, MaxAggregate,
+    PathAggregate,
+};
 pub use max_label::{decode_max, max_labels, max_labels_parallel, try_decode_max, MaxLabel};
 pub use packed::PackedLabels;

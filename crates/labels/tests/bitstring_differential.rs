@@ -22,33 +22,45 @@ enum Op {
     Delta(u64),
     /// Append a second stream built from the given bit pattern.
     Extend(Vec<bool>),
+    /// Values at one width: one `push_fields` call against one
+    /// `push_bits` per value.
+    Fields(Vec<u64>, u32),
+}
+
+/// `v` cut to its low `w` bits.
+fn fit(v: u64, w: u32) -> u64 {
+    if w == 64 {
+        v
+    } else if w == 0 {
+        0
+    } else {
+        v & ((1u64 << w) - 1)
+    }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         any::<bool>().prop_map(Op::Push),
-        (any::<u64>(), 0u32..=64).prop_map(|(v, w)| {
-            let v = if w == 64 {
-                v
-            } else if w == 0 {
-                0
-            } else {
-                v & ((1u64 << w) - 1)
-            };
-            Op::Bits(v, w)
-        }),
+        (any::<u64>(), 0u32..=64).prop_map(|(v, w)| Op::Bits(fit(v, w), w)),
         // Bias toward boundary values: the shift-overflow sweep lives
-        // at width 63/64 and u64::MAX.
+        // at width 63/64 and u64::MAX, the one-chunk code ends at 32
+        // significant bits.
         prop_oneof![
             Just(u64::MAX),
             Just(u64::MAX - 1),
             Just(1u64 << 63),
             Just((1u64 << 63) - 1),
+            Just(u64::from(u32::MAX)),
+            Just(1u64 << 32),
             1u64..=u64::MAX,
+            1u64..=1 << 33,
+            1u64..64,
         ]
         .prop_map(Op::Gamma),
         prop_oneof![Just(u64::MAX), Just(1u64 << 63), 1u64..=u64::MAX].prop_map(Op::Delta),
         proptest::collection::vec(any::<bool>(), 0..100).prop_map(Op::Extend),
+        (proptest::collection::vec(any::<u64>(), 0..12), 0u32..=64)
+            .prop_map(|(vs, w)| Op::Fields(vs.into_iter().map(|v| fit(v, w)).collect(), w)),
     ]
 }
 
@@ -82,6 +94,12 @@ fn build_both(ops: &[Op]) -> (BitString, RefBitString) {
                 }
                 new.extend_from(&new_other);
                 old.extend_from(&old_other);
+            }
+            Op::Fields(vs, w) => {
+                new.push_fields(vs.iter().copied(), *w);
+                for &v in vs {
+                    old.push_bits(v, *w);
+                }
             }
         }
     }
@@ -135,6 +153,11 @@ proptest! {
                         prop_assert_eq!(new_r.read_bit(), old_r.read_bit());
                     }
                 }
+                Op::Fields(vs, w) => {
+                    for _ in vs {
+                        prop_assert_eq!(new_r.read_bits(*w), old_r.read_bits(*w));
+                    }
+                }
             }
             prop_assert_eq!(new_r.position(), old_r.position());
         }
@@ -163,7 +186,7 @@ proptest! {
     #[test]
     fn fallible_gamma_agrees_on_encoder_output(
         values in proptest::collection::vec(
-            prop_oneof![Just(u64::MAX), Just(1u64 << 63), 1u64..=u64::MAX],
+            prop_oneof![Just(u64::MAX), Just(1u64 << 63), 1u64..=u64::MAX, 1u64..=1 << 33],
             0..20
         )
     ) {

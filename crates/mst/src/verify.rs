@@ -22,13 +22,18 @@ pub enum MstVerdict {
     },
 }
 
-fn root_of(tree_edges: &[EdgeId], graph: &Graph) -> NodeId {
-    // Any node works as root; use an endpoint of the first tree edge, or
-    // node 0 for the single-node graph.
-    tree_edges
+/// The candidate's membership slice and its tree, hung from an endpoint
+/// of its first edge (node 0 for the single-node graph); `None` when the
+/// edge set is not a spanning tree — degenerate inputs such as an empty
+/// graph included, which pass the membership check but cannot be hung.
+fn spanning_tree(graph: &Graph, tree_edges: &[EdgeId]) -> Option<(Vec<bool>, RootedTree)> {
+    let in_tree = graph.spanning_tree_membership(tree_edges)?;
+    let root = tree_edges
         .first()
         .map(|&e| graph.edge(e).u)
-        .unwrap_or(NodeId(0))
+        .unwrap_or(NodeId(0));
+    let tree = RootedTree::from_tree_membership(graph, &in_tree, root).ok()?;
+    Some((in_tree, tree))
 }
 
 fn check_with(
@@ -36,20 +41,9 @@ fn check_with(
     tree_edges: &[EdgeId],
     max_oracle: impl Fn(&RootedTree, NodeId, NodeId) -> Weight,
 ) -> MstVerdict {
-    if !graph.is_spanning_tree(tree_edges) {
-        return MstVerdict::NotSpanningTree;
-    }
-    // `is_spanning_tree` passed, but degenerate inputs (an empty graph,
-    // ids from a foreign snapshot) can still fail tree construction;
-    // reject them instead of panicking.
-    let Ok(tree) = RootedTree::from_graph_edges(graph, tree_edges, root_of(tree_edges, graph))
-    else {
+    let Some((in_tree, tree)) = spanning_tree(graph, tree_edges) else {
         return MstVerdict::NotSpanningTree;
     };
-    let mut in_tree = vec![false; graph.num_edges()];
-    for &e in tree_edges {
-        in_tree[e.index()] = true;
-    }
     for (e, edge) in graph.edges() {
         if in_tree[e.index()] {
             continue;
@@ -70,21 +64,10 @@ fn check_with(
 /// Kruskal reconstruction tree (the fastest sequential verifier here;
 /// `O((n + m) log n)` total, the `log` only in preprocessing sorts).
 pub fn check_mst(graph: &Graph, tree_edges: &[EdgeId]) -> MstVerdict {
-    if !graph.is_spanning_tree(tree_edges) {
-        return MstVerdict::NotSpanningTree;
-    }
-    // `is_spanning_tree` passed, but degenerate inputs (an empty graph,
-    // ids from a foreign snapshot) can still fail tree construction;
-    // reject them instead of panicking.
-    let Ok(tree) = RootedTree::from_graph_edges(graph, tree_edges, root_of(tree_edges, graph))
-    else {
+    let Some((in_tree, tree)) = spanning_tree(graph, tree_edges) else {
         return MstVerdict::NotSpanningTree;
     };
     let kt = KruskalTree::new(&tree);
-    let mut in_tree = vec![false; graph.num_edges()];
-    for &e in tree_edges {
-        in_tree[e.index()] = true;
-    }
     for (e, edge) in graph.edges() {
         if in_tree[e.index()] {
             continue;
@@ -111,13 +94,9 @@ pub fn check_mst(graph: &Graph, tree_edges: &[EdgeId]) -> MstVerdict {
 /// on the (rare) reject path the exact oracle is re-run to name the first
 /// offending edge and its true path maximum.
 pub fn check_mst_offline(graph: &Graph, tree_edges: &[EdgeId]) -> MstVerdict {
-    if !graph.is_spanning_tree(tree_edges) {
+    let Some(in_tree) = graph.spanning_tree_membership(tree_edges) else {
         return MstVerdict::NotSpanningTree;
-    }
-    let mut in_tree = vec![false; graph.num_edges()];
-    for &e in tree_edges {
-        in_tree[e.index()] = true;
-    }
+    };
     // Ascending by weight with tree edges first among ties, so when a
     // non-tree edge `e` is tested every tree edge of weight ≤ w(e) — and
     // no heavier one — has been unioned.
@@ -147,21 +126,10 @@ pub fn check_mst_naive(graph: &Graph, tree_edges: &[EdgeId]) -> MstVerdict {
 /// Verifies a candidate MST with binary-lifting path maxima
 /// (O((n + m) log n)).
 pub fn check_mst_lifting(graph: &Graph, tree_edges: &[EdgeId]) -> MstVerdict {
-    if !graph.is_spanning_tree(tree_edges) {
-        return MstVerdict::NotSpanningTree;
-    }
-    // `is_spanning_tree` passed, but degenerate inputs (an empty graph,
-    // ids from a foreign snapshot) can still fail tree construction;
-    // reject them instead of panicking.
-    let Ok(tree) = RootedTree::from_graph_edges(graph, tree_edges, root_of(tree_edges, graph))
-    else {
+    let Some((in_tree, tree)) = spanning_tree(graph, tree_edges) else {
         return MstVerdict::NotSpanningTree;
     };
     let idx = PathMaxIndex::new(&tree);
-    let mut in_tree = vec![false; graph.num_edges()];
-    for &e in tree_edges {
-        in_tree[e.index()] = true;
-    }
     for (e, edge) in graph.edges() {
         if in_tree[e.index()] {
             continue;
@@ -211,18 +179,10 @@ pub fn maximum_spanning_tree(graph: &Graph) -> Vec<EdgeId> {
 /// the graph weighs at most `FLOW(u, v)`, the lightest tree edge on the
 /// path between its endpoints.
 pub fn is_max_spanning_tree(graph: &Graph, tree_edges: &[EdgeId]) -> bool {
-    if !graph.is_spanning_tree(tree_edges) {
-        return false;
-    }
-    let Ok(tree) = RootedTree::from_graph_edges(graph, tree_edges, root_of(tree_edges, graph))
-    else {
+    let Some((in_tree, tree)) = spanning_tree(graph, tree_edges) else {
         return false;
     };
     let idx = PathMaxIndex::new(&tree);
-    let mut in_tree = vec![false; graph.num_edges()];
-    for &e in tree_edges {
-        in_tree[e.index()] = true;
-    }
     graph
         .edges()
         .all(|(e, edge)| in_tree[e.index()] || edge.w <= idx.min_on_path(edge.u, edge.v))
@@ -260,6 +220,40 @@ mod tests {
         assert_eq!(check_mst_naive(&g, &t), MstVerdict::NotSpanningTree);
         assert_eq!(check_mst_lifting(&g, &t), MstVerdict::NotSpanningTree);
         assert_eq!(check_mst_offline(&g, &t), MstVerdict::NotSpanningTree);
+    }
+
+    #[test]
+    fn membership_edge_cases_are_verdicts_not_panics() {
+        // A triangle 0-1-2 with node 3 hanging off node 2.
+        let mut g = Graph::new(4);
+        let e0 = g.add_edge(NodeId(0), NodeId(1), Weight(1)).unwrap();
+        let e1 = g.add_edge(NodeId(1), NodeId(2), Weight(2)).unwrap();
+        let e2 = g.add_edge(NodeId(2), NodeId(0), Weight(3)).unwrap();
+        let e3 = g.add_edge(NodeId(2), NodeId(3), Weight(4)).unwrap();
+        type Check = fn(&Graph, &[EdgeId]) -> MstVerdict;
+        let checks: [Check; 4] = [
+            check_mst,
+            check_mst_naive,
+            check_mst_lifting,
+            check_mst_offline,
+        ];
+        for edges in [[e0, e1, e0], [e0, e1, EdgeId(4)], [e0, e1, e2]] {
+            for check in checks {
+                assert_eq!(check(&g, &edges), MstVerdict::NotSpanningTree, "{edges:?}");
+            }
+            assert!(!is_max_spanning_tree(&g, &edges));
+        }
+        for check in checks {
+            assert_eq!(check(&g, &[e0, e1, e3]), MstVerdict::Mst);
+            assert_eq!(check(&Graph::new(1), &[]), MstVerdict::Mst);
+        }
+        // No node: the empty set passes the membership check but hangs
+        // no tree, which the path oracles need; the offline check needs
+        // none and finds no non-tree edge.
+        for check in [check_mst, check_mst_naive, check_mst_lifting] {
+            assert_eq!(check(&Graph::new(0), &[]), MstVerdict::NotSpanningTree);
+        }
+        assert_eq!(check_mst_offline(&Graph::new(0), &[]), MstVerdict::Mst);
     }
 
     #[test]

@@ -59,10 +59,7 @@
 use std::path::Path;
 
 use mstv_graph::{NodeId, Weight};
-use mstv_labels::{
-    dist_fits, BitString, ImplicitDistScheme, ImplicitFlowScheme, ImplicitMaxScheme, LabelCodec,
-    PackedLabels, SepFieldCodec,
-};
+use mstv_labels::{BitString, GammaPass, LabelCodec, PackedLabels, SepFieldCodec};
 use mstv_trees::{centroid_decomposition_parallel, ParallelConfig, PathMaxIndex, RootedTree};
 
 use crate::crc::crc32;
@@ -190,8 +187,9 @@ impl Snapshot {
     }
 
     /// [`Snapshot::build`] with the whole labeling pipeline — centroid
-    /// decomposition, per-node `MAX`/`FLOW`/`DIST` label assembly, and
-    /// bit-level encoding — fanned across a scoped thread pool.
+    /// decomposition, the one [`GammaPass`] that fills the `MAX`, `FLOW`
+    /// and `DIST` fields together, and bit-level encoding — fanned across
+    /// a scoped thread pool.
     ///
     /// The output is byte-identical to the sequential builder for every
     /// thread count (`Snapshot::build` *is* this function pinned to one
@@ -203,29 +201,22 @@ impl Snapshot {
         config: ParallelConfig,
     ) -> Snapshot {
         let sep = centroid_decomposition_parallel(tree, config);
-        let max_scheme =
-            ImplicitMaxScheme::with_decomposition_parallel(tree, &sep, sep_codec, config);
-        let flow_scheme =
-            ImplicitFlowScheme::with_decomposition_parallel(tree, &sep, sep_codec, config);
-        let dist_scheme = dist_fits(tree).then(|| {
-            ImplicitDistScheme::with_decomposition_parallel(tree, &sep, sep_codec, config)
-        });
+        let codec = LabelCodec::for_tree(tree, sep_codec);
+        let labels = GammaPass::build(tree, &sep, config).encode(codec, config);
         let parents = tree
             .nodes()
             .map(|v| tree.parent(v).map(|p| (p, tree.parent_weight(v))))
             .collect();
-        let collect = |enc: &dyn Fn(NodeId) -> BitString| tree.nodes().map(enc).collect();
         Snapshot {
             root: tree.root(),
             max_weight: tree.edges().map(|(_, _, w)| w).max().unwrap_or(Weight(1)),
-            codec: max_scheme.codec(),
+            codec,
             parents,
-            max_labels: collect(&|v| max_scheme.encoded(v).clone()),
-            flow_labels: collect(&|v| flow_scheme.encoded(v).clone()),
-            dist: dist_scheme.map(|d| DistSection {
-                delta_bits: d.delta_bits(),
-                labels: collect(&|v| d.encoded(v).clone()),
-            }),
+            max_labels: labels.max,
+            flow_labels: labels.flow,
+            dist: labels
+                .dist
+                .map(|(delta_bits, labels)| DistSection { delta_bits, labels }),
         }
     }
 

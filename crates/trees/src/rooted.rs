@@ -1,7 +1,5 @@
 //! Rooted weighted trees with precomputed traversal orders.
 
-use std::collections::BTreeSet;
-
 use mstv_graph::{EdgeId, Graph, GraphError, NodeId, Weight};
 
 /// A rooted weighted tree on nodes `0..n`.
@@ -120,18 +118,15 @@ impl RootedTree {
     }
 
     /// Builds a rooted tree from a per-edge membership slice —
-    /// `in_tree[e]` says whether edge `e` of `graph` is a tree edge.
-    ///
-    /// Produces exactly the tree [`RootedTree::from_graph_edges`] builds
-    /// from the corresponding edge list (same BFS discovery order, hence
-    /// identical children order and preorder), but the hot path is a slice
-    /// index per neighbor instead of an ordered-set probe per neighbor —
-    /// the constructor incremental maintainers call once per mutation.
+    /// `in_tree[e]` says whether edge `e` of `graph` is a tree edge: one
+    /// slice index per neighbor in a breadth-first search from `root`.
     ///
     /// # Errors
     ///
-    /// Returns an error if the membership length does not match the
-    /// graph's edge count or the selected edges are not a spanning tree.
+    /// [`GraphError::NotASpanningTree`] if the membership length does not
+    /// match the graph's edge count or the selected edges are not a
+    /// spanning tree, [`GraphError::NodeOutOfRange`] if `root` is not a
+    /// node of `graph`.
     pub fn from_tree_membership(
         graph: &Graph,
         in_tree: &[bool],
@@ -146,63 +141,46 @@ impl RootedTree {
                 ),
             });
         }
-        if in_tree.iter().filter(|b| **b).count() != graph.num_nodes().saturating_sub(1) {
+        let n = graph.num_nodes();
+        if in_tree.iter().filter(|b| **b).count() != n.saturating_sub(1) {
             return Err(GraphError::NotASpanningTree {
                 reason: "edge count is not n - 1".to_owned(),
             });
         }
-        let n = graph.num_nodes();
-        let mut parents: Vec<Option<(NodeId, Weight)>> = vec![None; n];
-        let mut seen = vec![false; n];
-        seen[root.index()] = true;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            for nb in graph.neighbors(v) {
-                if in_tree[nb.edge.index()] && !seen[nb.node.index()] {
-                    seen[nb.node.index()] = true;
-                    parents[nb.node.index()] = Some((v, nb.weight));
-                    queue.push_back(nb.node);
-                }
-            }
+        if root.index() >= n {
+            return Err(GraphError::NodeOutOfRange { node: root, n });
         }
+        let mut parents: Vec<Option<(NodeId, Weight)>> = vec![None; n];
+        graph.bfs_tree(in_tree, root, |v, nb| {
+            parents[nb.node.index()] = Some((v, nb.weight));
+        });
         // `from_parents` rejects the unreached remainder of a
         // non-spanning selection (cycles leave nodes without parents).
         Self::from_parents(root, parents)
     }
 
-    /// Builds a rooted tree from a subset of a graph's edges.
+    /// Builds a rooted tree from a subset of a graph's edges: the ids are
+    /// checked (range, duplicates) into a membership slice for
+    /// [`RootedTree::from_tree_membership`].
     ///
     /// # Errors
     ///
-    /// Returns an error if `tree_edges` is not a spanning tree of `graph`.
+    /// [`GraphError::NotASpanningTree`] if `tree_edges` is not a spanning
+    /// tree of `graph`, [`GraphError::NodeOutOfRange`] if `root` is not a
+    /// node of it.
     pub fn from_graph_edges(
         graph: &Graph,
         tree_edges: &[EdgeId],
         root: NodeId,
     ) -> Result<Self, GraphError> {
-        if !graph.is_spanning_tree(tree_edges) {
-            return Err(GraphError::NotASpanningTree {
-                reason: "edge set fails spanning-tree check".to_owned(),
-            });
-        }
-        let n = graph.num_nodes();
-        let in_tree: BTreeSet<EdgeId> = tree_edges.iter().copied().collect();
-        let mut parents: Vec<Option<(NodeId, Weight)>> = vec![None; n];
-        let mut seen = vec![false; n];
-        seen[root.index()] = true;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            for nb in graph.neighbors(v) {
-                if in_tree.contains(&nb.edge) && !seen[nb.node.index()] {
-                    seen[nb.node.index()] = true;
-                    parents[nb.node.index()] = Some((v, nb.weight));
-                    queue.push_back(nb.node);
-                }
-            }
-        }
-        Self::from_parents(root, parents)
+        let not_spanning = || GraphError::NotASpanningTree {
+            reason: "edge set fails spanning-tree check".to_owned(),
+        };
+        let in_tree = graph.edge_membership(tree_edges).ok_or_else(not_spanning)?;
+        Self::from_tree_membership(graph, &in_tree, root).map_err(|e| match e {
+            GraphError::NotASpanningTree { .. } => not_spanning(),
+            e => e,
+        })
     }
 
     /// Number of nodes.
@@ -571,6 +549,46 @@ mod tests {
         // Wrong membership length and wrong edge count are typed errors.
         assert!(RootedTree::from_tree_membership(&g, &[true; 2], NodeId(0)).is_err());
         assert!(RootedTree::from_tree_membership(&g, &[true; 4], NodeId(0)).is_err());
+    }
+
+    #[test]
+    fn from_graph_edges_edge_cases() {
+        // A triangle 0-1-2 with node 3 hanging off node 2.
+        let mut g = Graph::new(4);
+        let e0 = g.add_edge(NodeId(0), NodeId(1), Weight(1)).unwrap();
+        let e1 = g.add_edge(NodeId(1), NodeId(2), Weight(2)).unwrap();
+        let e2 = g.add_edge(NodeId(2), NodeId(0), Weight(3)).unwrap();
+        let e3 = g.add_edge(NodeId(2), NodeId(3), Weight(4)).unwrap();
+        let not_spanning = Err(GraphError::NotASpanningTree {
+            reason: "edge set fails spanning-tree check".to_owned(),
+        });
+        for edges in [[e0, e1, e0], [e0, e1, EdgeId(4)], [e0, e1, e2]] {
+            assert_eq!(
+                RootedTree::from_graph_edges(&g, &edges, NodeId(0)),
+                not_spanning,
+                "{edges:?}"
+            );
+        }
+        assert_eq!(
+            RootedTree::from_graph_edges(&g, &[e0, e1, e3], NodeId(4)),
+            Err(GraphError::NodeOutOfRange {
+                node: NodeId(4),
+                n: 4
+            })
+        );
+        let one = RootedTree::from_graph_edges(&Graph::new(1), &[], NodeId(0)).unwrap();
+        assert_eq!(
+            one,
+            RootedTree::from_parents(NodeId(0), vec![None]).unwrap()
+        );
+        // No node to hang a tree from: a typed error, not a panic.
+        assert_eq!(
+            RootedTree::from_graph_edges(&Graph::new(0), &[], NodeId(0)),
+            Err(GraphError::NodeOutOfRange {
+                node: NodeId(0),
+                n: 0
+            })
+        );
     }
 
     #[test]

@@ -46,13 +46,18 @@ echo "== parallel marker equivalence (pinned at 2 workers) =="
 # the multi-worker scheduling paths. The marker-level tests repeat the
 # check at the label/bit level for both π_mst and π_flow. The per-node
 # walk is the only per-node reference the batch builders have: the
-# labels test pins MAX/FLOW/DIST batch output at 1 and 3 workers to the
-# walk, and dyn's stream test pins the walk-relabelled state to a full
-# Snapshot::build after every mutation.
+# labels test pins MAX/FLOW/DIST batch output (per family and from the
+# one Γ pass) at 1 and 3 workers to the walk, and dyn's stream test pins
+# the walk-relabelled state to a full Snapshot::build after every
+# mutation. At the root, the one pass's records are pinned to the
+# per-family schemes' encodings (and the snapshot to its bytes at 1 and
+# 4 workers), and the tree-membership edge cases to their verdicts.
 cargo test -q --offline -p mstv-trees --test separator_parallel_proptest
 cargo test -q --offline -p mstv-core marker_parallel_is_byte_identical
 cargo test -q --offline -p mstv-labels batch_sweep_identical_to_per_node_assembler
 cargo test -q --offline -p mstv-dyn every_mutation_stays_bit_identical_to_rebuild
+cargo test -q --offline --test labels one_gamma_pass_encodes_what_the_per_family_schemes_encode
+cargo test -q --offline --test properties tree_membership_edge_cases_keep_their_verdicts
 
 echo "== label-store golden fixture (byte-for-byte) =="
 # The committed fixture pins the snapshot container layout and the label
@@ -111,6 +116,24 @@ diff "$tmp/net_b.txt" "$tmp/local_b.txt" \
     || { echo "ci: post-swap answers diverge from the new snapshot"; exit 1; }
 "$mstv" query --connect "127.0.0.1:$port" --shutdown-server >/dev/null
 wait "$serve_pid" || { echo "ci: server did not exit cleanly"; exit 1; }
+
+echo "== parallel snapshot writer (5000 nodes, 1 vs 4 threads, v1 and v2) =="
+# 5000 nodes is past the decomposition's sequential cutoff (1024), so
+# four threads take the parallel centroid path, and the Γ pass and its
+# encoding fan out too; every byte must match the one-thread file.
+"$mstv" gen --nodes 5000 --extra 10000 --seed 23 > "$tmp/p.txt"
+for fmt in v1 v2; do
+    "$mstv" snapshot write --threads 1 --format "$fmt" "$tmp/p.txt" "$tmp/p1.snap" >/dev/null
+    "$mstv" snapshot write --threads 4 --format "$fmt" "$tmp/p.txt" "$tmp/p4.snap" >/dev/null
+    cmp "$tmp/p1.snap" "$tmp/p4.snap" \
+        || { echo "ci: snapshot bytes differ between 1 and 4 threads ($fmt)"; exit 1; }
+done
+
+echo "== closed stdout (gen | head -1 under pipefail) =="
+# A reader that stops early ends mstv quietly with status 0, so the
+# pipeline succeeds instead of failing on a panic.
+"$mstv" gen --nodes 20000 --extra 40000 --seed 3 | head -1 >/dev/null \
+    || { echo "ci: mstv gen failed on a closed stdout"; exit 1; }
 
 echo "== distributed construction smoke (256 nodes, lossy, 1 vs 4 workers) =="
 # Build the MST and its labels on the network under a lossy link, on

@@ -16,6 +16,7 @@
 
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use mst_verification::core::{MstScheme, Mutation, ProofLabelingScheme, VerifySession};
 use mst_verification::dynmark::DynMarker;
@@ -35,6 +36,43 @@ use mst_verification::store::{
 use mst_verification::trees::{ParallelConfig, PathMaxIndex, RootedTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `print!` for command output. Once stdout is found closed
+/// (`mstv gen … | head -1`: the reader has all it wants), the rest of
+/// the output is dropped where `print!` would panic, and the command
+/// runs to its end (a `--log` or snapshot file is still written) and
+/// exits with its own status. Any other write error exits with status 1
+/// and one `mstv:` line.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// [`out!`] with a trailing newline, for `println!`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Set once a write finds stdout closed; it publishes no other data.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
+        }
+        eprintln!("mstv: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 const USAGE: &str = "usage:
   mstv gen --nodes N [--extra M] [--max-weight W] [--seed S]
@@ -249,7 +287,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let seed = flag_value(args, "--seed")?.unwrap_or(0);
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_connected(n, extra, gen::WeightDist::Uniform { max: max_w }, &mut rng);
-    print!("{}", to_edge_list(&g));
+    out!("{}", to_edge_list(&g));
     Ok(())
 }
 
@@ -258,14 +296,14 @@ fn cmd_mst(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
     let t = kruskal(&g);
-    println!(
+    outln!(
         "# MST: {} edges, total weight {}",
         t.len(),
         mst_weight(&g, &t)
     );
     for &e in &t {
         let edge = g.edge(e);
-        println!("{} {}", edge.u.0, edge.v.0);
+        outln!("{} {}", edge.u.0, edge.v.0);
     }
     Ok(())
 }
@@ -279,10 +317,10 @@ fn cmd_label(args: &[String]) -> Result<(), String> {
     let scheme = MstScheme::new();
     let labeling = scheme.marker(&cfg).map_err(|e| e.to_string())?;
     let verdict = scheme.verify_all(&cfg, &labeling);
-    println!("π_mst labels for {} nodes:", n);
-    println!("  max label: {} bits", labeling.max_label_bits());
-    println!("  total:     {} bits", labeling.total_bits());
-    println!("  self-check: {verdict}");
+    outln!("π_mst labels for {} nodes:", n);
+    outln!("  max label: {} bits", labeling.max_label_bits());
+    outln!("  total:     {} bits", labeling.total_bits());
+    outln!("  self-check: {verdict}");
     Ok(())
 }
 
@@ -295,9 +333,9 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let t = parse_tree_file(&g, &ttext).map_err(|e| format!("{tpath}: {e}"))?;
     // Sequential verdict.
     match check_mst(&g, &t) {
-        MstVerdict::Mst => println!("sequential check: MST ✓"),
+        MstVerdict::Mst => outln!("sequential check: MST ✓"),
         MstVerdict::NotSpanningTree => {
-            println!("sequential check: not a spanning tree ✗");
+            outln!("sequential check: not a spanning tree ✗");
             return Ok(());
         }
         MstVerdict::CycleViolation {
@@ -306,7 +344,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
             max_on_path,
         } => {
             let e = g.edge(non_tree_edge);
-            println!(
+            outln!(
                 "sequential check: not minimum ✗ (edge {} {} of weight {weight} undercuts path max {max_on_path})",
                 e.u.0, e.v.0
             );
@@ -319,9 +357,9 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     match scheme.marker(&cfg) {
         Ok(labeling) => {
             let verdict = scheme.verify_all(&cfg, &labeling);
-            println!("distributed check: {verdict}");
+            outln!("distributed check: {verdict}");
         }
-        Err(e) => println!("distributed check: marker refuses — {e}"),
+        Err(e) => outln!("distributed check: marker refuses — {e}"),
     }
     Ok(())
 }
@@ -332,17 +370,17 @@ fn cmd_sensitivity(args: &[String]) -> Result<(), String> {
     let g = load_graph(path)?;
     let t = kruskal(&g);
     let report = sensitivity(&g, &t);
-    println!("# u v weight kind slack");
+    outln!("# u v weight kind slack");
     for (e, edge) in g.edges() {
         match report[e.index()] {
             EdgeSensitivity::Tree { increase: Some(c) } => {
-                println!("{} {} {} tree +{c}", edge.u.0, edge.v.0, edge.w);
+                outln!("{} {} {} tree +{c}", edge.u.0, edge.v.0, edge.w);
             }
             EdgeSensitivity::Tree { increase: None } => {
-                println!("{} {} {} bridge inf", edge.u.0, edge.v.0, edge.w);
+                outln!("{} {} {} bridge inf", edge.u.0, edge.v.0, edge.w);
             }
             EdgeSensitivity::NonTree { decrease } => {
-                println!("{} {} {} alt -{decrease}", edge.u.0, edge.v.0, edge.w);
+                outln!("{} {} {} alt -{decrease}", edge.u.0, edge.v.0, edge.w);
             }
         }
     }
@@ -358,7 +396,7 @@ fn cmd_session(args: &[String]) -> Result<(), String> {
     let cfg = mst_verification::core::mst_configuration(g);
     let mut session =
         VerifySession::new(MstScheme::new(), cfg).map_err(|e| format!("marker: {e}"))?;
-    println!("initial: {}", session.verdict());
+    outln!("initial: {}", session.verdict());
     for (lineno, line) in script.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -397,9 +435,9 @@ fn cmd_session(args: &[String]) -> Result<(), String> {
             _ => return Err(format!("{loc}: cannot parse mutation {line:?}")),
         };
         let verdict = session.apply(mutation).map_err(|e| format!("{loc}: {e}"))?;
-        println!("{line}: {verdict}");
+        outln!("{line}: {verdict}");
     }
-    println!("{}", session.metrics().to_json());
+    outln!("{}", session.metrics().to_json());
     Ok(())
 }
 
@@ -535,10 +573,10 @@ fn flag_str(args: &[String], name: &str) -> Option<String> {
 }
 
 fn print_net_run(run: &mst_verification::net::NetRun) {
-    println!("verdict: {}", run.verdict);
-    println!("cost: {}", run.cost.to_json());
+    outln!("verdict: {}", run.verdict);
+    outln!("cost: {}", run.cost.to_json());
     if run.crash_restarts > 0 {
-        println!("crash-restarts: {}", run.crash_restarts);
+        outln!("crash-restarts: {}", run.crash_restarts);
     }
 }
 
@@ -655,7 +693,7 @@ fn apply_spec_forgery(
                     forge.k
                 )
             })?;
-    println!(
+    outln!(
         "adversary: forged class={} at {} colluding node(s) {:?}",
         forge.class.name(),
         outcome.forgers.len(),
@@ -673,7 +711,7 @@ fn check_replay_summary(
     match &log.summary {
         Some(summary) => {
             if summary.rejecting == run.verdict.rejecting && summary.cost == run.cost {
-                println!("replay: matches the recorded run (verdict and counts identical)");
+                outln!("replay: matches the recorded run (verdict and counts identical)");
                 Ok(())
             } else {
                 Err(format!(
@@ -687,7 +725,7 @@ fn check_replay_summary(
             }
         }
         None => {
-            println!("replay: log has no recorded summary to cross-check");
+            outln!("replay: log has no recorded summary to cross-check");
             Ok(())
         }
     }
@@ -696,7 +734,7 @@ fn check_replay_summary(
 fn save_log_flag(args: &[String], log: &mst_verification::net::EventLog) -> Result<(), String> {
     if let Some(path) = flag_str(args, "--log") {
         std::fs::write(&path, log.to_string()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("log: {path} ({} events)", log.events.len());
+        outln!("log: {path} ({} events)", log.events.len());
     }
     Ok(())
 }
@@ -773,26 +811,26 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
 /// Prints what the construction run built and what it cost, phase by
 /// phase.
 fn print_compute_run(g: &mst_verification::graph::Graph, run: &mst_verification::net::ComputeRun) {
-    println!("verdict: {}", run.net.verdict);
-    println!(
+    outln!("verdict: {}", run.net.verdict);
+    outln!(
         "mst: {} edges, total weight {}",
         run.mst_edges.len(),
         mst_weight(g, &run.mst_edges)
     );
-    println!(
+    outln!(
         "labels: max {} bits, total {} bits",
         run.labeling.max_label_bits(),
         run.labeling.total_bits()
     );
-    println!("cost: {}", run.net.cost.to_json());
-    println!(
+    outln!("cost: {}", run.net.cost.to_json());
+    outln!(
         "phases: {{\"ghs\":{},\"marker\":{},\"verify\":{}}}",
         run.net.phases.ghs.to_json(),
         run.net.phases.marker.to_json(),
         run.net.phases.verify.to_json(),
     );
     if run.net.crash_restarts > 0 {
-        println!("crash-restarts: {}", run.net.crash_restarts);
+        outln!("crash-restarts: {}", run.net.crash_restarts);
     }
 }
 
@@ -915,7 +953,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
             }
             let bytes = snap.to_bytes_format(format);
             std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!(
+            outln!(
                 "wrote {out}: {} nodes, {} bytes, container v{} ({} label bits, max label {} bits)",
                 snap.num_nodes(),
                 bytes.len(),
@@ -927,7 +965,9 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
         }
         "inspect" => {
             reject_unknown_flags(&args[1..], &[], &[])?;
-            let path = args.get(1).ok_or("missing snapshot file")?;
+            let path = *positional_words(&args[1..], &[])
+                .first()
+                .ok_or("missing snapshot file")?;
             let snap = Snapshot::read_file(path).map_err(|e| format!("{path}: {e}"))?;
             let codec = snap.codec();
             // The container version lives in the file prelude (bytes
@@ -941,27 +981,31 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
             } else {
                 "row"
             };
-            println!("{path}: snapshot version {version} ({layout} label sections)");
-            println!("  nodes:      {} (root {})", snap.num_nodes(), snap.root());
-            println!("  max weight: {}", snap.max_weight());
-            println!(
+            outln!("{path}: snapshot version {version} ({layout} label sections)");
+            outln!("  nodes:      {} (root {})", snap.num_nodes(), snap.root());
+            outln!("  max weight: {}", snap.max_weight());
+            outln!(
                 "  codec:      {:?}, ω = {} bits",
-                codec.sep_codec, codec.omega_bits
+                codec.sep_codec,
+                codec.omega_bits
             );
-            println!(
+            outln!(
                 "  labels:     {} bits total, largest {} bits",
                 snap.total_label_bits(),
                 snap.max_label_bits(),
             );
             match snap.dist() {
-                Some(d) => println!("  dist:       present (δ = {} bits)", d.delta_bits),
-                None => println!("  dist:       absent"),
+                Some(d) => outln!("  dist:       present (δ = {} bits)", d.delta_bits),
+                None => outln!("  dist:       absent"),
             }
             Ok(())
         }
         "fsck" => {
-            reject_unknown_flags(&args[1..], &["--pairs", "--base"], &[])?;
-            let path = args.get(1).ok_or("missing snapshot file")?;
+            const VALUE_FLAGS: [&str; 2] = ["--pairs", "--base"];
+            reject_unknown_flags(&args[1..], &VALUE_FLAGS, &[])?;
+            let path = *positional_words(&args[1..], &VALUE_FLAGS)
+                .first()
+                .ok_or("missing snapshot file")?;
             let pairs = flag_value(args, "--pairs")?.unwrap_or(256);
             let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             if bytes.starts_with(&JOURNAL_MAGIC) {
@@ -973,16 +1017,17 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
                 let (records, report) = journal
                     .fsck(&base, pairs)
                     .map_err(|e| format!("{path}: {e}"))?;
-                println!(
+                outln!(
                     "{path}: ok — {records} records over base {base_path}, compacted result \
                      fscks clean ({} nodes, {} sampled answers match the tree oracle)",
-                    report.nodes, report.pairs_checked,
+                    report.nodes,
+                    report.pairs_checked,
                 );
                 return Ok(());
             }
             let snap = Snapshot::read_file(path).map_err(|e| format!("{path}: {e}"))?;
             let report = snap.fsck(pairs).map_err(|e| format!("{path}: {e}"))?;
-            println!(
+            outln!(
                 "{path}: ok — {} nodes, every label decodes, {} sampled answers match the tree \
                  oracle{}",
                 report.nodes,
@@ -1068,7 +1113,7 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
         std::fs::write(&out, to_edge_list(marker.graph()))
             .map_err(|e| format!("cannot write {out}: {e}"))?;
     }
-    println!(
+    outln!(
         "wrote {journal_path}: {} records over {} nodes ({} no-op, {} weights-only, {} tree-swap, \
          {} re-encode){}",
         journal.records().len(),
@@ -1109,10 +1154,10 @@ fn cmd_mutate_gen(
             let a = rng.gen_range(0..m);
             let b = (a + rng.gen_range(1..m)) % m;
             let (ea, eb) = (g.edge(EdgeId(a as u32)), g.edge(EdgeId(b as u32)));
-            println!("swap {} {} {} {}", ea.u.0, ea.v.0, eb.u.0, eb.v.0);
+            outln!("swap {} {} {} {}", ea.u.0, ea.v.0, eb.u.0, eb.v.0);
         } else {
             let e = g.edge(EdgeId(rng.gen_range(0..m) as u32));
-            println!("set {} {} {}", e.u.0, e.v.0, rng.gen_range(1..=max_w));
+            outln!("set {} {} {}", e.u.0, e.v.0, rng.gen_range(1..=max_w));
         }
     }
     Ok(())
@@ -1134,7 +1179,7 @@ fn cmd_mutate_compact(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("{journal_path}: {e}"))?;
     let bytes = snap.to_bytes();
     std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    outln!(
         "wrote {out}: {} records folded into {} nodes, {} bytes",
         journal.records().len(),
         snap.num_nodes(),
@@ -1238,8 +1283,8 @@ fn read_batch_file(batch_path: &str) -> Result<(Vec<String>, Vec<Query>), String
 fn print_batch_answers(lines: &[String], queries: &[Query], results: &[Result<Answer, ErrorCode>]) {
     for ((line, q), result) in lines.iter().zip(queries).zip(results) {
         match result {
-            Ok(a) => println!("{line}: {}", show_answer(q, a)),
-            Err(e) => println!("{line}: error — {e}"),
+            Ok(a) => outln!("{line}: {}", show_answer(q, a)),
+            Err(e) => outln!("{line}: error — {e}"),
         }
     }
 }
@@ -1269,7 +1314,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         let (lines, queries) = read_batch_file(&batch_path)?;
         let response = engine.run_batch_response(&queries);
         print_batch_answers(&lines, &queries, &response.results);
-        println!("{}", engine.metrics().to_json());
+        outln!("{}", engine.metrics().to_json());
         Ok(())
     } else if args.iter().any(|a| a == "--bench") {
         cmd_query_bench(args, &engine)
@@ -1280,7 +1325,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         }
         let q = parse_query(&words, "query")?;
         let a = engine.query(q).map_err(|e| e.to_string())?;
-        println!("{}", show_answer(&q, &a));
+        outln!("{}", show_answer(&q, &a));
         Ok(())
     }
 }
@@ -1338,19 +1383,19 @@ fn cmd_query_remote(args: &[String]) -> Result<(), String> {
     let mut client = Client::connect(&addr).map_err(|e| format!("{addr}: {e}"))?;
 
     if args.iter().any(|a| a == "--stats") {
-        println!("{}", client.stats().map_err(|e| e.to_string())?);
+        outln!("{}", client.stats().map_err(|e| e.to_string())?);
         return Ok(());
     }
     if let Some(snap_path) = flag_str(args, "--swap") {
         let epoch = client
             .swap_snapshot(&snap_path)
             .map_err(|e| e.to_string())?;
-        println!("swapped: epoch {epoch}");
+        outln!("swapped: epoch {epoch}");
         return Ok(());
     }
     if args.iter().any(|a| a == "--shutdown-server") {
         client.shutdown_server().map_err(|e| e.to_string())?;
-        println!("server shut down");
+        outln!("server shut down");
         return Ok(());
     }
 
@@ -1375,7 +1420,7 @@ fn cmd_query_remote(args: &[String]) -> Result<(), String> {
         let response = client.request(vec![q]).map_err(|e| e.to_string())?;
         match response.results.first() {
             Some(Ok(a)) => {
-                println!("{}", show_answer(&q, a));
+                outln!("{}", show_answer(&q, a));
                 Ok(())
             }
             Some(Err(e)) => Err(e.to_string()),
@@ -1424,7 +1469,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let server = ServerHandle::spawn_store(store, config, port).map_err(|e| e.to_string())?;
     // Parseable by scripts that background the server and need the
     // actual port (stdout is line-buffered, so this arrives promptly).
-    println!("listening on {}", server.addr());
+    outln!("listening on {}", server.addr());
     server.wait();
     Ok(())
 }
@@ -1459,7 +1504,7 @@ fn cmd_query_bench(args: &[String], engine: &QueryEngine) -> Result<(), String> 
     for chunk in queries.chunks(BATCH) {
         answers.extend(engine.run_batch_response(chunk).results);
     }
-    println!("{}", engine.metrics().to_json());
+    outln!("{}", engine.metrics().to_json());
 
     if let Some(gpath) = flag_str(args, "--verify-against") {
         let g = load_graph(&gpath)?;
@@ -1528,7 +1573,7 @@ fn cmd_query_bench(args: &[String], engine: &QueryEngine) -> Result<(), String> 
                 ));
             }
         }
-        println!("oracle: ok ({} answers match)", answers.len());
+        outln!("oracle: ok ({} answers match)", answers.len());
     }
     Ok(())
 }
@@ -1545,6 +1590,6 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
         }
         None => kruskal(&g),
     };
-    print!("{}", to_dot(&g, &highlight));
+    out!("{}", to_dot(&g, &highlight));
     Ok(())
 }

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `mstv` command-line binary.
 
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mstv() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mstv"))
@@ -402,6 +403,67 @@ fn query_flags_may_precede_the_query_words() {
     );
     assert_eq!(owned, flags_after);
     assert_eq!(owned, flags_before);
+}
+
+#[test]
+fn snapshot_fsck_and_inspect_take_flags_before_the_file() {
+    let dir = test_dir("snapshot_fsck_and_inspect_take_flags_before_the_file");
+    let snap = dir.join("s.snap");
+    let snap = snap.to_string_lossy();
+    let graph = run_ok(&dir, &["gen", "--nodes", "30", "--seed", "4"], &[]);
+    run_ok(
+        &dir,
+        &["snapshot", "write", "g.txt", &snap],
+        &[("g.txt", &graph)],
+    );
+    let after = run_ok(&dir, &["snapshot", "fsck", &snap, "--pairs", "9"], &[]);
+    let before = run_ok(&dir, &["snapshot", "fsck", "--pairs", "9", &snap], &[]);
+    assert!(after.contains("9 sampled answers"), "{after}");
+    assert_eq!(before, after);
+    let inspect = run_ok(&dir, &["snapshot", "inspect", &snap], &[]);
+    assert!(inspect.contains("nodes:      30"), "{inspect}");
+    assert!(run_err(&["snapshot", "fsck", "--pairs", "9"]).contains("missing snapshot file"));
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // Twenty thousand nodes print far more than a pipe buffer holds, so
+    // `gen` is still writing when the reader goes away, as under
+    // `mstv gen … | head -1`.
+    let mut child = mstv()
+        .args(["gen", "--nodes", "20000", "--seed", "3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert_eq!(first, "nodes 20000\n");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // Output is dropped, not the command's work: a run whose stdout is
+    // closed before its first line still writes its log.
+    let dir = test_dir("a_closed_stdout_ends_the_command_quietly");
+    let log = dir.join("v.log");
+    let log = log.to_string_lossy();
+    let mut child = mstv()
+        .args(["net", "--nodes", "24", "--seed", "11", "--log", &log])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let replay = run_ok(&dir, &["net", "--replay", &log], &[]);
+    assert!(replay.contains("replay: matches"), "{replay}");
 }
 
 #[test]

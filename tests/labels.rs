@@ -1,7 +1,8 @@
 //! The label stack, pinned at the root: the snapshot bytes of the store's
-//! golden tree, batch-versus-walk identity for every `Γ` family, and the
-//! Lemma 3.3 checker accepting honest proofs and rejecting one forged
-//! aggregate field per family.
+//! golden tree, batch-versus-walk identity for every `Γ` family, the one
+//! `Γ` pass against the per-family schemes' encodings, and the Lemma 3.3
+//! checker accepting honest proofs and rejecting one forged aggregate
+//! field per family.
 
 use std::num::NonZeroUsize;
 
@@ -9,10 +10,11 @@ use mst_verification::core::{
     max_st_configuration, mst_configuration, Labeling, MaxStScheme, MstScheme, PiDistScheme,
     PiDistState, PiGammaScheme, PiGammaState, ProofLabelingScheme,
 };
-use mst_verification::graph::{gen, tree_states, ConfigGraph, Graph, NodeId, TreeState};
+use mst_verification::graph::{gen, tree_states, ConfigGraph, Graph, NodeId, TreeState, Weight};
 use mst_verification::labels::{
     dist_labels, dist_labels_parallel, flow_labels_parallel, max_labels, max_labels_parallel,
-    walk_labels, SepFieldCodec,
+    walk_labels, GammaPass, ImplicitDistScheme, ImplicitFlowScheme, ImplicitMaxScheme, LabelCodec,
+    SepFieldCodec,
 };
 use mst_verification::store::{Snapshot, SnapshotFormat};
 use mst_verification::trees::{
@@ -79,6 +81,108 @@ fn batch_builders_equal_the_walk_for_every_family() {
                 }
             }
         }
+    }
+}
+
+/// A tree hung from node 0 with `parent(i)` and weight `weight(i)` for
+/// every other node `i`.
+fn tree_from(
+    n: usize,
+    parent: impl Fn(usize) -> usize,
+    weight: impl Fn(usize) -> u64,
+) -> RootedTree {
+    let parents = (0..n)
+        .map(|i| (i > 0).then(|| (NodeId(parent(i) as u32), Weight(weight(i)))))
+        .collect();
+    RootedTree::from_parents(NodeId(0), parents).unwrap()
+}
+
+#[test]
+fn one_gamma_pass_encodes_what_the_per_family_schemes_encode() {
+    let one = ParallelConfig::with_threads(NonZeroUsize::MIN);
+    let mut rng = StdRng::seed_from_u64(18);
+    let mut trees: Vec<(String, RootedTree)> = [(1usize, 21u64), (2, 22), (17, 23), (300, 24)]
+        .into_iter()
+        .map(|(n, seed)| (format!("random n={n}"), tree_of(n, 1 << 20, seed)))
+        .collect();
+    trees.push((
+        "path".into(),
+        tree_from(64, |i| i - 1, |i| 1 + (i as u64 * 37) % 500),
+    ));
+    trees.push((
+        "star".into(),
+        tree_from(40, |_| 0, |i| 1 + (i as u64 * 53) % 900),
+    ));
+    for (name, t) in &trees {
+        let rank_bits = (usize::BITS - t.num_nodes().leading_zeros()).max(1);
+        for sep in [
+            centroid_decomposition(t),
+            first_vertex_decomposition(t),
+            random_decomposition(t, &mut rng),
+        ] {
+            for sep_codec in [
+                SepFieldCodec::EliasGamma,
+                SepFieldCodec::FixedWidth { bits: rank_bits },
+            ] {
+                let enc =
+                    GammaPass::build(t, &sep, one).encode(LabelCodec::for_tree(t, sep_codec), one);
+                let max = ImplicitMaxScheme::with_decomposition(t, &sep, sep_codec);
+                let flow = ImplicitFlowScheme::with_decomposition(t, &sep, sep_codec);
+                let dist = ImplicitDistScheme::with_decomposition(t, &sep, sep_codec);
+                let (delta_bits, dist_enc) = enc.dist.expect("the tree has distance labels");
+                assert_eq!(delta_bits, dist.delta_bits(), "{name} {sep_codec:?}");
+                for v in t.nodes() {
+                    let i = v.index();
+                    assert_eq!(
+                        &enc.max[i],
+                        max.encoded(v),
+                        "MAX {name} {sep_codec:?} v={v}"
+                    );
+                    assert_eq!(
+                        &enc.flow[i],
+                        flow.encoded(v),
+                        "FLOW {name} {sep_codec:?} v={v}"
+                    );
+                    assert_eq!(
+                        &dist_enc[i],
+                        dist.encoded(v),
+                        "DIST {name} {sep_codec:?} v={v}"
+                    );
+                }
+            }
+        }
+    }
+
+    // A tree whose total weight overflows u64 keeps its MAX and FLOW
+    // records and has no DIST labels, in the pass and in the snapshot.
+    let heavy = tree_from(3, |_| 0, |_| u64::MAX / 2 + 1);
+    let sep = centroid_decomposition(&heavy);
+    let pass = GammaPass::build(&heavy, &sep, one);
+    let enc = pass.encode(LabelCodec::for_tree(&heavy, SepFieldCodec::EliasGamma), one);
+    assert!(enc.dist.is_none());
+    assert!(pass.into_labels().2.is_none());
+    let max = ImplicitMaxScheme::with_decomposition(&heavy, &sep, SepFieldCodec::EliasGamma);
+    let flow = ImplicitFlowScheme::with_decomposition(&heavy, &sep, SepFieldCodec::EliasGamma);
+    let snap = Snapshot::build(&heavy, SepFieldCodec::EliasGamma);
+    assert!(snap.dist().is_none());
+    for v in heavy.nodes() {
+        assert_eq!(&enc.max[v.index()], max.encoded(v));
+        assert_eq!(&enc.flow[v.index()], flow.encoded(v));
+        assert_eq!(&snap.max_labels()[v.index()], max.encoded(v));
+        assert_eq!(&snap.flow_labels()[v.index()], flow.encoded(v));
+    }
+
+    // The snapshot builder fans the pass out without moving a byte; the
+    // 3000-node tree is past the decomposition's sequential cutoff.
+    let four = ParallelConfig::with_threads(NonZeroUsize::new(4).unwrap());
+    for t in [&trees[3].1, &tree_of(3000, 1 << 20, 25)] {
+        let a = Snapshot::build_parallel(t, SepFieldCodec::EliasGamma, one);
+        let b = Snapshot::build_parallel(t, SepFieldCodec::EliasGamma, four);
+        assert!(a.to_bytes() == b.to_bytes(), "v1 bytes differ at 4 workers");
+        assert!(
+            a.to_bytes_format(SnapshotFormat::V2) == b.to_bytes_format(SnapshotFormat::V2),
+            "v2 bytes differ at 4 workers"
+        );
     }
 }
 

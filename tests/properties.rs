@@ -1,9 +1,13 @@
 //! Property-based tests (proptest) over the core invariants.
 
 use mst_verification::core::{mst_configuration, MstScheme, ProofLabelingScheme};
-use mst_verification::graph::{gen, Graph, NodeId, Weight};
+use mst_verification::graph::{
+    gen, tree_states, EdgeId, Graph, GraphError, NodeId, TreeState, Weight,
+};
 use mst_verification::labels::{ImplicitFlowScheme, ImplicitMaxScheme};
-use mst_verification::mst::{is_mst, kruskal, mst_weight, prim, UnionFind};
+use mst_verification::mst::{
+    check_mst_offline, is_mst, kruskal, mst_weight, prim, MstVerdict, UnionFind,
+};
 use mst_verification::sensitivity::{brute_force_sensitivity, sensitivity};
 use mst_verification::trees::{centroid_decomposition, RootedTree};
 use proptest::prelude::*;
@@ -328,5 +332,72 @@ fn alpha_synchronizer_is_deterministic() {
         let (nodes, _, _) =
             run_alpha_synchronized(cfg.graph(), build_nodes(&cfg, &labeling), 1, 17, &mut rng);
         assert!(nodes.iter().all(|n| n.verdict() == Some(true)));
+    }
+}
+
+#[test]
+fn tree_membership_edge_cases_keep_their_verdicts() {
+    // A triangle 0-1-2 with node 3 hanging off node 2.
+    let mut g = Graph::new(4);
+    let e01 = g.add_edge(NodeId(0), NodeId(1), Weight(1)).unwrap();
+    let e12 = g.add_edge(NodeId(1), NodeId(2), Weight(2)).unwrap();
+    let e20 = g.add_edge(NodeId(2), NodeId(0), Weight(3)).unwrap();
+    let e23 = g.add_edge(NodeId(2), NodeId(3), Weight(4)).unwrap();
+    let not_spanning = GraphError::NotASpanningTree {
+        reason: "edge set fails spanning-tree check".to_owned(),
+    };
+    for (case, edges) in [
+        ("duplicate id", vec![e01, e12, e01]),
+        ("out-of-range id", vec![e01, e12, EdgeId(99)]),
+        ("n - 1 edges closing a cycle", vec![e01, e12, e20]),
+    ] {
+        assert!(!g.is_spanning_tree(&edges), "{case}");
+        assert_eq!(
+            tree_states(&g, &edges, NodeId(0)),
+            Err(not_spanning.clone()),
+            "{case}"
+        );
+        assert_eq!(
+            RootedTree::from_graph_edges(&g, &edges, NodeId(0)),
+            Err(not_spanning.clone()),
+            "{case}"
+        );
+        assert_eq!(
+            check_mst_offline(&g, &edges),
+            MstVerdict::NotSpanningTree,
+            "{case}"
+        );
+    }
+    assert!(g.is_spanning_tree(&[e01, e12, e23]));
+
+    // One node and no edges: the empty edge set spans it.
+    let single = Graph::new(1);
+    assert!(single.is_spanning_tree(&[]));
+    assert_eq!(
+        tree_states(&single, &[], NodeId(0)),
+        Ok(vec![TreeState::root(0)])
+    );
+    assert_eq!(
+        RootedTree::from_graph_edges(&single, &[], NodeId(0))
+            .unwrap()
+            .num_nodes(),
+        1
+    );
+    assert_eq!(check_mst_offline(&single, &[]), MstVerdict::Mst);
+
+    // On random graphs an edge list and its membership slice hang the
+    // same tree from any root.
+    let mut rng = StdRng::seed_from_u64(31);
+    for n in [2usize, 9, 60, 400] {
+        let g = gen::random_connected(n, 2 * n, gen::WeightDist::Uniform { max: 1000 }, &mut rng);
+        let mst = kruskal(&g);
+        let in_tree = g.spanning_tree_membership(&mst).unwrap();
+        for root in [NodeId(0), NodeId(n as u32 / 2), NodeId(n as u32 - 1)] {
+            assert_eq!(
+                RootedTree::from_graph_edges(&g, &mst, root),
+                RootedTree::from_tree_membership(&g, &in_tree, root),
+                "n={n} root={root}"
+            );
+        }
     }
 }
