@@ -6,8 +6,9 @@
 //! barriers, and nothing is ever lost. This crate drops those
 //! idealizations. Each graph node runs as a mailbox-driven state
 //! machine, all nodes multiplexed over a bounded worker pool whose size
-//! [`Engine`] sets (`min(workers, n)` threads, so a 100k-node instance
-//! needs no 100k threads); everything that crosses a link is a serialized
+//! [`Engine`] sets (`min(workers, n)` workers, the calling thread among
+//! them, so a 100k-node instance needs no 100k threads and one worker
+//! spawns none); everything that crosses a link is a serialized
 //! [`WireMsg`] — real bits, encoded with the instance-wide codecs, so
 //! the measured per-message cost is exactly the label size the paper
 //! bounds by `O(log n · log W)`. A pluggable [`Link`] decides each
@@ -17,10 +18,10 @@
 //!
 //! # Concurrency vs. determinism
 //!
-//! A live run is genuinely concurrent — workers race on OS threads —
-//! but the router consumes worker reports in *dispatch order*, so the
-//! schedule it builds (and logs) is a deterministic function of the
-//! instance and the link seed. Three properties follow:
+//! A live run on more than one worker is genuinely concurrent — workers
+//! race on OS threads — but the router consumes reports in *dispatch
+//! order*, so the schedule it builds (and logs) is a deterministic
+//! function of the instance and the link seed. Three properties follow:
 //!
 //! * **Pool-size independence**: one worker and many produce the same
 //!   verdict, the same [`MessageCost`](mstv_core::MessageCost), and

@@ -1,23 +1,28 @@
 //! The live concurrent runtime: a router on the calling thread driving
-//! a bounded pool of worker threads.
+//! a bounded pool of workers, the calling thread among them.
 //!
-//! Workers own their node's [`ProtocolMachine`] — a
+//! Each node's [`ProtocolMachine`] — a
 //! [`VerifierMachine`](crate::machine::VerifierMachine) for pure
 //! verification runs, a [`ComputeMachine`](crate::ComputeMachine) for
-//! distributed construction; the router owns the graph topology, the
-//! [`Link`] (fault decisions), the event log, and the cost counters.
-//! Every frame a worker emits travels router-ward, is offered to the
-//! link, and the surviving copies are dispatched to the receiving
-//! worker — so the workers race freely, but every decision that affects
-//! the protocol (drop, delay, duplicate, crash) is made in one place,
-//! in a well-defined order, and logged.
+//! distributed construction — is stepped by whichever worker leases
+//! the node; the router owns the graph topology, the [`Link`] (fault
+//! decisions), the event log, and the cost counters. Every frame a
+//! machine emits travels router-ward, is offered to the link, and the
+//! surviving copies are dispatched to the receiving node — so the
+//! workers race freely, but every decision that affects the protocol
+//! (drop, delay, duplicate, crash) is made in one place, in a
+//! well-defined order, and logged.
 //!
 //! # The worker pool
 //!
 //! Machine steps are scheduled as events on a
 //! [`KeyedQueue`](mstv_trees::KeyedQueue) of per-node FIFO inboxes
-//! multiplexed over `min(workers, n)` threads ([`Engine`] sizes the
-//! pool). Per-node event order is preserved by the queue's lease
+//! served by `min(workers, n)` workers ([`Engine`] sizes the pool): the
+//! calling thread, which steps a queued event itself whenever the
+//! report it waits for is not in, plus `min(workers, n) − 1` helper
+//! threads. One worker spawns no thread: the router steps every
+//! machine on the calling thread, with no channel traffic and no
+//! wake-up. Per-node event order is preserved by the queue's lease
 //! discipline, so machines observe exactly the sequences the router
 //! dispatched.
 //!
@@ -30,18 +35,19 @@
 //! [`replay`](crate::replay::replay) reproduces them from the log.
 //!
 //! Quiescence is tracked by an outstanding-event counter: an event is
-//! outstanding from dispatch until its worker's report (outputs +
-//! local verdict) has been processed. When no event is outstanding and
-//! no frame is held back, either every node has decided — the run is
-//! over — or some frame was lost and a retransmission boundary fires:
-//! the round counter increments, the link may pick crash victims, and
-//! every node gets a tick to re-offer unacknowledged frames.
+//! outstanding from dispatch until its report (outputs + local verdict)
+//! has been processed. When no event is outstanding and no frame is
+//! held back, either every node has decided — the run is over — or some
+//! frame was lost and a retransmission boundary fires: the round
+//! counter increments, the link may pick crash victims, and every node
+//! gets a tick to re-offer unacknowledged frames.
 //!
-//! A worker whose machine panics while an event is outstanding surfaces
-//! as [`NetError::WorkerDied`] naming the node — never a hang: the
-//! panic is caught at the machine step and reported in-band.
+//! A machine that panics while an event is outstanding surfaces as
+//! [`NetError::WorkerDied`] naming the node — never a hang: the panic is
+//! caught at the machine step and reported in-band, on whichever worker
+//! stepped it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -82,14 +88,16 @@ impl Default for NetConfig {
 }
 
 /// How the node machines are scheduled: multiplexed over a bounded
-/// worker pool of `min(workers, n)` threads with per-node FIFO inboxes.
-/// The pool size changes wall time only — never the verdict, the cost,
-/// or the event log.
+/// pool of `min(workers, n)` workers with per-node FIFO inboxes. The
+/// calling thread counts as one of them, so the pool spawns
+/// `min(workers, n) − 1` threads, and one worker spawns none. The pool
+/// size changes wall time only — never the verdict, the cost, or the
+/// event log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Event-driven scheduling over the worker pool.
     Events {
-        /// Worker-pool sizing.
+        /// Worker-pool sizing, the calling thread included.
         workers: ParallelConfig,
     },
 }
@@ -221,15 +229,14 @@ pub struct NetRun {
     pub log: EventLog,
 }
 
-/// What a worker sends back after processing one event.
+/// What stepping one event yields, on a helper thread or the router's.
 struct Report {
     node: usize,
     sends: Vec<(Port, WireMsg)>,
     verdict: Option<bool>,
 }
 
-/// A report, or the news that the worker's machine panicked on the
-/// event.
+/// A report, or the news that the machine panicked on the event.
 enum WorkerReport {
     Done(Report),
     Panicked,
@@ -259,77 +266,104 @@ fn machine_step<M: ProtocolMachine>(machine: &mut M, node: usize, ev: &NodeEvent
     }
 }
 
-/// The router's side of the worker pool: dispatches carry a global
-/// sequence number, reports come back tagged over one shared channel,
-/// and a stash re-orders them into dispatch order — the ordering
-/// contract that makes the router (and the event log) deterministic.
-struct Pool<'q> {
-    queue: &'q KeyedQueue<(u64, NodeEvent)>,
-    report_rx: mpsc::Receiver<(u64, WorkerReport)>,
-    /// `(seq, node)` of every outstanding dispatch, in dispatch order.
-    pending: VecDeque<(u64, usize)>,
-    /// Reports that arrived ahead of their turn.
-    stash: HashMap<u64, WorkerReport>,
-    next_seq: u64,
+/// A dispatched event awaiting its report.
+struct Pending {
+    node: usize,
+    /// The report, once it is in but the router has not reached it.
+    report: Option<WorkerReport>,
 }
 
-impl Pool<'_> {
+/// The router's side of the worker pool: dispatches carry a global
+/// sequence number, helper threads send reports back tagged over one
+/// shared channel, and each report waits in its dispatch's slot of
+/// `pending` until the router reaches it — the ordering contract that
+/// makes the router (and the event log) deterministic. While the report
+/// it needs is not in, the router steps queued events itself.
+struct Pool<'q, M> {
+    machines: &'q [Mutex<M>],
+    queue: &'q KeyedQueue<(u64, NodeEvent)>,
+    report_rx: mpsc::Receiver<(u64, WorkerReport)>,
+    /// Every outstanding dispatch, in dispatch order.
+    pending: VecDeque<Pending>,
+    /// Sequence number of `pending`'s front entry.
+    head_seq: u64,
+}
+
+impl<M: ProtocolMachine> Pool<'_, M> {
     /// Queues `ev` for `node`'s machine.
     fn dispatch(&mut self, node: usize, ev: NodeEvent) {
-        self.queue.post(node, (self.next_seq, ev));
-        self.pending.push_back((self.next_seq, node));
-        self.next_seq += 1;
+        let seq = self.head_seq + self.pending.len() as u64;
+        self.queue.post(node, (seq, ev));
+        self.pending.push_back(Pending { node, report: None });
     }
 
-    /// Blocks for the report of the oldest not-yet-reported dispatch.
+    /// The report of the oldest not-yet-reported dispatch. Until it is
+    /// in, takes the reports helpers have sent, steps a queued event on
+    /// this thread, and blocks on the channel only when no event is left
+    /// to step.
     fn next_report(&mut self) -> Result<Report, NetError> {
-        let (seq, node) = self.pending.pop_front().expect("a report is outstanding");
         loop {
-            if let Some(report) = self.stash.remove(&seq) {
+            let front = self.pending.front_mut().expect("a report is outstanding");
+            let node = NodeId(front.node as u32);
+            if let Some(report) = front.report.take() {
+                self.pending.pop_front();
+                self.head_seq += 1;
                 return match report {
                     WorkerReport::Done(report) => Ok(report),
-                    WorkerReport::Panicked => Err(NetError::WorkerDied {
-                        node: NodeId(node as u32),
-                    }),
+                    WorkerReport::Panicked => Err(NetError::WorkerDied { node }),
                 };
             }
-            match self.report_rx.recv() {
-                Ok((s, report)) => {
-                    self.stash.insert(s, report);
-                }
-                // Every pool worker exited while a report was owed.
-                Err(_) => {
-                    return Err(NetError::WorkerDied {
-                        node: NodeId(node as u32),
-                    })
-                }
-            }
+            let (seq, report) = if let Ok(sent) = self.report_rx.try_recv() {
+                sent
+            } else if let Some((key, (seq, ev))) = self.queue.try_next() {
+                (seq, step_leased(self.machines, self.queue, key, &ev))
+            } else if let Ok(sent) = self.report_rx.recv() {
+                sent
+            } else {
+                // No helper is left to send the report, and no event
+                // is queued that could produce it.
+                return Err(NetError::WorkerDied { node });
+            };
+            let slot = usize::try_from(seq - self.head_seq).expect("pending fits usize");
+            self.pending[slot].report = Some(report);
         }
     }
 }
 
-/// One pool worker: lease a node, step its machine on the oldest queued
-/// event, report, release the lease.
+/// Steps `node`'s machine on `ev`, which the caller leased from the
+/// queue, and releases the lease.
+fn step_leased<M: ProtocolMachine>(
+    machines: &[Mutex<M>],
+    queue: &KeyedQueue<(u64, NodeEvent)>,
+    node: usize,
+    ev: &NodeEvent,
+) -> WorkerReport {
+    let report = match machines[node].lock() {
+        Ok(mut machine) => machine_step(&mut *machine, node, ev),
+        // Poisoned by an earlier panic on this node: report the
+        // death again rather than stepping a broken machine.
+        Err(_) => WorkerReport::Panicked,
+    };
+    queue.done(node);
+    report
+}
+
+/// One helper thread: lease a node, step its machine on the oldest
+/// queued event, release the lease, report.
 fn event_worker<M: ProtocolMachine>(
     machines: &[Mutex<M>],
     queue: &KeyedQueue<(u64, NodeEvent)>,
     report_tx: &mpsc::Sender<(u64, WorkerReport)>,
 ) {
     while let Some((node, (seq, ev))) = queue.next() {
-        let report = match machines[node].lock() {
-            Ok(mut machine) => machine_step(&mut *machine, node, &ev),
-            // Poisoned by an earlier panic on this node: report the
-            // death again rather than stepping a broken machine.
-            Err(_) => WorkerReport::Panicked,
-        };
-        queue.done(node);
+        let report = step_leased(machines, queue, node, &ev);
         if report_tx.send((seq, report)).is_err() {
             return; // the router is gone; shut down quietly
         }
     }
 }
 
-/// Closes the queue on every exit path so pool workers can never be
+/// Closes the queue on every exit path so helper threads can never be
 /// left blocked after the router stops consuming reports.
 struct CloseOnDrop<'q, T>(&'q KeyedQueue<T>);
 
@@ -411,7 +445,7 @@ impl<'l> RouterCore<'l> {
         }
     }
 
-    fn dispatch(&mut self, pool: &mut Pool<'_>, ev: LogEvent) {
+    fn dispatch<M: ProtocolMachine>(&mut self, pool: &mut Pool<'_, M>, ev: LogEvent) {
         let node = ev.target().expect("dispatched events target a node") as usize;
         let nev = ev.to_node_event().expect("dispatched events map to inputs");
         if self.net.record_log {
@@ -423,7 +457,7 @@ impl<'l> RouterCore<'l> {
 
     /// Dispatches queued events until the window is full or the queue
     /// is empty.
-    fn pump_ready(&mut self, pool: &mut Pool<'_>) {
+    fn pump_ready<M: ProtocolMachine>(&mut self, pool: &mut Pool<'_, M>) {
         while self.outstanding < DISPATCH_WINDOW {
             let Some(ev) = self.ready.pop_front() else {
                 return;
@@ -433,26 +467,26 @@ impl<'l> RouterCore<'l> {
     }
 
     /// One scheduler step over the holdback buffer: everything due is
-    /// dispatched, the rest of the holdback ages by one.
-    fn pump_held(&mut self, pool: &mut Pool<'_>) {
-        let mut still_held = Vec::with_capacity(self.held.len());
-        for mut frame in std::mem::take(&mut self.held) {
+    /// dispatched in holdback order, the rest ages by one in place.
+    fn pump_held<M: ProtocolMachine>(&mut self, pool: &mut Pool<'_, M>) {
+        let due = self.held.extract_if(.., |frame| {
             if frame.steps == 0 {
-                self.ready.push_back(LogEvent::Deliver {
-                    to: frame.to as u32,
-                    port: frame.port.0,
-                    msg: frame.msg,
-                });
-            } else {
-                frame.steps -= 1;
-                still_held.push(frame);
+                return true;
             }
+            frame.steps -= 1;
+            false
+        });
+        for frame in due {
+            self.ready.push_back(LogEvent::Deliver {
+                to: frame.to as u32,
+                port: frame.port.0,
+                msg: frame.msg,
+            });
         }
-        self.held = still_held;
         self.pump_ready(pool);
     }
 
-    fn drive(&mut self, pool: &mut Pool<'_>) -> Result<(), NetError> {
+    fn drive<M: ProtocolMachine>(&mut self, pool: &mut Pool<'_, M>) -> Result<(), NetError> {
         let n = self.verdicts.len();
         self.link.round_start(self.cost.rounds);
         for v in 0..n {
@@ -580,32 +614,34 @@ pub(crate) fn run_machines<M: ProtocolMachine>(
     let n = machines.len();
     assert_eq!(n, g.num_nodes(), "one machine per node");
     let Engine::Events { workers } = engine;
-    let threads = workers.resolved_threads().get().min(n.max(1));
+    // The calling thread is one of the workers.
+    let helpers = workers.resolved_threads().get().min(n.max(1)) - 1;
     let mut core = RouterCore::new(g, link, net);
     let machines: Vec<Mutex<M>> = machines.into_iter().map(Mutex::new).collect();
     let queue: KeyedQueue<(u64, NodeEvent)> = KeyedQueue::new(n);
     let (report_tx, report_rx) = mpsc::channel();
-    let result = thread::scope(|s| {
+    thread::scope(|s| {
         let _closer = CloseOnDrop(&queue);
-        for _ in 0..threads {
+        for _ in 0..helpers {
             let tx = report_tx.clone();
             let machines = &machines;
             let queue = &queue;
             s.spawn(move || event_worker(machines, queue, &tx));
         }
+        // Only helpers hold senders, so a report owed by nobody ends
+        // the wait in `recv` as `WorkerDied` instead of a hang.
+        drop(report_tx);
         let mut pool = Pool {
+            machines: &machines,
             queue: &queue,
             report_rx,
             pending: VecDeque::new(),
-            stash: HashMap::new(),
-            next_seq: 0,
+            head_seq: 0,
         };
         core.drive(&mut pool)
         // `_closer` drops here: the queue closes and the scope can join
-        // its workers, error or not.
-    });
-    drop(report_tx);
-    result?;
+        // its helpers, error or not.
+    })?;
     let finals = machines
         .into_iter()
         .map(|m| m.into_inner().ok()) // poisoned = panicked machine

@@ -89,7 +89,10 @@ fn pool_sizes_are_observably_identical_across_seeds() {
         max_crashes: 3,
     };
     for link_seed in [0u64, 1, 2, 42, 0xdead_beef] {
-        assert_pools_agree(&cfg, &labeling, &wire, profile, link_seed, 4);
+        // Two workers: the router races one helper for the queue.
+        for workers in [2, 4] {
+            assert_pools_agree(&cfg, &labeling, &wire, profile, link_seed, workers);
+        }
     }
     // A perfect link too: the degenerate single-round schedule.
     let run_on = |engine: Engine| {
@@ -104,9 +107,15 @@ fn pool_sizes_are_observably_identical_across_seeds() {
         .expect("perfect link converges")
     };
     let single = run_on(pool(1));
-    let many = run_on(pool(4));
-    assert_eq!(many.cost, single.cost);
-    assert_eq!(many.log.to_string(), single.log.to_string());
+    for workers in [2, 4] {
+        let many = run_on(pool(workers));
+        assert_eq!(many.cost, single.cost, "workers={workers}");
+        assert_eq!(
+            many.log.to_string(),
+            single.log.to_string(),
+            "workers={workers}"
+        );
+    }
 }
 
 #[test]
@@ -297,12 +306,13 @@ fn panicking_worker_is_a_typed_error_not_a_hang() {
     // other worker to notice.
     let (cfg1, labeling1, _) = make_instance(1, 0, 10, 7);
     let unit1 = unit_labeling(&labeling1, 1);
-    // n = 8: one receiver panics on the first label delivery while
-    // seven live workers keep their ends of a shared channel open.
+    // n = 8: one receiver panics on the first label delivery while the
+    // live helpers (one at two workers, three at four) keep their ends
+    // of the shared report channel open.
     let (cfg8, labeling8, _) = make_instance(8, 10, 10, 8);
     let unit8 = unit_labeling(&labeling8, 8);
 
-    for engine in [pool(1), pool(4)] {
+    for engine in [pool(1), pool(2), pool(4)] {
         let err = run_verification_with(
             &PanicOnDecode,
             &cfg1,

@@ -387,7 +387,8 @@ impl Snapshot {
     /// versions carry bit-identical label streams — a v1 and a v2 file
     /// written from the same snapshot parse back [`PartialEq`]-equal.
     pub fn to_bytes_format(&self, format: SnapshotFormat) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.total_label_bits() / 8);
+        let len = self.encoded_len(format);
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&format.version().to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes());
@@ -449,7 +450,35 @@ impl Snapshot {
                 }
             }
         }
+        debug_assert_eq!(out.len(), len, "snapshot length computed up front");
         out
+    }
+
+    /// The exact length of [`Snapshot::to_bytes_format`]'s output, so it
+    /// is written into one allocation.
+    fn encoded_len(&self, format: SnapshotFormat) -> usize {
+        // Magic, version, reserved, header length and checksum, then
+        // the 29-byte header.
+        const PRELUDE: usize = MAGIC.len() + 2 + 2 + 4 + 4 + 29;
+        // Tag, payload length and checksum.
+        const FRAME: usize = 1 + 8 + 4;
+        let family = |labels: &[BitString], prefix: usize| {
+            let payload = match format {
+                SnapshotFormat::V1 => labels.iter().map(|l| 4 + l.len().div_ceil(8)).sum(),
+                SnapshotFormat::V2 => {
+                    let bits: usize = labels.iter().map(BitString::len).sum();
+                    8 * (labels.len() + 1) + bits.div_ceil(8)
+                }
+            };
+            FRAME + prefix + payload
+        };
+        let dist = self.dist.as_ref().map_or(0, |d| family(&d.labels, 4));
+        PRELUDE
+            + FRAME
+            + 12 * self.parents.len()
+            + family(&self.max_labels, 0)
+            + family(&self.flow_labels, 0)
+            + dist
     }
 
     /// Parses a snapshot, validating magic, version, every CRC, and the

@@ -7,9 +7,9 @@
 //! here at the bottom of the crate stack and `mstv-core` re-exports it —
 //! `mstv_core::ParallelConfig` keeps working unchanged.
 //!
-//! [`KeyedQueue`] is the scheduling primitive underneath the event-driven
-//! engines: per-key FIFO inboxes multiplexed over a bounded pool of
-//! worker threads, with the guarantee that at most one worker processes
+//! [`KeyedQueue`] is the scheduling primitive underneath the net runtime
+//! and the serving tier: per-key FIFO inboxes multiplexed over a bounded
+//! pool of workers, with the guarantee that at most one worker processes
 //! a given key at a time (so each key's items are handled strictly in
 //! posting order, whatever the pool size).
 
@@ -111,6 +111,13 @@ pub fn par_map_chunks<T: Send>(
 ///   schedulable or the queue is closed ([`KeyedQueue::close`] wakes
 ///   every blocked worker and makes `next` return `None` immediately,
 ///   discarding whatever is still queued).
+///
+/// [`KeyedQueue::try_next`] is the non-blocking lease, for a thread that
+/// has other work to go back to (the net runtime's router steps queued
+/// events itself while its report is owed). The queue counts the workers
+/// blocked in `next`, so posting to a queue nobody waits on makes no wake
+/// call: std's futex-backed `Condvar::notify_one` is a syscall whether
+/// or not a thread waits.
 #[derive(Debug)]
 pub struct KeyedQueue<T> {
     inner: Mutex<KeyedQueueInner<T>>,
@@ -124,7 +131,35 @@ struct KeyedQueueInner<T> {
     /// Key is in `ready` or leased to a worker: either way, `next` must
     /// not hand it out again until `done` clears the lease.
     leased: Vec<bool>,
+    /// Workers blocked in `next`; a post or release wakes one only if
+    /// this is nonzero.
+    waiting: usize,
     closed: bool,
+}
+
+impl<T> KeyedQueueInner<T> {
+    /// Leases `key` to the next caller of `next` if no worker holds it.
+    /// Returns whether the key became schedulable.
+    fn schedule(&mut self, key: usize) -> bool {
+        if self.leased[key] {
+            return false;
+        }
+        self.leased[key] = true;
+        self.ready.push_back(key);
+        true
+    }
+
+    /// Hands out the oldest item of the first schedulable key, leased.
+    fn lease(&mut self) -> Option<(usize, T)> {
+        if self.closed {
+            return None;
+        }
+        let key = self.ready.pop_front()?;
+        let item = self.inboxes[key]
+            .pop_front()
+            .expect("ready key has an item");
+        Some((key, item))
+    }
 }
 
 impl<T> KeyedQueue<T> {
@@ -135,6 +170,7 @@ impl<T> KeyedQueue<T> {
                 inboxes: (0..keys).map(|_| VecDeque::new()).collect(),
                 ready: VecDeque::new(),
                 leased: vec![false; keys],
+                waiting: 0,
                 closed: false,
             }),
             cv: Condvar::new(),
@@ -150,10 +186,8 @@ impl<T> KeyedQueue<T> {
     pub fn post(&self, key: usize, item: T) {
         let mut q = self.inner.lock().expect("keyed queue lock");
         q.inboxes[key].push_back(item);
-        if !q.leased[key] {
-            q.leased[key] = true;
-            q.ready.push_back(key);
-            self.cv.notify_one();
+        if q.schedule(key) {
+            self.wake_one(&q);
         }
     }
 
@@ -177,10 +211,8 @@ impl<T> KeyedQueue<T> {
             return Err(item);
         }
         q.inboxes[key].push_back(item);
-        if !q.leased[key] {
-            q.leased[key] = true;
-            q.ready.push_back(key);
-            self.cv.notify_one();
+        if q.schedule(key) {
+            self.wake_one(&q);
         }
         Ok(())
     }
@@ -194,12 +226,21 @@ impl<T> KeyedQueue<T> {
             if q.closed {
                 return None;
             }
-            if let Some(key) = q.ready.pop_front() {
-                let item = q.inboxes[key].pop_front().expect("ready key has an item");
-                return Some((key, item));
+            if let Some(leased) = q.lease() {
+                return Some(leased);
             }
+            q.waiting += 1;
             q = self.cv.wait(q).expect("keyed queue lock");
+            q.waiting -= 1;
         }
+    }
+
+    /// [`KeyedQueue::next`] without the wait: leases and returns the
+    /// oldest item of some schedulable key, or `None` at once if no key
+    /// is schedulable (every queued key is leased, or nothing is
+    /// queued) or the queue is closed.
+    pub fn try_next(&self) -> Option<(usize, T)> {
+        self.inner.lock().expect("keyed queue lock").lease()
     }
 
     /// Releases the caller's lease on `key`, re-scheduling it if items
@@ -210,6 +251,14 @@ impl<T> KeyedQueue<T> {
             q.leased[key] = false;
         } else {
             q.ready.push_back(key);
+            self.wake_one(&q);
+        }
+    }
+
+    /// Wakes one worker blocked in `next`, if any. Called with the lock
+    /// held, so a worker counted in `waiting` is inside `Condvar::wait`.
+    fn wake_one(&self, q: &KeyedQueueInner<T>) {
+        if q.waiting > 0 {
             self.cv.notify_one();
         }
     }
@@ -298,6 +347,90 @@ mod tests {
         queue.done(0);
         assert_eq!(queue.next().unwrap(), (0, 4));
         queue.done(0);
+    }
+
+    #[test]
+    fn keyed_queue_try_next_returns_none_instead_of_waiting() {
+        let queue: KeyedQueue<u32> = KeyedQueue::new(2);
+        assert_eq!(queue.try_next(), None, "empty queue");
+        queue.post(0, 1);
+        queue.post(0, 2);
+        assert_eq!(queue.try_next(), Some((0, 1)));
+        // Key 0 still has an item queued, but it is leased.
+        assert_eq!(queue.try_next(), None, "the only queued key is leased");
+        queue.done(0);
+        assert_eq!(queue.try_next(), Some((0, 2)));
+        queue.done(0);
+        assert_eq!(queue.try_next(), None, "drained queue");
+        queue.post(1, 3);
+        queue.close();
+        assert_eq!(queue.try_next(), None, "closed queue");
+    }
+
+    #[test]
+    fn keyed_queue_try_next_and_next_keep_per_key_fifo_together() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc;
+
+        // A forced interleaving: the caller leases key 0 through
+        // `try_next`, a blocking worker gets key 1 meanwhile, and key
+        // 0's second item reaches the worker only after the caller's
+        // `done`.
+        let queue: KeyedQueue<char> = KeyedQueue::new(2);
+        queue.post(0, 'a');
+        queue.post(0, 'b');
+        queue.post(1, 'c');
+        assert_eq!(queue.try_next(), Some((0, 'a')));
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while let Some((key, item)) = queue.next() {
+                    tx.send((key, item)).unwrap();
+                    queue.done(key);
+                }
+            });
+            assert_eq!(rx.recv().unwrap(), (1, 'c'));
+            queue.done(0);
+            assert_eq!(rx.recv().unwrap(), (0, 'b'));
+            queue.close();
+        });
+
+        // Under contention: the posting thread drains with `try_next`
+        // between its posts while two workers block in `next`.
+        const KEYS: usize = 5;
+        const ITEMS: usize = 200;
+        let queue = KeyedQueue::new(KEYS);
+        let consumed: Vec<Mutex<Vec<usize>>> = (0..KEYS).map(|_| Mutex::new(Vec::new())).collect();
+        let remaining = AtomicUsize::new(KEYS * ITEMS);
+        let consume = |key: usize, item: usize| {
+            consumed[key].lock().unwrap().push(item);
+            queue.done(key);
+            if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+                queue.close();
+            }
+        };
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while let Some((key, item)) = queue.next() {
+                        consume(key, item);
+                    }
+                });
+            }
+            for i in 0..ITEMS {
+                for key in 0..KEYS {
+                    queue.post(key, i);
+                    if let Some((key, item)) = queue.try_next() {
+                        consume(key, item);
+                    }
+                }
+            }
+        });
+        for (key, cell) in consumed.iter().enumerate() {
+            let got = cell.lock().unwrap();
+            let want: Vec<usize> = (0..ITEMS).collect();
+            assert_eq!(*got, want, "key {key} items out of order");
+        }
     }
 
     #[test]

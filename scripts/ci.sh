@@ -135,20 +135,24 @@ echo "== closed stdout (gen | head -1 under pipefail) =="
 "$mstv" gen --nodes 20000 --extra 40000 --seed 3 | head -1 >/dev/null \
     || { echo "ci: mstv gen failed on a closed stdout"; exit 1; }
 
-echo "== distributed construction smoke (256 nodes, lossy, 1 vs 4 workers) =="
+echo "== distributed construction smoke (256 nodes, lossy, 1 vs 2 vs 4 workers) =="
 # Build the MST and its labels on the network under a lossy link, on
-# one worker and on four, and diff everything against the centralized
-# marker: both runs must print identical verdict/cost/phase lines, the
+# one worker, on two (the router racing one helper) and on four, and
+# diff everything against the centralized marker: all three runs must
+# print identical verdict/cost/phase lines, the
 # label sizes must match `mstv label` on the same graph, and the
 # snapshot written from the construction log must be byte-identical to
 # the snapshot of the locally computed MST. (The bit-exact per-node
 # label diff runs in `cargo test -p mstv-net --test compute_protocol`.)
 compute_flags=(--nodes 256 --extra 512 --seed 17 --drop 0.15 --dup 0.05 --delay 2)
 "$mstv" net --compute "${compute_flags[@]}" --workers 1 > "$tmp/compute_1.txt"
+"$mstv" net --compute "${compute_flags[@]}" --workers 2 > "$tmp/compute_2.txt"
 "$mstv" net --compute "${compute_flags[@]}" --workers 4 \
     --log "$tmp/compute.log" > "$tmp/compute_4.txt"
 grep -q 'accepted by all 256 nodes' "$tmp/compute_1.txt" \
     || { echo "ci: construction run rejected"; exit 1; }
+diff "$tmp/compute_1.txt" "$tmp/compute_2.txt" \
+    || { echo "ci: construction runs diverge between 1 and 2 workers"; exit 1; }
 diff "$tmp/compute_1.txt" <(sed '$d' "$tmp/compute_4.txt") \
     || { echo "ci: construction runs diverge between 1 and 4 workers"; exit 1; }
 "$mstv" gen --nodes 256 --extra 512 --seed 17 > "$tmp/c.txt"
@@ -205,7 +209,8 @@ echo "== adversary smoke (256 nodes, one run per fault class, replayed) =="
 # forge schedule rides the log's `adversary` header, so the replay
 # reconstructs the forged labeling from the spec alone. The honest
 # partition/reorder/churn schedule must still converge to accept, and
-# one worker must print the same verdict/cost lines as four under it.
+# one worker must print the same verdict/cost lines as two and four
+# under it.
 adv_flags=(--nodes 256 --extra 512 --seed 17 --drop 0.1 --dup 0.02 --delay 1)
 for spec in "forge:class=root,k=2;seed=7" \
             "forge:class=omega,k=2;seed=7" \
@@ -227,6 +232,9 @@ grep -q 'accepted by all 256 nodes' "$tmp/adv_4.txt" \
     | grep -q 'replay: matches the recorded run' \
     || { echo "ci: schedule-adversary log does not replay"; exit 1; }
 "$mstv" net "${adv_flags[@]}" --workers 1 --adversary "$honest" > "$tmp/adv_1.txt"
+"$mstv" net "${adv_flags[@]}" --workers 2 --adversary "$honest" > "$tmp/adv_2.txt"
+diff "$tmp/adv_1.txt" "$tmp/adv_2.txt" \
+    || { echo "ci: adversary runs diverge between 1 and 2 workers"; exit 1; }
 diff "$tmp/adv_1.txt" <(sed '$d' "$tmp/adv_4.txt") \
     || { echo "ci: adversary runs diverge between 1 and 4 workers"; exit 1; }
 

@@ -100,8 +100,9 @@ const USAGE: &str = "usage:
       run the one-round verification protocol on the concurrent
       runtime: serialized label frames on a lossy link (drop/duplicate
       probabilities, bounded random delay, crash-restarts). Every node
-      runs on a pool of --workers threads (default: the host's
-      parallelism); the pool size changes no verdict, cost, or log.
+      runs on a pool of --workers workers (default: the host's
+      parallelism), the calling thread among them, so --workers 1
+      starts no thread; the pool size changes no verdict, cost, or log.
       --adversary layers an adversarial schedule on the link: sections of
         forge:class=root|omega|bits,k=K   Byzantine forgery at K nodes
         partition:start=R,heal=R          healing partition window

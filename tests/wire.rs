@@ -1,16 +1,23 @@
 //! The wire, pinned at the root: construction over a lossy link builds
 //! the centralized marker's labels bit for bit, a labeling forged at one
-//! node is rejected on the wire for every forgery class, and the
-//! schedule a run records is the same on one worker as on four and
-//! replays to the same verdict and cost.
+//! node is rejected on the wire for every forgery class, the schedule a
+//! run records is the same on one worker as on four and replays to the
+//! same verdict and cost, and a one-worker run steps every machine on
+//! the calling thread.
 
+use std::collections::HashSet;
 use std::num::NonZeroUsize;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
-use mst_verification::core::{mst_configuration, MstScheme, ProofLabelingScheme};
-use mst_verification::graph::{gen, Graph, NodeId};
+use mst_verification::core::{
+    mst_configuration, LocalView, MstLabel, MstScheme, ProofLabelingScheme,
+};
+use mst_verification::graph::{gen, Graph, NodeId, TreeState};
+use mst_verification::labels::BitString;
 use mst_verification::net::{
     forge_labeling, replay, replay_compute, run_compute, run_verification, run_verification_with,
-    Engine, EventLog, FaultProfile, ForgeClass, LossyLink, MstWireScheme, NetConfig,
+    Engine, EventLog, FaultProfile, ForgeClass, LossyLink, MstWireScheme, NetConfig, WireScheme,
 };
 use mst_verification::trees::ParallelConfig;
 use rand::rngs::StdRng;
@@ -135,5 +142,74 @@ fn one_worker_and_four_record_the_same_replayable_log() {
     assert_eq!(
         (again.net.verdict, again.net.cost),
         (one.net.verdict, one.net.cost)
+    );
+}
+
+/// [`MstWireScheme`] that records which threads decode labels and run
+/// the local verifier, the two steps where a machine does its work.
+#[derive(Clone)]
+struct ThreadRecorder {
+    inner: MstWireScheme,
+    threads: Arc<Mutex<HashSet<ThreadId>>>,
+}
+
+impl ThreadRecorder {
+    fn record(&self) {
+        self.threads.lock().unwrap().insert(thread::current().id());
+    }
+}
+
+impl WireScheme for ThreadRecorder {
+    type State = TreeState;
+    type Label = MstLabel;
+
+    fn decode_label(&self, bits: &BitString) -> Option<MstLabel> {
+        self.record();
+        self.inner.decode_label(bits)
+    }
+
+    fn verify(&self, view: &LocalView<'_, TreeState, MstLabel>) -> bool {
+        self.record();
+        self.inner.verify(view)
+    }
+}
+
+#[test]
+fn one_worker_steps_every_machine_on_the_calling_thread() {
+    let cfg = mst_configuration(graph(40, 60, 31));
+    let labeling = MstScheme::new()
+        .marker(&cfg)
+        .expect("marker labels the MST");
+    let run_on = |workers: usize| {
+        let scheme = ThreadRecorder {
+            inner: MstWireScheme::for_config(&cfg),
+            threads: Arc::default(),
+        };
+        let mut link = LossyLink::new(PROFILE, 13);
+        let run = run_verification_with(
+            &scheme,
+            &cfg,
+            &labeling,
+            &mut link,
+            NetConfig::default(),
+            pool(workers),
+        )
+        .expect("fair-lossy run converges");
+        let threads = scheme.threads.lock().unwrap().clone();
+        (run, threads)
+    };
+    let (one, threads) = run_on(1);
+    assert!(one.verdict.accepted(), "{}", one.verdict);
+    assert_eq!(
+        threads,
+        HashSet::from([thread::current().id()]),
+        "a one-worker run stepped a machine off the calling thread"
+    );
+    let (two, _) = run_on(2);
+    assert_eq!((&two.verdict, two.cost), (&one.verdict, one.cost));
+    assert_eq!(
+        two.log.to_string(),
+        one.log.to_string(),
+        "the router racing one helper recorded a different schedule"
     );
 }
