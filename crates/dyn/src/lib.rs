@@ -14,7 +14,15 @@
 //!    touched edge; everything else is bit-identical by construction.
 //! 2. **One-swap repair.** A single weight change moves the MST by at
 //!    most one edge swap ([`mstv_mst::repair_after_weight_change`]), so
-//!    the set of touched edges per mutation is at most two.
+//!    the set of touched edges per mutation is at most two. A tree edge
+//!    that gets lighter cannot be swapped out, so it skips the repair's
+//!    cut scan.
+//! 3. **Decomposition reuse.** A swap re-hangs one tree path. The new
+//!    centroid decomposition copies, with shifted levels, the old
+//!    sub-decomposition of every component the old one already split the
+//!    same way, and splits only the others afresh: those holding a
+//!    re-hung node, and those whose node set moved
+//!    ([`mstv_trees::centroid_decomposition_update`]).
 //!
 //! [`DynMarker::apply`] classifies each mutation into the cheapest
 //! sufficient reaction — [`DeltaOutcome::NoOp`] (non-tree weight moves
@@ -36,7 +44,10 @@ use mstv_mst::{kruskal, repair_after_weight_change_in, Repair};
 use mstv_store::{
     DeltaOutcome, DeltaRecord, DistSection, JournalMutation, LabelDelta, Snapshot, TreeDelta,
 };
-use mstv_trees::{centroid_decomposition, ParallelConfig, RootedTree, SeparatorDecomposition};
+use mstv_trees::{
+    centroid_decomposition, centroid_decomposition_update, ParallelConfig, RootedTree,
+    SeparatorDecomposition,
+};
 
 /// Errors surfaced by [`DynMarker`]; everything else (internal
 /// inconsistency) is a panic, because the marker owns its state.
@@ -327,6 +338,17 @@ impl DynMarker {
             let was_tree = self.in_tree[e.index()];
             if was_tree {
                 tree_weight = tree_weight - u128::from(old_w.0) + u128::from(w.0);
+                if w < old_w {
+                    // A lighter tree edge is still the lightest edge across
+                    // its own cut, and it crosses no other tree edge's cut,
+                    // so the canonical MST stays (cut property under the
+                    // (weight, id) order) and the repair's O(m) cut scan
+                    // would find nothing. This holds at any step: each
+                    // earlier step left the canonical MST of its weights.
+                    touched.push(e);
+                    mid_valid = false;
+                    continue;
+                }
             }
             let cur_tree = mid_tree.as_ref().unwrap_or(&self.tree);
             match repair_after_weight_change_in(
@@ -388,9 +410,15 @@ impl DynMarker {
 
         // Phase 2: rebuild the structural state that actually moved. A
         // swap takes the tree phase 1 already rebuilt (or rebuilds it if
-        // a later step re-priced a tree edge) and re-decomposes — the
-        // decomposition reads structure only, so weights-only mutations
-        // keep `self.sep` untouched and just re-price the cached parent
+        // a later step re-priced a tree edge) and updates the old
+        // decomposition: a component the old one already split the same
+        // way (same nodes and representative, no parent pointer moved
+        // inside) takes its old sub-decomposition with shifted levels,
+        // and only the others are split afresh
+        // (`centroid_decomposition_update`, equal to a from-scratch
+        // `centroid_decomposition`). The decomposition
+        // reads structure only, so weights-only mutations keep
+        // `self.sep` untouched and just re-price the cached parent
         // weights in place (membership, depths, and order are all
         // unchanged).
         let new_tree_owned: Option<RootedTree> = if topo_changed {
@@ -416,7 +444,9 @@ impl DynMarker {
         };
         let new_tree: &RootedTree = new_tree_owned.as_ref().unwrap_or(&self.tree);
         let new_sep_owned = if topo_changed {
-            Some(centroid_decomposition(new_tree))
+            Some(centroid_decomposition_update(
+                &self.tree, &self.sep, new_tree,
+            ))
         } else {
             None
         };
@@ -725,19 +755,39 @@ fn subtree_membership(tree: &RootedTree, graph: &Graph, e: EdgeId) -> Vec<bool> 
 /// Marks dirty every node whose path to some separator ancestor crosses
 /// the membership boundary (`memb[v] != memb[s]` for some chain node
 /// `s`) — exactly the nodes with a `ω`/`φ`/`δ` field over that edge.
+///
+/// Each node's flags (some proper separator ancestor inside the shore,
+/// some outside) are its separator parent's flags plus that parent's own
+/// side, so, as in [`mark_changed_chains`], each climb stops at the first
+/// node already classified and the whole pass is `O(n)`.
 fn mark_crossing(dirty: &mut [bool], sep: &SeparatorDecomposition, memb: &[bool]) {
-    for (v, d) in dirty.iter_mut().enumerate() {
-        if *d {
-            continue;
-        }
-        let mv = memb[v];
-        let mut cur = sep.sep_parent(NodeId(v as u32));
-        while let Some(s) = cur {
-            if memb[s.index()] != mv {
-                *d = true;
-                break;
+    const KNOWN: u8 = 1;
+    const INSIDE: u8 = 2;
+    const OUTSIDE: u8 = 4;
+    let side = |v: NodeId| if memb[v.index()] { INSIDE } else { OUTSIDE };
+    let mut flags = vec![0u8; dirty.len()];
+    let mut chain: Vec<NodeId> = Vec::new();
+    for v0 in 0..dirty.len() {
+        let mut cur = NodeId(v0 as u32);
+        // The flags of the first node above the climb, with that node's
+        // own side added: what its separator children inherit.
+        let mut above = loop {
+            if flags[cur.index()] != 0 {
+                break flags[cur.index()] | side(cur);
             }
-            cur = sep.sep_parent(s);
+            chain.push(cur);
+            match sep.sep_parent(cur) {
+                Some(p) => cur = p,
+                None => break 0,
+            }
+        };
+        for c in chain.drain(..).rev() {
+            flags[c.index()] = above | KNOWN;
+            above |= side(c);
+        }
+        let across = if memb[v0] { OUTSIDE } else { INSIDE };
+        if flags[v0] & across != 0 {
+            dirty[v0] = true;
         }
     }
 }
@@ -1075,6 +1125,109 @@ mod tests {
             .apply(JournalMutation::SetWeight { u: 1, v: 2, w: 7 })
             .unwrap();
         assert_in_sync(&marker, "after refused mutations");
+    }
+
+    /// The reference for [`mark_crossing`]: climb each node's whole
+    /// separator chain.
+    fn mark_crossing_by_climbing(dirty: &mut [bool], sep: &SeparatorDecomposition, memb: &[bool]) {
+        for (v, d) in dirty.iter_mut().enumerate() {
+            let mut cur = sep.sep_parent(NodeId(v as u32));
+            while let Some(s) = cur {
+                if memb[s.index()] != memb[v] {
+                    *d = true;
+                    break;
+                }
+                cur = sep.sep_parent(s);
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_crossing_marks_equal_the_chain_climb() {
+        use mstv_trees::{first_vertex_decomposition, random_decomposition};
+        let mut rng = StdRng::seed_from_u64(41);
+        for n in [1usize, 2, 3, 7, 40, 300, 1500] {
+            let g = gen::random_tree(n, gen::WeightDist::Uniform { max: 50 }, &mut rng);
+            let tree = RootedTree::from_graph(&g, NodeId(0)).unwrap();
+            let decomps = [
+                centroid_decomposition(&tree),
+                first_vertex_decomposition(&tree),
+                random_decomposition(&tree, &mut rng),
+            ];
+            for sep in &decomps {
+                for trial in 0..12 {
+                    // Shores: a tree edge's subtree (what apply cuts), or
+                    // an arbitrary subset, or everything on one side.
+                    let memb: Vec<bool> = match trial % 3 {
+                        0 if n > 1 => {
+                            let e = EdgeId(rng.gen_range(0..g.num_edges() as u32));
+                            subtree_membership(&tree, &g, e)
+                        }
+                        1 => (0..n).map(|_| rng.gen_bool(0.5)).collect(),
+                        _ => vec![trial % 2 == 0; n],
+                    };
+                    let start: Vec<bool> = (0..n).map(|_| rng.gen_range(0..8) == 0).collect();
+                    let mut fast = start.clone();
+                    let mut slow = start;
+                    mark_crossing(&mut fast, sep, &memb);
+                    mark_crossing_by_climbing(&mut slow, sep, &memb);
+                    assert_eq!(fast, slow, "n = {n}, trial {trial}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lighter_tree_edges_keep_the_tree() {
+        let (mut marker, mut rng) = random_marker(64, 96, 1 << 20, 43);
+        let tree_before = canon(marker.tree_edges().to_vec());
+        for step in 0..40 {
+            let e = marker.tree_edges()[rng.gen_range(0..marker.tree_edges().len())];
+            let old_w = marker.graph().weight(e).0;
+            if old_w == 1 {
+                continue;
+            }
+            let ed = marker.graph().edge(e);
+            let mutation =
+                if step % 2 == 0 {
+                    JournalMutation::SetWeight {
+                        u: ed.u.0,
+                        v: ed.v.0,
+                        w: rng.gen_range(1..old_w),
+                    }
+                } else {
+                    // A lighter non-tree edge: the swap lowers the tree edge
+                    // first, then raises the chord, which stays out.
+                    let Some(f) = marker.graph().edge_ids().find(|&f| {
+                        !marker.in_tree[f.index()] && marker.graph().weight(f).0 < old_w
+                    }) else {
+                        continue;
+                    };
+                    let fd = marker.graph().edge(f);
+                    JournalMutation::SwapWeights {
+                        u1: ed.u.0,
+                        v1: ed.v.0,
+                        u2: fd.u.0,
+                        v2: fd.v.0,
+                    }
+                };
+            let (omega_bits, delta_bits) = (marker.omega_bits, marker.delta_bits);
+            let record = marker.apply(mutation).unwrap();
+            assert_eq!(
+                canon(marker.tree_edges().to_vec()),
+                tree_before,
+                "{mutation:?}"
+            );
+            let widths_moved =
+                record.new_omega_bits != omega_bits || record.new_delta_bits != delta_bits;
+            let expected = if widths_moved {
+                DeltaOutcome::Reencode
+            } else {
+                DeltaOutcome::WeightsOnly
+            };
+            assert_eq!(record.outcome, expected, "{mutation:?}");
+            assert_in_sync(&marker, &format!("step {step} ({mutation:?})"));
+        }
     }
 
     #[test]

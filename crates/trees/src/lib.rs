@@ -43,6 +43,6 @@ pub use pathmax::PathMaxIndex;
 pub use rmq::SparseTableRmq;
 pub use rooted::RootedTree;
 pub use separator::{
-    centroid_decomposition, centroid_decomposition_parallel, first_vertex_decomposition,
-    random_decomposition, SeparatorDecomposition, SEQ_CUTOFF,
+    centroid_decomposition, centroid_decomposition_parallel, centroid_decomposition_update,
+    first_vertex_decomposition, random_decomposition, SeparatorDecomposition, SEQ_CUTOFF,
 };

@@ -40,6 +40,18 @@
 //! and task allocation cost more than the `O(size · log size)` of just
 //! finishing the subtree locally; the value is a power of two picked so
 //! cutoff-sized components still fit comfortably in per-core caches.
+//!
+//! # Updating after a tree change
+//!
+//! [`centroid_decomposition_update`] builds the centroid decomposition of
+//! a changed tree from the old tree's: it runs the same sequential build,
+//! but a pending component that the old decomposition already split, from
+//! the same representative and with every node's parent pointer unmoved,
+//! takes its old sub-decomposition with shifted levels instead of being
+//! expanded. An edge swap re-hangs one tree path, so most components away
+//! from it are copied, and the components holding that path's nodes are
+//! split afresh. The result equals [`centroid_decomposition`] of the new
+//! tree.
 
 use std::cmp::Reverse;
 use std::sync::{Condvar, Mutex};
@@ -362,6 +374,12 @@ struct Csr {
 }
 
 impl Csr {
+    /// The neighbor order is set by parent pointers alone: `v`'s list is
+    /// its children and its parent sorted by the id of each edge's child
+    /// endpoint (the parent sits at `v`'s own id). So two trees in which
+    /// every node of a set `C` has the same parent list the same
+    /// neighbors inside `C` in the same order, which is what lets
+    /// [`centroid_decomposition_update`] reuse a component.
     fn new(tree: &RootedTree) -> Self {
         let n = tree.num_nodes();
         let mut deg = vec![0u32; n];
@@ -547,15 +565,25 @@ impl Scratch {
 }
 
 /// Runs `stack` to completion with LIFO order, appending to `records`.
+/// `reuse` may settle a popped task itself, records included, and return
+/// `true`; a task it declines is expanded.
 fn run_sequential(
     csr: &Csr,
     scratch: &mut Scratch,
     mut stack: Vec<Task>,
     records: &mut Vec<Record>,
+    mut reuse: impl FnMut(&Task, &mut Vec<Record>) -> bool,
 ) {
     while let Some(task) = stack.pop() {
-        stack.extend(scratch.expand(csr, task, records));
+        if !reuse(&task, records) {
+            stack.extend(scratch.expand(csr, task, records));
+        }
     }
+}
+
+/// Never reuses: the from-scratch build.
+fn expand_all(_: &Task, _: &mut Vec<Record>) -> bool {
+    false
 }
 
 fn assemble(n: usize, records: Vec<Record>) -> SeparatorDecomposition {
@@ -601,7 +629,134 @@ pub fn centroid_decomposition(tree: &RootedTree) -> SeparatorDecomposition {
     let csr = Csr::new(tree);
     let mut scratch = Scratch::new(n);
     let mut records = Vec::with_capacity(n);
-    run_sequential(&csr, &mut scratch, vec![whole_tree_task(n)], &mut records);
+    run_sequential(
+        &csr,
+        &mut scratch,
+        vec![whole_tree_task(n)],
+        &mut records,
+        expand_all,
+    );
+    assemble(n, records)
+}
+
+/// [`centroid_decomposition`] of `new_tree`, reusing every component that
+/// `old`, the centroid decomposition of `old_tree`, already decomposed.
+///
+/// The result equals `centroid_decomposition(new_tree)` whenever `old`
+/// is `centroid_decomposition(old_tree)` (for any other `old` it is
+/// unspecified; inputs of different sizes get the from-scratch build),
+/// and equals `old` when the two trees have the same parent pointers.
+/// It runs the same build, but first tests each pending component `C`
+/// with representative `r` (its first node). `C` is reused when all four
+/// hold:
+///
+/// 1. no node of `C` is dirty: its parent differs between the two trees,
+///    or it is the old or new parent of such a node;
+/// 2. `t`, the old separator on `r`'s chain with `component_size(t) ==
+///    |C|`, exists;
+/// 3. no node of `C` has an old level below `t`'s;
+/// 4. `r` is adjacent in `old_tree` to `t`'s old separator parent, or `r`
+///    is node 0 when `t` is the old root.
+///
+/// A component's sub-decomposition depends only on its node set, its
+/// representative and the neighbor order inside it, and by (1) the two
+/// trees agree on that order inside `C` (see `Csr::new`). By (1) `C` is
+/// connected in `old_tree`; it holds `r`, which lies in `t`'s old
+/// component, and by (3) none of the separators that walled that
+/// component in, so it is inside it, and by (2) it is as large, so it is
+/// `t`'s old component. Each piece a separator leaves has one node
+/// adjacent to it, its representative, so by (4) `r` was the
+/// representative there too. Then `t`'s whole old sub-decomposition is
+/// copied, levels shifted by `t`'s new level minus its old one, and `t`
+/// takes its new separator parent and rank. (The argument needs only
+/// that no node of `C` moved; marking the parents of moved nodes too is
+/// a margin that costs a few reuses.)
+///
+/// A swap of one tree edge, re-rooted at the same node, dirties only the
+/// tree path it re-hangs and the nodes beside it. The components holding
+/// those nodes are expanded, as is any whose node set the swap moved;
+/// the rest are copied.
+pub fn centroid_decomposition_update(
+    old_tree: &RootedTree,
+    old: &SeparatorDecomposition,
+    new_tree: &RootedTree,
+) -> SeparatorDecomposition {
+    let n = new_tree.num_nodes();
+    if old_tree.num_nodes() != n || old.num_nodes() != n {
+        return centroid_decomposition(new_tree);
+    }
+    let mut dirty = vec![false; n];
+    for v in new_tree.nodes() {
+        let (was, now) = (old_tree.parent(v), new_tree.parent(v));
+        if was != now {
+            for x in [Some(v), was, now].into_iter().flatten() {
+                dirty[x.index()] = true;
+            }
+        }
+    }
+    let reuse = |task: &Task, records: &mut Vec<Record>| {
+        let size = task.comp.len();
+        let r = NodeId(task.comp[0]);
+        // (2): component sizes strictly grow up a separator chain.
+        let mut t = r;
+        while old.component_size(t) < size {
+            match old.sep_parent(t) {
+                Some(p) => t = p,
+                None => return false,
+            }
+        }
+        if old.component_size(t) != size {
+            return false;
+        }
+        // (4)
+        let adjacent = match old.sep_parent(t) {
+            Some(p) => old_tree.parent(r) == Some(p) || old_tree.parent(p) == Some(r),
+            None => r == NodeId(0),
+        };
+        if !adjacent {
+            return false;
+        }
+        // (1) and (3)
+        let t_level = old.level(t);
+        if task
+            .comp
+            .iter()
+            .any(|&v| dirty[v as usize] || old.level[v as usize] < t_level)
+        {
+            return false;
+        }
+        records.extend(task.comp.iter().map(|&v| {
+            let i = v as usize;
+            if v == t.0 {
+                Record {
+                    sep: v,
+                    sep_parent: task.sep_parent,
+                    level: task.level,
+                    rank: task.rank,
+                    size: size as u32,
+                }
+            } else {
+                Record {
+                    sep: v,
+                    sep_parent: old.parent[i].map_or(NONE, |p| p.0),
+                    level: old.level[i] - t_level + task.level,
+                    rank: old.child_rank[i],
+                    size: old.component_size[i] as u32,
+                }
+            }
+        }));
+        true
+    };
+    let csr = Csr::new(new_tree);
+    let mut scratch = Scratch::new(n);
+    let mut records = Vec::with_capacity(n);
+    run_sequential(
+        &csr,
+        &mut scratch,
+        vec![whole_tree_task(n)],
+        &mut records,
+        reuse,
+    );
     assemble(n, records)
 }
 
@@ -656,7 +811,7 @@ fn decompose_worker(csr: &Csr, n: usize, state: &Mutex<PoolState>, cv: &Condvar)
             guard.active += 1;
             drop(guard);
             let subs = if task.comp.len() <= SEQ_CUTOFF {
-                run_sequential(csr, &mut scratch, vec![task], &mut records);
+                run_sequential(csr, &mut scratch, vec![task], &mut records, expand_all);
                 Vec::new()
             } else {
                 scratch.expand(csr, task, &mut records)

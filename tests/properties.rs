@@ -9,7 +9,7 @@ use mst_verification::mst::{
     check_mst_offline, is_mst, kruskal, mst_weight, prim, MstVerdict, UnionFind,
 };
 use mst_verification::sensitivity::{brute_force_sensitivity, sensitivity};
-use mst_verification::trees::{centroid_decomposition, RootedTree};
+use mst_verification::trees::{centroid_decomposition, centroid_decomposition_update, RootedTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -399,5 +399,61 @@ fn tree_membership_edge_cases_keep_their_verdicts() {
                 "n={n} root={root}"
             );
         }
+    }
+}
+
+#[test]
+fn swap_redecomposition_equals_a_fresh_decomposition() {
+    // Chains of MST swaps, each made by undercutting a chord's tree path
+    // as `mstv-dyn` meets them: every update from the previous
+    // decomposition, and from the first one (all swaps so far at once),
+    // must equal a from-scratch one, rooted at node 0 (the marker's
+    // root) or elsewhere. Sparse graphs on a few hundred nodes are where
+    // an equal-sized component can differ from the old one.
+    let cases = (0..4u64)
+        .flat_map(|seed| [2usize, 9, 30, 60, 150, 400].map(|n| (seed, n)))
+        .chain([(4, 3000)]);
+    for (seed, n) in cases {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = gen::random_connected(n, n, gen::WeightDist::Uniform { max: 1000 }, &mut rng);
+        let mut tree = RootedTree::from_graph_edges(&g, &kruskal(&g), NodeId(0)).unwrap();
+        let mut sep = centroid_decomposition(&tree);
+        assert_eq!(centroid_decomposition_update(&tree, &sep, &tree), sep);
+        let (first_tree, first_sep) = (tree.clone(), sep.clone());
+        let mut swaps = 0;
+        for step in 0..24 {
+            let chord = EdgeId(rand::Rng::gen_range(&mut rng, 0..g.num_edges() as u32));
+            g.set_weight(chord, Weight(1 + step % 3));
+            let mst = kruskal(&g);
+            let new_tree = RootedTree::from_graph_edges(&g, &mst, NodeId(0)).unwrap();
+            if new_tree
+                .nodes()
+                .any(|v| new_tree.parent(v) != tree.parent(v))
+            {
+                swaps += 1;
+            }
+            let case = format!("seed {seed}, n = {n}, step {step}");
+            let fresh = centroid_decomposition(&new_tree);
+            let updated = centroid_decomposition_update(&tree, &sep, &new_tree);
+            assert_eq!(updated, fresh, "{case}");
+            assert_eq!(
+                centroid_decomposition_update(&first_tree, &first_sep, &new_tree),
+                fresh,
+                "{case}, from the first tree"
+            );
+            let root = NodeId((step as u32 * 7919) % n as u32);
+            let rerooted = RootedTree::from_graph_edges(&g, &mst, root).unwrap();
+            assert_eq!(
+                centroid_decomposition_update(&tree, &sep, &rerooted),
+                centroid_decomposition(&rerooted),
+                "{case}, root {root}"
+            );
+            tree = new_tree;
+            sep = updated;
+        }
+        assert!(
+            n < 30 || swaps > 0,
+            "seed {seed}, n = {n}: no step swapped a tree edge"
+        );
     }
 }
