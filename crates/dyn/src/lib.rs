@@ -3,7 +3,7 @@
 //! The batch pipeline (`kruskal` → `Snapshot::build`) prices every
 //! mutation at a full rebuild: re-sort all edges, re-decompose the tree,
 //! re-assemble and re-encode `n` labels. This crate keeps an *accepted*
-//! labeling live under a mutation stream by exploiting two locality
+//! labeling live under a mutation stream by exploiting four locality
 //! facts of the `Γ` construction:
 //!
 //! 1. **Separator locality.** A node's label mentions only its own
@@ -12,17 +12,27 @@
 //!    distances). A mutation therefore dirties exactly the nodes whose
 //!    chain changed or whose path to some chain separator crossed a
 //!    touched edge; everything else is bit-identical by construction.
+//!    Both kinds are found by walks over separator subtrees, from the
+//!    nodes whose chain step changed and from the smaller shore of each
+//!    touched edge, so the dirty list costs what it holds (plus, after a
+//!    swap, one flat pass comparing the two decompositions' steps).
 //! 2. **One-swap repair.** A single weight change moves the MST by at
 //!    most one edge swap ([`mstv_mst::repair_after_weight_change`]), so
 //!    the set of touched edges per mutation is at most two. A tree edge
 //!    that gets lighter cannot be swapped out, so it skips the repair's
-//!    cut scan.
-//! 3. **Decomposition reuse.** A swap re-hangs one tree path. The new
-//!    centroid decomposition copies, with shifted levels, the old
-//!    sub-decomposition of every component the old one already split the
-//!    same way, and splits only the others afresh: those holding a
-//!    re-hung node, and those whose node set moved
-//!    ([`mstv_trees::centroid_decomposition_update`]).
+//!    cut scan; one that gets heavier looks for its replacement among the
+//!    edges of the smaller shore of its cut
+//!    ([`RootedTree::smaller_shore`]).
+//! 3. **In-place re-hang.** A swap re-hangs one tree path. The marker
+//!    patches a working copy of its rooted tree in place
+//!    ([`RootedTree::rehang`]): the path's parent links reverse, and
+//!    only the moved subtree's depths and preorder block change. The
+//!    committed tree takes the same patches when the mutation commits.
+//! 4. **Decomposition reuse.** The new centroid decomposition copies,
+//!    with shifted levels, the old sub-decomposition of every component
+//!    the old one already split the same way, and splits only the others
+//!    afresh: those holding a re-hung node, and those whose node set
+//!    moved ([`mstv_trees::centroid_decomposition_update`]).
 //!
 //! [`DynMarker::apply`] classifies each mutation into the cheapest
 //! sufficient reaction — [`DeltaOutcome::NoOp`] (non-tree weight moves
@@ -35,7 +45,7 @@
 //! dynamic-serving experiment) to be **bit-identical** to a
 //! from-scratch `kruskal` + `Snapshot::build` after every mutation.
 
-use mstv_graph::{EdgeId, Graph, NodeId, Weight};
+use mstv_graph::{Edge, EdgeId, Graph, NodeId, Weight};
 use mstv_labels::{
     decode_max, encode_dist_label_into, walk_labels, BitString, DistLabel, FlowLabel, GammaPass,
     LabelCodec, MaxLabel, SepFieldCodec,
@@ -69,6 +79,8 @@ pub enum DynError {
         /// Second endpoint.
         v: u32,
     },
+    /// A mutation set an edge weight to zero; weights are positive.
+    ZeroWeight,
     /// The minimum spanning tree's total weight does not fit in a `u64`,
     /// so the tree has no `DIST` labels (see `mstv_labels::dist_fits`).
     TreeWeightOverflow,
@@ -82,6 +94,7 @@ impl std::fmt::Display for DynError {
                 write!(f, "node {node} out of range for {nodes} nodes")
             }
             DynError::UnknownEdge { u, v } => write!(f, "no edge between {u} and {v}"),
+            DynError::ZeroWeight => write!(f, "edge weight must be positive"),
             DynError::TreeWeightOverflow => write!(
                 f,
                 "the spanning tree's total weight overflows u64, so it has no distance labels"
@@ -105,7 +118,12 @@ pub struct DynMarker {
     sep_codec: SepFieldCodec,
     tree_edges: Vec<EdgeId>,
     in_tree: Vec<bool>,
+    /// The committed tree, which `sep`, `parents` and the labels describe.
     tree: RootedTree,
+    /// The working tree: equal to `tree` between mutations. Each step of
+    /// a mutation patches it in place, and commit replays the same
+    /// patches on `tree`.
+    work: RootedTree,
     sep: SeparatorDecomposition,
     parents: Vec<Option<(NodeId, Weight)>>,
     max_s: Vec<MaxLabel>,
@@ -123,6 +141,8 @@ pub struct DynMarker {
     /// Summed weight of the tree edges, at most `u64::MAX`: trees past
     /// that have no `DIST` labels, and the marker refuses them.
     tree_weight: u128,
+    /// Phase 3's dirty list and marks, clear between mutations.
+    marks: DirtyMarks,
     seq: u64,
 }
 
@@ -155,12 +175,14 @@ impl DynMarker {
         let tree = RootedTree::from_tree_membership(&graph, &in_tree, NodeId(0))
             .expect("kruskal returns a spanning tree");
         let sep = centroid_decomposition(&tree);
+        let n = graph.num_nodes();
         let mut marker = DynMarker {
             graph,
             sep_codec,
             tree_edges,
             in_tree,
             parents: parent_entries(&tree),
+            work: tree.clone(),
             tree,
             sep,
             max_s: Vec::new(),
@@ -174,6 +196,7 @@ impl DynMarker {
             omega_bits: 1,
             delta_bits: 1,
             tree_weight,
+            marks: DirtyMarks::new(n),
             seq: 0,
         };
         marker.rebuild_all_labels();
@@ -239,14 +262,18 @@ impl DynMarker {
     /// # Errors
     ///
     /// [`DynError::NodeOutOfRange`] / [`DynError::UnknownEdge`] for
-    /// mutations naming nonexistent endpoints, and
-    /// [`DynError::TreeWeightOverflow`] for a mutation after which the
-    /// minimum spanning tree's total weight would overflow `u64`; the
-    /// state is unmodified on error.
+    /// mutations naming nonexistent endpoints, [`DynError::ZeroWeight`]
+    /// for a weight of zero, and [`DynError::TreeWeightOverflow`] for a
+    /// mutation after which the minimum spanning tree's total weight
+    /// would overflow `u64`; the state is unmodified on error.
     pub fn apply(&mut self, mutation: JournalMutation) -> Result<DeltaRecord, DynError> {
         let steps = match mutation {
             JournalMutation::SetWeight { u, v, w } => {
-                vec![(self.resolve_edge(u, v)?, Weight(w))]
+                let e = self.resolve_edge(u, v)?;
+                if w == 0 {
+                    return Err(DynError::ZeroWeight);
+                }
+                vec![(e, Weight(w))]
             }
             JournalMutation::SwapWeights { u1, v1, u2, v2 } => {
                 let e1 = self.resolve_edge(u1, v1)?;
@@ -274,7 +301,6 @@ impl DynMarker {
         mutation: JournalMutation,
         steps: &[(EdgeId, Weight)],
     ) -> Result<DeltaRecord, DynError> {
-        let n = self.graph.num_nodes();
         if steps.iter().all(|&(e, w)| self.graph.weight(e) == w) {
             return Ok(self.finish_record(
                 mutation,
@@ -285,10 +311,6 @@ impl DynMarker {
                 vec![],
             ));
         }
-        // Old-side context, needed for crossing tests after a swap. The
-        // old tree itself stays untouched in `self.tree` until commit;
-        // only the membership vector is mutated in place by the repair.
-        let old_in_tree = self.in_tree.clone();
 
         // Phase 1: mutate weights and repair the tree, one step at a
         // time. `touched` collects tree edges whose weight changed
@@ -297,16 +319,13 @@ impl DynMarker {
         let mut touched: Vec<EdgeId> = Vec::new();
         let mut removed_edges: Vec<EdgeId> = Vec::new();
         let mut added_edges: Vec<EdgeId> = Vec::new();
-        // Repairs run against the maintained tree; after a swap within
-        // a multi-step mutation, later steps need the intermediate
-        // topology, so it is rebuilt here (cheap membership BFS) while
-        // `self.tree` keeps the pre-mutation view for phase 3. The
-        // repair reads weights from the graph, never from the tree, so
-        // stale cached weights in either tree are harmless — but phase 2
-        // reuses `mid_tree` as the final tree only while `mid_valid`
-        // says no later step re-priced a tree edge behind its back.
-        let mut mid_tree: Option<RootedTree> = None;
-        let mut mid_valid = false;
+        // Each step patches `self.work` in place, so the next repair
+        // meets the current tree, while `self.tree` keeps the
+        // pre-mutation view for phases 2 and 3 until commit replays
+        // `patches` on it. `rows` lists the nodes whose parent row a
+        // patch may have moved, for phase 7.
+        let mut patches: Vec<Patch> = Vec::new();
+        let mut rows: Vec<NodeId> = Vec::new();
         // The tree weight follows every re-priced tree edge and swap, so
         // a mutation whose tree would have no DIST labels is refused
         // (and undone through `undo`) before anything is relabelled.
@@ -342,18 +361,17 @@ impl DynMarker {
                     // A lighter tree edge is still the lightest edge across
                     // its own cut, and it crosses no other tree edge's cut,
                     // so the canonical MST stays (cut property under the
-                    // (weight, id) order) and the repair's O(m) cut scan
-                    // would find nothing. This holds at any step: each
-                    // earlier step left the canonical MST of its weights.
+                    // (weight, id) order) and the repair's cut scan would
+                    // find nothing. This holds at any step: each earlier
+                    // step left the canonical MST of its weights.
                     touched.push(e);
-                    mid_valid = false;
+                    patches.push(self.reprice(e, &mut rows));
                     continue;
                 }
             }
-            let cur_tree = mid_tree.as_ref().unwrap_or(&self.tree);
             match repair_after_weight_change_in(
                 &self.graph,
-                cur_tree,
+                &self.work,
                 &self.in_tree,
                 &mut self.tree_edges,
                 e,
@@ -361,7 +379,7 @@ impl DynMarker {
                 Repair::Unchanged => {
                     if was_tree {
                         touched.push(e);
-                        mid_valid = false;
+                        patches.push(self.reprice(e, &mut rows));
                     }
                 }
                 Repair::Swapped { removed, added } => {
@@ -371,11 +389,7 @@ impl DynMarker {
                     self.in_tree[added.index()] = true;
                     removed_edges.push(removed);
                     added_edges.push(added);
-                    mid_tree = Some(
-                        RootedTree::from_tree_membership(&self.graph, &self.in_tree, NodeId(0))
-                            .expect("repair preserves the spanning tree"),
-                    );
-                    mid_valid = true;
+                    patches.push(self.rehang(removed, added, &mut rows));
                 }
             }
         }
@@ -383,14 +397,21 @@ impl DynMarker {
             for &(e, w) in undo.iter().rev() {
                 self.graph.set_weight(e, w);
             }
-            self.in_tree = old_in_tree;
-            // The edge set is the one before the mutation; its order is
-            // unspecified (see `tree_edges`).
-            self.tree_edges = self
-                .graph
-                .edge_ids()
-                .filter(|e| self.in_tree[e.index()])
-                .collect();
+            for (&removed, &added) in removed_edges.iter().zip(&added_edges).rev() {
+                self.in_tree[removed.index()] = true;
+                self.in_tree[added.index()] = false;
+                // The edge set is the one before the mutation; its order
+                // is unspecified (see `tree_edges`).
+                let slot = self
+                    .tree_edges
+                    .iter()
+                    .position(|&e| e == added)
+                    .expect("a swap lists the edge it added");
+                self.tree_edges[slot] = removed;
+            }
+            if !patches.is_empty() {
+                self.work.clone_from(&self.tree);
+            }
             return Err(DynError::TreeWeightOverflow);
         }
         self.tree_weight = tree_weight;
@@ -408,74 +429,40 @@ impl DynMarker {
             ));
         }
 
-        // Phase 2: rebuild the structural state that actually moved. A
-        // swap takes the tree phase 1 already rebuilt (or rebuilds it if
-        // a later step re-priced a tree edge) and updates the old
-        // decomposition: a component the old one already split the same
-        // way (same nodes and representative, no parent pointer moved
-        // inside) takes its old sub-decomposition with shifted levels,
-        // and only the others are split afresh
+        // Phase 2: the decomposition, which reads structure only. A swap
+        // updates the old one: a component the old one already split the
+        // same way (same nodes and representative, no parent pointer
+        // moved inside) takes its old sub-decomposition with shifted
+        // levels, and only the others are split afresh
         // (`centroid_decomposition_update`, equal to a from-scratch
-        // `centroid_decomposition`). The decomposition
-        // reads structure only, so weights-only mutations keep
-        // `self.sep` untouched and just re-price the cached parent
-        // weights in place (membership, depths, and order are all
-        // unchanged).
-        let new_tree_owned: Option<RootedTree> = if topo_changed {
-            if mid_valid {
-                mid_tree
-            } else {
-                Some(
-                    RootedTree::from_tree_membership(&self.graph, &self.in_tree, NodeId(0))
-                        .expect("repair preserves the spanning tree"),
-                )
-            }
-        } else {
-            for &e in &touched {
-                let ed = self.graph.edge(e);
-                let child = if self.tree.parent(ed.u) == Some(ed.v) {
-                    ed.u
-                } else {
-                    ed.v
-                };
-                self.tree.set_parent_weight(child, ed.w);
-            }
-            None
-        };
-        let new_tree: &RootedTree = new_tree_owned.as_ref().unwrap_or(&self.tree);
-        let new_sep_owned = if topo_changed {
-            Some(centroid_decomposition_update(
-                &self.tree, &self.sep, new_tree,
-            ))
-        } else {
-            None
-        };
+        // `centroid_decomposition`). Weights-only mutations keep
+        // `self.sep`.
+        let new_sep_owned =
+            topo_changed.then(|| centroid_decomposition_update(&self.tree, &self.sep, &self.work));
         let new_sep: &SeparatorDecomposition = new_sep_owned.as_ref().unwrap_or(&self.sep);
 
-        // Phase 3: the dirty set. A node's label changes only if its
+        // Phase 3: the dirty list. A node's label changes only if its
         // separator chain changed, or the tree path from it to some
         // chain separator gained/lost/re-weighted an edge. Paths are
         // unique, so a path differs between the old and new tree only
-        // if it crossed a removed edge (old side) or an added edge (new
-        // side); same-path value changes need a touched edge on the
-        // path. Each test is a subtree-membership parity check against
-        // the chain.
-        let mut dirty = vec![false; n];
+        // if it crossed a removed edge (old side: old tree and
+        // decomposition) or an added edge (new side); same-path value
+        // changes need a touched edge on the path, on either side.
         if topo_changed {
-            mark_changed_chains(&self.sep, new_sep, &mut dirty);
+            self.marks.changed_chains(&self.sep, new_sep, &self.work);
             for &e in removed_edges.iter().chain(&touched) {
-                if old_in_tree[e.index()] {
-                    let memb = subtree_membership(&self.tree, &self.graph, e);
-                    mark_crossing(&mut dirty, &self.sep, &memb);
+                if let Some(child) = tree_child(&self.tree, self.graph.edge(e)) {
+                    self.marks.crossing(&self.tree, &self.sep, child);
                 }
             }
         }
         for &e in added_edges.iter().chain(&touched) {
-            if self.in_tree[e.index()] {
-                let memb = subtree_membership(new_tree, &self.graph, e);
-                mark_crossing(&mut dirty, new_sep, &memb);
+            if let Some(child) = tree_child(&self.work, self.graph.edge(e)) {
+                self.marks.crossing(&self.work, new_sep, child);
             }
         }
+        self.marks.list.sort_unstable();
+        let dirty: &[NodeId] = &self.marks.list;
 
         // Phase 4: re-assemble structured labels. Small dirty sets walk
         // each dirty node's chain paths (`walk_labels`: no preprocessing,
@@ -484,29 +471,36 @@ impl DynMarker {
         // (`GammaPass`, all three families from one sweep), whose labels
         // outside the dirty set are unchanged. The walk and the pass are
         // bit-identical.
-        let ndirty = dirty.iter().filter(|d| **d).count();
-        if ndirty.saturating_mul(16) <= n.max(16_384) {
-            for (v, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
-                let (max, flow, dist) = walk_labels(new_tree, new_sep, NodeId(v as u32));
-                self.max_s[v] = max;
-                self.flow_s[v] = flow;
-                self.dist_s[v] = dist;
+        let n = self.graph.num_nodes();
+        if dirty.len().saturating_mul(16) <= n.max(16_384) {
+            for &v in dirty {
+                let (max, flow, dist) = walk_labels(&self.work, new_sep, v);
+                self.max_s[v.index()] = max;
+                self.flow_s[v.index()] = flow;
+                self.dist_s[v.index()] = dist;
             }
         } else {
-            let (max, flow, dist) = GammaPass::build(new_tree, new_sep, one_worker()).into_labels();
+            let (max, flow, dist) =
+                GammaPass::build(&self.work, new_sep, one_worker()).into_labels();
             self.max_s = max;
             self.flow_s = flow;
             self.dist_s = dist.expect("the marker refuses trees without distance labels");
         }
-        for (v, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
-            self.dist_max[v] = self.dist_s[v].delta.iter().copied().max().unwrap_or(0);
+        for &v in dirty {
+            self.dist_max[v.index()] = self.dist_s[v.index()]
+                .delta
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(0);
         }
 
         // Phase 5: scheme widths. `ω` width follows the max tree-edge
         // weight, `δ` width the global max distance field; if either
         // moved, every encoded label is re-encoded (assembly above was
         // still incremental).
-        let new_max_weight = new_tree
+        let new_max_weight = self
+            .work
             .edges()
             .map(|(_, _, w)| w)
             .max()
@@ -526,10 +520,19 @@ impl DynMarker {
             DeltaOutcome::WeightsOnly
         };
 
-        // Phase 6: re-encode and emit only the rows whose bits moved.
+        // Phase 6: re-encode and emit only the rows whose bits moved —
+        // every row after a width change, else the dirty ones, in
+        // ascending node order either way.
         let codec = LabelCodec {
             sep_codec: self.sep_codec,
             omega_bits: new_omega_bits,
+        };
+        let every: Vec<NodeId>;
+        let encode: &[NodeId] = if widths_changed {
+            every = self.graph.nodes().collect();
+            &every
+        } else {
+            dirty
         };
         let mut max_d = Vec::new();
         let mut flow_d = Vec::new();
@@ -538,17 +541,14 @@ impl DynMarker {
         // did not move costs a re-encode into reused capacity, never a
         // fresh allocation. Only actually-changed rows own new bytes.
         let mut scratch = BitString::new();
-        for (v, &is_dirty) in dirty.iter().enumerate() {
-            if !widths_changed && !is_dirty {
-                continue;
-            }
-            let node = v as u32;
+        for &node in encode {
+            let v = node.index();
             scratch.clear();
             codec.encode_max_into(&self.max_s[v], &mut scratch);
-            push_if_changed(&mut self.enc_max, v, &scratch, node, &mut max_d);
+            push_if_changed(&mut self.enc_max, v, &scratch, node.0, &mut max_d);
             scratch.clear();
             codec.encode_flow_into(&self.flow_s[v], &mut scratch);
-            push_if_changed(&mut self.enc_flow, v, &scratch, node, &mut flow_d);
+            push_if_changed(&mut self.enc_flow, v, &scratch, node.0, &mut flow_d);
             scratch.clear();
             encode_dist_label_into(
                 &self.dist_s[v],
@@ -556,70 +556,76 @@ impl DynMarker {
                 new_delta_bits,
                 &mut scratch,
             );
-            push_if_changed(&mut self.enc_dist, v, &scratch, node, &mut dist_d);
+            push_if_changed(&mut self.enc_dist, v, &scratch, node.0, &mut dist_d);
         }
 
-        // Phase 7: tree-row deltas, then commit the new state. A swap
-        // can move any parent pointer in the re-hung subtree, so it
-        // diffs the full parent table; weights-only mutations can only
-        // have re-priced the touched edges' child rows, visited in
-        // ascending node order (and deduplicated) so the emitted deltas
-        // match the full diff row for row.
-        let tree_d: Vec<TreeDelta> = if topo_changed {
-            let new_parents = parent_entries(new_tree);
-            let d = self
-                .parents
-                .iter()
-                .zip(&new_parents)
-                .enumerate()
-                .filter(|(_, (a, b))| a != b)
-                .map(|(v, (_, b))| TreeDelta {
-                    node: v as u32,
-                    parent: b.map(|(p, w)| (p.0, w.0)),
-                })
-                .collect();
-            self.parents = new_parents;
-            d
-        } else {
-            let mut children: Vec<NodeId> = touched
-                .iter()
-                .map(|&e| {
-                    let ed = self.graph.edge(e);
-                    if new_tree.parent(ed.u) == Some(ed.v) {
-                        ed.u
-                    } else {
-                        ed.v
-                    }
-                })
-                .collect();
-            children.sort_unstable();
-            children.dedup();
-            let mut d = Vec::new();
-            for c in children {
-                let entry = Some((
-                    new_tree.parent(c).expect("touched edges are parent links"),
-                    new_tree.parent_weight(c),
-                ));
-                if self.parents[c.index()] != entry {
-                    self.parents[c.index()] = entry;
-                    d.push(TreeDelta {
-                        node: c.0,
-                        parent: entry.map(|(p, w)| (p.0, w.0)),
-                    });
-                }
+        // Phase 7: tree-row deltas, then commit. Only the re-hung path
+        // nodes and the re-priced edges' children can have moved parent
+        // rows; visiting them in ascending node order (deduplicated)
+        // emits the full table diff row for row.
+        rows.sort_unstable();
+        rows.dedup();
+        let mut tree_d = Vec::new();
+        for c in rows {
+            let entry = self.work.parent(c).map(|p| (p, self.work.parent_weight(c)));
+            if self.parents[c.index()] != entry {
+                self.parents[c.index()] = entry;
+                tree_d.push(TreeDelta {
+                    node: c.0,
+                    parent: entry.map(|(p, w)| (p.0, w.0)),
+                });
             }
-            d
-        };
-        if let Some(t) = new_tree_owned {
-            self.tree = t;
         }
+        for patch in patches {
+            patch.apply(&mut self.tree);
+        }
+        debug_assert!(self.tree == self.work, "commit replays the working tree");
         if let Some(s) = new_sep_owned {
             self.sep = s;
         }
+        self.marks.clear();
         self.max_weight = new_max_weight;
         self.omega_bits = new_omega_bits;
         self.delta_bits = new_delta_bits;
         Ok(self.finish_record(mutation, outcome, tree_d, max_d, flow_d, dist_d))
+    }
+
+    /// Re-prices tree edge `e` at its graph weight in the working tree.
+    fn reprice(&mut self, e: EdgeId, rows: &mut Vec<NodeId>) -> Patch {
+        let ed = self.graph.edge(e);
+        let child = tree_child(&self.work, ed).expect("a re-priced edge is a tree edge");
+        let patch = Patch::Reprice { child, w: ed.w };
+        patch.apply(&mut self.work);
+        rows.push(child);
+        patch
+    }
+
+    /// Swaps tree edge `removed` for `added` in the working tree.
+    fn rehang(&mut self, removed: EdgeId, added: EdgeId, rows: &mut Vec<NodeId>) -> Patch {
+        let cut =
+            tree_child(&self.work, self.graph.edge(removed)).expect("a repair removes a tree edge");
+        let ad = self.graph.edge(added);
+        // `added` crosses the cut: the endpoint with `cut` on its root
+        // path is inside it.
+        let below =
+            |x: NodeId| std::iter::successors(Some(x), |&v| self.work.parent(v)).any(|v| v == cut);
+        let (inner, outer) = if below(ad.u) {
+            (ad.u, ad.v)
+        } else {
+            (ad.v, ad.u)
+        };
+        let patch = Patch::Rehang {
+            cut,
+            inner,
+            outer,
+            w: ad.w,
+        };
+        patch.apply(&mut self.work);
+        // The re-hung path, now from `cut` up to `inner`.
+        rows.extend(std::iter::successors(Some(cut), |&v| {
+            (v != inner).then(|| self.work.parent(v).expect("inner hangs below outer"))
+        }));
+        patch
     }
 
     fn finish_record(
@@ -682,6 +688,35 @@ impl DynMarker {
     }
 }
 
+/// One in-place change that phase 1 makes to the working tree; commit
+/// replays the same changes, in order, on the committed tree.
+#[derive(Debug, Clone, Copy)]
+enum Patch {
+    /// A tree edge re-priced where it is ([`RootedTree::set_parent_weight`]).
+    Reprice { child: NodeId, w: Weight },
+    /// A repair swap ([`RootedTree::rehang`]).
+    Rehang {
+        cut: NodeId,
+        inner: NodeId,
+        outer: NodeId,
+        w: Weight,
+    },
+}
+
+impl Patch {
+    fn apply(self, tree: &mut RootedTree) {
+        match self {
+            Patch::Reprice { child, w } => tree.set_parent_weight(child, w),
+            Patch::Rehang {
+                cut,
+                inner,
+                outer,
+                w,
+            } => tree.rehang(cut, inner, outer, w),
+        }
+    }
+}
+
 /// One worker: the marker relabels on its caller's thread.
 fn one_worker() -> ParallelConfig {
     ParallelConfig::with_threads(std::num::NonZeroUsize::MIN)
@@ -693,101 +728,177 @@ fn parent_entries(tree: &RootedTree) -> Vec<Option<(NodeId, Weight)>> {
         .collect()
 }
 
-/// Marks dirty every node whose separator-ancestor chain (including the
-/// child ranks its label fields encode) differs between the two
-/// decompositions. A node's chain is its own `(sep_parent, child_rank)`
-/// step followed by its separator parent's chain, so verdicts are shared
-/// along chains: each node is classified once and every climb stops at
-/// the first already-classified ancestor — `O(n)` amortized instead of
-/// `O(n log n)` independent walks.
-fn mark_changed_chains(a: &SeparatorDecomposition, b: &SeparatorDecomposition, dirty: &mut [bool]) {
-    const UNKNOWN: u8 = 0;
-    const EQUAL: u8 = 1;
-    const CHANGED: u8 = 2;
-    let mut state = vec![UNKNOWN; dirty.len()];
-    let mut chain: Vec<NodeId> = Vec::new();
-    for v0 in 0..dirty.len() {
-        let mut cur = NodeId(v0 as u32);
-        let verdict = loop {
-            if state[cur.index()] != UNKNOWN {
-                break state[cur.index()];
-            }
-            chain.push(cur);
-            match (a.sep_parent(cur), b.sep_parent(cur)) {
-                (None, None) => break EQUAL,
-                (Some(pa), Some(pb)) if pa == pb && a.child_rank(cur) == b.child_rank(cur) => {
-                    cur = pb;
-                }
-                _ => break CHANGED,
-            }
-        };
-        for c in chain.drain(..) {
-            state[c.index()] = verdict;
-        }
-        if state[v0] == CHANGED {
-            dirty[v0] = true;
-        }
-    }
-}
-
-/// `true` for nodes in the subtree hanging below tree edge `e` (on the
-/// child endpoint's side).
-fn subtree_membership(tree: &RootedTree, graph: &Graph, e: EdgeId) -> Vec<bool> {
-    let ed = graph.edge(e);
-    let child = if tree.parent(ed.u) == Some(ed.v) {
-        ed.u
+/// The child endpoint of `edge` when it is a link of `tree`.
+fn tree_child(tree: &RootedTree, edge: Edge) -> Option<NodeId> {
+    if tree.parent(edge.u) == Some(edge.v) {
+        Some(edge.u)
+    } else if tree.parent(edge.v) == Some(edge.u) {
+        Some(edge.v)
     } else {
-        debug_assert_eq!(tree.parent(ed.v), Some(ed.u), "edge not in tree");
-        ed.v
-    };
-    let mut inside = vec![false; tree.num_nodes()];
-    let mut stack = vec![child];
-    inside[child.index()] = true;
-    while let Some(v) = stack.pop() {
-        for &c in tree.children(v) {
-            inside[c.index()] = true;
-            stack.push(c);
-        }
+        None
     }
-    inside
 }
 
-/// Marks dirty every node whose path to some separator ancestor crosses
-/// the membership boundary (`memb[v] != memb[s]` for some chain node
-/// `s`) — exactly the nodes with a `ω`/`φ`/`δ` field over that edge.
-///
-/// Each node's flags (some proper separator ancestor inside the shore,
-/// some outside) are its separator parent's flags plus that parent's own
-/// side, so, as in [`mark_changed_chains`], each climb stops at the first
-/// node already classified and the whole pass is `O(n)`.
-fn mark_crossing(dirty: &mut [bool], sep: &SeparatorDecomposition, memb: &[bool]) {
-    const KNOWN: u8 = 1;
-    const INSIDE: u8 = 2;
-    const OUTSIDE: u8 = 4;
-    let side = |v: NodeId| if memb[v.index()] { INSIDE } else { OUTSIDE };
-    let mut flags = vec![0u8; dirty.len()];
-    let mut chain: Vec<NodeId> = Vec::new();
-    for v0 in 0..dirty.len() {
-        let mut cur = NodeId(v0 as u32);
-        // The flags of the first node above the climb, with that node's
-        // own side added: what its separator children inherit.
-        let mut above = loop {
-            if flags[cur.index()] != 0 {
-                break flags[cur.index()] | side(cur);
-            }
-            chain.push(cur);
-            match sep.sep_parent(cur) {
-                Some(p) => cur = p,
-                None => break 0,
-            }
-        };
-        for c in chain.drain(..).rev() {
-            flags[c.index()] = above | KNOWN;
-            above |= side(c);
+/// Phase 3's dirty list, with the per-node marks that build it. The
+/// marker owns one and clears it after each mutation, so marking costs
+/// what it marks, never a fresh `n`-entry vector.
+struct DirtyMarks {
+    /// `dirty[v]` holds exactly for the nodes of `list`.
+    dirty: Vec<bool>,
+    list: Vec<NodeId>,
+    /// The smaller shore of the cut being marked, and its marks (clear
+    /// between cuts).
+    shore: Vec<NodeId>,
+    on_shore: Vec<bool>,
+    /// The walks' stack: a node and the neighbor it was reached from.
+    stack: Vec<(NodeId, NodeId)>,
+}
+
+impl DirtyMarks {
+    fn new(n: usize) -> Self {
+        DirtyMarks {
+            dirty: vec![false; n],
+            list: Vec::new(),
+            shore: Vec::new(),
+            on_shore: vec![false; n],
+            stack: Vec::new(),
         }
-        let across = if memb[v0] { OUTSIDE } else { INSIDE };
-        if flags[v0] & across != 0 {
-            dirty[v0] = true;
+    }
+
+    /// Marks every node whose separator-ancestor chain (including the
+    /// child ranks its label fields encode) differs between `old` and
+    /// `new`, the decomposition of `tree`. A chain differs exactly when
+    /// some node on it changed its own `(separator parent, rank)` step,
+    /// so the marked nodes are the separator subtrees, in `new`, of the
+    /// nodes whose step changed. Those nodes come from one flat pass
+    /// over both decompositions; their subtrees are walked top-down, and
+    /// one that lies inside a subtree already walked is skipped whole.
+    fn changed_chains(
+        &mut self,
+        old: &SeparatorDecomposition,
+        new: &SeparatorDecomposition,
+        tree: &RootedTree,
+    ) {
+        let mut tops: Vec<(u32, NodeId)> = tree
+            .nodes()
+            .filter(|&u| step_changed(old, new, u))
+            .map(|u| (new.level(u), u))
+            .collect();
+        tops.sort_unstable();
+        for (level, u) in tops {
+            if !self.dirty[u.index()] {
+                walk(
+                    tree,
+                    u,
+                    &mut self.stack,
+                    &mut self.dirty,
+                    &mut self.list,
+                    |x| new.level(x) > level,
+                );
+            }
+        }
+    }
+
+    /// Marks every node whose tree path to some separator ancestor (in
+    /// `sep`) crosses the link between `child` and its parent in `tree`:
+    /// exactly the nodes with a `ω`/`φ`/`δ` field over that link.
+    ///
+    /// Let `near` be the link's endpoint on its smaller shore `M` and
+    /// `far` the other. A separator `s` on `M` whose subtree reaches a
+    /// node off `M` holds the link in its (connected) subtree, so `s` is
+    /// on `far`'s chain; these subtrees nest, so the marked nodes off `M`
+    /// are those of the highest such subtree, a connected piece around
+    /// `far`. The marked nodes on `M` mirror this from `near`. Each piece
+    /// is walked from its endpoint through the higher-level nodes on its
+    /// side, so the cost is the shore plus what gets marked.
+    fn crossing(&mut self, tree: &RootedTree, sep: &SeparatorDecomposition, child: NodeId) {
+        let top = tree.parent(child).expect("a cut link has a parent end");
+        let (near, far) = if tree.smaller_shore(child, &mut self.shore) {
+            (child, top)
+        } else {
+            (top, child)
+        };
+        for &v in &self.shore {
+            self.on_shore[v.index()] = true;
+        }
+        let on_shore = &self.on_shore;
+        for (start, shore_side) in [(far, false), (near, true)] {
+            let Some(level) =
+                highest_ancestor_level(sep, start, |s| on_shore[s.index()] != shore_side)
+            else {
+                continue;
+            };
+            walk(
+                tree,
+                start,
+                &mut self.stack,
+                &mut self.dirty,
+                &mut self.list,
+                |x| on_shore[x.index()] == shore_side && sep.level(x) > level,
+            );
+        }
+        for &v in &self.shore {
+            self.on_shore[v.index()] = false;
+        }
+    }
+
+    fn clear(&mut self) {
+        for v in self.list.drain(..) {
+            self.dirty[v.index()] = false;
+        }
+    }
+}
+
+/// Whether `u`'s own `(separator parent, rank)` step differs between
+/// the two decompositions (the rank is compared below a parent only).
+fn step_changed(a: &SeparatorDecomposition, b: &SeparatorDecomposition, u: NodeId) -> bool {
+    match (a.sep_parent(u), b.sep_parent(u)) {
+        (None, None) => false,
+        (Some(pa), Some(pb)) => pa != pb || a.child_rank(u) != b.child_rank(u),
+        _ => true,
+    }
+}
+
+/// The level of the highest proper separator ancestor of `v` that
+/// `pick` accepts.
+fn highest_ancestor_level(
+    sep: &SeparatorDecomposition,
+    v: NodeId,
+    pick: impl Fn(NodeId) -> bool,
+) -> Option<u32> {
+    let mut found = None;
+    let mut cur = sep.sep_parent(v);
+    while let Some(s) = cur {
+        if pick(s) {
+            found = Some(sep.level(s));
+        }
+        cur = sep.sep_parent(s);
+    }
+    found
+}
+
+/// Adds to the dirty list `start` and every node reachable from it over
+/// tree links through nodes that `keep` accepts. A separator subtree is
+/// the walk from its separator through the higher-level nodes, since
+/// the nodes around it are separators removed before it.
+fn walk(
+    tree: &RootedTree,
+    start: NodeId,
+    stack: &mut Vec<(NodeId, NodeId)>,
+    dirty: &mut [bool],
+    list: &mut Vec<NodeId>,
+    keep: impl Fn(NodeId) -> bool,
+) {
+    stack.push((start, start));
+    while let Some((v, from)) = stack.pop() {
+        if !dirty[v.index()] {
+            dirty[v.index()] = true;
+            list.push(v);
+        }
+        for u in tree.children(v).iter().copied().chain(tree.parent(v)) {
+            if u != from && keep(u) {
+                stack.push((u, v));
+            }
         }
     }
 }
@@ -1055,6 +1166,25 @@ mod tests {
                 Err(DynError::UnknownEdge { u, v })
             );
         }
+        // A zero weight is refused before the edge's weight moves, on a
+        // tree edge and on a chord alike.
+        let chord = marker
+            .graph()
+            .edge_ids()
+            .find(|e| !marker.in_tree[e.index()])
+            .expect("20 extra edges guarantee a chord");
+        for e in [marker.tree_edges()[0], chord] {
+            let ed = marker.graph().edge(e);
+            assert_eq!(
+                marker.apply(JournalMutation::SetWeight {
+                    u: ed.u.0,
+                    v: ed.v.0,
+                    w: 0
+                }),
+                Err(DynError::ZeroWeight)
+            );
+            assert_eq!(marker.graph().weight(e), ed.w);
+        }
         assert_eq!(marker.seq(), 0);
         assert_eq!(marker.snapshot().to_bytes(), before);
     }
@@ -1125,6 +1255,107 @@ mod tests {
             .apply(JournalMutation::SetWeight { u: 1, v: 2, w: 7 })
             .unwrap();
         assert_in_sync(&marker, "after refused mutations");
+    }
+
+    /// The whole-tree reference for [`DirtyMarks::changed_chains`]: marks
+    /// every node whose separator-ancestor chain (including the child
+    /// ranks its label fields encode) differs between the two
+    /// decompositions. A node's chain is its own `(sep_parent,
+    /// child_rank)` step followed by its separator parent's chain, so
+    /// verdicts are shared along chains: each node is classified once and
+    /// every climb stops at the first already-classified ancestor.
+    fn mark_changed_chains(
+        a: &SeparatorDecomposition,
+        b: &SeparatorDecomposition,
+        dirty: &mut [bool],
+    ) {
+        const UNKNOWN: u8 = 0;
+        const EQUAL: u8 = 1;
+        const CHANGED: u8 = 2;
+        let mut state = vec![UNKNOWN; dirty.len()];
+        let mut chain: Vec<NodeId> = Vec::new();
+        for v0 in 0..dirty.len() {
+            let mut cur = NodeId(v0 as u32);
+            let verdict = loop {
+                if state[cur.index()] != UNKNOWN {
+                    break state[cur.index()];
+                }
+                chain.push(cur);
+                match (a.sep_parent(cur), b.sep_parent(cur)) {
+                    (None, None) => break EQUAL,
+                    (Some(pa), Some(pb)) if pa == pb && a.child_rank(cur) == b.child_rank(cur) => {
+                        cur = pb;
+                    }
+                    _ => break CHANGED,
+                }
+            };
+            for c in chain.drain(..) {
+                state[c.index()] = verdict;
+            }
+            if state[v0] == CHANGED {
+                dirty[v0] = true;
+            }
+        }
+    }
+
+    /// `true` for the nodes of `top`'s subtree.
+    fn below(tree: &RootedTree, top: NodeId) -> Vec<bool> {
+        let mut inside = vec![false; tree.num_nodes()];
+        let mut stack = vec![top];
+        while let Some(v) = stack.pop() {
+            inside[v.index()] = true;
+            stack.extend_from_slice(tree.children(v));
+        }
+        inside
+    }
+
+    /// `true` for nodes in the subtree hanging below tree edge `e` (on
+    /// the child endpoint's side).
+    fn subtree_membership(tree: &RootedTree, graph: &Graph, e: EdgeId) -> Vec<bool> {
+        let child = tree_child(tree, graph.edge(e)).expect("edge not in tree");
+        below(tree, child)
+    }
+
+    /// The whole-tree reference for [`DirtyMarks::crossing`]: marks
+    /// dirty every node whose path to some separator ancestor crosses
+    /// the membership boundary (`memb[v] != memb[s]` for some chain node
+    /// `s`).
+    ///
+    /// Each node's flags (some proper separator ancestor inside the
+    /// shore, some outside) are its separator parent's flags plus that
+    /// parent's own side, so, as in [`mark_changed_chains`], each climb
+    /// stops at the first node already classified and the whole pass is
+    /// `O(n)`.
+    fn mark_crossing(dirty: &mut [bool], sep: &SeparatorDecomposition, memb: &[bool]) {
+        const KNOWN: u8 = 1;
+        const INSIDE: u8 = 2;
+        const OUTSIDE: u8 = 4;
+        let side = |v: NodeId| if memb[v.index()] { INSIDE } else { OUTSIDE };
+        let mut flags = vec![0u8; dirty.len()];
+        let mut chain: Vec<NodeId> = Vec::new();
+        for v0 in 0..dirty.len() {
+            let mut cur = NodeId(v0 as u32);
+            // The flags of the first node above the climb, with that
+            // node's own side added: what its separator children inherit.
+            let mut above = loop {
+                if flags[cur.index()] != 0 {
+                    break flags[cur.index()] | side(cur);
+                }
+                chain.push(cur);
+                match sep.sep_parent(cur) {
+                    Some(p) => cur = p,
+                    None => break 0,
+                }
+            };
+            for c in chain.drain(..).rev() {
+                flags[c.index()] = above | KNOWN;
+                above |= side(c);
+            }
+            let across = if memb[v0] { OUTSIDE } else { INSIDE };
+            if flags[v0] & across != 0 {
+                dirty[v0] = true;
+            }
+        }
     }
 
     /// The reference for [`mark_crossing`]: climb each node's whole
@@ -1227,6 +1458,99 @@ mod tests {
             };
             assert_eq!(record.outcome, expected, "{mutation:?}");
             assert_in_sync(&marker, &format!("step {step} ({mutation:?})"));
+        }
+    }
+
+    /// The dirty list of one marking call, sorted, leaving `marks` clear.
+    fn listed(marks: &mut DirtyMarks, mark: impl FnOnce(&mut DirtyMarks)) -> Vec<NodeId> {
+        mark(marks);
+        let mut list = marks.list.clone();
+        list.sort_unstable();
+        marks.clear();
+        assert!(marks.dirty.iter().chain(&marks.on_shore).all(|m| !m));
+        list
+    }
+
+    /// The nodes an oracle marks on a fresh `n`-entry vector.
+    fn marked(n: usize, mark: impl FnOnce(&mut [bool])) -> Vec<NodeId> {
+        let mut dirty = vec![false; n];
+        mark(&mut dirty);
+        (0..n)
+            .filter(|&v| dirty[v])
+            .map(NodeId::from_index)
+            .collect()
+    }
+
+    #[test]
+    fn dirty_list_equals_the_chain_and_crossing_marks() {
+        // Random trees, one random edge swap each (re-hung in place), the
+        // three decomposition kinds, and a link of both trees re-priced:
+        // every marking call lists exactly what its whole-tree oracle
+        // marks — the changed chains, the removed link on the old side,
+        // the added link and the re-priced one on each side.
+        use mstv_trees::{first_vertex_decomposition, random_decomposition};
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(47);
+        for n in [2usize, 3, 7, 40, 300, 1500] {
+            let g = gen::random_tree(n, gen::WeightDist::Uniform { max: 50 }, &mut rng);
+            let old_tree = RootedTree::from_graph(&g, NodeId(0)).unwrap();
+            let mut marks = DirtyMarks::new(n);
+            for trial in 0..8 {
+                let cut = NodeId(rng.gen_range(1..n as u32));
+                let inside = below(&old_tree, cut);
+                let (ins, outs): (Vec<NodeId>, Vec<NodeId>) =
+                    old_tree.nodes().partition(|v| inside[v.index()]);
+                let inner = *ins.choose(&mut rng).unwrap();
+                let outer = *outs.choose(&mut rng).unwrap();
+                let mut new_tree = old_tree.clone();
+                new_tree.rehang(cut, inner, outer, Weight(7));
+                // A link of both trees, by its child in each.
+                let kept = (0..8)
+                    .map(|_| NodeId(rng.gen_range(1..n as u32)))
+                    .find_map(|c| {
+                        let p = new_tree.parent(c)?;
+                        let e = Edge {
+                            u: c,
+                            v: p,
+                            w: Weight(1),
+                        };
+                        tree_child(&old_tree, e).map(|old_child| (old_child, c))
+                    });
+                for kind in 0..3 {
+                    let (old, new) = match kind {
+                        0 => (
+                            centroid_decomposition(&old_tree),
+                            centroid_decomposition(&new_tree),
+                        ),
+                        1 => (
+                            first_vertex_decomposition(&old_tree),
+                            first_vertex_decomposition(&new_tree),
+                        ),
+                        _ => (
+                            random_decomposition(&old_tree, &mut rng),
+                            random_decomposition(&new_tree, &mut rng),
+                        ),
+                    };
+                    let case = format!("n = {n}, trial {trial}, kind {kind}");
+                    assert_eq!(
+                        listed(&mut marks, |m| m.changed_chains(&old, &new, &new_tree)),
+                        marked(n, |d| mark_changed_chains(&old, &new, d)),
+                        "{case}: changed chains"
+                    );
+                    let mut cuts = vec![(&old_tree, &old, cut), (&new_tree, &new, inner)];
+                    if let Some((old_child, new_child)) = kept {
+                        cuts.push((&old_tree, &old, old_child));
+                        cuts.push((&new_tree, &new, new_child));
+                    }
+                    for (tree, sep, child) in cuts {
+                        assert_eq!(
+                            listed(&mut marks, |m| m.crossing(tree, sep, child)),
+                            marked(n, |d| mark_crossing(d, sep, &below(tree, child))),
+                            "{case}: crossing the link above {child}"
+                        );
+                    }
+                }
+            }
         }
     }
 

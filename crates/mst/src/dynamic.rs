@@ -4,9 +4,14 @@
 //! its sensitivity threshold, the MST changes by exactly **one swap** —
 //! the changed non-tree edge replaces the heaviest tree edge on its
 //! cycle, or the changed tree edge is replaced by the lightest non-tree
-//! edge covering it. This module performs that repair in `O(n + m)` time,
-//! the cheap alternative to recomputation that a self-stabilizing system
-//! can use when it knows *which* weight changed.
+//! edge covering it. This module performs that repair, the cheap
+//! alternative to recomputation that a self-stabilizing system can use
+//! when it knows *which* weight changed. Against a maintained tree
+//! ([`repair_after_weight_change_in`]) a raised tree edge costs the volume
+//! of the smaller shore of its cut (the shore is found by growing both
+//! sides alternately, and only its incident edges are scanned), and a
+//! lowered chord costs its tree path; [`repair_after_weight_change`]
+//! adds the `O(n + m)` validation and tree build.
 
 use mstv_graph::{EdgeId, Graph, NodeId, Weight};
 use mstv_trees::RootedTree;
@@ -95,7 +100,6 @@ pub fn repair_after_weight_change_in(
     debug_assert!(graph.is_spanning_tree(tree_edges));
     debug_assert_eq!(in_tree.len(), graph.num_edges());
     debug_assert!(tree_edges.iter().all(|e| in_tree[e.index()]));
-    let tree_flags = in_tree;
     if in_tree[changed.index()] {
         // The changed edge may now be too heavy: compare with the
         // lightest non-tree edge crossing its cut.
@@ -108,14 +112,18 @@ pub fn repair_after_weight_change_in(
             debug_assert_eq!(tree.parent(ce.v), Some(ce.u));
             ce.v
         };
-        let shore = subtree_membership(tree, child);
+        // Every crossing edge has exactly one endpoint on each shore, so
+        // the incident edges of the smaller one hold them all.
+        let mut shore = Vec::new();
+        tree.smaller_shore(child, &mut shore);
+        shore.sort_unstable();
         let mut best: Option<(Weight, EdgeId)> = None;
-        for (f, fe) in graph.edges() {
-            if tree_flags[f.index()] {
-                continue;
-            }
-            if shore[fe.u.index()] != shore[fe.v.index()] {
-                let cand = (fe.w, f);
+        for &x in &shore {
+            for nb in graph.neighbors(x) {
+                if in_tree[nb.edge.index()] || shore.binary_search(&nb.node).is_ok() {
+                    continue;
+                }
+                let cand = (nb.weight, nb.edge);
                 if best.is_none_or(|b| cand < b) {
                     best = Some(cand);
                 }
@@ -155,20 +163,6 @@ pub fn repair_after_weight_change_in(
             Repair::Unchanged
         }
     }
-}
-
-/// `true` for nodes inside the subtree rooted at `top`.
-fn subtree_membership(tree: &RootedTree, top: NodeId) -> Vec<bool> {
-    let mut inside = vec![false; tree.num_nodes()];
-    let mut stack = vec![top];
-    inside[top.index()] = true;
-    while let Some(v) = stack.pop() {
-        for &c in tree.children(v) {
-            inside[c.index()] = true;
-            stack.push(c);
-        }
-    }
-    inside
 }
 
 /// The heaviest tree edge on the path between `u` and `v`, with its
@@ -323,6 +317,63 @@ mod tests {
                 in_tree[added.index()] = true;
             }
             assert!(is_mst(&g, &t_fast));
+        }
+    }
+
+    #[test]
+    fn smaller_shore_scan_finds_what_a_full_edge_scan_finds() {
+        // Raising a tree edge to u64::MAX makes every crossing chord beat
+        // it, so the repair must swap in the lightest crossing chord under
+        // the (weight, id) order, as a scan of all m edges finds it; small
+        // weight ranges make that order decide between tied weights.
+        let mut rng = StdRng::seed_from_u64(11);
+        for (n, extra, max_w) in [
+            (2, 0, 5),
+            (3, 3, 2),
+            (40, 60, 3),
+            (40, 60, 1000),
+            (300, 500, 4),
+        ] {
+            let mut g =
+                gen::random_connected(n, extra, gen::WeightDist::Uniform { max: max_w }, &mut rng);
+            let mst = kruskal(&g);
+            let in_tree = g.edge_membership(&mst).unwrap();
+            let root = NodeId(rng.gen_range(0..n as u32));
+            let tree = RootedTree::from_graph_edges(&g, &mst, root).unwrap();
+            for &e in &mst {
+                let ed = g.edge(e);
+                let child = if tree.parent(ed.u) == Some(ed.v) {
+                    ed.u
+                } else {
+                    ed.v
+                };
+                let mut below = vec![false; n];
+                let mut stack = vec![child];
+                while let Some(v) = stack.pop() {
+                    below[v.index()] = true;
+                    stack.extend_from_slice(tree.children(v));
+                }
+                let want = g
+                    .edges()
+                    .filter(|(f, fe)| {
+                        !in_tree[f.index()] && below[fe.u.index()] != below[fe.v.index()]
+                    })
+                    .map(|(f, fe)| (fe.w, f))
+                    .min();
+                let old_w = g.weight(e);
+                g.set_weight(e, Weight(u64::MAX));
+                let mut edges = mst.clone();
+                let got = repair_after_weight_change_in(&g, &tree, &in_tree, &mut edges, e);
+                g.set_weight(e, old_w);
+                let expected = match want {
+                    Some((_, f)) => Repair::Swapped {
+                        removed: e,
+                        added: f,
+                    },
+                    None => Repair::Unchanged,
+                };
+                assert_eq!(got, expected, "n = {n}, max weight {max_w}, edge {e}");
+            }
         }
     }
 

@@ -218,6 +218,135 @@ impl RootedTree {
         self.parent_weight[child.index()] = w;
     }
 
+    /// Swaps one tree edge in place, keeping the root: the edge between
+    /// `cut` and its parent leaves the tree, and the edge between `inner`
+    /// (in `cut`'s subtree) and `outer` (outside it), of weight `w`,
+    /// enters. The subtree re-hangs from `outer`, and the result equals
+    /// [`RootedTree::from_parents`] of the swapped tree in every field:
+    ///
+    /// * parent links and their weights reverse on the path from `inner`
+    ///   up to `cut`, and `inner` hangs from `outer` at `w`;
+    /// * children lists stay sorted by id;
+    /// * depths change only inside the moved subtree;
+    /// * the subtree's preorder block is cut out and spliced back in
+    ///   below `outer`, after the blocks of `outer`'s larger-id children
+    ///   and before those of its smaller-id ones.
+    ///
+    /// This is the incremental form of rebuilding the tree after a swap:
+    /// it costs the moved subtree, the re-hung path (times the degrees on
+    /// it) and `outer`'s depth, plus two searches and one block move in
+    /// the flat preorder, instead of a traversal of the whole graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cut` is the root, `inner` is not in `cut`'s subtree,
+    /// or `outer` is.
+    pub fn rehang(&mut self, cut: NodeId, inner: NodeId, outer: NodeId, w: Weight) {
+        let old_parent = self.parent[cut.index()].expect("the root has no parent edge to cut");
+        // The re-hung path inner = path[0], ..., path[k] = cut.
+        let mut path = vec![inner];
+        let mut v = inner;
+        while v != cut {
+            v = self.parent[v.index()]
+                .unwrap_or_else(|| panic!("{inner} is not in the subtree of {cut}"));
+            path.push(v);
+        }
+        let mut up = Some(outer);
+        while let Some(v) = up {
+            assert!(v != cut, "{outer} is in the subtree of {cut}");
+            up = self.parent[v.index()];
+        }
+        // The subtree's preorder block: `cut` and the deeper nodes after it.
+        let start = self.preorder_index(cut);
+        let cut_depth = self.depth[cut.index()];
+        let len = 1 + self.order[start + 1..]
+            .iter()
+            .take_while(|v| self.depth[v.index()] > cut_depth)
+            .count();
+
+        // Parent links: each path node takes its lower neighbor as parent,
+        // with that neighbor's old parent weight (read before it is
+        // overwritten, top down).
+        unlink(&mut self.children[old_parent.index()], cut);
+        for i in (0..path.len() - 1).rev() {
+            let (lower, upper) = (path[i], path[i + 1]);
+            self.parent[upper.index()] = Some(lower);
+            self.parent_weight[upper.index()] = self.parent_weight[lower.index()];
+            unlink(&mut self.children[upper.index()], lower);
+            link(&mut self.children[lower.index()], upper);
+        }
+        self.parent[inner.index()] = Some(outer);
+        self.parent_weight[inner.index()] = w;
+        link(&mut self.children[outer.index()], inner);
+
+        // The block moves to where the preorder lists the block that
+        // follows `inner`'s, counted without the block itself.
+        let n = self.order.len();
+        let at = match self.next_block(inner) {
+            Some(next) => {
+                let p = self.preorder_index(next);
+                if p > start {
+                    p - len
+                } else {
+                    p
+                }
+            }
+            None => n - len,
+        };
+        if at <= start {
+            self.order[at..start + len].rotate_right(len);
+        } else {
+            self.order[start..at + len].rotate_left(len);
+        }
+        // Refill the block with the subtree's new preorder, the way
+        // `from_parents` walks it, and re-derive its depths.
+        let RootedTree {
+            children,
+            depth,
+            order,
+            ..
+        } = self;
+        depth[inner.index()] = depth[outer.index()] + 1;
+        let mut stack = vec![inner];
+        let mut slot = at;
+        while let Some(v) = stack.pop() {
+            order[slot] = v;
+            slot += 1;
+            for &c in &children[v.index()] {
+                depth[c.index()] = depth[v.index()] + 1;
+                stack.push(c);
+            }
+        }
+        debug_assert_eq!(slot, at + len, "the re-hung subtree kept its size");
+    }
+
+    /// Where `v` sits in the preorder (a flat search: the tree keeps no
+    /// position index).
+    fn preorder_index(&self, v: NodeId) -> usize {
+        self.order
+            .iter()
+            .position(|&u| u == v)
+            .expect("every node is in the preorder")
+    }
+
+    /// The node whose preorder block starts right after `v`'s: `v`'s
+    /// next smaller-id sibling, or that of its nearest ancestor that has
+    /// one; `None` when `v`'s block ends the preorder.
+    fn next_block(&self, v: NodeId) -> Option<NodeId> {
+        let mut cur = v;
+        while let Some(p) = self.parent[cur.index()] {
+            let siblings = &self.children[p.index()];
+            let i = siblings
+                .binary_search(&cur)
+                .expect("children list their parent's child");
+            if i > 0 {
+                return Some(siblings[i - 1]);
+            }
+            cur = p;
+        }
+        None
+    }
+
     /// Weight of the edge from `v` to its parent (`Weight::ZERO` at root).
     #[inline]
     pub fn parent_weight(&self, v: NodeId) -> Weight {
@@ -273,6 +402,39 @@ impl RootedTree {
             cur = p;
         }
         path
+    }
+
+    /// The smaller shore of the cut at the tree edge between `child` and
+    /// its parent. Both shores grow breadth-first over tree links,
+    /// alternately one link at a time, and the first to run out is
+    /// written to `shore` (cleared first). Returns `true` when that shore
+    /// is `child`'s subtree and `false` when it is the rest of the tree.
+    ///
+    /// A shore of `s` nodes has `2s - 1` links counted from its side (the
+    /// cut included), so the first to run out is never the larger shore
+    /// (the subtree wins a tie), and the cost follows the smaller shore,
+    /// never `n`: the other stops at most one link further along.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `child` is the root.
+    pub fn smaller_shore(&self, child: NodeId, shore: &mut Vec<NodeId>) -> bool {
+        let top = self
+            .parent(child)
+            .expect("the root has no parent edge to cut");
+        let mut below = ShoreGrowth::new(child, top);
+        let mut above = ShoreGrowth::new(top, child);
+        let (done, is_below) = loop {
+            if !below.step(self) {
+                break (below, true);
+            }
+            if !above.step(self) {
+                break (above, false);
+            }
+        };
+        shore.clear();
+        shore.extend(done.found.iter().map(|&(v, _)| v));
+        is_below
     }
 
     /// Naive `MAX(u, v)`: the largest edge weight on the tree path, by
@@ -338,6 +500,73 @@ impl RootedTree {
             }
         }
         best
+    }
+}
+
+/// Removes `v` from a sorted children list.
+fn unlink(children: &mut Vec<NodeId>, v: NodeId) {
+    let i = children
+        .binary_search(&v)
+        .expect("children list their parent's child");
+    children.remove(i);
+}
+
+/// Inserts `v` into a sorted children list.
+fn link(children: &mut Vec<NodeId>, v: NodeId) {
+    let i = children
+        .binary_search(&v)
+        .expect_err("a new child is not listed yet");
+    children.insert(i, v);
+}
+
+/// One shore of a cut, grown breadth-first one tree link at a time
+/// ([`RootedTree::smaller_shore`]).
+struct ShoreGrowth {
+    /// Nodes reached, each with the neighbor it was reached from, which
+    /// it never walks back to (for the start node, the far end of the
+    /// cut).
+    found: Vec<(NodeId, NodeId)>,
+    /// `found[head]` is being expanded, and `link` is its next link to
+    /// look at: its children in order, then its parent.
+    head: usize,
+    link: usize,
+}
+
+impl ShoreGrowth {
+    fn new(start: NodeId, across: NodeId) -> Self {
+        ShoreGrowth {
+            found: vec![(start, across)],
+            head: 0,
+            link: 0,
+        }
+    }
+
+    /// Looks at one tree link; `false` once the shore is complete.
+    fn step(&mut self, tree: &RootedTree) -> bool {
+        while let Some(&(v, from)) = self.found.get(self.head) {
+            let kids = tree.children(v);
+            let next = if self.link < kids.len() {
+                Some(kids[self.link])
+            } else if self.link == kids.len() {
+                tree.parent(v)
+            } else {
+                None
+            };
+            self.link += 1;
+            match next {
+                Some(u) => {
+                    if u != from {
+                        self.found.push((u, v));
+                    }
+                    return true;
+                }
+                None => {
+                    self.head += 1;
+                    self.link = 0;
+                }
+            }
+        }
+        false
     }
 }
 
@@ -449,6 +678,55 @@ mod tests {
         let e0 = g.add_edge(NodeId(0), NodeId(1), Weight(1)).unwrap();
         let mut t = RootedTree::from_graph_edges(&g, &[e0], NodeId(0)).unwrap();
         t.set_parent_weight(NodeId(0), Weight(2));
+    }
+
+    #[test]
+    fn rehang_reverses_the_path_and_moves_the_block() {
+        // Cut 1 off the root and hang its subtree from 5 through 4: the
+        // link 4 - 1 reverses and keeps its weight 7.
+        let mut t = sample();
+        t.rehang(NodeId(1), NodeId(4), NodeId(5), Weight(6));
+        let want = RootedTree::from_parents(
+            NodeId(0),
+            vec![
+                None,
+                Some((NodeId(4), Weight(7))),
+                Some((NodeId(0), Weight(3))),
+                Some((NodeId(1), Weight(2))),
+                Some((NodeId(5), Weight(6))),
+                Some((NodeId(2), Weight(1))),
+            ],
+        )
+        .unwrap();
+        assert_eq!(t, want);
+        assert_eq!(t.depth(NodeId(3)), 5);
+        // Re-adding the edge just cut restores the tree.
+        t.rehang(NodeId(4), NodeId(1), NodeId(0), Weight(5));
+        t.rehang(NodeId(4), NodeId(4), NodeId(1), Weight(7));
+        assert_eq!(t, sample());
+    }
+
+    #[test]
+    #[should_panic(expected = "is in the subtree of")]
+    fn rehang_rejects_an_outer_end_below_the_cut() {
+        sample().rehang(NodeId(1), NodeId(3), NodeId(4), Weight(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in the subtree of")]
+    fn rehang_rejects_an_inner_end_outside_the_cut() {
+        sample().rehang(NodeId(1), NodeId(5), NodeId(2), Weight(1));
+    }
+
+    #[test]
+    fn smaller_shore_of_a_leaf_is_the_leaf() {
+        let t = sample();
+        let mut shore = vec![NodeId(9)];
+        assert!(t.smaller_shore(NodeId(3), &mut shore));
+        assert_eq!(shore, [NodeId(3)]);
+        assert!(t.smaller_shore(NodeId(2), &mut shore));
+        shore.sort_unstable();
+        assert_eq!(shore, [NodeId(2), NodeId(5)]);
     }
 
     #[test]

@@ -53,15 +53,23 @@ echo "== parallel marker equivalence (pinned at 2 workers) =="
 # rebuilding it: the update proptest (random trees up to 2,500 nodes,
 # edge swaps, re-rootings, unchanged trees) and its root twin (chains of
 # MST swaps on fixed seeds) pin centroid_decomposition_update to a fresh
-# centroid_decomposition. At the root, the one pass's records are pinned
-# to the per-family schemes' encodings (and the snapshot to its bytes at
-# 1 and 4 workers), and the tree-membership edge cases to their verdicts.
+# centroid_decomposition. The swap also re-hangs the marker's rooted tree
+# in place: the re-hang proptest (chains of swaps on trees up to 2,500
+# nodes, steered to the edge cases) pins RootedTree::rehang to a tree
+# rebuilt from the swapped edge set, field by field, and the root test
+# pins the marker's tree and snapshot bytes to a from-scratch build after
+# every SetWeight/SwapWeights of its chains. At the root, the one pass's
+# records are pinned to the per-family schemes' encodings (and the
+# snapshot to its bytes at 1 and 4 workers), and the tree-membership edge
+# cases to their verdicts.
 cargo test -q --offline -p mstv-trees --test separator_parallel_proptest
 cargo test -q --offline -p mstv-core marker_parallel_is_byte_identical
 cargo test -q --offline -p mstv-labels batch_sweep_identical_to_per_node_assembler
 cargo test -q --offline -p mstv-dyn every_mutation_stays_bit_identical_to_rebuild
 cargo test -q --offline -p mstv-trees --test separator_update_proptest
 cargo test -q --offline --test properties swap_redecomposition_equals_a_fresh_decomposition
+cargo test -q --offline -p mstv-trees --test rehang_proptest
+cargo test -q --offline --test properties incremental_marker_keeps_the_rebuilt_tree_and_snapshot
 cargo test -q --offline --test labels one_gamma_pass_encodes_what_the_per_family_schemes_encode
 cargo test -q --offline --test properties tree_membership_edge_cases_keep_their_verdicts
 

@@ -749,3 +749,43 @@ fn numbers_wider_than_their_field_are_refused() {
     ]);
     assert!(err.contains("--port: bad number"), "{err}");
 }
+
+#[test]
+fn mutate_refuses_a_zero_weight_with_a_typed_error() {
+    let dir = test_dir("mutate_refuses_a_zero_weight_with_a_typed_error");
+    let graph = run_ok(
+        &dir,
+        &["gen", "--nodes", "20", "--extra", "20", "--seed", "3"],
+        &[],
+    );
+    let g = dir.join("g.txt");
+    std::fs::write(&g, &graph).unwrap();
+    // The first edge of the generated graph, set to weight 0.
+    let edge: Vec<&str> = graph
+        .lines()
+        .find(|l| !l.starts_with('#') && !l.starts_with("nodes"))
+        .expect("the graph has edges")
+        .split_whitespace()
+        .collect();
+    let stream = dir.join("s.txt");
+    std::fs::write(&stream, format!("set {} {} 0\n", edge[0], edge[1])).unwrap();
+    let out = mstv()
+        .args([
+            "mutate",
+            &g.to_string_lossy(),
+            "--stream",
+            &stream.to_string_lossy(),
+            "--journal",
+            &dir.join("j.jrnl").to_string_lossy(),
+        ])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a zero weight was applied");
+    assert_ne!(out.status.code(), Some(101), "mstv panicked: {err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(
+        err.contains("s.txt:1: edge weight must be positive"),
+        "{err}"
+    );
+}

@@ -1,14 +1,16 @@
 //! Property-based tests (proptest) over the core invariants.
 
 use mst_verification::core::{mst_configuration, MstScheme, ProofLabelingScheme};
+use mst_verification::dynmark::{DynError, DynMarker};
 use mst_verification::graph::{
     gen, tree_states, EdgeId, Graph, GraphError, NodeId, TreeState, Weight,
 };
-use mst_verification::labels::{ImplicitFlowScheme, ImplicitMaxScheme};
+use mst_verification::labels::{ImplicitFlowScheme, ImplicitMaxScheme, SepFieldCodec};
 use mst_verification::mst::{
     check_mst_offline, is_mst, kruskal, mst_weight, prim, MstVerdict, UnionFind,
 };
 use mst_verification::sensitivity::{brute_force_sensitivity, sensitivity};
+use mst_verification::store::{JournalMutation, Snapshot};
 use mst_verification::trees::{centroid_decomposition, centroid_decomposition_update, RootedTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -455,5 +457,84 @@ fn swap_redecomposition_equals_a_fresh_decomposition() {
             n < 30 || swaps > 0,
             "seed {seed}, n = {n}: no step swapped a tree edge"
         );
+    }
+}
+
+#[test]
+fn incremental_marker_keeps_the_rebuilt_tree_and_snapshot() {
+    // Chains of SetWeight and SwapWeights through `DynMarker`, which
+    // patches its rooted tree in place on every repair swap: after each
+    // apply the maintained tree must equal the one built from scratch off
+    // canonical Kruskal, in every field, and the snapshot bytes must equal
+    // `Snapshot::build`'s. Weights in 1..=6 make ties everywhere. A
+    // pendant edge (a bridge, so always a tree edge) raised to u64::MAX
+    // overflows the tree weight halfway through: refused, state untouched.
+    for (seed, n, steps) in [
+        (0u64, 2usize, 12usize),
+        (1, 40, 80),
+        (2, 600, 40),
+        (3, 3000, 12),
+    ] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let max_w = 6;
+        let base =
+            gen::random_connected(n - 1, n, gen::WeightDist::Uniform { max: max_w }, &mut rng);
+        let mut g = Graph::new(n);
+        for (_, e) in base.edges() {
+            g.add_edge(e.u, e.v, e.w).unwrap();
+        }
+        let hub = NodeId(rand::Rng::gen_range(&mut rng, 0..n as u32 - 1));
+        let pendant = g.add_edge(hub, NodeId(n as u32 - 1), Weight(1)).unwrap();
+        let mut marker = DynMarker::new(g, SepFieldCodec::EliasGamma).unwrap();
+        let edge = |g: &Graph, rng: &mut StdRng| {
+            g.edge(EdgeId(rand::Rng::gen_range(rng, 0..g.num_edges() as u32)))
+        };
+        for step in 0..steps {
+            let case = format!("seed {seed}, n = {n}, step {step}");
+            let a = edge(marker.graph(), &mut rng);
+            let mutation = if rand::Rng::gen_range(&mut rng, 0..4) == 0 {
+                let b = edge(marker.graph(), &mut rng);
+                JournalMutation::SwapWeights {
+                    u1: a.u.0,
+                    v1: a.v.0,
+                    u2: b.u.0,
+                    v2: b.v.0,
+                }
+            } else {
+                JournalMutation::SetWeight {
+                    u: a.u.0,
+                    v: a.v.0,
+                    w: rand::Rng::gen_range(&mut rng, 1..=max_w),
+                }
+            };
+            marker.apply(mutation).unwrap();
+            let g = marker.graph();
+            let fresh = RootedTree::from_graph_edges(g, &kruskal(g), NodeId(0)).unwrap();
+            assert_eq!(marker.tree(), &fresh, "{case}: {mutation:?}");
+            assert_eq!(
+                marker.snapshot().to_bytes(),
+                Snapshot::build(&fresh, SepFieldCodec::EliasGamma).to_bytes(),
+                "{case}: {mutation:?}"
+            );
+            if step == steps / 2 && n >= 3 {
+                let (tree, bytes) = (marker.tree().clone(), marker.snapshot().to_bytes());
+                let p = marker.graph().edge(pendant);
+                assert_eq!(
+                    marker.apply(JournalMutation::SetWeight {
+                        u: p.u.0,
+                        v: p.v.0,
+                        w: u64::MAX,
+                    }),
+                    Err(DynError::TreeWeightOverflow),
+                    "{case}"
+                );
+                assert_eq!(marker.tree(), &tree, "{case}: refused overflow");
+                assert_eq!(
+                    marker.snapshot().to_bytes(),
+                    bytes,
+                    "{case}: refused overflow"
+                );
+            }
+        }
     }
 }
