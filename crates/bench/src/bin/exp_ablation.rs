@@ -7,26 +7,36 @@
 //! 2. **subtree-code ablation** — size-ordered Elias-gamma ranks vs
 //!    fixed-width ranks (why `γ_small` beats the old bound);
 //! 3. **repair vs rebuild** — after a single weight change, one-swap
-//!    repair (`O(n + m)`) vs full distributed recomputation;
-//! 4. **asynchrony** — detection latency of the verification protocol
-//!    under random message delays (verdicts are delay-independent).
+//!    repair (`O(n + m)`) vs full distributed recomputation
+//!    (`run_compute` on a perfect link);
+//! 4. **asynchrony** — the verification protocol on the wire under
+//!    random per-frame delays: messages, causal rounds and verdicts are
+//!    all delay-independent.
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use mstv_bench::{mst_workload, print_table, workload};
 use mstv_core::{
-    encode_mst_label, faults, mst_configuration, MstScheme, ProofLabelingScheme, SpanCodec,
+    encode_mst_label, faults, mst_configuration, MstScheme, ParallelConfig, ProofLabelingScheme,
+    SpanCodec,
 };
-use mstv_distsim::{async_verification, distributed_boruvka, SelfStabilizingMst};
-use mstv_graph::Weight;
 use mstv_labels::{ImplicitMaxScheme, LabelCodec, SepFieldCodec};
 use mstv_mst::{kruskal, repair_after_weight_change};
+use mstv_net::{
+    run_compute, run_verification_with, Engine, FaultProfile, LossyLink, MstWireScheme, NetConfig,
+    PerfectLink,
+};
 use mstv_trees::RootedTree;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
     println!("E10 (extension): ablations");
+    // The pool size changes no count; one worker starts no thread.
+    let engine = Engine::Events {
+        workers: ParallelConfig::with_threads(NonZeroUsize::MIN),
+    };
 
     // 1. Label composition.
     let mut rows = Vec::new();
@@ -100,8 +110,8 @@ fn main() {
         // Sequential: one-swap repair vs Kruskal-from-scratch.
         let mut g2 = g.clone();
         let mut t = kruskal(&g2);
-        let mut cfg_net = SelfStabilizingMst::new(g.clone());
-        let fault = faults::break_minimality(cfg_net.config_mut(), &mut rng);
+        let mut cfg = mst_configuration(g);
+        let fault = faults::break_minimality(&mut cfg, &mut rng);
         let (edge, new_w) = match fault {
             Some(faults::Fault::WeightChange { edge, new, .. }) => (edge, new),
             _ => continue,
@@ -113,14 +123,15 @@ fn main() {
         let start = Instant::now();
         let _ = kruskal(&g2);
         let rebuild_us = start.elapsed().as_micros();
-        // Distributed: messages of the full Borůvka rebuild.
-        let dist = distributed_boruvka(&g2);
+        // Distributed: the whole construction run on the wire.
+        let dist = run_compute(&g2, &mut PerfectLink, NetConfig::default(), engine)
+            .expect("perfect-link construction converges");
         rows.push(vec![
             n.to_string(),
             format!("{repair_us}"),
             format!("{rebuild_us}"),
-            dist.stats.msgs.to_string(),
-            dist.stats.rounds.to_string(),
+            dist.net.cost.msgs.to_string(),
+            dist.net.cost.rounds.to_string(),
         ]);
     }
     print_table(
@@ -137,39 +148,68 @@ fn main() {
     println!("(sequentially both are cheap — the saving that matters is distributed:");
     println!(" a hinted one-swap repair avoids the entire rebuild message storm.)");
 
-    // 4. Asynchrony.
+    // 4. Asynchrony: the same labels over a link that holds every
+    // frame back for a random 0..=D scheduler steps.
     let mut rows = Vec::new();
-    for &max_delay in &[1u64, 10, 100] {
+    for &max_delay in &[1u32, 10, 100] {
         let g = workload(200, 500, 0xA57);
         let mut cfg = mst_configuration(g);
         let scheme = MstScheme::new();
         let labeling = scheme.marker(&cfg).unwrap();
-        let clean = async_verification(&scheme, &cfg, &labeling, max_delay, &mut rng);
+        let profile = FaultProfile {
+            max_delay,
+            ..FaultProfile::default()
+        };
+        // The codecs are instance-wide, fixed before the fault.
+        let wire = MstWireScheme::for_config(&cfg);
+        let verify = |cfg: &mstv_graph::ConfigGraph<mstv_graph::TreeState>, seed: u64| {
+            let mut link = LossyLink::new(profile, seed);
+            let run = run_verification_with(
+                &wire,
+                cfg,
+                &labeling,
+                &mut link,
+                NetConfig::default(),
+                engine,
+            )
+            .expect("delay-only links converge");
+            assert_eq!(
+                run.verdict,
+                scheme.verify_all(cfg, &labeling),
+                "D={max_delay}"
+            );
+            run
+        };
+        let clean = verify(&cfg, u64::from(max_delay));
         assert!(clean.verdict.accepted());
         let injected = faults::break_minimality(&mut cfg, &mut rng).is_some();
-        let faulty = async_verification(&scheme, &cfg, &labeling, max_delay, &mut rng);
+        let faulty = verify(&cfg, u64::from(max_delay) + 1);
         rows.push(vec![
             max_delay.to_string(),
-            clean.makespan.to_string(),
+            clean.cost.msgs.to_string(),
+            clean.cost.rounds.to_string(),
+            faulty.cost.msgs.to_string(),
+            faulty.cost.rounds.to_string(),
             if injected {
-                format!("{:?}", faulty.first_detection.unwrap())
+                faulty.verdict.rejecting.len().to_string()
             } else {
                 "-".to_string()
             },
-            (!faulty.verdict.accepted()).to_string(),
         ]);
-        let _ = Weight(1);
     }
     print_table(
-        "async verification: random per-message delays in 1..=D",
+        "wire verification under random per-frame delays in 0..=D",
         &[
             "D",
-            "clean makespan",
-            "first detection at",
-            "fault detected",
+            "clean msgs",
+            "clean rounds",
+            "faulty msgs",
+            "faulty rounds",
+            "rejecting nodes",
         ],
         &rows,
     );
-    println!("\nverdicts are identical under every delay distribution (labels are");
-    println!("static data); only latency varies — bounded by the max delay.");
+    println!("\nverdicts equal the offline verifier's under every delay bound (labels");
+    println!("are static data), and delays move neither the message count nor the");
+    println!("causal depth: frames arrive later, never deeper.");
 }

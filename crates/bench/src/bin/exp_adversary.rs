@@ -9,30 +9,33 @@
 //! the *link*: a healing partition, worst-case frame reordering, and
 //! join/leave churn. Every scenario runs the full self-stabilization
 //! loop over the concurrent runtime: a live verification cycle must
-//! *reject* (detection), the distributed recomputation must restore
-//! the MST invariant (recovery), and a second cycle on a clean link
-//! must come back clean. The run aborts if even one forged labeling is
-//! accepted anywhere — "zero forged accepted" is an assertion, not a
-//! column.
+//! *reject* (detection), the distributed recomputation — `run_compute`
+//! on the same link — must restore the MST invariant (recovery), and a
+//! second cycle on a clean link must come back clean. The run aborts if
+//! even one forged labeling is accepted anywhere — "zero forged
+//! accepted" is an assertion, not a column.
 //!
-//! Reported per scenario: detection latency (retransmission rounds of
-//! the rejecting verification), the detector count, and recovery cost
-//! (rounds of the distributed Borůvka recomputation).
+//! Reported per scenario, both in causal rounds: detection latency (the
+//! depth of the rejecting verification), the detector count, and
+//! recovery cost (the depth of the construction run: GHS, marker, and
+//! its embedded verification).
 //!
 //! The memory point reruns the 100k-node cell of the retired E15 scaling
 //! experiment against the compact per-node machine layout: certificates
 //! enter as shared `Arc<BitString>`s via `run_verification_encoded_with`,
 //! no structured `Labeling` exists during the run, and received frames
-//! live bit-packed in per-node arenas. Peak RSS (`VmHWM`, reset via
-//! `/proc/self/clear_refs` exactly as E15 measured it) is asserted at
-//! least [`RSS_REDUCTION_FLOOR`]× below the layout E15 recorded
-//! ([`E15_BASELINE_RSS_KB`]) on the identical instance, profile, and
-//! link seed.
+//! live bit-packed in per-node arenas. It runs in a child process of
+//! this binary (started with [`RSS_CHILD_ENV`] set), so its peak RSS
+//! (`VmHWM` from `/proc/self/status`) covers that cell alone with no
+//! counter to reset; it is asserted at least [`RSS_REDUCTION_FLOOR`]×
+//! below the layout E15 recorded ([`E15_BASELINE_RSS_KB`]) on the
+//! identical instance, profile, and link seed.
 //!
 //! Besides the greppable per-scenario JSON lines, the whole series is
 //! written to `BENCH_adversary.json` (override the path with the first
 //! positional argument).
 
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,6 +62,9 @@ const RSS_NODES: usize = 100_000;
 const E15_BASELINE_RSS_KB: u64 = 570_904;
 /// The memory point must land at least this factor below the baseline.
 const RSS_REDUCTION_FLOOR: f64 = 3.0;
+/// Set in the environment of the child process that measures the
+/// memory point; the child prints one [`RssPoint`] line and exits.
+const RSS_CHILD_ENV: &str = "MSTV_E20_RSS_CHILD";
 
 /// E15's link profile, reused for every run in this experiment.
 const PROFILE: FaultProfile = FaultProfile {
@@ -95,22 +101,13 @@ struct Outcome {
 }
 
 fn main() {
-    // The worker pool allocates report and send buffers on worker
-    // threads and frees them on the router thread; under glibc's
-    // default per-thread arenas that cross-thread churn strands freed
-    // blocks in arenas that never reuse them, and measured RSS becomes
-    // allocator retention, not protocol state. Cap the arena count
-    // before any worker spawns so the memory point measures the
-    // runtime's layout.
-    #[cfg(target_os = "linux")]
-    {
-        unsafe extern "C" {
-            fn mallopt(param: i32, value: i32) -> i32;
-        }
-        const M_ARENA_MAX: i32 = -8;
-        unsafe {
-            mallopt(M_ARENA_MAX, 2);
-        }
+    if std::env::var_os(RSS_CHILD_ENV).is_some() {
+        let rss = measure_rss_point();
+        println!(
+            "{} {:.6} {} {}",
+            rss.peak_rss_kb, rss.secs, rss.msgs, rss.rounds
+        );
+        return;
     }
     println!("E20: adversarial faults (detection latency, recovery rounds, compact-state RSS)");
     println!(
@@ -168,6 +165,13 @@ fn main() {
     }
 
     let rss = rss_point();
+    println!(
+        "{{\"experiment\":\"adversary\",\"point\":\"rss\",\"nodes\":{RSS_NODES},\
+         \"engine\":\"events\",\"secs\":{:.6},\"peak_rss_kb\":{},\
+         \"baseline_e15_kb\":{E15_BASELINE_RSS_KB},\"reduction\":{:.3},\"msgs\":{},\
+         \"rounds\":{}}}",
+        rss.secs, rss.peak_rss_kb, rss.reduction, rss.msgs, rss.rounds
+    );
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     for sc in &scenarios {
@@ -301,11 +305,73 @@ struct RssPoint {
     rounds: u64,
 }
 
+/// Runs [`measure_rss_point`] in a fresh child process of this binary
+/// and asserts its peak RSS against the E15 baseline.
+fn rss_point() -> RssPoint {
+    let exe = std::env::current_exe().expect("the running binary has a path");
+    let out = Command::new(exe)
+        .env(RSS_CHILD_ENV, "1")
+        .output()
+        .expect("the memory-point child starts");
+    assert!(
+        out.status.success(),
+        "memory-point child failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = String::from_utf8(out.stdout).expect("the child prints text");
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    let [peak, secs, msgs, rounds] = fields[..] else {
+        panic!("memory-point child printed {line:?}");
+    };
+    let number = |s: &str| s.parse::<u64>().expect("the child prints numbers");
+    let mut rss = RssPoint {
+        peak_rss_kb: number(peak),
+        reduction: 0.0,
+        secs: secs.parse().expect("the child prints seconds"),
+        msgs: number(msgs),
+        rounds: number(rounds),
+    };
+    // Outside Linux there is no VmHWM; report 0 and do not fail an
+    // assertion the platform cannot measure.
+    if rss.peak_rss_kb != 0 {
+        rss.reduction = E15_BASELINE_RSS_KB as f64 / rss.peak_rss_kb as f64;
+        assert!(
+            rss.reduction >= RSS_REDUCTION_FLOOR,
+            "compact layout regressed: {} kB vs {E15_BASELINE_RSS_KB} kB baseline \
+             is only {:.2}x (need >= {RSS_REDUCTION_FLOOR}x)",
+            rss.peak_rss_kb,
+            rss.reduction
+        );
+    }
+    rss
+}
+
 /// E15's 100k events cell on the compact machine layout: identical
 /// instance (`0xE15 + n` workload seed), profile, link seed, and
 /// `record_log: false`, but certificates enter as `Arc<BitString>`s
-/// and the structured labeling is dropped before the run starts.
-fn rss_point() -> RssPoint {
+/// and the structured labeling is dropped before the run starts. Runs
+/// in the child process, whose `VmHWM` is the cell's peak.
+fn measure_rss_point() -> RssPoint {
+    // The worker pool allocates report and send buffers on worker
+    // threads and frees them on the router thread; under glibc's
+    // default per-thread arenas that cross-thread churn strands freed
+    // blocks in arenas that never reuse them, and measured RSS becomes
+    // allocator retention, not protocol state. Cap the arena count
+    // before any worker spawns so the memory point measures the
+    // runtime's layout.
+    #[cfg(target_os = "linux")]
+    {
+        unsafe extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_ARENA_MAX: i32 = -8;
+        // SAFETY: glibc's `mallopt` takes two integers and only changes
+        // allocator tuning; it runs here before this process spawns a
+        // thread, so no allocation races the change.
+        unsafe {
+            mallopt(M_ARENA_MAX, 2);
+        }
+    }
     let n = RSS_NODES;
     let cfg = mst_workload(n, 1 << 16, 0xE15 + n as u64);
     let wire = MstWireScheme::for_config(&cfg);
@@ -325,61 +391,19 @@ fn rss_point() -> RssPoint {
     };
     let mut link = mstv_net::LossyLink::new(PROFILE, 0x51ab ^ n as u64);
 
-    reset_peak_rss();
     let t0 = Instant::now();
     let run =
         run_verification_encoded_with(&wire, &cfg, encoded, &mut link, net, Engine::default())
             .expect("fair-lossy run converges");
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let peak = peak_rss_kb();
     assert!(run.verdict.accepted(), "clean labels must verify");
-
-    let reduction = if peak == 0 {
-        // Outside Linux there is no VmHWM; report 0 and do not fail an
-        // assertion the platform cannot measure.
-        0.0
-    } else {
-        E15_BASELINE_RSS_KB as f64 / peak as f64
-    };
-    if peak != 0 {
-        assert!(
-            reduction >= RSS_REDUCTION_FLOOR,
-            "compact layout regressed: {peak} kB vs {E15_BASELINE_RSS_KB} kB baseline \
-             is only {reduction:.2}x (need >= {RSS_REDUCTION_FLOOR}x)"
-        );
-    }
-    println!(
-        "{{\"experiment\":\"adversary\",\"point\":\"rss\",\"nodes\":{n},\"engine\":\"events\",\
-         \"secs\":{:.6},\"peak_rss_kb\":{peak},\"baseline_e15_kb\":{E15_BASELINE_RSS_KB},\
-         \"reduction\":{reduction:.3},\"msgs\":{},\"rounds\":{}}}",
-        secs, run.cost.msgs, run.cost.rounds
-    );
     RssPoint {
-        peak_rss_kb: peak,
-        reduction,
+        peak_rss_kb: peak_rss_kb(),
+        reduction: 0.0,
         secs,
         msgs: run.cost.msgs,
         rounds: run.cost.rounds,
     }
-}
-
-/// Best-effort reset of the peak-RSS counter (Linux ≥ 4.0). Freed
-/// setup allocations (the marker's structured labels, dropped before
-/// the run) linger in the allocator's free lists and would otherwise
-/// sit under the post-reset high-water mark; `malloc_trim` hands them
-/// back to the kernel first so the mark measures the run, not the
-/// setup's leftovers.
-fn reset_peak_rss() {
-    #[cfg(target_os = "linux")]
-    {
-        unsafe extern "C" {
-            fn malloc_trim(pad: usize) -> i32;
-        }
-        unsafe {
-            malloc_trim(0);
-        }
-    }
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 /// `VmHWM` in kB from `/proc/self/status`, 0 where unavailable.

@@ -1,7 +1,9 @@
 //! E17 — distributed construction cost: per-phase message/bit counts
-//! of `run_compute` (GHS fragments → distributed marker → embedded
-//! verification) as the instance grows, on a perfect link so the
-//! counts are the protocol's own, not the retransmission layer's.
+//! and causal rounds of `run_compute` (GHS fragments → distributed
+//! marker → embedded verification) as the instance grows, on a perfect
+//! link so the counts are the protocol's own, not the retransmission
+//! layer's. Each phase's rounds are the depth it adds over the phases
+//! before it, so the three sum to the run's total.
 //!
 //! Two things are *asserted*, so the table cannot be fast-but-wrong:
 //!
@@ -131,6 +133,10 @@ fn main() {
                 format!("{} / {}", p.ghs.msgs, p.ghs.bits),
                 format!("{} / {}", p.marker.msgs, p.marker.bits),
                 format!("{} / {}", p.verify.msgs, p.verify.bits),
+                format!(
+                    "{} / {} / {}",
+                    p.ghs.rounds, p.marker.rounds, p.verify.rounds
+                ),
                 p.total.msgs.to_string(),
                 format!("{:.2}", p.ghs_ratio),
                 format!("{:.3}", p.secs),
@@ -145,6 +151,7 @@ fn main() {
             "ghs msgs/bits",
             "marker msgs/bits",
             "verify msgs/bits",
+            "rounds ghs/marker/verify",
             "total msgs",
             "ghs/(m+nlgn)",
             "secs",

@@ -2,13 +2,14 @@
 //! loss, duplication, delay, and crash-restarts inflate the one-round
 //! protocol's wire cost over the ideal run?
 //!
-//! The idealized simulators charge exactly one label per edge
-//! direction. On the concurrent runtime every lost frame costs a
-//! retransmission round and every crash-restart re-runs a node's whole
-//! exchange, so the overhead factor (messages vs the perfect-link run
-//! of the same instance) is the price of self-stabilizing over an
-//! unreliable network — still worlds away from the cost of
-//! reconstruction, which is the paper's point.
+//! On a perfect link the protocol sends one label and one ack per edge
+//! direction, in one causal round. Over a lossy link every lost frame
+//! costs a retransmission (which can deepen the run by a round) and
+//! every crash-restart re-runs a node's whole exchange, so the overhead
+//! factor (messages vs the perfect-link run of the same instance) is
+//! the price of self-stabilizing over an unreliable network — still
+//! worlds away from the cost of reconstruction, which is the paper's
+//! point. The `rounds` column is causal depth.
 
 use mstv_bench::{print_table, workload};
 use mstv_core::{mst_configuration, MstScheme, ProofLabelingScheme};

@@ -12,23 +12,27 @@ use std::ops::AddAssign;
 use std::time::Duration;
 
 /// Communication costs of one protocol run: point-to-point messages
-/// offered to the links, total payload bits carried by them, and rounds
-/// (synchronous rounds, or retransmission generations on a lossy
-/// runtime).
+/// offered to the links, total payload bits carried by them, and causal
+/// rounds.
 ///
-/// This is the single cost vocabulary shared by the synchronous simulator
-/// (`mstv-distsim`), the asynchronous engines, and the concurrent runtime
-/// (`mstv-net`), so experiment tables stay comparable across execution
-/// models.
+/// This is the cost vocabulary of the wire runtime (`mstv-net`), for
+/// construction and verification alike, and of the experiment tables
+/// built on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MessageCost {
     /// Point-to-point messages sent (one per edge direction per send,
-    /// retransmissions included).
+    /// retransmissions and acks included).
     pub msgs: u64,
     /// Total payload bits carried by those messages.
     pub bits: u128,
-    /// Rounds elapsed: lockstep rounds in the synchronous model,
-    /// `1 + retransmission generations` on a lossy runtime.
+    /// Causal rounds: `max(1, d)`, where `d` is the depth of the deepest
+    /// delivered payload frame. A payload frame sent by node `v` has
+    /// depth `clock(v) + 1`, and `clock(v)` is the deepest payload
+    /// frame delivered to `v` so far (0 before the first); acks have no
+    /// depth. On a synchronous network this is the lockstep round
+    /// count, so one-round verification costs 1 on a perfect link;
+    /// delays never deepen a frame, and each retransmission over a
+    /// lossy link can add one.
     pub rounds: u64,
 }
 

@@ -93,7 +93,9 @@ pub struct ForgeSpec {
 }
 
 /// A healing partition: frames crossing the cut are blackholed during
-/// rounds `start..heal`.
+/// retransmission rounds `start..heal` (the link's clock, see
+/// [`Link::round_start`](crate::Link::round_start) — not the causal
+/// rounds a run's cost counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// First round the partition is active.

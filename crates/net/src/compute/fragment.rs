@@ -28,6 +28,7 @@
 //! retransmission already covers.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use mstv_labels::{BitReader, BitString};
 
@@ -373,9 +374,9 @@ impl Msg {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Channel {
     next_send: u32,
-    outbox: VecDeque<(u32, bool, BitString)>,
+    outbox: VecDeque<(u32, bool, Arc<BitString>)>,
     next_recv: u32,
-    stash: BTreeMap<u32, (bool, BitString)>,
+    stash: BTreeMap<u32, Arc<BitString>>,
 }
 
 impl Channel {
@@ -384,7 +385,8 @@ impl Channel {
     pub fn send(&mut self, marker: bool, bits: BitString) -> WireMsg {
         let seq = self.next_send;
         self.next_send += 1;
-        self.outbox.push_back((seq, marker, bits.clone()));
+        let bits = Arc::new(bits);
+        self.outbox.push_back((seq, marker, Arc::clone(&bits)));
         WireMsg::Compute { marker, seq, bits }
     }
 
@@ -396,13 +398,12 @@ impl Channel {
         &mut self,
         marker: bool,
         seq: u32,
-        bits: BitString,
-    ) -> (Vec<BitString>, WireMsg) {
+        bits: Arc<BitString>,
+    ) -> (Vec<Arc<BitString>>, WireMsg) {
         let mut out = Vec::new();
         if seq >= self.next_recv {
-            self.stash.insert(seq, (marker, bits));
-            while let Some((m, payload)) = self.stash.remove(&self.next_recv) {
-                let _ = m;
+            self.stash.insert(seq, bits);
+            while let Some(payload) = self.stash.remove(&self.next_recv) {
                 out.push(payload);
                 self.next_recv += 1;
             }
@@ -432,7 +433,7 @@ impl Channel {
             .map(|(seq, marker, bits)| WireMsg::Compute {
                 marker: *marker,
                 seq: *seq,
-                bits: bits.clone(),
+                bits: Arc::clone(bits),
             })
     }
 }

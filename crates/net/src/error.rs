@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use mstv_core::MarkerError;
 use mstv_graph::NodeId;
 
 /// Why a run, replay, or log parse failed.
@@ -11,9 +12,20 @@ pub enum NetError {
     /// The run did not quiesce with every node decided within the round
     /// budget — the fault schedule starved some edge of delivery.
     NoConvergence {
-        /// Rounds executed before giving up.
+        /// Retransmission rounds started before giving up.
         rounds: u64,
     },
+    /// The log was written in a format version this build does not
+    /// read. Its frames' meaning changed between versions, so replaying
+    /// it could only end in a trailer mismatch.
+    LogVersion {
+        /// The version the log's magic line names.
+        found: String,
+    },
+    /// The configuration cannot be labelled: the graph is disconnected
+    /// ([`MarkerError::NotSpanning`]), or its states fail the scheme's
+    /// predicate.
+    Marker(MarkerError),
     /// A replayed schedule ended with an undecided node: the log is
     /// truncated or was produced by a different configuration.
     Undecided {
@@ -73,8 +85,17 @@ impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::NoConvergence { rounds } => {
-                write!(f, "run did not converge within {rounds} rounds")
+                write!(
+                    f,
+                    "run did not converge within {rounds} retransmission rounds"
+                )
             }
+            NetError::LogVersion { found } => write!(
+                f,
+                "event log version {found} is not supported (this build reads {})",
+                crate::log::LOG_VERSION
+            ),
+            NetError::Marker(e) => write!(f, "cannot label the network: {e}"),
             NetError::Undecided { node } => {
                 write!(f, "replayed schedule leaves {node} undecided")
             }

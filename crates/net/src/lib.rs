@@ -1,17 +1,20 @@
 //! A concurrent message-passing runtime for distributed MST
-//! verification, with pluggable lossy links and deterministic replay.
+//! construction and verification, with pluggable lossy links and
+//! deterministic replay — the workspace's one distributed stack.
 //!
-//! The simulators in `mstv-distsim` idealize the network: labels move
-//! between nodes as shared-memory references, rounds are global
-//! barriers, and nothing is ever lost. This crate drops those
-//! idealizations. Each graph node runs as a mailbox-driven state
-//! machine, all nodes multiplexed over a bounded worker pool whose size
+//! Labels do not move between nodes as shared-memory references here,
+//! rounds are not global barriers, and frames can be lost. Each graph
+//! node runs as a mailbox-driven state machine, all nodes multiplexed over a bounded worker pool whose size
 //! [`Engine`] sets (`min(workers, n)` workers, the calling thread among
 //! them, so a 100k-node instance needs no 100k threads and one worker
 //! spawns none); everything that crosses a link is a serialized
 //! [`WireMsg`] — real bits, encoded with the instance-wide codecs, so
 //! the measured per-message cost is exactly the label size the paper
-//! bounds by `O(log n · log W)`. A pluggable [`Link`] decides each
+//! bounds by `O(log n · log W)`. Time is counted in the paper's unit,
+//! causal rounds: a frame's depth is one more than the deepest frame
+//! its sender had received, so one-round verification costs one round
+//! on a perfect link and construction ([`run_compute`]) reports how
+//! deep GHS and the marker go. A pluggable [`Link`] decides each
 //! frame's fate: the [`PerfectLink`] delivers everything immediately,
 //! while a [`LossyLink`] driven by a seeded RNG injects drops,
 //! bounded delays (hence reordering), duplicates, and crash-restarts.
@@ -77,8 +80,10 @@
 //! windowed worst-case reordering, and join/leave churn. The spec
 //! rides the [`EventLog`] header, so an adversarial run replays from
 //! the log alone, forgery included. E20 (`BENCH_adversary.json`)
-//! drives every class through detect → recompute → re-verify and
-//! pins the headline soundness claim: zero forged labelings accepted.
+//! drives every class through detect → recompute → re-verify with
+//! [`NetSelfStab`], whose recovery is a [`run_compute`] on the same
+//! link, and pins the headline soundness claim: zero forged labelings
+//! accepted.
 //!
 //! # Example
 //!

@@ -84,9 +84,12 @@ pub trait Link: Send {
         Vec::new()
     }
 
-    /// Notification that round `round` is starting: fired once with
-    /// round 1 before the initial `Start` dispatches, then at each
-    /// retransmission boundary before [`Link::crash_picks`].
+    /// Notification that retransmission round `round` is starting:
+    /// fired once with round 1 before the initial `Start` dispatches,
+    /// then at each retransmission boundary before
+    /// [`Link::crash_picks`]. This is the router's internal clock, which
+    /// [`NetConfig::max_rounds`](crate::NetConfig::max_rounds) bounds;
+    /// a run's cost counts causal rounds instead.
     /// Time-scheduled adversaries (partition windows, churn leases)
     /// advance their clocks here; the default is a no-op.
     fn round_start(&mut self, _round: u64) {}

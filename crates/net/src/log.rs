@@ -1,7 +1,9 @@
 //! The append-only event log and its text format.
 //!
 //! A live run records every event it dispatches — starts, deliveries,
-//! ticks, crash-restarts, and round boundaries — in dispatch order.
+//! ticks, crash-restarts, and retransmission boundaries — in dispatch
+//! order. Each delivery records its frame's causal depth (0 for an
+//! ack), so the log carries the run's clock as well as its schedule.
 //! Because the router is the only producer of events and each node
 //! consumes its mailbox in FIFO order, the log's per-node subsequence
 //! is exactly the event sequence that node's machine observed; since
@@ -12,21 +14,27 @@
 //! The format is a line-oriented text file:
 //!
 //! ```text
-//! mstv-net-log v1
-//! h nodes 8            # free-form key/value headers (provenance)
-//! s 0                  # start event at node 0
-//! d 3 1 l 42 a3f2..    # delivery to node 3, port 1: label, 42 bits, hex payload
-//! d 3 1 lr 42 a3f2..   # same, with the refresh (pull) flag set
-//! d 0 2 a              # delivery to node 0, port 2: ack
-//! d 2 0 g 7 18 b4c1..  # construction payload, GHS phase: seq 7, 18 bits
-//! d 2 0 m 9 18 b4c1..  # construction payload, marker phase
-//! d 4 1 ga 8           # construction ack, GHS phase: next expected seq 8
-//! d 4 1 ma 10          # construction ack, marker phase
-//! r                    # retransmission-round boundary
-//! t 0                  # tick at node 0
-//! c 5                  # crash-restart at node 5
+//! mstv-net-log v2
+//! h nodes 8              # free-form key/value headers (provenance)
+//! s 0                    # start event at node 0
+//! d 3 1 1 l 42 a3f2..    # delivery to node 3, port 1, depth 1: label, 42 bits, hex payload
+//! d 3 1 2 lr 42 a3f2..   # same, with the refresh (pull) flag set, depth 2
+//! d 0 2 0 a              # delivery to node 0, port 2: ack (no depth)
+//! d 2 0 5 g 7 18 b4c1..  # construction payload, GHS phase: seq 7, 18 bits
+//! d 2 0 9 m 9 18 b4c1..  # construction payload, marker phase
+//! d 4 1 0 ga 8           # construction ack, GHS phase: next expected seq 8
+//! d 4 1 0 ma 10          # construction ack, marker phase
+//! r                      # retransmission-round boundary
+//! t 0                    # tick at node 0
+//! c 5                    # crash-restart at node 5
 //! end rejecting=- msgs=64 bits=2710 rounds=2   # summary trailer (optional)
 //! ```
+//!
+//! The trailer's `rounds` is the causal depth of the deepest delivered
+//! frame; the `r` markers count retransmission boundaries. A log whose
+//! magic names another version (`v1` logs counted retransmission
+//! generations as rounds and carry no depths) is refused with
+//! [`NetError::LogVersion`].
 
 use std::fmt;
 
@@ -38,7 +46,9 @@ use crate::error::NetError;
 use crate::machine::NodeEvent;
 use crate::wire::WireMsg;
 
-const MAGIC: &str = "mstv-net-log v1";
+const MAGIC_PREFIX: &str = "mstv-net-log ";
+/// The format version this build writes and reads.
+pub(crate) const LOG_VERSION: &str = "v2";
 
 /// One logged event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,8 +66,10 @@ pub enum LogEvent {
         port: u32,
         /// The frame.
         msg: WireMsg,
+        /// The frame's causal depth (0 for an ack).
+        depth: u64,
     },
-    /// A retransmission boundary (increments the round count).
+    /// A retransmission boundary (the link's round clock ticks).
     Round,
     /// A tick dispatched to a node.
     Tick {
@@ -158,9 +170,17 @@ impl EventLog {
             line: line + 1,
             reason: reason.to_string(),
         };
-        match lines.next() {
-            Some((_, first)) if first.trim() == MAGIC => {}
-            _ => return Err(bad(0, "missing magic line")),
+        match lines
+            .next()
+            .and_then(|(_, first)| first.trim().strip_prefix(MAGIC_PREFIX))
+        {
+            Some(LOG_VERSION) => {}
+            Some(found) => {
+                return Err(NetError::LogVersion {
+                    found: found.to_string(),
+                })
+            }
+            None => return Err(bad(0, "missing magic line")),
         }
         let mut log = EventLog::new();
         for (i, raw) in lines {
@@ -203,6 +223,10 @@ impl EventLog {
                 "d" => {
                     let to = num(&mut f, i, "delivery without node")?;
                     let port = num(&mut f, i, "delivery without port")?;
+                    let depth = f
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| bad(i, "delivery without depth"))?;
                     let msg = match f.next() {
                         Some("a") => WireMsg::Ack,
                         Some(kind @ ("l" | "lr")) => {
@@ -226,7 +250,7 @@ impl EventLog {
                             WireMsg::Compute {
                                 marker: kind == "m",
                                 seq,
-                                bits: payload,
+                                bits: payload.into(),
                             }
                         }
                         Some(kind @ ("ga" | "ma")) => WireMsg::ComputeAck {
@@ -235,7 +259,12 @@ impl EventLog {
                         },
                         _ => return Err(bad(i, "unknown delivery kind")),
                     };
-                    LogEvent::Deliver { to, port, msg }
+                    LogEvent::Deliver {
+                        to,
+                        port,
+                        msg,
+                        depth,
+                    }
                 }
                 "end" => {
                     log.summary = Some(parse_summary(line, i)?);
@@ -300,7 +329,7 @@ fn parse_summary(line: &str, i: usize) -> Result<RunSummary, NetError> {
 
 impl fmt::Display for EventLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{MAGIC}")?;
+        writeln!(f, "{MAGIC_PREFIX}{LOG_VERSION}")?;
         for (k, v) in &self.headers {
             writeln!(f, "h {k} {v}")?;
         }
@@ -310,25 +339,30 @@ impl fmt::Display for EventLog {
                 LogEvent::Tick { node } => writeln!(f, "t {node}")?,
                 LogEvent::Crash { node } => writeln!(f, "c {node}")?,
                 LogEvent::Round => writeln!(f, "r")?,
-                LogEvent::Deliver { to, port, msg } => match msg {
-                    WireMsg::Ack => writeln!(f, "d {to} {port} a")?,
+                LogEvent::Deliver {
+                    to,
+                    port,
+                    msg,
+                    depth,
+                } => match msg {
+                    WireMsg::Ack => writeln!(f, "d {to} {port} {depth} a")?,
                     WireMsg::Label { bits, refresh } => writeln!(
                         f,
-                        "d {to} {port} {} {} {}",
+                        "d {to} {port} {depth} {} {} {}",
                         if *refresh { "lr" } else { "l" },
                         bits.len(),
                         hex_encode(&bits.to_bytes())
                     )?,
                     WireMsg::Compute { marker, seq, bits } => writeln!(
                         f,
-                        "d {to} {port} {} {seq} {} {}",
+                        "d {to} {port} {depth} {} {seq} {} {}",
                         if *marker { "m" } else { "g" },
                         bits.len(),
                         hex_encode(&bits.to_bytes())
                     )?,
                     WireMsg::ComputeAck { marker, seq } => writeln!(
                         f,
-                        "d {to} {port} {} {seq}",
+                        "d {to} {port} {depth} {} {seq}",
                         if *marker { "ma" } else { "ga" }
                     )?,
                 },
@@ -394,6 +428,7 @@ mod tests {
             LogEvent::Deliver {
                 to: 1,
                 port: 0,
+                depth: 3,
                 msg: WireMsg::Label {
                     bits: bits.into(),
                     refresh: true,
@@ -402,6 +437,7 @@ mod tests {
             LogEvent::Deliver {
                 to: 0,
                 port: 2,
+                depth: 0,
                 msg: WireMsg::Ack,
             },
             LogEvent::Round,
@@ -410,28 +446,31 @@ mod tests {
             LogEvent::Deliver {
                 to: 2,
                 port: 1,
+                depth: 2,
                 msg: WireMsg::Compute {
                     marker: false,
                     seq: 7,
                     bits: {
                         let mut b = BitString::new();
                         b.push_bits(0b10_1101, 6);
-                        b
+                        b.into()
                     },
                 },
             },
             LogEvent::Deliver {
                 to: 3,
                 port: 0,
+                depth: 4,
                 msg: WireMsg::Compute {
                     marker: true,
                     seq: 0,
-                    bits: BitString::new(),
+                    bits: BitString::new().into(),
                 },
             },
             LogEvent::Deliver {
                 to: 1,
                 port: 2,
+                depth: 0,
                 msg: WireMsg::ComputeAck {
                     marker: false,
                     seq: 8,
@@ -440,6 +479,7 @@ mod tests {
             LogEvent::Deliver {
                 to: 0,
                 port: 1,
+                depth: 0,
                 msg: WireMsg::ComputeAck {
                     marker: true,
                     seq: 1,
@@ -471,15 +511,18 @@ mod tests {
     fn malformed_logs_are_rejected() {
         assert!(EventLog::parse("").is_err());
         assert!(EventLog::parse("not a log\n").is_err());
-        let bad_tag = format!("{MAGIC}\nx 1\n");
+        let magic = format!("{MAGIC_PREFIX}{LOG_VERSION}");
+        let bad_tag = format!("{magic}\nx 1\n");
         assert!(EventLog::parse(&bad_tag).is_err());
-        let truncated_label = format!("{MAGIC}\nd 0 0 l 9\n");
+        let truncated_label = format!("{magic}\nd 0 0 1 l 9\n");
         assert!(EventLog::parse(&truncated_label).is_err());
-        let truncated_compute = format!("{MAGIC}\nd 0 0 g 7 9\n");
+        let truncated_compute = format!("{magic}\nd 0 0 1 g 7 9\n");
         assert!(EventLog::parse(&truncated_compute).is_err());
-        let seqless_ack = format!("{MAGIC}\nd 0 0 ma\n");
+        let seqless_ack = format!("{magic}\nd 0 0 0 ma\n");
         assert!(EventLog::parse(&seqless_ack).is_err());
-        let event_after_end = format!("{MAGIC}\nend rejecting=- msgs=0 bits=0 rounds=1\ns 0\n");
+        let event_after_end = format!("{magic}\nend rejecting=- msgs=0 bits=0 rounds=1\ns 0\n");
         assert!(EventLog::parse(&event_after_end).is_err());
+        let depthless = format!("{magic}\nd 0 0 l 9 ff80\n");
+        assert!(EventLog::parse(&depthless).is_err());
     }
 }

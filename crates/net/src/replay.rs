@@ -13,21 +13,24 @@
 //! a log records the router's dispatch schedule, which every worker-pool
 //! size produces identically, so a log replays the same way whatever
 //! pool recorded it — there is no scheduler marker in the format and
-//! none is needed. Logs that carry an `engine` provenance header from
-//! older builds replay unchanged: headers are free-form provenance.
+//! none is needed. The causal clock is recomputed the same way: from
+//! the depths the log's deliveries carry, not copied from the trailer.
 
-use mstv_core::{Labeling, MessageCost, Verdict};
+use mstv_core::{Labeling, Verdict};
 use mstv_graph::{ConfigGraph, NodeId};
 
 use crate::error::NetError;
-use crate::log::EventLog;
+use crate::log::{EventLog, LogEvent};
 use crate::machine::{ProtocolMachine, VerifierMachine, WireScheme};
 use crate::runtime::{NetRun, PhaseTally};
 
-/// The replay core: feeds the schedule to `machines`
-/// and recomputes the counters exactly as the live router did — sends
-/// are charged in the round that is current when their triggering event
-/// is fed, which the log's `Round` markers reproduce.
+/// The replay core: feeds the schedule to `machines` and recomputes the
+/// counters exactly as the live router did. The clocks come from the
+/// depths the log's deliveries record: each node's clock, the depth of
+/// every frame it sends, and the phase split are recomputed from them,
+/// and a delivery whose depth no replayed send produced (an ack with a
+/// depth, a payload without one, or one deeper than anything sent so
+/// far) is a malformed log.
 ///
 /// Returns the reproduced outcome plus the machines in their final
 /// states (construction replays read the computed labels out of them).
@@ -35,31 +38,38 @@ pub(crate) fn replay_machines<M: ProtocolMachine>(
     machines: &mut [M],
     log: &EventLog,
 ) -> Result<NetRun, NetError> {
-    let mut cost = MessageCost {
-        rounds: 1,
-        ..MessageCost::new()
-    };
-    let mut phases = PhaseTally::default();
+    let mut tally = PhaseTally::new(machines.len());
+    let mut deepest_sent = 0u64;
     let mut crash_restarts = 0u64;
     for (i, ev) in log.events.iter().enumerate() {
         let Some(target) = ev.target() else {
-            cost.rounds += 1;
             continue;
+        };
+        let bad = |reason: String| NetError::BadLog {
+            line: i + 1,
+            reason,
         };
         let machine = machines
             .get_mut(target as usize)
-            .ok_or_else(|| NetError::BadLog {
-                line: i + 1,
-                reason: format!("event targets node {target} outside the instance"),
-            })?;
-        if matches!(ev, crate::log::LogEvent::Crash { .. }) {
-            crash_restarts += 1;
-        }
+            .ok_or_else(|| bad(format!("event targets node {target} outside the instance")))?;
+        let delivered = match ev {
+            LogEvent::Crash { .. } => {
+                crash_restarts += 1;
+                0
+            }
+            LogEvent::Deliver { msg, depth, .. } => {
+                if msg.is_ack() != (*depth == 0) || *depth > deepest_sent {
+                    return Err(bad(format!("delivery at depth {depth} was never sent")));
+                }
+                tally.deliver(msg, *depth);
+                *depth
+            }
+            _ => 0,
+        };
         let sends = machine.on_event(&ev.to_node_event().expect("targeted events map to inputs"));
+        let send_depth = tally.step(target as usize, delivered);
         for (_, msg) in sends {
-            cost.msgs += 1;
-            cost.bits += u128::from(msg.wire_bits());
-            phases.count(&msg, cost.rounds);
+            deepest_sent = deepest_sent.max(tally.send(&msg, send_depth));
         }
     }
 
@@ -75,13 +85,14 @@ pub(crate) fn replay_machines<M: ProtocolMachine>(
             }
         }
     }
+    let (cost, phases) = tally.finish();
     Ok(NetRun {
         verdict: Verdict {
             rejecting,
             num_nodes: machines.len(),
         },
         cost,
-        phases: phases.finish(cost.rounds),
+        phases,
         crash_restarts,
         log: log.clone(),
     })

@@ -38,9 +38,24 @@
 //! outstanding from dispatch until its report (outputs + local verdict)
 //! has been processed. When no event is outstanding and no frame is
 //! held back, either every node has decided — the run is over — or some
-//! frame was lost and a retransmission boundary fires: the round
+//! frame was lost and a retransmission boundary fires: the link's round
 //! counter increments, the link may pick crash victims, and every node
 //! gets a tick to re-offer unacknowledged frames.
+//!
+//! # The clock
+//!
+//! Retransmission boundaries are the router's internal clock: they pace
+//! the link ([`Link::round_start`], crash picks, adversary windows) and
+//! [`NetConfig::max_rounds`] bounds them. The *cost* of a run is counted
+//! in causal rounds instead, the paper's unit: a payload frame sent by
+//! `v` has depth `clock(v) + 1`, where `clock(v)` is the deepest payload
+//! frame delivered to `v` so far, and `MessageCost::rounds` is the
+//! depth of the deepest delivered frame. A frame's depth travels with
+//! it through the holdback buffer and the dispatched
+//! [`LogEvent::Deliver`], and the router moves a node's clock when it
+//! reaches that node's report — in dispatch order, so the clocks are as
+//! deterministic as the log, and replay recomputes them from it. On a
+//! perfect link, verification takes exactly one round.
 //!
 //! A machine that panics while an event is outstanding surfaces as
 //! [`NetError::WorkerDied`] naming the node — never a hang: the panic is
@@ -66,8 +81,8 @@ use crate::wire::{PhaseClass, WireMsg};
 /// Runtime limits and switches.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// Give up (with [`NetError::NoConvergence`]) after this many
-    /// retransmission rounds.
+    /// Give up (with [`NetError::NoConvergence`]) once this many
+    /// retransmission rounds have started (the first round counts).
     pub max_rounds: u64,
     /// Record the dispatched schedule in the returned [`EventLog`]
     /// (default `true`). Recording never affects the run — verdict and
@@ -118,20 +133,17 @@ impl Default for Engine {
 /// verification.
 ///
 /// `msgs` and `bits` are exact per phase (every frame carries its phase
-/// in its kind tag). Rounds are a global clock, so they are attributed
-/// by hand-off: a round belongs to the *last* phase to first become
-/// active in it (phases overlap at their seams — on a perfect link all
-/// three run inside round 1, which is then charged to `verify`). The
-/// per-phase `rounds` always sum to the run's total: rounds before the
-/// first message (and a run that sends no messages at all — a single
-/// isolated node decides without talking) are charged to `verify`,
-/// since the clock only advances while verification is still owed.
-/// The invariant holds under *any* link, including the reordering
-/// adversary — attribution keys on send rounds, which reordering does
-/// not move.
+/// in its kind tag). Rounds are causal depth (see
+/// [`MessageCost::rounds`]): each phase is charged the depth its
+/// delivered payload frames add over the phases before it, in the order
+/// GHS, marker, verify — so the three always sum to the run's total,
+/// and on a perfect link a construction run reads GHS's depth, then
+/// what the marker adds, then the one round of verification. A run that
+/// delivers no payload at all (a single isolated node decides without
+/// talking) charges its one round to `verify`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseCost {
-    /// GHS fragment protocol (phase A of construction).
+    /// GHS fragment protocol (phase A).
     pub ghs: MessageCost,
     /// Distributed marker: spanning labels, centroid election,
     /// separator announcements (phase B).
@@ -141,16 +153,32 @@ pub struct PhaseCost {
     pub verify: MessageCost,
 }
 
-/// The router-side accumulator behind [`PhaseCost`].
-#[derive(Debug, Clone, Copy, Default)]
+/// The causal clock and the per-phase counters behind [`NetRun::cost`]
+/// and [`PhaseCost`], kept identically by the live router and the
+/// replayer.
+///
+/// A payload frame (a label, a GHS or a marker frame) sent by node `v`
+/// has depth `clock(v) + 1`, where `clock(v)` is the largest depth of
+/// any payload frame delivered to `v` so far (0 before the first).
+/// Acks have no depth and move no clock.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PhaseTally {
     msgs: [u64; 3],
     bits: [u128; 3],
-    /// Round in which each phase's first message was sent.
-    first_round: [Option<u64>; 3],
+    /// Depth of the deepest payload frame delivered in each phase.
+    deepest: [u64; 3],
+    /// `clock(v)` per node.
+    clocks: Vec<u64>,
 }
 
 impl PhaseTally {
+    pub(crate) fn new(n: usize) -> Self {
+        PhaseTally {
+            clocks: vec![0; n],
+            ..PhaseTally::default()
+        }
+    }
+
     fn class_index(msg: &WireMsg) -> usize {
         match msg.phase_class() {
             PhaseClass::Ghs => 0,
@@ -159,56 +187,67 @@ impl PhaseTally {
         }
     }
 
-    /// Charges one sent message to its phase.
-    pub(crate) fn count(&mut self, msg: &WireMsg, round: u64) {
+    /// Records that `msg`, carrying `depth`, is delivered to its
+    /// receiver.
+    pub(crate) fn deliver(&mut self, msg: &WireMsg, depth: u64) {
+        let i = PhaseTally::class_index(msg);
+        self.deepest[i] = self.deepest[i].max(depth);
+    }
+
+    /// Advances `node`'s clock past an event it consumed (`depth` is
+    /// the delivered frame's, 0 for any other event) and returns the
+    /// depth of the payload frames it sends in response.
+    pub(crate) fn step(&mut self, node: usize, depth: u64) -> u64 {
+        let clock = &mut self.clocks[node];
+        *clock = (*clock).max(depth);
+        *clock + 1
+    }
+
+    /// Charges one sent message to its phase, returning its depth:
+    /// `send_depth` for a payload frame, 0 for an ack.
+    pub(crate) fn send(&mut self, msg: &WireMsg, send_depth: u64) -> u64 {
         let i = PhaseTally::class_index(msg);
         self.msgs[i] += 1;
         self.bits[i] += u128::from(msg.wire_bits());
-        if self.first_round[i].is_none() {
-            self.first_round[i] = Some(round);
+        if msg.is_ack() {
+            0
+        } else {
+            send_depth
         }
     }
 
-    /// Resolves the per-phase rounds attribution (see [`PhaseCost`])
-    /// against the run's total round count. The per-phase rounds must
-    /// sum to `total_rounds` for every run shape — pinned by
-    /// `phase_costs_are_exhaustive_and_attributed` and the adversary
-    /// suite's reorder test.
-    pub(crate) fn finish(&self, total_rounds: u64) -> PhaseCost {
-        let mut started: Vec<(u64, usize)> = self
-            .first_round
-            .iter()
-            .enumerate()
-            .filter_map(|(i, first)| first.map(|r| (r, i)))
-            .collect();
-        started.sort_unstable();
+    /// The run's total cost and its phase split. The total's rounds are
+    /// `max(1, deepest delivered depth)`; each phase gets what its
+    /// frames add over the phases before it, so the split sums to the
+    /// total — pinned by `phase_costs_are_exhaustive_and_attributed`
+    /// and the adversary suite's reorder test.
+    pub(crate) fn finish(&self) -> (MessageCost, PhaseCost) {
+        let mut reached = 0;
         let mut rounds = [0u64; 3];
-        if started.is_empty() {
-            // No message was ever sent (every node decided in
-            // isolation); the clock still ran, and what it was running
-            // for was the verification verdict.
-            rounds[2] = total_rounds;
-        }
-        for (k, &(start, i)) in started.iter().enumerate() {
-            // Rounds before the first message belong to the first
-            // phase to speak (normally `start == 1`, but a scripted
-            // link can silence the opening rounds entirely).
-            let start = if k == 0 { start.min(1) } else { start };
-            let end = started
-                .get(k + 1)
-                .map_or(total_rounds + 1, |&(next, _)| next);
-            rounds[i] = end.saturating_sub(start);
+        for (i, r) in rounds.iter_mut().enumerate() {
+            // The clock runs for at least the one round verification
+            // owes, even if no payload frame is ever delivered.
+            let floor = if i == 2 { 1 } else { 0 };
+            let depth = reached.max(self.deepest[i]).max(floor);
+            *r = depth - reached;
+            reached = depth;
         }
         let cost = |i: usize| MessageCost {
             msgs: self.msgs[i],
             bits: self.bits[i],
             rounds: rounds[i],
         };
-        PhaseCost {
+        let total = MessageCost {
+            msgs: self.msgs.iter().sum(),
+            bits: self.bits.iter().sum(),
+            rounds: reached,
+        };
+        let phases = PhaseCost {
             ghs: cost(0),
             marker: cost(1),
             verify: cost(2),
-        }
+        };
+        (total, phases)
     }
 }
 
@@ -248,6 +287,8 @@ struct HeldFrame {
     to: usize,
     port: Port,
     msg: WireMsg,
+    /// Causal depth (0 for an ack).
+    depth: u64,
 }
 
 /// Runs one machine step, converting a panic into an in-band report so
@@ -269,6 +310,9 @@ fn machine_step<M: ProtocolMachine>(machine: &mut M, node: usize, ev: &NodeEvent
 /// A dispatched event awaiting its report.
 struct Pending {
     node: usize,
+    /// Depth of the delivered frame (0 for any other event), which
+    /// moves the node's clock when the router reaches the report.
+    depth: u64,
     /// The report, once it is in but the router has not reached it.
     report: Option<WorkerReport>,
 }
@@ -290,26 +334,32 @@ struct Pool<'q, M> {
 }
 
 impl<M: ProtocolMachine> Pool<'_, M> {
-    /// Queues `ev` for `node`'s machine.
-    fn dispatch(&mut self, node: usize, ev: NodeEvent) {
+    /// Queues `ev`, delivering a frame of `depth` (0 for any other
+    /// event), for `node`'s machine.
+    fn dispatch(&mut self, node: usize, ev: NodeEvent, depth: u64) {
         let seq = self.head_seq + self.pending.len() as u64;
         self.queue.post(node, (seq, ev));
-        self.pending.push_back(Pending { node, report: None });
+        self.pending.push_back(Pending {
+            node,
+            depth,
+            report: None,
+        });
     }
 
-    /// The report of the oldest not-yet-reported dispatch. Until it is
-    /// in, takes the reports helpers have sent, steps a queued event on
-    /// this thread, and blocks on the channel only when no event is left
-    /// to step.
-    fn next_report(&mut self) -> Result<Report, NetError> {
+    /// The report of the oldest not-yet-reported dispatch, with the
+    /// depth that dispatch delivered. Until it is in, takes the reports
+    /// helpers have sent, steps a queued event on this thread, and
+    /// blocks on the channel only when no event is left to step.
+    fn next_report(&mut self) -> Result<(Report, u64), NetError> {
         loop {
             let front = self.pending.front_mut().expect("a report is outstanding");
             let node = NodeId(front.node as u32);
+            let depth = front.depth;
             if let Some(report) = front.report.take() {
                 self.pending.pop_front();
                 self.head_seq += 1;
                 return match report {
-                    WorkerReport::Done(report) => Ok(report),
+                    WorkerReport::Done(report) => Ok((report, depth)),
                     WorkerReport::Panicked => Err(NetError::WorkerDied { node }),
                 };
             }
@@ -373,12 +423,16 @@ impl<T> Drop for CloseOnDrop<'_, T> {
     }
 }
 
-/// The router: owns the link, the log, the counters, the holdback
-/// buffer, and the quiescence/retransmission logic. It runs on the
-/// calling thread and alone decides the schedule, which is why the pool
-/// size never shows in the log.
+/// The router: owns the link, the log, the counters and clocks, the
+/// holdback buffer, and the quiescence/retransmission logic. It runs on
+/// the calling thread and alone decides the schedule, which is why the
+/// pool size never shows in the log.
 struct RouterCore<'l> {
     net: NetConfig,
+    /// Retransmission boundaries passed, plus one: the link's clock
+    /// ([`Link::round_start`]) and what [`NetConfig::max_rounds`]
+    /// bounds. The run's cost counts causal depth instead.
+    round: u64,
     link: &'l mut dyn Link,
     /// `(neighbor, neighbor's in-port)` per `(node, port)`, resolved up
     /// front so the loop never touches the graph. CSR-flattened — one
@@ -388,7 +442,6 @@ struct RouterCore<'l> {
     other_end: Vec<(u32, Port)>,
     other_off: Vec<u32>,
     log: EventLog,
-    cost: MessageCost,
     phases: PhaseTally,
     verdicts: Vec<Option<bool>>,
     held: Vec<HeldFrame>,
@@ -431,12 +484,9 @@ impl<'l> RouterCore<'l> {
             link,
             other_end,
             other_off,
+            round: 1,
             log: EventLog::new(),
-            cost: MessageCost {
-                rounds: 1,
-                ..MessageCost::new()
-            },
-            phases: PhaseTally::default(),
+            phases: PhaseTally::new(n),
             verdicts: vec![None; n],
             held: Vec::new(),
             ready: VecDeque::new(),
@@ -448,10 +498,17 @@ impl<'l> RouterCore<'l> {
     fn dispatch<M: ProtocolMachine>(&mut self, pool: &mut Pool<'_, M>, ev: LogEvent) {
         let node = ev.target().expect("dispatched events target a node") as usize;
         let nev = ev.to_node_event().expect("dispatched events map to inputs");
+        let depth = match &ev {
+            LogEvent::Deliver { msg, depth, .. } => {
+                self.phases.deliver(msg, *depth);
+                *depth
+            }
+            _ => 0,
+        };
         if self.net.record_log {
             self.log.events.push(ev);
         }
-        pool.dispatch(node, nev);
+        pool.dispatch(node, nev, depth);
         self.outstanding += 1;
     }
 
@@ -481,6 +538,7 @@ impl<'l> RouterCore<'l> {
                 to: frame.to as u32,
                 port: frame.port.0,
                 msg: frame.msg,
+                depth: frame.depth,
             });
         }
         self.pump_ready(pool);
@@ -488,20 +546,19 @@ impl<'l> RouterCore<'l> {
 
     fn drive<M: ProtocolMachine>(&mut self, pool: &mut Pool<'_, M>) -> Result<(), NetError> {
         let n = self.verdicts.len();
-        self.link.round_start(self.cost.rounds);
+        self.link.round_start(self.round);
         for v in 0..n {
             self.ready.push_back(LogEvent::Start { node: v as u32 });
         }
         loop {
             self.pump_ready(pool);
             while self.outstanding > 0 {
-                let report = pool.next_report()?;
+                let (report, delivered) = pool.next_report()?;
                 self.outstanding -= 1;
                 self.verdicts[report.node] = report.verdict;
+                let send_depth = self.phases.step(report.node, delivered);
                 for (port, msg) in report.sends {
-                    self.cost.msgs += 1;
-                    self.cost.bits += u128::from(msg.wire_bits());
-                    self.phases.count(&msg, self.cost.rounds);
+                    let depth = self.phases.send(&msg, send_depth);
                     let (to, in_port) =
                         self.other_end[self.other_off[report.node] as usize + port.index()];
                     let to = to as usize;
@@ -511,6 +568,7 @@ impl<'l> RouterCore<'l> {
                             to,
                             port: in_port,
                             msg: msg.clone(),
+                            depth,
                         });
                     }
                 }
@@ -529,20 +587,18 @@ impl<'l> RouterCore<'l> {
                 return Ok(());
             }
 
-            if self.cost.rounds >= self.net.max_rounds {
-                return Err(NetError::NoConvergence {
-                    rounds: self.cost.rounds,
-                });
+            if self.round >= self.net.max_rounds {
+                return Err(NetError::NoConvergence { rounds: self.round });
             }
 
             // Retransmission boundary: some frame was lost. Crash picks
             // first (a crashed node restarts and re-offers everything),
             // then every node re-offers on unacked ports.
-            self.cost.rounds += 1;
+            self.round += 1;
             if self.net.record_log {
                 self.log.events.push(LogEvent::Round);
             }
-            self.link.round_start(self.cost.rounds);
+            self.link.round_start(self.round);
             for v in self.link.crash_picks(n) {
                 self.crash_restarts += 1;
                 self.verdicts[v] = None;
@@ -567,14 +623,12 @@ impl<'l> RouterCore<'l> {
             rejecting: rejecting.clone(),
             num_nodes: n,
         };
-        self.log.summary = Some(RunSummary {
-            rejecting,
-            cost: self.cost,
-        });
+        let (cost, phases) = self.phases.finish();
+        self.log.summary = Some(RunSummary { rejecting, cost });
         NetRun {
             verdict,
-            cost: self.cost,
-            phases: self.phases.finish(self.cost.rounds),
+            cost,
+            phases,
             crash_restarts: self.crash_restarts,
             log: self.log,
         }

@@ -1,21 +1,21 @@
-//! The self-stabilizing maintenance loop, ported onto the concurrent
-//! runtime.
+//! The self-stabilizing maintenance loop on the concurrent runtime.
 //!
-//! Same shape as [`mstv_distsim::SelfStabilizingMst`], but the
-//! verification round runs on the message-passing runtime — under
-//! whatever fault schedule the supplied [`Link`] imposes — instead of
-//! on the idealized shared-memory simulator. Detection cost is the
-//! measured wire cost; recovery still uses the synchronous distributed
-//! Borůvka (rebuilding a tree over lossy links is future work, and the
-//! paper's split — cheap local verification, expensive global
-//! recomputation — is what the numbers are meant to show anyway).
+//! Every cycle runs the one-round verification protocol on the wire,
+//! under whatever fault schedule the supplied [`Link`] imposes. When a
+//! node rejects, the network rebuilds its MST and labels with
+//! [`run_compute`] — GHS, the distributed marker, and the embedded
+//! verification — on the same link and worker pool. Detection and
+//! recomputation are measured by one runtime in one unit, causal
+//! rounds, which is the split the paper's self-stabilization argument
+//! rests on: local verification costs one round, recomputation is a
+//! global, many-round job.
 
 use mstv_core::{
-    mst_configuration, Labeling, MessageCost, MstLabel, MstScheme, ProofLabelingScheme,
+    mst_configuration, Labeling, MarkerError, MessageCost, MstLabel, MstScheme, ProofLabelingScheme,
 };
-use mstv_distsim::distributed_boruvka;
-use mstv_graph::{tree_states, ConfigGraph, Graph, NodeId, TreeState};
+use mstv_graph::{ConfigGraph, Graph, NodeId, TreeState};
 
+use crate::compute::run_compute;
 use crate::error::NetError;
 use crate::link::Link;
 use crate::machine::MstWireScheme;
@@ -35,7 +35,8 @@ pub enum NetStabOutcome {
         detectors: Vec<NodeId>,
         /// The verification run that caught the fault.
         verify: NetRun,
-        /// Cost of the distributed recomputation.
+        /// Cost of the distributed recomputation: the whole
+        /// [`run_compute`] run, its embedded verification included.
         recompute_cost: MessageCost,
     },
 }
@@ -57,15 +58,19 @@ pub struct NetSelfStab {
 
 impl NetSelfStab {
     /// Bootstraps the network: computes an MST of `graph`, installs the
-    /// distributed representation, and labels it.
+    /// distributed representation rooted at node 0, and labels it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the graph is not connected.
-    pub fn new(graph: Graph) -> Self {
+    /// [`NetError::Marker`] with [`MarkerError::NotSpanning`] if the
+    /// graph is empty or disconnected.
+    pub fn new(graph: Graph) -> Result<Self, NetError> {
+        if graph.num_nodes() == 0 || !graph.is_connected() {
+            return Err(NetError::Marker(MarkerError::NotSpanning));
+        }
         let cfg = mst_configuration(graph);
-        let labeling = MstScheme::new().marker(&cfg).expect("fresh MST must label");
-        NetSelfStab { cfg, labeling }
+        let labeling = MstScheme::new().marker(&cfg).map_err(NetError::Marker)?;
+        Ok(NetSelfStab { cfg, labeling })
     }
 
     /// Assembles a network from an existing configuration and labeling
@@ -103,12 +108,11 @@ impl NetSelfStab {
 
     /// One maintenance cycle: a live verification round over `link` on
     /// the host-sized worker pool; on rejection, distributed
-    /// recomputation plus relabeling.
+    /// recomputation and relabeling over the same link.
     ///
     /// # Errors
     ///
-    /// Propagates [`NetError::NoConvergence`] from the verification
-    /// round.
+    /// As [`NetSelfStab::cycle_with`].
     pub fn cycle(
         &mut self,
         link: &mut dyn Link,
@@ -117,13 +121,18 @@ impl NetSelfStab {
         self.cycle_with(link, net, Engine::default())
     }
 
-    /// [`NetSelfStab::cycle`] with the verification round on a worker
-    /// pool of a chosen size.
+    /// [`NetSelfStab::cycle`] on a worker pool of a chosen size. A
+    /// rejection is answered by [`run_compute`] on the same link and
+    /// pool, whose states and labels — bit-identical to the centralized
+    /// marker's on the current graph — replace the network's.
     ///
     /// # Errors
     ///
-    /// Propagates [`NetError::NoConvergence`] from the verification
-    /// round.
+    /// [`NetError::NoConvergence`] or [`NetError::WorkerDied`] from
+    /// either run; [`NetError::Marker`] with
+    /// [`MarkerError::NotSpanning`] if a rejection must be answered on a
+    /// graph that has become disconnected, which has no spanning tree
+    /// to rebuild.
     pub fn cycle_with(
         &mut self,
         link: &mut dyn Link,
@@ -135,19 +144,18 @@ impl NetSelfStab {
         if verify.verdict.accepted() {
             return Ok(NetStabOutcome::Clean { verify });
         }
-        let detectors = verify.verdict.rejecting.clone();
-        let run = distributed_boruvka(self.cfg.graph());
-        let states = tree_states(self.cfg.graph(), &run.edges, NodeId(0))
-            .expect("Borůvka returns a spanning tree");
-        let graph = self.cfg.graph().clone();
-        self.cfg = ConfigGraph::new(graph, states).expect("state count matches");
-        self.labeling = MstScheme::new()
-            .marker(&self.cfg)
-            .expect("recomputed MST must label");
+        if !self.cfg.graph().is_connected() {
+            return Err(NetError::Marker(MarkerError::NotSpanning));
+        }
+        let rebuilt = run_compute(self.cfg.graph(), link, net, engine)?;
+        for (v, state) in rebuilt.states.into_iter().enumerate() {
+            *self.cfg.state_mut(NodeId(v as u32)) = state;
+        }
+        self.labeling = rebuilt.labeling;
         Ok(NetStabOutcome::Recovered {
-            detectors,
+            detectors: verify.verdict.rejecting.clone(),
             verify,
-            recompute_cost: run.stats,
+            recompute_cost: rebuilt.net.cost,
         })
     }
 }

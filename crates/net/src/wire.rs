@@ -84,8 +84,11 @@ pub enum WireMsg {
         /// the FIFO exactly-once channel GHS assumes on top of a
         /// lossy, reordering, duplicating link.
         seq: u32,
-        /// The serialized protocol message.
-        bits: BitString,
+        /// The serialized protocol message, shared (`Arc`) like a
+        /// label's bits: the sender's outbox, retransmissions, the
+        /// link's duplicates and the queues hold one payload, and the
+        /// message stays a pointer wide in every queue it waits in.
+        bits: Arc<BitString>,
     },
     /// Cumulative acknowledgement for the reliable channel: `seq` is
     /// the receiver's next expected sequence number; everything below
@@ -118,9 +121,9 @@ impl WireMsg {
     /// bits for the construction kinds — plus the 32-bit sequence
     /// number a reliable channel genuinely has to carry. Transport
     /// framing (the byte-aligned length field of [`WireMsg::to_frame`])
-    /// is bookkeeping of the in-process harness and is not charged,
-    /// mirroring how the synchronous simulator charges only payload
-    /// bits.
+    /// is bookkeeping of the in-process harness and is not charged:
+    /// the cost counts what the protocol says, not how the harness
+    /// frames it.
     pub fn wire_bits(&self) -> u64 {
         match self {
             WireMsg::Label { bits, .. } => 2 + bits.len() as u64,
@@ -128,6 +131,14 @@ impl WireMsg {
             WireMsg::Compute { bits, .. } => 3 + 32 + bits.len() as u64,
             WireMsg::ComputeAck { .. } => 3 + 32,
         }
+    }
+
+    /// Whether this is an acknowledgement: acks carry no causal depth
+    /// and move no clock (see [`MessageCost::rounds`]).
+    ///
+    /// [`MessageCost::rounds`]: mstv_core::MessageCost::rounds
+    pub(crate) fn is_ack(&self) -> bool {
+        matches!(self, WireMsg::Ack | WireMsg::ComputeAck { .. })
     }
 
     /// Which phase this message is charged to.
@@ -225,7 +236,7 @@ impl WireMsg {
                 Ok(WireMsg::Compute {
                     marker: *tag == 0x04,
                     seq,
-                    bits: payload_of(tail)?,
+                    bits: Arc::new(payload_of(tail)?),
                 })
             }
             (tag @ (0x05 | 0x06), rest) => {
@@ -269,7 +280,7 @@ mod tests {
             let msg = WireMsg::Compute {
                 marker,
                 seq: 0xfeed_0042,
-                bits: bits.clone(),
+                bits: Arc::new(bits.clone()),
             };
             assert_eq!(
                 WireMsg::from_frame(&msg.to_frame().expect("payload fits")),
@@ -353,7 +364,7 @@ mod tests {
         let compute = WireMsg::Compute {
             marker: true,
             seq: 9,
-            bits,
+            bits: Arc::new(bits),
         };
         assert_eq!(compute.wire_bits(), 3 + 32 + 16);
         assert_eq!(

@@ -10,8 +10,8 @@ use mstv_core::{
 use mstv_graph::{gen, ConfigGraph, Graph, NodeId, TreeState};
 use mstv_labels::{LabelCodec, SepFieldCodec};
 use mstv_net::{
-    replay, run_verification, run_verification_with, Engine, FaultProfile, Link, LossyLink,
-    MstWireScheme, NetConfig, PerfectLink,
+    replay, run_verification, run_verification_with, Engine, FaultProfile, Link, LogEvent,
+    LossyLink, MstWireScheme, NetConfig, PerfectLink,
 };
 use mstv_trees::ParallelConfig;
 use proptest::prelude::*;
@@ -150,7 +150,7 @@ fn crash_restarted_nonroot_node_still_rejects_corrupted_label() {
         .expect("scripted link converges");
     assert_eq!(run.crash_restarts, 1);
     assert!(
-        run.cost.rounds > 1,
+        run.log.events.contains(&LogEvent::Round),
         "the scripted drops must force a retransmission round"
     );
     assert_eq!(run.verdict, expected);
@@ -253,11 +253,11 @@ proptest! {
 #[test]
 fn selfstab_cycle_recovers_over_lossy_link() {
     use mstv_core::faults;
-    use mstv_net::NetSelfStab;
+    use mstv_net::{NetSelfStab, NetStabOutcome};
 
     let mut rng = StdRng::seed_from_u64(21);
     let g: Graph = gen::random_connected(20, 30, gen::WeightDist::Uniform { max: 80 }, &mut rng);
-    let mut net = NetSelfStab::new(g);
+    let mut net = NetSelfStab::new(g).expect("connected graph");
     let profile = FaultProfile {
         drop: 0.2,
         duplicate: 0.05,
@@ -278,11 +278,26 @@ fn selfstab_cycle_recovers_over_lossy_link() {
     let outcome = net
         .cycle(&mut link, NetConfig::default())
         .expect("cycle converges");
-    assert!(
-        outcome.fault_detected(),
-        "corruption must be caught on the wire"
-    );
+    let NetStabOutcome::Recovered {
+        verify,
+        recompute_cost,
+        ..
+    } = outcome
+    else {
+        panic!("corruption must be caught on the wire");
+    };
     assert!(net.invariant_holds(), "recovery must restore the MST");
+    // Recovery is a construction run on the same clock: GHS and the
+    // marker go far deeper than the label exchange that detected.
+    assert!(
+        recompute_cost.rounds > verify.cost.rounds,
+        "recompute {recompute_cost:?} vs detect {:?}",
+        verify.cost
+    );
+    let marker = MstScheme::new().marker(net.config()).expect("MST labels");
+    for v in net.config().graph().nodes() {
+        assert_eq!(net.labeling().encoded(v), marker.encoded(v), "{v}");
+    }
 
     let mut link = LossyLink::new(profile, 3);
     let outcome = net
@@ -292,4 +307,19 @@ fn selfstab_cycle_recovers_over_lossy_link() {
         !outcome.fault_detected(),
         "recovered network must verify clean"
     );
+}
+
+/// A disconnected graph has no spanning tree to maintain: bootstrapping
+/// one is a typed error, not a panic.
+#[test]
+fn selfstab_refuses_a_disconnected_graph() {
+    use mstv_core::MarkerError;
+    use mstv_graph::Weight;
+    use mstv_net::{NetError, NetSelfStab};
+
+    let mut g = Graph::new(4);
+    g.add_edge(NodeId(0), NodeId(1), Weight(3)).expect("edge");
+    g.add_edge(NodeId(2), NodeId(3), Weight(5)).expect("edge");
+    let err = NetSelfStab::new(g).expect_err("two components cannot span");
+    assert_eq!(err, NetError::Marker(MarkerError::NotSpanning));
 }

@@ -1,21 +1,23 @@
-//! Driving the round-protocol engine: build an MST fully distributively,
-//! then verify it in one round — synchronously and under message delays.
+//! Driving the wire runtime: build an MST fully distributively, then
+//! verify it in one round — on a perfect link, under message delays,
+//! and over a lossy link with retransmission.
 //!
 //! ```text
 //! cargo run --release --example distributed_protocols
 //! ```
 //!
-//! Everything here runs as per-node state machines exchanging messages:
-//! no step consults global state. The same node code executes in
-//! lockstep and under the α-synchronizer with random per-message delays,
-//! and produces identical results — the engine's whole point.
+//! Everything here runs as per-node state machines exchanging
+//! serialized frames: no step consults global state. Time is counted in
+//! causal rounds — a frame's depth is one more than the deepest frame
+//! its sender had received — so construction and verification are
+//! measured on one clock.
 
 use mst_verification::core::{MstScheme, ProofLabelingScheme};
-use mst_verification::distsim::{
-    boruvka_protocol_run, run_alpha_synchronized, run_synchronous, verification_round, BoruvkaNode,
-    VerifyNode,
+use mst_verification::graph::{gen, ConfigGraph};
+use mst_verification::net::{
+    replay, run_compute, run_verification, Engine, FaultProfile, LossyLink, MstWireScheme,
+    NetConfig, PerfectLink,
 };
-use mst_verification::graph::{gen, tree_states, ConfigGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,67 +30,70 @@ fn main() {
         g.num_edges()
     );
 
-    // Phase 1: construct the MST with the fixed-schedule Borůvka protocol
-    // (every node acts on the round number alone).
-    let (edges, stats) = boruvka_protocol_run(&g);
-    println!("distributed construction (fixed schedule, no global scheduler):");
-    println!("  tree built: {} edges; cost: {stats}", edges.len());
-
-    // Install the tree and label it.
-    let states = tree_states(&g, &edges, NodeId(0)).unwrap();
-    let cfg = ConfigGraph::new(g.clone(), states).unwrap();
-    let scheme = MstScheme::new();
-    let labeling = scheme.marker(&cfg).expect("distributed tree is an MST");
+    // Phase 1: GHS builds the tree, the distributed marker labels it,
+    // and every node verifies what was built.
+    let built = run_compute(
+        &g,
+        &mut PerfectLink,
+        NetConfig::default(),
+        Engine::default(),
+    )
+    .expect("a perfect link converges");
+    let phases = built.net.phases;
+    println!("distributed construction (no centralized step):");
+    println!("  tree built: {} edges", built.mst_edges.len());
+    println!("  GHS:    {}", phases.ghs);
+    println!("  marker: {}", phases.marker);
+    println!("  verify: {}", phases.verify);
     println!(
-        "  marker assigned π_mst labels: ≤ {} bits/node\n",
-        labeling.max_label_bits()
+        "  π_mst labels: ≤ {} bits/node\n",
+        built.labeling.max_label_bits()
     );
 
-    // Phase 2: verification as a protocol — lockstep.
-    let nodes: Vec<VerifyNode<MstScheme>> = cfg
-        .graph()
-        .nodes()
-        .map(|v| {
-            VerifyNode::new(
-                MstScheme::new(),
-                *cfg.state(v),
-                labeling.label(v).clone(),
-                labeling.encoded(v).len(),
-            )
-        })
-        .collect();
-    let (nodes, vstats) = run_synchronous(cfg.graph(), nodes, 5);
-    let all_green = nodes.iter().all(|n| n.verdict() == Some(true));
-    println!("one-round verification (lockstep): all accept = {all_green}; cost: {vstats}");
-
-    // Phase 3: the same verification protocol under random delays.
-    let nodes: Vec<VerifyNode<MstScheme>> = cfg
-        .graph()
-        .nodes()
-        .map(|v| {
-            VerifyNode::new(
-                MstScheme::new(),
-                *cfg.state(v),
-                labeling.label(v).clone(),
-                labeling.encoded(v).len(),
-            )
-        })
-        .collect();
-    let (nodes, _, padding) = run_alpha_synchronized(cfg.graph(), nodes, 1, 50, &mut rng);
-    let all_green = nodes.iter().all(|n| n.verdict() == Some(true));
+    // Phase 2: verification of the built labels on their own — one round.
+    let cfg = ConfigGraph::new(g.clone(), built.states.clone()).expect("one state per node");
+    let labeling = built.labeling;
+    let wire = MstWireScheme::for_config(&cfg);
+    let run = |link: &mut dyn mst_verification::net::Link| {
+        run_verification(&wire, &cfg, &labeling, link, NetConfig::default())
+            .expect("fair links converge")
+    };
+    let perfect = run(&mut PerfectLink);
     println!(
-        "same protocol, α-synchronized with delays ≤ 50: all accept = {all_green} ({padding} padding msgs)"
+        "one-round verification (perfect link): {}; cost: {}",
+        perfect.verdict, perfect.cost
     );
 
-    // Cross-check against the direct harness.
-    let (verdict, _) = verification_round(&scheme, &cfg, &labeling);
-    assert!(verdict.accepted() == all_green);
-    println!("\nengine runs agree with the direct verifier: {verdict}");
-
-    // Bonus: the protocol's schedule cost in closed form.
+    // Phase 3: the same protocol with every frame held back at random.
+    let delays = FaultProfile {
+        max_delay: 50,
+        ..FaultProfile::default()
+    };
+    let delayed = run(&mut LossyLink::new(delays, 7));
     println!(
-        "fixed Borůvka schedule for n = {}: {} rounds",
-        g.num_nodes(),
-        BoruvkaNode::total_rounds(g.num_nodes())
+        "same protocol, delays ≤ 50 steps:      {}; cost: {}",
+        delayed.verdict, delayed.cost
     );
+    assert_eq!(delayed.cost, perfect.cost, "delays move no count");
+
+    // Phase 4: a lossy link forces retransmissions, and the event log
+    // replays the run exactly.
+    let lossy_profile = FaultProfile {
+        drop: 0.2,
+        duplicate: 0.05,
+        max_delay: 3,
+        ..FaultProfile::default()
+    };
+    let lossy = run(&mut LossyLink::new(lossy_profile, 11));
+    println!(
+        "same protocol, 20% drops:               {}; cost: {}",
+        lossy.verdict, lossy.cost
+    );
+    let again = replay(&wire, &cfg, &labeling, &lossy.log).expect("the log replays");
+    assert_eq!((again.verdict, again.cost), (lossy.verdict, lossy.cost));
+
+    // Cross-check against the offline verifier.
+    let offline = MstScheme::new().verify_all(&cfg, &labeling);
+    assert_eq!(offline, perfect.verdict);
+    println!("\nevery wire run agrees with the offline verifier: {offline}");
 }

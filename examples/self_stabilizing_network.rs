@@ -7,13 +7,15 @@
 //! Scenario: a sensor field maintains a minimum-energy communication
 //! backbone (an MST over link costs). Radio conditions drift — link costs
 //! change, node memories get corrupted. Every maintenance cycle the
-//! network runs the paper's one-round verification; only when some sensor
-//! rejects does the (expensive) distributed recomputation run. The log
-//! shows how rarely the expensive path is taken and what each path costs.
+//! network runs the paper's one-round verification over a lossy radio
+//! link; only when some sensor rejects does the (expensive) distributed
+//! recomputation run, on the same link. Both are counted in causal
+//! rounds, so the log shows how rarely the expensive path is taken and
+//! what each path costs on one clock.
 
 use mst_verification::core::faults;
-use mst_verification::distsim::{SelfStabilizingMst, StabilizationOutcome};
 use mst_verification::graph::gen;
+use mst_verification::net::{FaultProfile, LossyLink, NetConfig, NetSelfStab, NetStabOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,16 +27,22 @@ fn main() {
         field.num_nodes(),
         field.num_edges()
     );
-    let mut net = SelfStabilizingMst::new(field);
+    let mut net = NetSelfStab::new(field).expect("a grid is connected");
     println!(
         "backbone bootstrapped; proof labels ≤ {} bits per sensor\n",
         net.labeling().max_label_bits()
     );
+    let radio = FaultProfile {
+        drop: 0.05,
+        duplicate: 0.02,
+        max_delay: 2,
+        ..FaultProfile::default()
+    };
 
     let mut verify_msgs = 0u64;
     let mut rebuild_msgs = 0u64;
     let mut rebuilds = 0usize;
-    for cycle in 1..=12 {
+    for cycle in 1..=12u64 {
         // Roughly every third cycle, the environment interferes.
         let interference = cycle % 3 == 0;
         if interference {
@@ -47,23 +55,28 @@ fn main() {
                 println!("cycle {cycle:2}: interference! {f:?}");
             }
         }
-        match net.maintenance_cycle() {
-            StabilizationOutcome::Clean { verify_cost } => {
-                verify_msgs += verify_cost.msgs;
-                println!("cycle {cycle:2}: verified clean ({verify_cost})");
+        let mut link = LossyLink::new(radio, cycle);
+        match net
+            .cycle(&mut link, NetConfig::default())
+            .expect("a fair-lossy link converges")
+        {
+            NetStabOutcome::Clean { verify } => {
+                verify_msgs += verify.cost.msgs;
+                println!("cycle {cycle:2}: verified clean ({})", verify.cost);
             }
-            StabilizationOutcome::Recovered {
+            NetStabOutcome::Recovered {
                 detectors,
-                verify_cost,
+                verify,
                 recompute_cost,
             } => {
-                verify_msgs += verify_cost.msgs;
+                verify_msgs += verify.cost.msgs;
                 rebuild_msgs += recompute_cost.msgs;
                 rebuilds += 1;
                 println!(
-                    "cycle {cycle:2}: ALARM at {} sensor(s) {:?} → rebuilt backbone ({recompute_cost})",
+                    "cycle {cycle:2}: ALARM at {} sensor(s) {:?} after {} round(s) → rebuilt backbone ({recompute_cost})",
                     detectors.len(),
                     &detectors[..detectors.len().min(4)],
+                    verify.cost.rounds,
                 );
             }
         }

@@ -165,6 +165,11 @@ compute_flags=(--nodes 256 --extra 512 --seed 17 --drop 0.15 --dup 0.05 --delay 
     --log "$tmp/compute.log" > "$tmp/compute_4.txt"
 grep -q 'accepted by all 256 nodes' "$tmp/compute_1.txt" \
     || { echo "ci: construction run rejected"; exit 1; }
+# Causal rounds: GHS and the marker each add depth (> 0 rounds), and
+# verification adds its one round on top.
+grep -Eq '"ghs":\{[^}]*"rounds":[1-9][0-9]*\},"marker":\{[^}]*"rounds":[1-9][0-9]*\}' \
+    "$tmp/compute_1.txt" \
+    || { echo "ci: construction phases report no causal rounds"; exit 1; }
 diff "$tmp/compute_1.txt" "$tmp/compute_2.txt" \
     || { echo "ci: construction runs diverge between 1 and 2 workers"; exit 1; }
 diff "$tmp/compute_1.txt" <(sed '$d' "$tmp/compute_4.txt") \
@@ -251,5 +256,14 @@ diff "$tmp/adv_1.txt" "$tmp/adv_2.txt" \
     || { echo "ci: adversary runs diverge between 1 and 2 workers"; exit 1; }
 diff "$tmp/adv_1.txt" <(sed '$d' "$tmp/adv_4.txt") \
     || { echo "ci: adversary runs diverge between 1 and 4 workers"; exit 1; }
+
+echo "== distributed examples (construction, verification, self-stabilization) =="
+# Both examples assert what they print: the wire runs agree with the
+# offline verifier, delays move no count, logs replay, and every
+# maintenance cycle leaves the backbone an MST.
+cargo run -q --offline --example distributed_protocols >/dev/null \
+    || { echo "ci: distributed_protocols example failed"; exit 1; }
+cargo run -q --offline --example self_stabilizing_network >/dev/null \
+    || { echo "ci: self_stabilizing_network example failed"; exit 1; }
 
 echo "ci: all checks passed"

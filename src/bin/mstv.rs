@@ -110,8 +110,10 @@ const USAGE: &str = "usage:
         churn:rate=P,away=R,cap=K         join/leave churn
       joined by ';' plus a mandatory seed=S, e.g.
       --adversary 'forge:class=root,k=2;reorder:window=8;seed=7'.
-      Prints the verdict and the MessageCost JSON; --log saves a
-      replayable event log (the spec rides a header, so replays
+      --max-rounds bounds the retransmission boundaries (default 10000)
+      before the run gives up. Prints the verdict and the MessageCost
+      JSON, whose rounds are causal depth (1 on a perfect link); --log
+      saves a replayable event log (the spec rides a header, so replays
       reconstruct forged labelings exactly)
   mstv net --compute --nodes N [--extra M] [--max-weight W] [--seed S]
            [--drop P] [--dup P] [--delay D] [--crash P] [--max-crashes K]
@@ -120,10 +122,12 @@ const USAGE: &str = "usage:
       fragments merge into the tree, a distributed marker labels it,
       and every node verifies what was built — no centralized step.
       Prints the verdict, the MessageCost JSON, and the per-phase
-      (ghs/marker/verify) split; --log saves a replayable event log
+      (ghs/marker/verify) split, each phase charged the causal rounds
+      it adds; --log saves a replayable event log
   mstv net --replay <log-file>
       re-run a saved event log deterministically on one thread and
-      cross-check verdict and counts against the recorded run
+      cross-check verdict and counts against the recorded run; logs of
+      another format version (mstv-net-log v1) are refused
       (verification and construction logs alike; construction logs
       also rebuild the tree and labels)
   mstv snapshot write <graph-file> <out.snap> [--codec gamma|fixed] [--threads N]

@@ -13,9 +13,10 @@
 //! * [`mst`] — MST construction and sequential verification,
 //! * [`labels`] — bit-exact implicit labeling schemes (`MAX`, `FLOW`),
 //! * [`core`] — the proof labeling schemes (`π_mst`, `π_Γ`, baselines),
-//! * [`distsim`] — a synchronous message-passing network simulator,
-//! * [`net`] — a concurrent runtime with lossy links, crash-restarts,
-//!   and deterministic event-log replay,
+//! * [`net`] — the distributed stack: a concurrent runtime that builds
+//!   (GHS + distributed marker) and verifies MSTs over lossy links with
+//!   crash-restarts, counts causal rounds, and replays event logs
+//!   deterministically,
 //! * [`sensitivity`] — Tarjan's tree-sensitivity problem,
 //! * [`hypertree`] — the `(h, µ)`-hypertree lower-bound construction,
 //! * [`store`] — persistent label snapshots (CRC-checked binary
@@ -116,7 +117,6 @@
 //! behind the classic `label` / `encoded`.
 
 pub use mstv_core as core;
-pub use mstv_distsim as distsim;
 pub use mstv_dyn as dynmark;
 pub use mstv_graph as graph;
 pub use mstv_hypertree as hypertree;

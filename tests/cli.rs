@@ -239,6 +239,24 @@ fn net_runs_lossy_verification_and_replays_its_log() {
 }
 
 #[test]
+fn net_replay_refuses_a_log_of_another_version() {
+    let dir = test_dir("net_replay_refuses_a_log_of_another_version");
+    let path = dir.join("v1.log");
+    std::fs::write(&path, "mstv-net-log v1\nh nodes 4\ns 0\nd 1 0 l 9 ff80\n").unwrap();
+    let out = mstv()
+        .args(["net", "--replay", &path.to_string_lossy()])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "a v1 log must be refused");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("v1"),
+        "the error must name the version: {stderr}"
+    );
+}
+
+#[test]
 fn net_detects_injected_faults_on_the_wire() {
     let dir = test_dir("net_detects_injected_faults_on_the_wire");
     for fault in ["weight", "pointer", "label"] {

@@ -4,10 +4,13 @@
 use mst_verification::core::{
     faults, mst_configuration, BoruvkaScheme, MstScheme, ProofLabelingScheme,
 };
-use mst_verification::distsim::{distributed_boruvka, verification_round, SelfStabilizingMst};
 use mst_verification::graph::{gen, NodeId, Weight};
 use mst_verification::hypertree::Hypertree;
 use mst_verification::mst::{is_mst, kruskal, mst_weight, prim};
+use mst_verification::net::{
+    run_compute, run_verification, Engine, MstWireScheme, NetConfig, NetSelfStab, NetStabOutcome,
+    PerfectLink,
+};
 use mst_verification::sensitivity::{sensitivity, SensitivityLabels};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,19 +23,42 @@ fn full_lifecycle_random_networks() {
         // Three MST algorithms agree on weight.
         let k = kruskal(&g);
         assert_eq!(mst_weight(&g, &k), mst_weight(&g, &prim(&g)));
-        let dist_run = distributed_boruvka(&g);
-        assert_eq!(mst_weight(&g, &k), mst_weight(&g, &dist_run.edges));
+        // The network builds the same tree on the wire, and labels it.
+        let built = run_compute(
+            &g,
+            &mut PerfectLink,
+            NetConfig::default(),
+            Engine::default(),
+        )
+        .expect("a perfect link converges");
+        assert_eq!(mst_weight(&g, &k), mst_weight(&g, &built.mst_edges));
+        assert!(built.net.verdict.accepted());
+        assert!(built.net.phases.ghs.rounds > 0 && built.net.phases.marker.rounds > 0);
         // Label + verify through the one-round protocol.
         let cfg = mst_configuration(g);
         let scheme = MstScheme::new();
         let labeling = scheme.marker(&cfg).unwrap();
-        let (verdict, stats) = verification_round(&scheme, &cfg, &labeling);
-        assert!(verdict.accepted());
-        assert_eq!(stats.rounds, 1);
+        for v in cfg.graph().nodes() {
+            assert_eq!(built.labeling.encoded(v), labeling.encoded(v), "n={n} {v}");
+        }
+        let wire = MstWireScheme::for_config(&cfg);
+        let run = run_verification(
+            &wire,
+            &cfg,
+            &labeling,
+            &mut PerfectLink,
+            NetConfig::default(),
+        )
+        .expect("a perfect link converges");
+        assert!(run.verdict.accepted());
+        assert_eq!(run.cost.rounds, 1);
         // Fault → detect → recover.
-        let mut net = SelfStabilizingMst::new(cfg.graph().clone());
+        let mut net = NetSelfStab::new(cfg.graph().clone()).expect("connected");
         if faults::break_minimality(net.config_mut(), &mut rng).is_some() {
-            assert!(net.maintenance_cycle().fault_detected());
+            let cycle = net
+                .cycle(&mut PerfectLink, NetConfig::default())
+                .expect("a perfect link converges");
+            assert!(cycle.fault_detected());
             assert!(net.invariant_holds());
         }
     }
@@ -99,11 +125,31 @@ fn hypertrees_flow_through_the_whole_stack() {
     // Sequential verification agrees the induced tree is an MST.
     let edges = cfg.induced_edges();
     assert!(is_mst(cfg.graph(), &edges));
-    // π_mst labels it; one-round protocol accepts.
-    let scheme = MstScheme::new();
-    let labeling = scheme.marker(&cfg).unwrap();
-    let (verdict, _) = verification_round(&scheme, &cfg, &labeling);
-    assert!(verdict.accepted());
+    // π_mst labels it; a maintenance cycle accepts it on the wire in
+    // one round.
+    let labeling = MstScheme::new().marker(&cfg).unwrap();
+    let mut net = NetSelfStab::from_parts(cfg.clone(), labeling);
+    match net
+        .cycle(&mut PerfectLink, NetConfig::default())
+        .expect("a perfect link converges")
+    {
+        NetStabOutcome::Clean { verify } => assert_eq!(verify.cost.rounds, 1),
+        NetStabOutcome::Recovered { .. } => panic!("a legal hypertree verifies clean"),
+    }
+    // The network builds a tree of the same weight on its own (ties
+    // may pick other edges).
+    let built = run_compute(
+        cfg.graph(),
+        &mut PerfectLink,
+        NetConfig::default(),
+        Engine::default(),
+    )
+    .expect("a perfect link converges");
+    assert!(built.net.verdict.accepted());
+    assert_eq!(
+        mst_weight(cfg.graph(), &built.mst_edges),
+        mst_weight(cfg.graph(), &edges)
+    );
     // Sensitivity labels answer middle-edge queries with the class gap.
     let labels = SensitivityLabels::new(cfg.graph(), &edges);
     for p in &ht.paths {

@@ -1,15 +1,17 @@
 //! Integration tests for the extension features: dynamic repair, the
-//! distance/SPT schemes, and asynchronous verification — exercised
-//! together across crates.
+//! distance/SPT schemes, and verification under asynchronous delivery —
+//! exercised together across crates.
 
 use mst_verification::core::{
     mst_configuration, spt_configuration, MstScheme, PiDistScheme, PiDistState,
     ProofLabelingScheme, SptScheme,
 };
-use mst_verification::distsim::{async_verification, SelfStabilizingMst};
 use mst_verification::graph::{gen, tree_states, ConfigGraph, EdgeId, NodeId, Weight};
 use mst_verification::labels::{decode_dist, dist_labels, ImplicitDistScheme};
 use mst_verification::mst::{is_mst, kruskal, repair_after_weight_change, Repair};
+use mst_verification::net::{
+    run_verification, FaultProfile, LossyLink, MstWireScheme, NetConfig, PerfectLink,
+};
 use mst_verification::trees::{centroid_decomposition, RootedTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,30 +23,36 @@ fn repair_then_relabel_then_verify() {
     let mut rng = StdRng::seed_from_u64(1);
     for seed in 0..8 {
         let g = gen::random_connected(30, 60, gen::WeightDist::Uniform { max: 100 }, &mut rng);
-        let mut net = SelfStabilizingMst::new(g);
-        let before = net.config().induced_edges();
+        let mut cfg = mst_configuration(g);
+        let before = cfg.induced_edges();
         // Drop a non-tree edge's weight below its path max.
-        let mut cfg2 = net.config().clone();
-        let Some(fault) = mst_verification::core::faults::break_minimality(&mut cfg2, &mut rng)
+        let Some(fault) = mst_verification::core::faults::break_minimality(&mut cfg, &mut rng)
         else {
             continue;
         };
-        *net.config_mut() = cfg2;
         let edge = match fault {
             mst_verification::core::faults::Fault::WeightChange { edge, .. } => edge,
             other => panic!("unexpected {other:?}"),
         };
-        assert!(net.repair_with_hint(edge), "seed={seed}");
-        let after = net.config().induced_edges();
+        let mut edges = before.clone();
+        let repair = repair_after_weight_change(cfg.graph(), &mut edges, edge);
+        assert!(matches!(repair, Repair::Swapped { .. }), "seed={seed}");
+        let states = tree_states(cfg.graph(), &edges, NodeId(0)).unwrap();
+        let cfg = ConfigGraph::new(cfg.graph().clone(), states).unwrap();
+        let after = cfg.induced_edges();
         assert_ne!(before, after, "a swap changes the tree");
-        assert!(net.invariant_holds());
+        assert!(is_mst(cfg.graph(), &after));
         let scheme = MstScheme::new();
-        assert!(scheme.verify_all(net.config(), net.labeling()).accepted());
+        let labeling = scheme.marker(&cfg).unwrap();
+        assert!(scheme.verify_all(&cfg, &labeling).accepted());
     }
 }
 
 #[test]
 fn async_and_sync_verification_agree_under_faults() {
+    // The same faulty instance on a perfect link and on one that holds
+    // every frame back for up to 37 scheduler steps: same verdict as the
+    // offline verifier, same messages, same causal depth.
     let mut rng = StdRng::seed_from_u64(2);
     for seed in 0..6 {
         let g = gen::random_connected(
@@ -56,10 +64,23 @@ fn async_and_sync_verification_agree_under_faults() {
         let mut cfg = mst_configuration(g);
         let scheme = MstScheme::new();
         let labeling = scheme.marker(&cfg).unwrap();
+        let wire = MstWireScheme::for_config(&cfg);
         let _ = mst_verification::core::faults::break_minimality(&mut cfg, &mut rng);
-        let sync = scheme.verify_all(&cfg, &labeling);
-        let asynchronous = async_verification(&scheme, &cfg, &labeling, 37, &mut rng);
-        assert_eq!(sync, asynchronous.verdict, "seed={seed}");
+        let net = NetConfig::default();
+        let sync = run_verification(&wire, &cfg, &labeling, &mut PerfectLink, net).unwrap();
+        let profile = FaultProfile {
+            max_delay: 37,
+            ..FaultProfile::default()
+        };
+        let mut delaying = LossyLink::new(profile, seed);
+        let asynchronous = run_verification(&wire, &cfg, &labeling, &mut delaying, net).unwrap();
+        assert_eq!(sync.verdict, asynchronous.verdict, "seed={seed}");
+        assert_eq!(
+            sync.verdict,
+            scheme.verify_all(&cfg, &labeling),
+            "seed={seed}"
+        );
+        assert_eq!(sync.cost, asynchronous.cost, "seed={seed}");
     }
 }
 

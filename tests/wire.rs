@@ -2,8 +2,9 @@
 //! the centralized marker's labels bit for bit, a labeling forged at one
 //! node is rejected on the wire for every forgery class, the schedule a
 //! run records is the same on one worker as on four and replays to the
-//! same verdict and cost, and a one-worker run steps every machine on
-//! the calling thread.
+//! same verdict and cost, a one-worker run steps every machine on the
+//! calling thread, and every run is counted in causal rounds that the
+//! log carries and replay recomputes.
 
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
@@ -17,7 +18,8 @@ use mst_verification::graph::{gen, Graph, NodeId, TreeState};
 use mst_verification::labels::BitString;
 use mst_verification::net::{
     forge_labeling, replay, replay_compute, run_compute, run_verification, run_verification_with,
-    Engine, EventLog, FaultProfile, ForgeClass, LossyLink, MstWireScheme, NetConfig, WireScheme,
+    Engine, EventLog, FaultProfile, ForgeClass, LossyLink, MstWireScheme, NetConfig, NetError,
+    PerfectLink, WireScheme,
 };
 use mst_verification::trees::ParallelConfig;
 use rand::rngs::StdRng;
@@ -212,4 +214,52 @@ fn one_worker_steps_every_machine_on_the_calling_thread() {
         one.log.to_string(),
         "the router racing one helper recorded a different schedule"
     );
+}
+
+#[test]
+fn the_wire_counts_causal_rounds() {
+    for (n, extra, seed) in [(2usize, 0usize, 21u64), (17, 20, 22), (64, 120, 23)] {
+        let g = graph(n, extra, seed);
+        let run = run_compute(&g, &mut PerfectLink, NetConfig::default(), pool(1))
+            .unwrap_or_else(|e| panic!("n={n}: {e}"));
+        let p = run.net.phases;
+        assert!(p.ghs.rounds > 0, "n={n}: GHS took no round: {p:?}");
+        assert!(
+            p.marker.rounds > 0,
+            "n={n}: the marker took no round: {p:?}"
+        );
+        assert_eq!(p.verify.rounds, 1, "n={n}: {p:?}");
+        assert_eq!(
+            p.ghs.rounds + p.marker.rounds + p.verify.rounds,
+            run.net.cost.rounds,
+            "n={n}: the phases must sum to the total"
+        );
+        // The log carries the clock: replay recomputes it from the text.
+        let log = EventLog::parse(&run.net.log.to_string()).expect("the log parses");
+        let again = replay_compute(&g, &log).expect("the log replays");
+        assert_eq!(again.net.cost, run.net.cost, "n={n}");
+        assert_eq!(again.net.phases, run.net.phases, "n={n}");
+        // Verifying what was built is one round on a perfect link.
+        let cfg = mst_configuration(g);
+        let wire = MstWireScheme::for_config(&cfg);
+        let verify = run_verification(
+            &wire,
+            &cfg,
+            &run.labeling,
+            &mut PerfectLink,
+            NetConfig::default(),
+        )
+        .expect("a perfect link converges");
+        assert!(verify.verdict.accepted());
+        assert_eq!(verify.cost.rounds, 1, "n={n}");
+    }
+    // A log written before the clock counted depth is refused by name.
+    let err = EventLog::parse("mstv-net-log v1\ns 0\n").expect_err("v1 is refused");
+    assert_eq!(
+        err,
+        NetError::LogVersion {
+            found: "v1".to_string()
+        }
+    );
+    assert!(err.to_string().contains("v1"), "{err}");
 }
