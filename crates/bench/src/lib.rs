@@ -1,9 +1,11 @@
 //! Shared harness utilities for the experiment binaries.
 //!
 //! Each binary in `src/bin/` regenerates one experiment of
-//! `EXPERIMENTS.md` (E1–E9), printing the measured rows next to the
-//! paper's claim so the reproduction is auditable at a glance. Run them
-//! with `cargo run --release -p mstv-bench --bin <exp_name>`.
+//! `EXPERIMENTS.md` or the README (E1–E12, E17, E20), printing the
+//! measured rows next to the paper's claim so the reproduction is
+//! auditable at a glance. Run them with
+//! `cargo run --release -p mstv-bench --bin <exp_name>`. Wall-clock
+//! timing of the pipeline is `perfbench/`'s job; these binaries count.
 
 use mstv_graph::{gen, ConfigGraph, Graph, TreeState};
 use rand::rngs::StdRng;

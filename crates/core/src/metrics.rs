@@ -196,7 +196,7 @@ impl Histogram {
 /// value (≤ 12.5% relative error) — fine enough for honest p50/p99/p999
 /// quantiles without storing raw samples. The struct is a plain `Copy`
 /// array (no atomics, no allocation), matching the rest of this module:
-/// each recorder fills a private block, and blocks merge.
+/// each recorder fills a private block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; Self::BUCKETS],
@@ -324,24 +324,6 @@ impl LatencyHistogram {
     /// 99.9th-percentile latency.
     pub fn p999(&self) -> u64 {
         self.percentile(0.999)
-    }
-
-    /// Adds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -717,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_percentiles_and_merge() {
+    fn latency_histogram_percentiles() {
         let mut h = LatencyHistogram::new();
         for v in 1..=1000u64 {
             h.record(v);
@@ -734,18 +716,6 @@ mod tests {
         assert!(p999 >= p99 && p999 <= 1000, "p999 = {p999}");
         assert!(h.percentile(1.0) <= 1000);
 
-        let mut lo = LatencyHistogram::new();
-        lo.record(10);
-        let mut hi = LatencyHistogram::new();
-        hi.record(1_000_000);
-        lo.merge(&hi);
-        assert_eq!(lo.count(), 2);
-        assert_eq!(lo.min(), 10);
-        assert_eq!(lo.max(), 1_000_000);
-        // Merging into an empty block copies the other side verbatim.
-        let mut empty = LatencyHistogram::new();
-        empty.merge(&lo);
-        assert_eq!(empty, lo);
         // Empty percentile is 0, not a panic.
         assert_eq!(LatencyHistogram::new().p999(), 0);
     }

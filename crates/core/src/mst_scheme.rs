@@ -271,7 +271,8 @@ pub fn decode_mst_label(
 ///
 /// # Panics
 ///
-/// Panics if the graph is not connected.
+/// Panics if the graph is not connected or has no node (no node hangs
+/// no tree, although [`mstv_graph::Graph::is_connected`] holds for it).
 pub fn mst_configuration(graph: mstv_graph::Graph) -> ConfigGraph<TreeState> {
     let mst = mstv_mst::kruskal(&graph);
     let root = NodeId(0);
@@ -360,10 +361,19 @@ mod tests {
     #[test]
     fn marker_parallel_is_byte_identical_to_sequential() {
         use std::num::NonZeroUsize;
-        for seed in 0..3u64 {
+        // Three graphs below the decomposition's sequential cutoff, and
+        // one past it, so that the workers split centroid components.
+        let big = 3 * mstv_trees::SEQ_CUTOFF;
+        let inputs = [
+            (90, 200, 0u64),
+            (90, 200, 1),
+            (90, 200, 2),
+            (big, 2 * big, 3),
+        ];
+        for (n, extra, seed) in inputs {
             let g = gen::random_connected(
-                90,
-                200,
+                n,
+                extra,
                 gen::WeightDist::Uniform { max: 500 },
                 &mut StdRng::seed_from_u64(seed),
             );

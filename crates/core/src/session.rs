@@ -276,28 +276,6 @@ where
         self.finish_mutation(self.label_frontier(node))
     }
 
-    /// Overwrites the labels of several nodes at once and re-verifies the
-    /// **union** of their frontiers exactly once — the batch form of
-    /// [`VerifySession::corrupt_label`] for relabeling sweeps, where an
-    /// incremental marker hands over every label a tree repair moved and
-    /// per-node calls would re-verify overlapping frontiers repeatedly.
-    /// Counts as a single mutation in the metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any node is out of range.
-    pub fn relabel_batch(
-        &mut self,
-        updates: impl IntoIterator<Item = (NodeId, P::Label)>,
-    ) -> Verdict {
-        let mut frontier = BTreeSet::new();
-        for (node, label) in updates {
-            *self.labeling.label_mut(node) = label;
-            frontier.extend(self.label_frontier(node));
-        }
-        self.finish_mutation(frontier)
-    }
-
     /// Restores the marker's original label at `node` and re-verifies the
     /// node plus its neighbors.
     ///
@@ -432,39 +410,6 @@ mod tests {
         assert_eq!(s.metrics().mutations_applied, 2);
         assert_eq!(s.metrics().incremental_runs, 2);
         assert!(s.metrics().nodes_skipped > 0);
-    }
-
-    #[test]
-    fn relabel_batch_verifies_union_frontier_once() {
-        // Swapping two labels via the batch call must agree with the
-        // scratch verdict, count as one mutation, and verify the union
-        // of the two frontiers at most once per node.
-        let mut s = session_for(8, 25);
-        let (a, b) = (NodeId(3), NodeId(17));
-        let (la, lb) = (s.labeling().label(a).clone(), s.labeling().label(b).clone());
-        let before = s.metrics().nodes_verified;
-        let v = s.relabel_batch([(a, lb.clone()), (b, la.clone())]);
-        let scheme = MstScheme::new();
-        assert_eq!(v, scheme.verify_all(s.config(), s.labeling()));
-        assert_eq!(s.metrics().mutations_applied, 1);
-        let union: BTreeSet<NodeId> = [a, b]
-            .into_iter()
-            .flat_map(|v| {
-                let mut f: BTreeSet<NodeId> =
-                    s.config().graph().neighbors(v).map(|nb| nb.node).collect();
-                f.insert(v);
-                f
-            })
-            .collect();
-        assert_eq!(s.metrics().nodes_verified - before, union.len() as u64);
-        // Undoing through the same batch path restores acceptance.
-        assert!(s.relabel_batch([(a, la), (b, lb)]).accepted());
-        // A batch on one node degenerates to corrupt_label's behaviour.
-        let forged = s.labeling().label(b).clone();
-        let batch = s.relabel_batch([(a, forged.clone())]);
-        let mut t = session_for(8, 25);
-        let single = t.corrupt_label(a, forged);
-        assert_eq!(batch, single);
     }
 
     #[test]

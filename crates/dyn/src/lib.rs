@@ -218,16 +218,6 @@ impl DynMarker {
         &self.tree
     }
 
-    /// The maintained centroid decomposition.
-    pub fn decomposition(&self) -> &SeparatorDecomposition {
-        &self.sep
-    }
-
-    /// The structured `MAX` label of `v` (what `π_mst` carries as `γ`).
-    pub fn max_label(&self, v: NodeId) -> &MaxLabel {
-        &self.max_s[v.index()]
-    }
-
     /// Mutations applied so far (the next record's `seq`, minus one).
     pub fn seq(&self) -> u64 {
         self.seq

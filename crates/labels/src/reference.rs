@@ -2,16 +2,12 @@
 //!
 //! This is the bit-loop encoder/decoder that [`crate::bits`] replaced
 //! with word-batched internals. It is kept verbatim (modulo the struct
-//! names and the removal of two decoder bugs noted below) for two jobs:
-//!
-//! 1. **Differential testing.** `tests/bitstring_differential.rs` runs
-//!    random operation sequences through both implementations and
-//!    asserts equal bits, bytes, and reader output. A behavioural
-//!    change in the batched code cannot hide: the reference is the
-//!    executable spec of the stream layout.
-//! 2. **Honest baselines.** E19 (`exp_label_hotpath`) measures the
-//!    batched zero-copy serving path against this code, which is what
-//!    the hot path actually executed before — not a strawman.
+//! names and the removal of two decoder bugs noted below) for
+//! differential testing: `tests/bitstring_differential.rs` runs random
+//! operation sequences through both implementations and asserts equal
+//! bits, bytes, and reader output. A behavioural change in the batched
+//! code cannot hide: the reference is the executable spec of the stream
+//! layout.
 //!
 //! Two places intentionally *differ* from the batched implementation,
 //! both in the fallible decoders' handling of corrupt input (the
@@ -24,7 +20,7 @@
 //! tests in `crate::bits`.
 //!
 //! Not deprecated, but not for production paths either — everything
-//! outside tests and benches should use [`crate::BitString`].
+//! outside tests should use [`crate::BitString`].
 
 /// The pre-batching `BitString`: a `Vec<u64>` word buffer written and
 /// read one bit per call. Bit `i` of the stream is bit `i % 64` of word

@@ -8,10 +8,10 @@
 //! > a spanning tree `T` of `G` is an MST iff for every edge
 //! > `e = (u, v)` of `G`, `ω(e) ≥ MAX(u, v)` computed on `T`.
 //!
-//! Three verifiers of increasing sophistication are provided (naive
-//! path-walking, binary lifting, and Kruskal-reconstruction-tree with O(1)
-//! queries); the distributed schemes in `mstv-core` are tested against
-//! them.
+//! Two verifiers are provided: one answers each non-tree edge's
+//! path-maximum query in O(1) from the Kruskal reconstruction tree, the
+//! other sorts the edges once and sweeps a union-find; the distributed
+//! schemes in `mstv-core` are tested against them.
 //!
 //! ```
 //! use mstv_graph::gen;
@@ -39,6 +39,5 @@ pub use perturb::{tree_favored_key, EdgeKey};
 pub use second_best::second_best_mst_weight;
 pub use unionfind::UnionFind;
 pub use verify::{
-    check_mst, check_mst_lifting, check_mst_naive, check_mst_offline, is_max_spanning_tree, is_mst,
-    maximum_spanning_tree, MstVerdict,
+    check_mst, check_mst_offline, is_max_spanning_tree, is_mst, maximum_spanning_tree, MstVerdict,
 };

@@ -36,30 +36,6 @@ fn spanning_tree(graph: &Graph, tree_edges: &[EdgeId]) -> Option<(Vec<bool>, Roo
     Some((in_tree, tree))
 }
 
-fn check_with(
-    graph: &Graph,
-    tree_edges: &[EdgeId],
-    max_oracle: impl Fn(&RootedTree, NodeId, NodeId) -> Weight,
-) -> MstVerdict {
-    let Some((in_tree, tree)) = spanning_tree(graph, tree_edges) else {
-        return MstVerdict::NotSpanningTree;
-    };
-    for (e, edge) in graph.edges() {
-        if in_tree[e.index()] {
-            continue;
-        }
-        let m = max_oracle(&tree, edge.u, edge.v);
-        if edge.w < m {
-            return MstVerdict::CycleViolation {
-                non_tree_edge: e,
-                weight: edge.w,
-                max_on_path: m,
-            };
-        }
-    }
-    MstVerdict::Mst
-}
-
 /// Verifies a candidate MST using O(1)-per-query path maxima from the
 /// Kruskal reconstruction tree (the fastest sequential verifier here;
 /// `O((n + m) log n)` total, the `log` only in preprocessing sorts).
@@ -113,36 +89,6 @@ pub fn check_mst_offline(graph: &Graph, tree_edges: &[EdgeId]) -> MstVerdict {
             // Some tree-path edge outweighs this non-tree edge; fall back
             // to the exact oracle for the canonical witness.
             return check_mst(graph, tree_edges);
-        }
-    }
-    MstVerdict::Mst
-}
-
-/// Verifies a candidate MST by walking tree paths per non-tree edge
-/// (O(n·m) worst case) — the baseline the faster verifiers are benchmarked
-/// against.
-pub fn check_mst_naive(graph: &Graph, tree_edges: &[EdgeId]) -> MstVerdict {
-    check_with(graph, tree_edges, |t, u, v| t.max_on_path_naive(u, v))
-}
-
-/// Verifies a candidate MST with binary-lifting path maxima
-/// (O((n + m) log n)).
-pub fn check_mst_lifting(graph: &Graph, tree_edges: &[EdgeId]) -> MstVerdict {
-    let Some((in_tree, tree)) = spanning_tree(graph, tree_edges) else {
-        return MstVerdict::NotSpanningTree;
-    };
-    let idx = PathMaxIndex::new(&tree);
-    for (e, edge) in graph.edges() {
-        if in_tree[e.index()] {
-            continue;
-        }
-        let m = idx.max_on_path(edge.u, edge.v);
-        if edge.w < m {
-            return MstVerdict::CycleViolation {
-                non_tree_edge: e,
-                weight: edge.w,
-                max_on_path: m,
-            };
         }
     }
     MstVerdict::Mst
@@ -205,8 +151,6 @@ mod tests {
             let g = gen::random_connected(n, 2 * n, gen::WeightDist::Uniform { max: 30 }, &mut rng);
             let t = kruskal(&g);
             assert_eq!(check_mst(&g, &t), MstVerdict::Mst);
-            assert_eq!(check_mst_naive(&g, &t), MstVerdict::Mst);
-            assert_eq!(check_mst_lifting(&g, &t), MstVerdict::Mst);
             assert_eq!(check_mst_offline(&g, &t), MstVerdict::Mst);
             assert!(is_mst(&g, &t));
         }
@@ -219,8 +163,6 @@ mod tests {
         let mut t = kruskal(&g);
         t.pop();
         assert_eq!(check_mst(&g, &t), MstVerdict::NotSpanningTree);
-        assert_eq!(check_mst_naive(&g, &t), MstVerdict::NotSpanningTree);
-        assert_eq!(check_mst_lifting(&g, &t), MstVerdict::NotSpanningTree);
         assert_eq!(check_mst_offline(&g, &t), MstVerdict::NotSpanningTree);
     }
 
@@ -233,12 +175,7 @@ mod tests {
         let e2 = g.add_edge(NodeId(2), NodeId(0), Weight(3)).unwrap();
         let e3 = g.add_edge(NodeId(2), NodeId(3), Weight(4)).unwrap();
         type Check = fn(&Graph, &[EdgeId]) -> MstVerdict;
-        let checks: [Check; 4] = [
-            check_mst,
-            check_mst_naive,
-            check_mst_lifting,
-            check_mst_offline,
-        ];
+        let checks: [Check; 2] = [check_mst, check_mst_offline];
         for edges in [[e0, e1, e0], [e0, e1, EdgeId(4)], [e0, e1, e2]] {
             for check in checks {
                 assert_eq!(check(&g, &edges), MstVerdict::NotSpanningTree, "{edges:?}");
@@ -250,7 +187,7 @@ mod tests {
             assert_eq!(check(&Graph::new(1), &[]), MstVerdict::Mst);
         }
         // No node: the empty set passes the membership check but hangs
-        // no tree, so all four checks say it does not span.
+        // no tree, so both checks say it does not span.
         for check in checks {
             assert_eq!(check(&Graph::new(0), &[]), MstVerdict::NotSpanningTree);
         }
@@ -276,14 +213,6 @@ mod tests {
             }
             other => panic!("expected cycle violation, got {other:?}"),
         }
-        assert!(matches!(
-            check_mst_naive(&g, &bad),
-            MstVerdict::CycleViolation { .. }
-        ));
-        assert!(matches!(
-            check_mst_lifting(&g, &bad),
-            MstVerdict::CycleViolation { .. }
-        ));
         // The offline check falls back to the exact oracle on rejection,
         // so its witness is the canonical one.
         assert_eq!(check_mst_offline(&g, &bad), check_mst(&g, &bad));

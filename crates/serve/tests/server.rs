@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use mstv_graph::{gen, NodeId, Weight};
-use mstv_labels::SepFieldCodec;
+use mstv_labels::{SepFieldCodec, FLOW_INFINITY};
 use mstv_serve::{Client, ServeConfig, ServeError, ServerHandle};
 use mstv_store::proto::{
     header_payload_len, ErrorCode, Frame, Request, Response, FRAME_HEADER_LEN, PROTO_MAGIC,
@@ -38,6 +38,39 @@ impl Oracle {
     fn dist(&self, u: NodeId, v: NodeId) -> u64 {
         let x = self.idx.lca(u, v);
         self.wdepth[u.index()] + self.wdepth[v.index()] - 2 * self.wdepth[x.index()]
+    }
+
+    fn flow(&self, u: NodeId, v: NodeId) -> Weight {
+        if u == v {
+            FLOW_INFINITY
+        } else {
+            self.idx.min_on_path(u, v)
+        }
+    }
+
+    /// Asserts that `resp` answers every query of `batch`, in order,
+    /// with the oracle's value.
+    fn check(&self, batch: &[Query], resp: &Response) {
+        assert_eq!(resp.results.len(), batch.len());
+        for (q, r) in batch.iter().zip(&resp.results) {
+            let a = r.as_ref().expect("in-range queries succeed over the wire");
+            match (*q, *a) {
+                (Query::Max { u, v }, Answer::Max(w)) => assert_eq!(w, self.max(u, v)),
+                (Query::Dist { u, v }, Answer::Dist(d)) => assert_eq!(d, self.dist(u, v)),
+                (Query::Flow { u, v }, Answer::Flow(w)) => assert_eq!(w, self.flow(u, v)),
+                (
+                    Query::VerifyEdge { u, v, w },
+                    Answer::VerifyEdge {
+                        accept,
+                        max_on_path,
+                    },
+                ) => {
+                    assert_eq!(max_on_path, self.max(u, v));
+                    assert_eq!(accept, w >= max_on_path);
+                }
+                other => panic!("answer kind mismatch: {other:?}"),
+            }
+        }
     }
 }
 
@@ -89,25 +122,20 @@ fn roundtrip_matches_in_process_oracle() {
     let batch = mixed_batch(200, 50);
     let resp = client.request(batch.clone()).unwrap();
     assert_eq!(resp.server_epoch, 1);
-    assert_eq!(resp.results.len(), batch.len());
-    for (q, r) in batch.iter().zip(&resp.results) {
-        let a = r.as_ref().expect("in-range queries succeed over the wire");
-        match (*q, *a) {
-            (Query::Max { u, v }, Answer::Max(w)) => assert_eq!(w, oracle.max(u, v)),
-            (Query::Dist { u, v }, Answer::Dist(d)) => assert_eq!(d, oracle.dist(u, v)),
-            (Query::Flow { .. }, Answer::Flow(_)) => {}
-            (
-                Query::VerifyEdge { u, v, w },
-                Answer::VerifyEdge {
-                    accept,
-                    max_on_path,
-                },
-            ) => {
-                assert_eq!(max_on_path, oracle.max(u, v));
-                assert_eq!(accept, w >= max_on_path);
-            }
-            other => panic!("answer kind mismatch: {other:?}"),
-        }
+    oracle.check(&batch, &resp);
+
+    // Pipelined on the same connection: a window of batches in flight
+    // comes back in send order, each under its own id. The batches
+    // differ in length, so a response matched to the wrong one fails.
+    let window: Vec<Vec<Query>> = (0..6).map(|k| mixed_batch(200, 10 + k)).collect();
+    let ids: Vec<u64> = window
+        .iter()
+        .map(|batch| client.send(batch.clone()).unwrap())
+        .collect();
+    for (&id, batch) in ids.iter().zip(&window) {
+        let resp = client.recv().unwrap();
+        assert_eq!(resp.id, id, "responses came back out of send order");
+        oracle.check(batch, &resp);
     }
 
     // Errors arrive as the same typed codes the in-process API reports.
@@ -126,9 +154,9 @@ fn roundtrip_matches_in_process_oracle() {
     );
 
     let m = server.metrics();
-    assert_eq!(m.batches, 2);
+    assert_eq!(m.batches, 2 + window.len() as u64);
     assert_eq!(m.errors, 1);
-    assert_eq!(m.latency.count(), 2);
+    assert_eq!(m.latency.count(), 2 + window.len() as u64);
     server.shutdown();
 }
 

@@ -11,8 +11,7 @@
 //!   tree path between `u` and `v`, is the quantity the cycle property
 //!   checks. This crate provides three oracles for it — naive walking,
 //!   binary lifting, and the Kruskal reconstruction tree with O(1) queries —
-//!   used as ground truth by the labeling schemes and as baselines by the
-//!   benchmarks.
+//!   used as ground truth by the labeling schemes and their tests.
 //!
 //! ```
 //! use mstv_graph::{gen, NodeId};
@@ -26,7 +25,6 @@
 //! assert_eq!(kt.max_on_path(NodeId(3), NodeId(3)), mstv_graph::Weight::ZERO);
 //! ```
 
-mod hld;
 mod kruskal_tree;
 mod lca;
 mod parallel;
@@ -35,7 +33,6 @@ mod rmq;
 mod rooted;
 mod separator;
 
-pub use hld::HeavyLightIndex;
 pub use kruskal_tree::KruskalTree;
 pub use lca::LcaIndex;
 pub use parallel::{par_map_chunks, KeyedQueue, ParallelConfig};

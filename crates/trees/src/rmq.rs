@@ -69,15 +69,6 @@ impl<T: Ord + Clone> SparseTableRmq<T> {
             b as usize
         }
     }
-
-    /// The minimum value in the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or `hi >= len()`.
-    pub fn min(&self, lo: usize, hi: usize) -> &T {
-        &self.values[self.argmin(lo, hi)]
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +81,7 @@ mod tests {
         assert_eq!(t.argmin(0, 5), 5);
         assert_eq!(t.argmin(0, 4), 1); // leftmost tie
         assert_eq!(t.argmin(2, 3), 3);
-        assert_eq!(*t.min(0, 2), 2);
+        assert_eq!(t.argmin(0, 2), 1);
         assert_eq!(t.argmin(4, 4), 4);
         assert_eq!(t.len(), 6);
         assert!(!t.is_empty());
@@ -103,7 +94,7 @@ mod tests {
         for lo in 0..vals.len() {
             for hi in lo..vals.len() {
                 let expected = *vals[lo..=hi].iter().min().unwrap();
-                assert_eq!(*t.min(lo, hi), expected, "range [{lo}, {hi}]");
+                assert_eq!(vals[t.argmin(lo, hi)], expected, "range [{lo}, {hi}]");
             }
         }
     }

@@ -257,6 +257,19 @@ diff "$tmp/adv_1.txt" "$tmp/adv_2.txt" \
 diff "$tmp/adv_1.txt" <(sed '$d' "$tmp/adv_4.txt") \
     || { echo "ci: adversary runs diverge between 1 and 4 workers"; exit 1; }
 
+echo "== deterministic experiment tables (E1, E2, E4-E6, E8, E9, E12) =="
+# These experiments print counts from fixed seeds (label bits, verdicts,
+# messages, causal rounds), never a timing, so each run must reproduce
+# its committed table byte for byte. E3, E7 and E10 print timings and
+# E11 takes about a minute, so they stay out of this stage.
+cargo build -q --release --offline -p mstv-bench --bins
+for e in exp_label_size exp_baseline_compare exp_pi_gamma_soundness exp_agreement \
+         exp_lower_bound exp_flow exp_distributed exp_net_faults; do
+    "target/release/$e" > "$tmp/$e.txt"
+    diff "experiment-results/$e.txt" "$tmp/$e.txt" \
+        || { echo "ci: $e no longer reproduces experiment-results/$e.txt"; exit 1; }
+done
+
 echo "== distributed examples (construction, verification, self-stabilization) =="
 # Both examples assert what they print: the wire runs agree with the
 # offline verifier, delays move no count, logs replay, and every

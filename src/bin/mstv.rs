@@ -275,6 +275,11 @@ fn flag_positive(args: &[String], name: &str) -> Result<Option<NonZeroUsize>, St
 fn load_graph(path: &str) -> Result<mst_verification::graph::Graph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let g = parse_edge_list(&text).map_err(|e| format!("{path}: {e}"))?;
+    // `is_connected` holds vacuously for no node, but no node hangs no
+    // tree, and every caller needs one.
+    if g.num_nodes() == 0 {
+        return Err(format!("{path}: graph has no nodes"));
+    }
     if !g.is_connected() {
         return Err(format!("{path}: graph is not connected"));
     }

@@ -807,3 +807,61 @@ fn mutate_refuses_a_zero_weight_with_a_typed_error() {
         "{err}"
     );
 }
+
+#[test]
+fn a_graph_with_no_nodes_is_refused_by_every_reader() {
+    let dir = test_dir("a_graph_with_no_nodes_is_refused_by_every_reader");
+    let graph = run_ok(&dir, &["gen", "--nodes", "12", "--seed", "2"], &[]);
+    let g = dir.join("g.txt");
+    std::fs::write(&g, &graph).unwrap();
+    let snap = dir.join("s.snap");
+    let snap = snap.to_string_lossy();
+    run_ok(
+        &dir,
+        &["snapshot", "write", &g.to_string_lossy(), &snap],
+        &[],
+    );
+    let (tree, script) = (dir.join("t.txt"), dir.join("script.txt"));
+    std::fs::write(&tree, "").unwrap();
+    std::fs::write(&script, "").unwrap();
+    let (tree, script) = (tree.to_string_lossy(), script.to_string_lossy());
+    let out_snap = dir.join("o.snap");
+    let out_snap = out_snap.to_string_lossy();
+    // An empty file and an explicit `nodes 0` both parse to a graph
+    // that is vacuously connected but hangs no tree.
+    for (name, text) in [("empty.txt", ""), ("zero.txt", "nodes 0\n")] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_string_lossy();
+        let cases: [Vec<&str>; 9] = [
+            vec!["mst", &path],
+            vec!["label", &path],
+            vec!["verify", &path, &tree],
+            vec!["sensitivity", &path],
+            vec!["session", &path, &script],
+            vec!["dot", &path],
+            vec!["snapshot", "write", &path, &out_snap],
+            vec!["mutate", &path, "--gen", "4"],
+            vec![
+                "query",
+                &snap,
+                "--bench",
+                "--queries",
+                "8",
+                "--verify-against",
+                &path,
+            ],
+        ];
+        for args in cases {
+            let out = mstv().args(&args).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "mstv {args:?} accepted no nodes");
+            assert!(!err.contains("panicked"), "mstv {args:?}: {err}");
+            assert_eq!(err.lines().count(), 1, "mstv {args:?}: {err}");
+            assert!(
+                err.contains(&format!("{path}: graph has no nodes")),
+                "mstv {args:?}: {err}"
+            );
+        }
+    }
+}
