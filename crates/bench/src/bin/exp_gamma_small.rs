@@ -3,9 +3,10 @@
 //!
 //! Verifies decoder correctness exhaustively against the naive oracle,
 //! reports exact label sizes next to the fixed-width ablation (the
-//! `O(log² n + log n log W)` member of `Γ`), and times the decoder.
-
-use std::time::Instant;
+//! `O(log² n + log n log W)` member of `Γ`), and runs seeded decode loops
+//! on larger trees whose checksums pin their answers. Every line is a
+//! count, so the output is deterministic; decode time is measured by
+//! perfbench, not here.
 
 use mstv_bench::{lg, print_table};
 use mstv_graph::{gen, NodeId};
@@ -60,7 +61,7 @@ fn main() {
         &rows,
     );
 
-    // Decode timing: constant per query, independent of n.
+    // Decode loops on larger trees: the checksum of every answer.
     let mut rows = Vec::new();
     for &n in &[256usize, 4096, 65_536] {
         let mut rng = StdRng::seed_from_u64(n as u64);
@@ -76,20 +77,19 @@ fn main() {
             })
             .filter(|(u, v)| u != v)
             .collect();
-        let start = Instant::now();
         let mut acc = 0u64;
         for &(u, v) in &pairs {
             acc = acc.wrapping_add(scheme.query(u, v).0);
         }
-        let elapsed = start.elapsed();
         rows.push(vec![
             n.to_string(),
-            format!("{:.1}", elapsed.as_nanos() as f64 / pairs.len() as f64),
-            format!("(checksum {acc:x})"),
+            pairs.len().to_string(),
+            format!("{acc:x}"),
         ]);
     }
-    print_table("decode time per MAX query", &["n", "ns/query", ""], &rows);
-    println!("\nshape check: decode cost stays within tens of ns and grows only with");
-    println!("the O(log n) label field count (the paper's unit-cost field operations),");
-    println!("never with the tree itself — no traversal happens at query time.");
+    print_table(
+        "seeded MAX decode loops",
+        &["n", "queries", "checksum"],
+        &rows,
+    );
 }

@@ -3,9 +3,10 @@
 //!
 //! Checks the labeled scheme against the exact solver and the brute-force
 //! oracle, measures per-node label bits (`O(log n log W)`, versus the
-//! `Ω(m log W)` any explicit output needs), and times queries.
-
-use std::time::Instant;
+//! `Ω(m log W)` any explicit output needs), and runs seeded query loops on
+//! larger graphs whose checksums pin their answers. Every line is a count,
+//! so the output is deterministic; query time is measured by perfbench,
+//! not here.
 
 use mstv_bench::{lg, print_table, workload};
 use mstv_core::faults::{inject, plan_break_minimality};
@@ -61,14 +62,13 @@ fn main() {
         &rows,
     );
 
-    // Query timing.
+    // Query loops on larger graphs: the checksum of every answer.
     let mut rows = Vec::new();
     for &n in &[256usize, 2048, 16_384] {
         let g = workload(n, 1 << 20, n as u64);
         let t = kruskal(&g);
         let labels = SensitivityLabels::new(&g, &t);
         let edges: Vec<_> = g.edge_ids().collect();
-        let start = Instant::now();
         let mut acc = 0u64;
         for _ in 0..20 {
             for &e in &edges {
@@ -82,16 +82,17 @@ fn main() {
                 }
             }
         }
-        let per = start.elapsed().as_nanos() as f64 / (20 * edges.len()) as f64;
         rows.push(vec![
             n.to_string(),
-            format!("{per:.1}"),
-            format!("(checksum {acc:x})"),
+            (20 * edges.len()).to_string(),
+            format!("{acc:x}"),
         ]);
     }
-    print_table("sensitivity query time", &["n", "ns/query", ""], &rows);
-    println!("\nshape check: ns/query flat in n — constant-time queries, as the");
-    println!("relaxed problem statement requires.");
+    print_table(
+        "seeded sensitivity query loops",
+        &["n", "queries", "checksum"],
+        &rows,
+    );
 
     // Weight-perturbation loop through `VerifySession`: each sensitivity
     // fault (a non-tree edge dropped below its cycle maximum) is applied

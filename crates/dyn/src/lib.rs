@@ -13,9 +13,9 @@
 //!    chain changed or whose path to some chain separator crossed a
 //!    touched edge; everything else is bit-identical by construction.
 //!    Both kinds are found by walks over separator subtrees, from the
-//!    nodes whose chain step changed and from the smaller shore of each
-//!    touched edge, so the dirty list costs what it holds (plus, after a
-//!    swap, one flat pass comparing the two decompositions' steps).
+//!    nodes whose chain step changed (among those the decomposition
+//!    update lists) and from the smaller shore of each touched edge, so
+//!    the dirty list costs what it holds.
 //! 2. **One-swap repair.** A single weight change moves the MST by at
 //!    most one edge swap ([`mstv_mst::repair_after_weight_change`]), so
 //!    the set of touched edges per mutation is at most two. A tree edge
@@ -28,11 +28,19 @@
 //!    ([`RootedTree::rehang`]): the path's parent links reverse, and
 //!    only the moved subtree's depths and preorder block change. The
 //!    committed tree takes the same patches when the mutation commits.
-//! 4. **Decomposition reuse.** The new centroid decomposition copies,
-//!    with shifted levels, the old sub-decomposition of every component
-//!    the old one already split the same way, and splits only the others
-//!    afresh: those holding a re-hung node, and those whose node set
-//!    moved ([`mstv_trees::centroid_decomposition_update`]).
+//! 4. **Decomposition patched in place.** A swap moves one subtree from
+//!    its old parent to its new attachment point, so only the components
+//!    on those two nodes' separator chains change. A working copy of the
+//!    decomposition is patched right after each re-hang
+//!    ([`SeparatorDecomposition::rehang`]): every separator still its
+//!    component's canonical centroid stays and re-ranks its pieces, and
+//!    only the components where that fails are re-split. The update lists
+//!    the nodes whose record changed, and commit copies just those.
+//!
+//! The scheme-wide widths follow the largest tree-edge weight and the
+//! largest distance field. Both are kept with their counts from what a
+//! mutation moved, and rescanned only when the largest one left with
+//! nothing tied to it.
 //!
 //! [`DynMarker::apply`] classifies each mutation into the cheapest
 //! sufficient reaction — [`DeltaOutcome::NoOp`] (non-tree weight moves
@@ -41,9 +49,11 @@
 //! [`DeltaOutcome::WeightsOnly`], [`DeltaOutcome::TreeSwap`], or
 //! [`DeltaOutcome::Reencode`] when a scheme-wide field width moved —
 //! and emits the [`DeltaRecord`] for the MSTVJRNL journal. The
-//! maintained state is asserted (in this crate's tests and in the
-//! dynamic-serving experiment) to be **bit-identical** to a
-//! from-scratch `kruskal` + `Snapshot::build` after every mutation.
+//! maintained state is asserted to be **bit-identical** to a
+//! from-scratch `kruskal` + `Snapshot::build` after every mutation: in
+//! this crate's tests, in the root `tests/serving.rs` (whose query
+//! engine takes every record) and at perfbench `mutate`'s per-pass
+//! checkpoint.
 
 use mstv_graph::{Edge, EdgeId, Graph, NodeId, Weight};
 use mstv_labels::{
@@ -54,10 +64,7 @@ use mstv_mst::{kruskal, repair_after_weight_change_in, Repair};
 use mstv_store::{
     DeltaOutcome, DeltaRecord, DistSection, JournalMutation, LabelDelta, Snapshot, TreeDelta,
 };
-use mstv_trees::{
-    centroid_decomposition, centroid_decomposition_update, ParallelConfig, RootedTree,
-    SeparatorDecomposition,
-};
+use mstv_trees::{centroid_decomposition, ParallelConfig, RootedTree, SeparatorDecomposition};
 
 /// Errors surfaced by [`DynMarker`]; everything else (internal
 /// inconsistency) is a panic, because the marker owns its state.
@@ -124,18 +131,27 @@ pub struct DynMarker {
     /// a mutation patches it in place, and commit replays the same
     /// patches on `tree`.
     work: RootedTree,
+    /// The committed decomposition, of `tree`.
     sep: SeparatorDecomposition,
+    /// The working decomposition, of `work`: equal to `sep` between
+    /// mutations. Each swap patches it in place, and commit copies the
+    /// records the patches listed into `sep`.
+    work_sep: SeparatorDecomposition,
     parents: Vec<Option<(NodeId, Weight)>>,
     max_s: Vec<MaxLabel>,
     flow_s: Vec<FlowLabel>,
     dist_s: Vec<DistLabel>,
-    /// `dist_max[v] == max(dist_s[v].delta)` — kept current so the
-    /// global `δ` width check is a flat `u64` scan per mutation.
+    /// `dist_max[v] == max(dist_s[v].delta)`, kept current for the dirty
+    /// nodes so `deltas` can follow it.
     dist_max: Vec<u64>,
     enc_max: Vec<BitString>,
     enc_flow: Vec<BitString>,
     enc_dist: Vec<BitString>,
     max_weight: Weight,
+    /// The largest tree-edge weight and its count, for the `ω` width.
+    weights: Top,
+    /// The largest `dist_max` entry and its count, for the `δ` width.
+    deltas: Top,
     omega_bits: u32,
     delta_bits: u32,
     /// Summed weight of the tree edges, at most `u64::MAX`: trees past
@@ -184,6 +200,7 @@ impl DynMarker {
             parents: parent_entries(&tree),
             work: tree.clone(),
             tree,
+            work_sep: sep.clone(),
             sep,
             max_s: Vec::new(),
             flow_s: Vec::new(),
@@ -193,6 +210,8 @@ impl DynMarker {
             enc_flow: Vec::new(),
             enc_dist: Vec::new(),
             max_weight: Weight(1),
+            weights: Top::default(),
+            deltas: Top::default(),
             omega_bits: 1,
             delta_bits: 1,
             tree_weight,
@@ -313,9 +332,14 @@ impl DynMarker {
         // meets the current tree, while `self.tree` keeps the
         // pre-mutation view for phases 2 and 3 until commit replays
         // `patches` on it. `rows` lists the nodes whose parent row a
-        // patch may have moved, for phase 7.
+        // patch may have moved, for phase 7. Each swap also patches
+        // `self.work_sep` in place, and `moved` lists the nodes whose
+        // separator record that changed, for phase 3 and commit.
         let mut patches: Vec<Patch> = Vec::new();
         let mut rows: Vec<NodeId> = Vec::new();
+        let mut moved: Vec<NodeId> = Vec::new();
+        // The tree-edge weights' top, committed with the mutation.
+        let mut weights = self.weights;
         // The tree weight follows every re-priced tree edge and swap, so
         // a mutation whose tree would have no DIST labels is refused
         // (and undone through `undo`) before anything is relabelled.
@@ -347,6 +371,9 @@ impl DynMarker {
             let was_tree = self.in_tree[e.index()];
             if was_tree {
                 tree_weight = tree_weight - u128::from(old_w.0) + u128::from(w.0);
+                // `e` leaves the weights at its old price and comes back
+                // at its new one if it stays in the tree.
+                weights.remove(old_w.0);
                 if w < old_w {
                     // A lighter tree edge is still the lightest edge across
                     // its own cut, and it crosses no other tree edge's cut,
@@ -354,6 +381,7 @@ impl DynMarker {
                     // (weight, id) order) and the repair's cut scan would
                     // find nothing. This holds at any step: each earlier
                     // step left the canonical MST of its weights.
+                    weights.add(w.0);
                     touched.push(e);
                     patches.push(self.reprice(e, &mut rows));
                     continue;
@@ -368,6 +396,7 @@ impl DynMarker {
             ) {
                 Repair::Unchanged => {
                     if was_tree {
+                        weights.add(w.0);
                         touched.push(e);
                         patches.push(self.reprice(e, &mut rows));
                     }
@@ -375,11 +404,17 @@ impl DynMarker {
                 Repair::Swapped { removed, added } => {
                     tree_weight = tree_weight - u128::from(self.graph.weight(removed).0)
                         + u128::from(self.graph.weight(added).0);
+                    // A raised tree edge can only be swapped out itself,
+                    // and its old price has already left.
+                    if removed != e {
+                        weights.remove(self.graph.weight(removed).0);
+                    }
+                    weights.add(self.graph.weight(added).0);
                     self.in_tree[removed.index()] = false;
                     self.in_tree[added.index()] = true;
                     removed_edges.push(removed);
                     added_edges.push(added);
-                    patches.push(self.rehang(removed, added, &mut rows));
+                    patches.push(self.rehang(removed, added, &mut rows, &mut moved));
                 }
             }
         }
@@ -402,6 +437,7 @@ impl DynMarker {
             if !patches.is_empty() {
                 self.work.clone_from(&self.tree);
             }
+            self.work_sep.copy_records_from(&self.sep, &moved);
             return Err(DynError::TreeWeightOverflow);
         }
         self.tree_weight = tree_weight;
@@ -419,17 +455,12 @@ impl DynMarker {
             ));
         }
 
-        // Phase 2: the decomposition, which reads structure only. A swap
-        // updates the old one: a component the old one already split the
-        // same way (same nodes and representative, no parent pointer
-        // moved inside) takes its old sub-decomposition with shifted
-        // levels, and only the others are split afresh
-        // (`centroid_decomposition_update`, equal to a from-scratch
-        // `centroid_decomposition`). Weights-only mutations keep
-        // `self.sep`.
-        let new_sep_owned =
-            topo_changed.then(|| centroid_decomposition_update(&self.tree, &self.sep, &self.work));
-        let new_sep: &SeparatorDecomposition = new_sep_owned.as_ref().unwrap_or(&self.sep);
+        // Phase 2: the decomposition, which reads structure only. Phase 1
+        // already patched the working one after each swap
+        // (`SeparatorDecomposition::rehang`, equal to a from-scratch
+        // `centroid_decomposition`); weights-only mutations leave it
+        // equal to the committed one.
+        let new_sep = &self.work_sep;
 
         // Phase 3: the dirty list. A node's label changes only if its
         // separator chain changed, or the tree path from it to some
@@ -439,7 +470,8 @@ impl DynMarker {
         // decomposition) or an added edge (new side); same-path value
         // changes need a touched edge on the path, on either side.
         if topo_changed {
-            self.marks.changed_chains(&self.sep, new_sep, &self.work);
+            self.marks
+                .changed_chains(&self.sep, new_sep, &self.work, &moved);
             for &e in removed_edges.iter().chain(&touched) {
                 if let Some(child) = tree_child(&self.tree, self.graph.edge(e)) {
                     self.marks.crossing(&self.tree, &self.sep, child);
@@ -477,30 +509,27 @@ impl DynMarker {
             self.dist_s = dist.expect("the marker refuses trees without distance labels");
         }
         for &v in dirty {
-            self.dist_max[v.index()] = self.dist_s[v.index()]
-                .delta
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0);
+            let d = max_delta(&self.dist_s[v.index()]);
+            self.deltas.remove(self.dist_max[v.index()]);
+            self.deltas.add(d);
+            self.dist_max[v.index()] = d;
         }
 
-        // Phase 5: scheme widths. `ω` width follows the max tree-edge
-        // weight, `δ` width the global max distance field; if either
-        // moved, every encoded label is re-encoded (assembly above was
-        // still incremental).
-        let new_max_weight = self
-            .work
-            .edges()
-            .map(|(_, _, w)| w)
-            .max()
-            .unwrap_or(Weight(1));
+        // Phase 5: scheme widths. `ω` width follows the largest tree-edge
+        // weight, `δ` width the largest distance field. Both tops follow
+        // what moved above, and are rescanned only when their largest
+        // value left with nothing tied to it. If either width moved,
+        // every encoded label is re-encoded (assembly above was still
+        // incremental).
+        if weights.count == 0 {
+            weights = Top::of(self.work.edges().map(|(_, _, w)| w.0));
+        }
+        let new_max_weight = weights.max_weight();
         let new_omega_bits = new_max_weight.bit_width();
-        // `dist_max` mirrors `max(dist_s[v].delta)` per node (updated in
-        // phase 4), so the global maximum is a flat scan, not a walk
-        // through every label's field vector.
-        let max_delta = self.dist_max.iter().copied().max().unwrap_or(0);
-        let new_delta_bits = Weight(max_delta).bit_width();
+        if self.deltas.count == 0 {
+            self.deltas = Top::of(self.dist_max.iter().copied());
+        }
+        let new_delta_bits = Weight(self.deltas.value).bit_width();
         let widths_changed = new_omega_bits != self.omega_bits || new_delta_bits != self.delta_bits;
         let outcome = if widths_changed {
             DeltaOutcome::Reencode
@@ -570,10 +599,13 @@ impl DynMarker {
             patch.apply(&mut self.tree);
         }
         debug_assert!(self.tree == self.work, "commit replays the working tree");
-        if let Some(s) = new_sep_owned {
-            self.sep = s;
-        }
+        self.sep.copy_records_from(&self.work_sep, &moved);
+        debug_assert!(
+            self.sep == self.work_sep,
+            "commit copies every changed record"
+        );
         self.marks.clear();
+        self.weights = weights;
         self.max_weight = new_max_weight;
         self.omega_bits = new_omega_bits;
         self.delta_bits = new_delta_bits;
@@ -590,10 +622,22 @@ impl DynMarker {
         patch
     }
 
-    /// Swaps tree edge `removed` for `added` in the working tree.
-    fn rehang(&mut self, removed: EdgeId, added: EdgeId, rows: &mut Vec<NodeId>) -> Patch {
+    /// Swaps tree edge `removed` for `added` in the working tree and its
+    /// decomposition, listing in `moved` the nodes whose separator record
+    /// changed.
+    fn rehang(
+        &mut self,
+        removed: EdgeId,
+        added: EdgeId,
+        rows: &mut Vec<NodeId>,
+        moved: &mut Vec<NodeId>,
+    ) -> Patch {
         let cut =
             tree_child(&self.work, self.graph.edge(removed)).expect("a repair removes a tree edge");
+        let p = self
+            .work
+            .parent(cut)
+            .expect("a removed link has a parent end");
         let ad = self.graph.edge(added);
         // `added` crosses the cut: the endpoint with `cut` on its root
         // path is inside it.
@@ -611,6 +655,8 @@ impl DynMarker {
             w: ad.w,
         };
         patch.apply(&mut self.work);
+        self.work_sep
+            .rehang(&self.work, cut, inner, outer, p, moved);
         // The re-hung path, now from `cut` up to `inner`.
         rows.extend(std::iter::successors(Some(cut), |&v| {
             (v != inner).then(|| self.work.parent(v).expect("inner hangs below outer"))
@@ -647,12 +693,8 @@ impl DynMarker {
     /// reset.
     fn rebuild_all_labels(&mut self) {
         let pass = GammaPass::build(&self.tree, &self.sep, one_worker());
-        self.max_weight = self
-            .tree
-            .edges()
-            .map(|(_, _, w)| w)
-            .max()
-            .unwrap_or(Weight(1));
+        self.weights = Top::of(self.tree.edges().map(|(_, _, w)| w.0));
+        self.max_weight = self.weights.max_weight();
         self.omega_bits = self.max_weight.bit_width();
         let codec = LabelCodec {
             sep_codec: self.sep_codec,
@@ -670,11 +712,51 @@ impl DynMarker {
         self.max_s = max;
         self.flow_s = flow;
         self.dist_s = dist.expect("the marker refuses trees without distance labels");
-        self.dist_max = self
-            .dist_s
-            .iter()
-            .map(|l| l.delta.iter().copied().max().unwrap_or(0))
-            .collect();
+        self.dist_max = self.dist_s.iter().map(max_delta).collect();
+        self.deltas = Top::of(self.dist_max.iter().copied());
+    }
+}
+
+/// The largest distance field of a label, 0 without one.
+fn max_delta(label: &DistLabel) -> u64 {
+    label.delta.iter().copied().max().unwrap_or(0)
+}
+
+/// The largest of a multiset of values and how many times it occurs,
+/// kept current as values come and go. A count of zero means the largest
+/// value left: every value is then below `value`, which the owner must
+/// rescan before reading.
+#[derive(Debug, Default, Clone, Copy)]
+struct Top {
+    value: u64,
+    count: usize,
+}
+
+impl Top {
+    fn of(values: impl IntoIterator<Item = u64>) -> Top {
+        let mut top = Top::default();
+        values.into_iter().for_each(|v| top.add(v));
+        top
+    }
+
+    fn add(&mut self, v: u64) {
+        if v > self.value {
+            *self = Top { value: v, count: 1 };
+        } else if v == self.value {
+            self.count += 1;
+        }
+    }
+
+    fn remove(&mut self, v: u64) {
+        if v == self.value {
+            self.count -= 1;
+        }
+    }
+
+    /// The largest tree-edge weight, read from a current top of them: 1
+    /// for a tree with no edge (one node).
+    fn max_weight(&self) -> Weight {
+        Weight(if self.count == 0 { 1 } else { self.value })
     }
 }
 
@@ -760,17 +842,20 @@ impl DirtyMarks {
     /// `new`, the decomposition of `tree`. A chain differs exactly when
     /// some node on it changed its own `(separator parent, rank)` step,
     /// so the marked nodes are the separator subtrees, in `new`, of the
-    /// nodes whose step changed. Those nodes come from one flat pass
-    /// over both decompositions; their subtrees are walked top-down, and
-    /// one that lies inside a subtree already walked is skipped whole.
+    /// nodes whose step changed, all of which are among `candidates`
+    /// (the nodes the decomposition update listed). Their subtrees are
+    /// walked top-down, and one that lies inside a subtree already walked
+    /// is skipped whole.
     fn changed_chains(
         &mut self,
         old: &SeparatorDecomposition,
         new: &SeparatorDecomposition,
         tree: &RootedTree,
+        candidates: &[NodeId],
     ) {
-        let mut tops: Vec<(u32, NodeId)> = tree
-            .nodes()
+        let mut tops: Vec<(u32, NodeId)> = candidates
+            .iter()
+            .copied()
             .filter(|&u| step_changed(old, new, u))
             .map(|u| (new.level(u), u))
             .collect();
@@ -1078,6 +1163,104 @@ mod tests {
             .unwrap();
         assert_eq!(record.outcome, DeltaOutcome::Reencode);
         assert_in_sync(&marker, "width shrink");
+    }
+
+    /// A marker over `n` nodes and the weighted edges `(u, v, w)`.
+    fn marker_of(n: usize, edges: &[(u32, u32, u64)]) -> DynMarker {
+        let mut g = Graph::new(n);
+        for &(u, v, w) in edges {
+            g.add_edge(NodeId(u), NodeId(v), Weight(w)).unwrap();
+        }
+        DynMarker::new(g, SepFieldCodec::EliasGamma).unwrap()
+    }
+
+    /// Applies `m`, checks the record's widths against a rebuild's and the
+    /// state against the rebuild's bytes, and returns the record.
+    fn apply_against_rebuild(marker: &mut DynMarker, m: JournalMutation) -> DeltaRecord {
+        let record = marker.apply(m).unwrap();
+        let rebuilt = reference_snapshot(marker.graph(), SepFieldCodec::EliasGamma);
+        assert_eq!(record.new_max_weight, rebuilt.max_weight(), "{m:?}");
+        assert_eq!(record.new_omega_bits, rebuilt.codec().omega_bits, "{m:?}");
+        let delta_bits = rebuilt.dist().expect("the tree fits u64").delta_bits;
+        assert_eq!(record.new_delta_bits, delta_bits, "{m:?}");
+        assert_in_sync(marker, &format!("{m:?}"));
+        record
+    }
+
+    #[test]
+    fn widths_follow_their_largest_values_down() {
+        let set = |u, v, w| JournalMutation::SetWeight { u, v, w };
+
+        // Two tree edges tied at the top weight (a path, so nothing can
+        // swap): lowering one keeps ω, lowering the other shrinks it.
+        let mut m = marker_of(
+            6,
+            &[(0, 1, 100), (1, 2, 3), (2, 3, 100), (3, 4, 2), (4, 5, 5)],
+        );
+        let r = apply_against_rebuild(&mut m, set(0, 1, 4));
+        assert_eq!(
+            (r.outcome, r.new_max_weight),
+            (DeltaOutcome::WeightsOnly, Weight(100))
+        );
+        let r = apply_against_rebuild(&mut m, set(2, 3, 6));
+        assert_eq!(
+            (r.outcome, r.new_max_weight),
+            (DeltaOutcome::Reencode, Weight(6))
+        );
+
+        // The heaviest tree edge leaves through a swap: the cycle
+        // 0 - 1 - 2 - 3 - 0 keeps 0 - 1 (100) until the chord 3 - 0 drops
+        // below it.
+        let mut m = marker_of(4, &[(0, 1, 100), (1, 2, 2), (2, 3, 3), (3, 0, 150)]);
+        let r = apply_against_rebuild(&mut m, set(3, 0, 50));
+        assert_eq!(
+            (r.outcome, r.new_max_weight),
+            (DeltaOutcome::Reencode, Weight(50))
+        );
+        assert!(!r.tree.is_empty(), "the chord entered the tree");
+
+        // A SwapWeights trades the heaviest tree edge's weight (1 - 2,
+        // 100) with a chord's (2 - 4, 3, kept out by the lower-id 2 - 3):
+        // the tree edge drops to 3, the chord rises to 100 and stays out.
+        let mut m = marker_of(
+            5,
+            &[(0, 1, 2), (1, 2, 100), (2, 3, 3), (3, 4, 2), (2, 4, 3)],
+        );
+        let swap = JournalMutation::SwapWeights {
+            u1: 1,
+            v1: 2,
+            u2: 2,
+            v2: 4,
+        };
+        let r = apply_against_rebuild(&mut m, swap);
+        assert_eq!(
+            (r.outcome, r.new_max_weight),
+            (DeltaOutcome::Reencode, Weight(3))
+        );
+
+        // δ shrinks when the node with the largest distance field gets
+        // closer: on the path 0 - ... - 6, centred on 3, node 0 sits 180
+        // from its root separator, and lowering 0 - 1 brings it to 121
+        // while the ω top (60, tied three times) holds.
+        let mut m = marker_of(
+            7,
+            &[
+                (0, 1, 60),
+                (1, 2, 60),
+                (2, 3, 60),
+                (3, 4, 1),
+                (4, 5, 1),
+                (5, 6, 60),
+            ],
+        );
+        let before = m.delta_bits;
+        let r = apply_against_rebuild(&mut m, set(0, 1, 1));
+        assert_eq!(r.new_max_weight, Weight(60));
+        assert!(
+            r.new_delta_bits < before,
+            "δ width {before} → {}",
+            r.new_delta_bits
+        );
     }
 
     #[test]
@@ -1484,6 +1667,7 @@ mod tests {
         for n in [2usize, 3, 7, 40, 300, 1500] {
             let g = gen::random_tree(n, gen::WeightDist::Uniform { max: 50 }, &mut rng);
             let old_tree = RootedTree::from_graph(&g, NodeId(0)).unwrap();
+            let all: Vec<NodeId> = old_tree.nodes().collect();
             let mut marks = DirtyMarks::new(n);
             for trial in 0..8 {
                 let cut = NodeId(rng.gen_range(1..n as u32));
@@ -1523,7 +1707,8 @@ mod tests {
                     };
                     let case = format!("n = {n}, trial {trial}, kind {kind}");
                     assert_eq!(
-                        listed(&mut marks, |m| m.changed_chains(&old, &new, &new_tree)),
+                        listed(&mut marks, |m| m
+                            .changed_chains(&old, &new, &new_tree, &all)),
                         marked(n, |d| mark_changed_chains(&old, &new, d)),
                         "{case}: changed chains"
                     );

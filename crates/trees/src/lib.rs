@@ -40,6 +40,6 @@ pub use pathmax::PathMaxIndex;
 pub use rmq::SparseTableRmq;
 pub use rooted::RootedTree;
 pub use separator::{
-    centroid_decomposition, centroid_decomposition_parallel, centroid_decomposition_update,
+    brute_force_centroid_decomposition, centroid_decomposition, centroid_decomposition_parallel,
     first_vertex_decomposition, random_decomposition, SeparatorDecomposition, SEQ_CUTOFF,
 };

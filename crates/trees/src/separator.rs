@@ -17,21 +17,32 @@
 //! separator-path component of the label telescope to `O(log n)` bits
 //! (the technique of Gavoille–Peleg–Pérennes–Raz used by the paper).
 //!
+//! # The canonical centroid decomposition
+//!
+//! A component is named by its *representative*: node 0 for the whole
+//! tree, and for every other component the neighbor of its separator
+//! parent inside it. The separators already removed wall it in. One
+//! depth-first search from the representative over the nodes that are
+//! not walls gives the subtree sizes; the centroid is found by walking
+//! from the representative into the child holding more than half the
+//! component while there is one, so when a tree has two centroids the
+//! one nearer the representative is chosen. The pieces it leaves are
+//! ranked by decreasing size, ties kept in the separator's neighbor
+//! order: its children below its id, then its parent, then its children
+//! above its id. The search keeps its scratch by discovery position, so
+//! a component costs one walk over its nodes and their links.
+//!
 //! # Parallel construction and determinism
 //!
-//! Centroid decomposition is built by an index-based engine that keeps all
-//! per-component scratch (DFS order, parents, subtree sizes) in flat `Vec`
-//! buffers indexed by node id — no hashing on the hot path. After each
-//! separator is removed, the remaining subtrees are independent, so
-//! [`centroid_decomposition_parallel`] fans them out to a scoped pool of
-//! worker threads fed from a shared work queue.
+//! After each separator is removed, the remaining pieces are independent,
+//! so [`centroid_decomposition_parallel`] fans them out to a scoped pool of
+//! worker threads fed from a shared work queue. The workers run the same
+//! search on shared removed marks, each with its own scratch.
 //!
 //! **Determinism guarantee:** the parallel build is *byte-identical* to
-//! [`centroid_decomposition`] for every tree and thread count. Each
-//! component's centroid depends only on the component itself (ties broken
-//! by a fixed DFS discovery order from the component's representative), and
-//! sibling subtree ranks come from a stable sort by decreasing size with
-//! adjacency-order tie-breaks — none of which depends on scheduling. Tests
+//! [`centroid_decomposition`] for every tree and thread count: each
+//! component's centroid and ranks depend only on its nodes, its
+//! representative and their neighbor order, never on scheduling. Tests
 //! assert equality of whole decompositions across 1/2/8 threads.
 //!
 //! **Sequential cutoff:** components of at most [`SEQ_CUTOFF`] nodes are
@@ -41,19 +52,19 @@
 //! finishing the subtree locally; the value is a power of two picked so
 //! cutoff-sized components still fit comfortably in per-core caches.
 //!
-//! # Updating after a tree change
+//! # Updating after a tree swap
 //!
-//! [`centroid_decomposition_update`] builds the centroid decomposition of
-//! a changed tree from the old tree's: it runs the same sequential build,
-//! but a pending component that the old decomposition already split, from
-//! the same representative and with every node's parent pointer unmoved,
-//! takes its old sub-decomposition with shifted levels instead of being
-//! expanded. An edge swap re-hangs one tree path, so most components away
-//! from it are copied, and the components holding that path's nodes are
-//! split afresh. The result equals [`centroid_decomposition`] of the new
-//! tree.
+//! [`SeparatorDecomposition::rehang`] patches the decomposition in place
+//! after the tree swapped one edge through [`RootedTree::rehang`]. It
+//! walks down from the root component along the two separator chains of
+//! the swap's old and new attachment points, keeps every separator that
+//! is still its component's canonical centroid (re-ranking its pieces),
+//! and re-splits only the components where that fails. Every other
+//! piece keeps its sub-decomposition untouched. The result equals
+//! [`centroid_decomposition`] of the new tree.
 
 use std::cmp::Reverse;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use mstv_graph::NodeId;
@@ -281,6 +292,252 @@ impl SeparatorDecomposition {
         }
         Ok(())
     }
+
+    /// Patches this decomposition, the centroid decomposition of a tree,
+    /// after that tree swapped one edge in place: `tree` is the tree after
+    /// [`RootedTree::rehang`]`(cut, inner, outer, _)`, and `p` was `cut`'s
+    /// parent before it, so the subtree `S` that hung from `p` through
+    /// `cut` now hangs from `outer` through `inner`. The result equals
+    /// [`centroid_decomposition`] of `tree`. Every node whose record
+    /// changed is appended to `changed`, and a few whose record stayed
+    /// may be too.
+    ///
+    /// A component's walls are the separators on its own chain, so while
+    /// none of them is in `S`, the component holds all of `S` or none of
+    /// it, and its node set changes only by `S` leaving (it holds `p`) or
+    /// arriving (it holds `outer`). The update walks down from the root
+    /// component along the separator chains of `p` and `outer`. A
+    /// component's old separator `t` stays when it is not in `S ∪ {p,
+    /// outer}`, so its neighbor list is the one it had, and it passes the
+    /// centroid test on the new piece sizes, which are the old component
+    /// sizes with `|S|` moved from `p`'s piece to `outer`'s: every piece
+    /// is at most half the component, and a piece of exactly half does not
+    /// hold the representative (else its node next to `t` is the
+    /// canonical centroid). A kept `t` takes its new size and re-ranks its
+    /// pieces; the walk goes on into the one or two pieces holding `p` or
+    /// `outer`, and every other piece keeps its nodes, its representative
+    /// and the neighbor order inside it, so its sub-decomposition stands.
+    /// A component whose separator fails is re-split from scratch inside
+    /// the separators above it. The work follows the components visited
+    /// and re-split, not the size of the tree.
+    ///
+    /// # Panics
+    ///
+    /// May panic, or leave a decomposition that is not canonical, when
+    /// `self` is not the centroid decomposition of the tree before the
+    /// swap or the nodes do not describe that swap.
+    pub fn rehang(
+        &mut self,
+        tree: &RootedTree,
+        cut: NodeId,
+        inner: NodeId,
+        outer: NodeId,
+        p: NodeId,
+        changed: &mut Vec<NodeId>,
+    ) {
+        // `S`, sorted for membership tests.
+        let mut moved = vec![inner];
+        let mut i = 0;
+        while let Some(&v) = moved.get(i) {
+            moved.extend_from_slice(tree.children(v));
+            i += 1;
+        }
+        moved.sort_unstable();
+        let in_moved = |v: NodeId| moved.binary_search(&v).is_ok();
+        debug_assert!(in_moved(cut) && !in_moved(p) && !in_moved(outer));
+        let s = moved.len();
+        // The old chains of `p` and of `outer`, in that order throughout.
+        let chains = [self.ancestors(p), self.ancestors(outer)];
+
+        // The walk climbs old separator chains, so the re-splits, which
+        // rewrite them, wait until it ends. Each takes the separators
+        // above it as its walls.
+        let mut resplit: Vec<(Task, &[NodeId])> = Vec::new();
+        let mut visit = vec![Visit {
+            sep: self.root,
+            rep: NodeId(0),
+            sep_parent: NONE,
+            level: 1,
+            rank: 0,
+        }];
+        let mut pieces: Vec<Piece> = Vec::new();
+        while let Some(c) = visit.pop() {
+            let (t, l) = (c.sep, c.level as usize);
+            let holds = [0, 1].map(|k| chains[k].get(l - 1) == Some(&t));
+            let size =
+                self.component_size(t) + usize::from(holds[1]) * s - usize::from(holds[0]) * s;
+            let task = Task {
+                rep: c.rep.0,
+                sep_parent: c.sep_parent,
+                level: c.level,
+                rank: c.rank,
+                size: size as u32,
+            };
+            let walls = &chains[usize::from(!holds[0])][..l - 1];
+            if t == p || t == outer || in_moved(t) {
+                resplit.push((task, walls));
+                continue;
+            }
+            // `t` is next to no node of `S`, so its neighbors kept their
+            // old records: walls sit above it, and every other neighbor
+            // leads to the piece of the separator below `t` on its chain.
+            pieces.clear();
+            tree.for_each_neighbor(t.0, |y| {
+                let y = NodeId(y);
+                if self.level(y) < c.level {
+                    return;
+                }
+                let sep = self.chain_ancestor(y, c.level + 1);
+                let on = [0, 1].map(|k| holds[k] && chains[k][l] == sep);
+                let size =
+                    self.component_size(sep) + usize::from(on[1]) * s - usize::from(on[0]) * s;
+                pieces.push(Piece {
+                    rep: y,
+                    sep,
+                    size,
+                    on,
+                });
+            });
+            let rep_piece = || {
+                if c.rep == t {
+                    None
+                } else if in_moved(c.rep) {
+                    // Only node 0, the root component's representative,
+                    // can be in `S`; it now lies in `outer`'s piece.
+                    Some(chains[1][l])
+                } else {
+                    Some(self.chain_ancestor(c.rep, c.level + 1))
+                }
+            };
+            let centroid = pieces.iter().all(|q| 2 * q.size <= size)
+                && pieces
+                    .iter()
+                    .filter(|q| 2 * q.size == size)
+                    .all(|q| Some(q.sep) != rep_piece());
+            if !centroid {
+                resplit.push((task, walls));
+                continue;
+            }
+            let ti = t.index();
+            if self.component_size[ti] != size || self.child_rank[ti] != c.rank {
+                self.component_size[ti] = size;
+                self.child_rank[ti] = c.rank;
+                changed.push(t);
+            }
+            // A stable sort: equal sizes keep the neighbor order.
+            pieces.sort_by_key(|q| Reverse(q.size));
+            for (j, q) in pieces.iter().enumerate() {
+                let rank = j as u32;
+                if q.on.contains(&true) {
+                    visit.push(Visit {
+                        sep: q.sep,
+                        rep: q.rep,
+                        sep_parent: t.0,
+                        level: c.level + 1,
+                        rank,
+                    });
+                } else if self.child_rank[q.sep.index()] != rank {
+                    self.child_rank[q.sep.index()] = rank;
+                    changed.push(q.sep);
+                }
+            }
+        }
+        let mut split = Split::default();
+        for (task, walls) in resplit {
+            self.unsettle(tree, task.rep, walls, changed);
+            self.decompose_from(tree, &mut split, task);
+        }
+    }
+
+    /// Overwrites the records of `nodes`, and the root, with `src`'s: how
+    /// one copy of a decomposition follows another through the nodes
+    /// [`SeparatorDecomposition::rehang`] listed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is out of range for either decomposition.
+    pub fn copy_records_from(&mut self, src: &SeparatorDecomposition, nodes: &[NodeId]) {
+        self.root = src.root;
+        for &v in nodes {
+            let i = v.index();
+            self.parent[i] = src.parent[i];
+            self.level[i] = src.level[i];
+            self.child_rank[i] = src.child_rank[i];
+            self.component_size[i] = src.component_size[i];
+        }
+    }
+
+    /// `v`'s separator ancestor at `level`, which is at most `v`'s.
+    fn chain_ancestor(&self, mut v: NodeId, level: u32) -> NodeId {
+        while self.level(v) > level {
+            v = self
+                .sep_parent(v)
+                .expect("a separator below level 1 has a parent");
+        }
+        v
+    }
+
+    /// A decomposition with no separator settled yet: every level is 0.
+    fn unsettled(n: usize) -> Self {
+        SeparatorDecomposition {
+            root: NodeId(0),
+            parent: vec![None; n],
+            level: vec![0; n],
+            child_rank: vec![0; n],
+            component_size: vec![0; n],
+        }
+    }
+
+    /// Records `sep` as the separator of `task`'s component.
+    fn settle(&mut self, sep: u32, task: &Task) {
+        let i = sep as usize;
+        self.parent[i] = (task.sep_parent != NONE).then_some(NodeId(task.sep_parent));
+        self.level[i] = task.level;
+        self.child_rank[i] = task.rank;
+        self.component_size[i] = task.size as usize;
+        if task.sep_parent == NONE {
+            self.root = NodeId(sep);
+        }
+    }
+
+    /// Splits `task`'s component, and every component below it, at their
+    /// canonical centroids. The nodes at level 0 are the unsettled ones;
+    /// every other node is a wall.
+    fn decompose_from(&mut self, adj: &impl Adjacency, split: &mut Split, task: Task) {
+        let mut stack = vec![task];
+        while let Some(task) = stack.pop() {
+            let sep = split.run(adj, task.rep, |y| self.level[y as usize] != 0);
+            debug_assert_eq!(split.order.len(), task.size as usize);
+            self.settle(sep, &task);
+            stack.extend(split.tasks(sep, &task));
+        }
+    }
+
+    /// Sets level 0 on every node of the component of `rep`: the nodes
+    /// `tree` reaches from it without entering `walls`, the separators
+    /// above it by level, which keep their records. Lists the nodes in
+    /// `changed`.
+    fn unsettle(
+        &mut self,
+        tree: &RootedTree,
+        rep: u32,
+        walls: &[NodeId],
+        changed: &mut Vec<NodeId>,
+    ) {
+        let mut stack = vec![(rep, NONE)];
+        while let Some((v, from)) = stack.pop() {
+            self.level[v as usize] = 0;
+            changed.push(NodeId(v));
+            let level = &self.level;
+            tree.for_each_neighbor(v, |y| {
+                let l = level[y as usize] as usize;
+                let wall = l >= 1 && walls.get(l - 1) == Some(&NodeId(y));
+                if y != from && !wall {
+                    stack.push((y, v));
+                }
+            });
+        }
+    }
 }
 
 fn adjacency(tree: &RootedTree) -> Vec<Vec<NodeId>> {
@@ -362,402 +619,230 @@ fn decompose(tree: &RootedTree, chooser: &mut dyn SeparatorChooser) -> Separator
     }
 }
 
-/// Sentinel for "no node" in the flat `u32` scratch buffers.
+/// Sentinel for "no node" in the flat `u32` fields.
 const NONE: u32 = u32::MAX;
 
-/// Flat adjacency in CSR form, neighbor order identical to [`adjacency`]
-/// (parent edge first per the child, children in `tree.edges()` order) —
-/// the order that fixes all centroid tie-breaks.
+/// A tree's links in the order that fixes every rank tie-break: `v`'s
+/// children below its id, then its parent, then its children above its
+/// id — the order [`adjacency`] lists.
+trait Adjacency {
+    fn for_each_neighbor(&self, v: u32, f: impl FnMut(u32));
+}
+
+/// Reading links straight off the tree: what the swap update splits
+/// with, since it must not pay for a whole-tree [`Csr`].
+impl Adjacency for RootedTree {
+    fn for_each_neighbor(&self, v: u32, mut f: impl FnMut(u32)) {
+        let kids = self.children(NodeId(v));
+        let below = kids.partition_point(|c| c.0 < v);
+        kids[..below].iter().for_each(|c| f(c.0));
+        if let Some(p) = self.parent(NodeId(v)) {
+            f(p.0);
+        }
+        kids[below..].iter().for_each(|c| f(c.0));
+    }
+}
+
+/// The tree's links in one flat array. A from-scratch build reads every
+/// link about `log n` times, so it first copies them into one contiguous
+/// array rather than chase the tree's per-node children lists.
 struct Csr {
     off: Vec<u32>,
     dst: Vec<u32>,
 }
 
 impl Csr {
-    /// The neighbor order is set by parent pointers alone: `v`'s list is
-    /// its children and its parent sorted by the id of each edge's child
-    /// endpoint (the parent sits at `v`'s own id). So two trees in which
-    /// every node of a set `C` has the same parent list the same
-    /// neighbors inside `C` in the same order, which is what lets
-    /// [`centroid_decomposition_update`] reuse a component.
     fn new(tree: &RootedTree) -> Self {
         let n = tree.num_nodes();
-        let mut deg = vec![0u32; n];
-        for (c, p, _) in tree.edges() {
-            deg[c.index()] += 1;
-            deg[p.index()] += 1;
-        }
         let mut off = vec![0u32; n + 1];
+        for (c, p, _) in tree.edges() {
+            off[c.index() + 1] += 1;
+            off[p.index() + 1] += 1;
+        }
         for i in 0..n {
-            off[i + 1] = off[i] + deg[i];
+            off[i + 1] += off[i];
         }
         let mut cursor = off.clone();
         let mut dst = vec![0u32; off[n] as usize];
+        // Edges come by child id, so each list is in `Adjacency` order.
         for (c, p, _) in tree.edges() {
-            dst[cursor[c.index()] as usize] = p.0;
-            cursor[c.index()] += 1;
-            dst[cursor[p.index()] as usize] = c.0;
-            cursor[p.index()] += 1;
+            for (from, to) in [(c, p), (p, c)] {
+                dst[cursor[from.index()] as usize] = to.0;
+                cursor[from.index()] += 1;
+            }
         }
         Csr { off, dst }
     }
+}
 
-    #[inline]
-    fn neighbors(&self, v: u32) -> &[u32] {
-        &self.dst[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
+impl Adjacency for Csr {
+    fn for_each_neighbor(&self, v: u32, f: impl FnMut(u32)) {
+        let (lo, hi) = (self.off[v as usize], self.off[v as usize + 1]);
+        self.dst[lo as usize..hi as usize]
+            .iter()
+            .copied()
+            .for_each(f);
     }
 }
 
-/// One pending component: its node set (first element is the DFS
-/// representative), the separator it hangs off, and its level / rank.
+/// A component waiting to be split: its representative, the separator
+/// it hangs off (`NONE` for the whole tree), the level and rank its
+/// separator takes, and its size.
+#[derive(Debug, Clone, Copy)]
 struct Task {
-    comp: Vec<u32>,
-    sep_parent: u32,
-    level: u32,
-    rank: u32,
-}
-
-/// The decomposition facts for one chosen separator. Records from
-/// different components touch different nodes, so workers can produce them
-/// in any order and the merged arrays are identical.
-struct Record {
-    sep: u32,
+    rep: u32,
     sep_parent: u32,
     level: u32,
     rank: u32,
     size: u32,
 }
 
-/// Reusable index-based scratch for centroid selection: all lookups are
-/// array indexing, membership tests are stamp comparisons (no clearing
-/// between components, no hashing).
-struct Scratch {
-    /// `in_comp[v] == stamp` marks membership in the current component.
-    in_comp: Vec<u32>,
-    /// `seen[v] == stamp` marks DFS discovery in the current component.
-    seen: Vec<u32>,
-    /// DFS-tree parent within the current component (`NONE` at the root).
-    parent: Vec<u32>,
-    /// DFS subtree size within the current component.
-    size: Vec<u32>,
-    /// Position of each node in `order`.
-    pos: Vec<u32>,
-    /// DFS discovery order of the current component.
-    order: Vec<u32>,
-    stamp: u32,
-}
-
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch {
-            in_comp: vec![0; n],
-            seen: vec![0; n],
-            parent: vec![NONE; n],
-            size: vec![0; n],
-            pos: vec![0; n],
-            order: Vec::with_capacity(n),
-            stamp: 0,
-        }
-    }
-
-    /// Chooses the centroid of `task.comp`, records it, and returns the
-    /// child components ordered by decreasing size (rank order).
-    fn expand(&mut self, csr: &Csr, task: Task, records: &mut Vec<Record>) -> Vec<Task> {
-        let total = task.comp.len();
-        self.stamp += 1;
-        let stamp = self.stamp;
-        for &v in &task.comp {
-            self.in_comp[v as usize] = stamp;
-        }
-        // DFS from the representative; discovery order fixes tie-breaks.
-        let root = task.comp[0];
-        self.order.clear();
-        self.parent[root as usize] = NONE;
-        self.seen[root as usize] = stamp;
-        let mut stack = vec![root];
-        while let Some(v) = stack.pop() {
-            self.pos[v as usize] = self.order.len() as u32;
-            self.order.push(v);
-            for &nb in csr.neighbors(v) {
-                if self.in_comp[nb as usize] == stamp && self.seen[nb as usize] != stamp {
-                    self.seen[nb as usize] = stamp;
-                    self.parent[nb as usize] = v;
-                    stack.push(nb);
-                }
-            }
-        }
-        debug_assert_eq!(self.order.len(), total);
-        // Subtree sizes, bottom-up over the discovery order.
-        for &v in &self.order {
-            self.size[v as usize] = 1;
-        }
-        for i in (1..self.order.len()).rev() {
-            let v = self.order[i];
-            let p = self.parent[v as usize];
-            self.size[p as usize] += self.size[v as usize];
-        }
-        // Centroid: minimal max piece after removal (<= total/2 exists).
-        // Strict `<` over the discovery order makes the choice canonical.
-        let mut best = root;
-        let mut best_piece = usize::MAX;
-        for &v in &self.order {
-            let mut piece = total - self.size[v as usize] as usize;
-            for &nb in csr.neighbors(v) {
-                if self.in_comp[nb as usize] == stamp && self.parent[nb as usize] == v {
-                    piece = piece.max(self.size[nb as usize] as usize);
-                }
-            }
-            if piece < best_piece {
-                best_piece = piece;
-                best = v;
-            }
-        }
-        debug_assert!(2 * best_piece <= total);
-        let sep = best;
-        records.push(Record {
-            sep,
-            sep_parent: task.sep_parent,
-            level: task.level,
-            rank: task.rank,
-            size: total as u32,
-        });
-        // Child components, straight off the DFS tree: each DFS subtree is
-        // a contiguous segment of `order`, and the piece through the
-        // separator's own DFS parent is everything outside the separator's
-        // segment. Pieces are collected in the separator's neighbor order,
-        // then stable-sorted by decreasing size — the same rank order the
-        // sequential builder derives.
-        let sep_start = self.pos[sep as usize] as usize;
-        let sep_end = sep_start + self.size[sep as usize] as usize;
-        let mut subs: Vec<Vec<u32>> = Vec::new();
-        for &nb in csr.neighbors(sep) {
-            if self.in_comp[nb as usize] != stamp {
-                continue;
-            }
-            if self.parent[nb as usize] == sep {
-                let s = self.pos[nb as usize] as usize;
-                subs.push(self.order[s..s + self.size[nb as usize] as usize].to_vec());
-            } else {
-                // nb is the separator's DFS parent: its piece is the rest
-                // of the component, listed with nb first so it becomes the
-                // child component's representative.
-                let mut rest = Vec::with_capacity(total - (sep_end - sep_start));
-                rest.push(nb);
-                for &v in self.order[..sep_start].iter().chain(&self.order[sep_end..]) {
-                    if v != nb {
-                        rest.push(v);
-                    }
-                }
-                subs.push(rest);
-            }
-        }
-        subs.sort_by_key(|s| Reverse(s.len()));
-        subs.into_iter()
-            .enumerate()
-            .map(|(j, sub)| Task {
-                comp: sub,
-                sep_parent: sep,
-                level: task.level + 1,
-                rank: j as u32,
-            })
-            .collect()
-    }
-}
-
-/// Runs `stack` to completion with LIFO order, appending to `records`.
-/// `reuse` may settle a popped task itself, records included, and return
-/// `true`; a task it declines is expanded.
-fn run_sequential(
-    csr: &Csr,
-    scratch: &mut Scratch,
-    mut stack: Vec<Task>,
-    records: &mut Vec<Record>,
-    mut reuse: impl FnMut(&Task, &mut Vec<Record>) -> bool,
-) {
-    while let Some(task) = stack.pop() {
-        if !reuse(&task, records) {
-            stack.extend(scratch.expand(csr, task, records));
-        }
-    }
-}
-
-/// Never reuses: the from-scratch build.
-fn expand_all(_: &Task, _: &mut Vec<Record>) -> bool {
-    false
-}
-
-fn assemble(n: usize, records: Vec<Record>) -> SeparatorDecomposition {
-    let mut parent = vec![None; n];
-    let mut level = vec![0u32; n];
-    let mut child_rank = vec![0u32; n];
-    let mut component_size = vec![0usize; n];
-    let mut root = NodeId(0);
-    debug_assert_eq!(records.len(), n);
-    for r in records {
-        let i = r.sep as usize;
-        parent[i] = (r.sep_parent != NONE).then_some(NodeId(r.sep_parent));
-        level[i] = r.level;
-        child_rank[i] = r.rank;
-        component_size[i] = r.size as usize;
-        if r.sep_parent == NONE {
-            root = NodeId(r.sep);
-        }
-    }
-    SeparatorDecomposition {
-        root,
-        parent,
-        level,
-        child_rank,
-        component_size,
-    }
-}
-
-fn whole_tree_task(n: usize) -> Task {
+fn whole_tree(n: usize) -> Task {
     Task {
-        comp: (0..n as u32).collect(),
+        rep: 0,
         sep_parent: NONE,
         level: 1,
         rank: 0,
+        size: n as u32,
+    }
+}
+
+/// A component the swap update reaches: its old separator and its
+/// representative, and the separator parent, level and rank it has
+/// after the swap.
+struct Visit {
+    sep: NodeId,
+    rep: NodeId,
+    sep_parent: u32,
+    level: u32,
+    rank: u32,
+}
+
+/// One piece a kept separator leaves after the swap: the separator's
+/// neighbor in it, its old separator, its new size, and whether it
+/// holds `p` and `outer`.
+struct Piece {
+    rep: NodeId,
+    sep: NodeId,
+    size: usize,
+    on: [bool; 2],
+}
+
+/// One component's depth-first search, with its scratch kept by
+/// discovery position rather than by node id, so it costs what the
+/// component holds.
+#[derive(Default)]
+struct Split {
+    /// The component's nodes in discovery order, the representative
+    /// first; every DFS subtree is a contiguous run.
+    order: Vec<u32>,
+    /// The discovery position of each node's DFS parent.
+    up: Vec<u32>,
+    /// The DFS subtree size of each node.
+    size: Vec<u32>,
+    /// Nodes waiting to be discovered, with their DFS parent's position.
+    stack: Vec<(u32, u32)>,
+    /// Discovery positions of the centroid's DFS children.
+    kids: Vec<u32>,
+    /// The centroid's pieces as (representative, size), in rank order.
+    pieces: Vec<(u32, u32)>,
+}
+
+impl Split {
+    /// Finds the canonical centroid of the component of `rep` — the
+    /// nodes reachable from it without entering one that `wall` accepts —
+    /// and lists its pieces in `self.pieces`. Returns the centroid.
+    fn run(&mut self, adj: &impl Adjacency, rep: u32, wall: impl Fn(u32) -> bool) -> u32 {
+        self.order.clear();
+        self.up.clear();
+        self.stack.push((rep, NONE));
+        while let Some((v, up)) = self.stack.pop() {
+            let at = self.order.len() as u32;
+            let from = self.order.get(up as usize).copied().unwrap_or(NONE);
+            self.order.push(v);
+            self.up.push(up);
+            let stack = &mut self.stack;
+            adj.for_each_neighbor(v, |y| {
+                if y != from && !wall(y) {
+                    stack.push((y, at));
+                }
+            });
+        }
+        let total = self.order.len();
+        self.size.clear();
+        self.size.resize(total, 1);
+        for i in (1..total).rev() {
+            let up = self.up[i] as usize;
+            self.size[up] += self.size[i];
+        }
+        // Walk into the child holding more than half while there is one.
+        let mut c = 0;
+        'walk: loop {
+            self.kids.clear();
+            let end = c + self.size[c] as usize;
+            let mut j = c + 1;
+            while j < end {
+                if 2 * self.size[j] as usize > total {
+                    c = j;
+                    continue 'walk;
+                }
+                self.kids.push(j as u32);
+                j += self.size[j] as usize;
+            }
+            break;
+        }
+        // The stack discovers a node's children in reverse neighbor
+        // order, so `kids` pops them in neighbor order; the DFS parent's
+        // piece is everything outside the centroid's run.
+        let sep = self.order[c];
+        let from = self.order.get(self.up[c] as usize).copied().unwrap_or(NONE);
+        let Split {
+            order,
+            size,
+            kids,
+            pieces,
+            ..
+        } = self;
+        pieces.clear();
+        adj.for_each_neighbor(sep, |y| {
+            if y == from {
+                pieces.push((y, (total - size[c] as usize) as u32));
+            } else if !wall(y) {
+                let k = kids.pop().expect("a neighbor inside is a DFS child") as usize;
+                debug_assert_eq!(order[k], y);
+                pieces.push((y, size[k]));
+            }
+        });
+        pieces.sort_by_key(|&(_, s)| Reverse(s));
+        sep
+    }
+
+    /// The pieces of the last split as the tasks below `task`'s
+    /// separator `sep`, ranked.
+    fn tasks<'a>(&'a self, sep: u32, task: &'a Task) -> impl Iterator<Item = Task> + 'a {
+        self.pieces
+            .iter()
+            .enumerate()
+            .map(move |(j, &(rep, size))| Task {
+                rep,
+                sep_parent: sep,
+                level: task.level + 1,
+                rank: j as u32,
+                size,
+            })
     }
 }
 
 /// The *perfect* separator decomposition: every separator is a centroid of
 /// its component, so each formed subtree has at most half the component's
-/// vertices and the depth is at most `⌊log₂ n⌋ + 1`.
+/// vertices and the depth is at most `⌊log₂ n⌋ + 1`. The choice of each
+/// centroid and the ranks of its pieces are canonical (see the module
+/// docs).
 pub fn centroid_decomposition(tree: &RootedTree) -> SeparatorDecomposition {
     let n = tree.num_nodes();
-    let csr = Csr::new(tree);
-    let mut scratch = Scratch::new(n);
-    let mut records = Vec::with_capacity(n);
-    run_sequential(
-        &csr,
-        &mut scratch,
-        vec![whole_tree_task(n)],
-        &mut records,
-        expand_all,
-    );
-    assemble(n, records)
-}
-
-/// [`centroid_decomposition`] of `new_tree`, reusing every component that
-/// `old`, the centroid decomposition of `old_tree`, already decomposed.
-///
-/// The result equals `centroid_decomposition(new_tree)` whenever `old`
-/// is `centroid_decomposition(old_tree)` (for any other `old` it is
-/// unspecified; inputs of different sizes get the from-scratch build),
-/// and equals `old` when the two trees have the same parent pointers.
-/// It runs the same build, but first tests each pending component `C`
-/// with representative `r` (its first node). `C` is reused when all four
-/// hold:
-///
-/// 1. no node of `C` is dirty: its parent differs between the two trees,
-///    or it is the old or new parent of such a node;
-/// 2. `t`, the old separator on `r`'s chain with `component_size(t) ==
-///    |C|`, exists;
-/// 3. no node of `C` has an old level below `t`'s;
-/// 4. `r` is adjacent in `old_tree` to `t`'s old separator parent, or `r`
-///    is node 0 when `t` is the old root.
-///
-/// A component's sub-decomposition depends only on its node set, its
-/// representative and the neighbor order inside it, and by (1) the two
-/// trees agree on that order inside `C` (see `Csr::new`). By (1) `C` is
-/// connected in `old_tree`; it holds `r`, which lies in `t`'s old
-/// component, and by (3) none of the separators that walled that
-/// component in, so it is inside it, and by (2) it is as large, so it is
-/// `t`'s old component. Each piece a separator leaves has one node
-/// adjacent to it, its representative, so by (4) `r` was the
-/// representative there too. Then `t`'s whole old sub-decomposition is
-/// copied, levels shifted by `t`'s new level minus its old one, and `t`
-/// takes its new separator parent and rank. (The argument needs only
-/// that no node of `C` moved; marking the parents of moved nodes too is
-/// a margin that costs a few reuses.)
-///
-/// A swap of one tree edge, re-rooted at the same node, dirties only the
-/// tree path it re-hangs and the nodes beside it. The components holding
-/// those nodes are expanded, as is any whose node set the swap moved;
-/// the rest are copied.
-pub fn centroid_decomposition_update(
-    old_tree: &RootedTree,
-    old: &SeparatorDecomposition,
-    new_tree: &RootedTree,
-) -> SeparatorDecomposition {
-    let n = new_tree.num_nodes();
-    if old_tree.num_nodes() != n || old.num_nodes() != n {
-        return centroid_decomposition(new_tree);
-    }
-    let mut dirty = vec![false; n];
-    for v in new_tree.nodes() {
-        let (was, now) = (old_tree.parent(v), new_tree.parent(v));
-        if was != now {
-            for x in [Some(v), was, now].into_iter().flatten() {
-                dirty[x.index()] = true;
-            }
-        }
-    }
-    let reuse = |task: &Task, records: &mut Vec<Record>| {
-        let size = task.comp.len();
-        let r = NodeId(task.comp[0]);
-        // (2): component sizes strictly grow up a separator chain.
-        let mut t = r;
-        while old.component_size(t) < size {
-            match old.sep_parent(t) {
-                Some(p) => t = p,
-                None => return false,
-            }
-        }
-        if old.component_size(t) != size {
-            return false;
-        }
-        // (4)
-        let adjacent = match old.sep_parent(t) {
-            Some(p) => old_tree.parent(r) == Some(p) || old_tree.parent(p) == Some(r),
-            None => r == NodeId(0),
-        };
-        if !adjacent {
-            return false;
-        }
-        // (1) and (3)
-        let t_level = old.level(t);
-        if task
-            .comp
-            .iter()
-            .any(|&v| dirty[v as usize] || old.level[v as usize] < t_level)
-        {
-            return false;
-        }
-        records.extend(task.comp.iter().map(|&v| {
-            let i = v as usize;
-            if v == t.0 {
-                Record {
-                    sep: v,
-                    sep_parent: task.sep_parent,
-                    level: task.level,
-                    rank: task.rank,
-                    size: size as u32,
-                }
-            } else {
-                Record {
-                    sep: v,
-                    sep_parent: old.parent[i].map_or(NONE, |p| p.0),
-                    level: old.level[i] - t_level + task.level,
-                    rank: old.child_rank[i],
-                    size: old.component_size[i] as u32,
-                }
-            }
-        }));
-        true
-    };
-    let csr = Csr::new(new_tree);
-    let mut scratch = Scratch::new(n);
-    let mut records = Vec::with_capacity(n);
-    run_sequential(
-        &csr,
-        &mut scratch,
-        vec![whole_tree_task(n)],
-        &mut records,
-        reuse,
-    );
-    assemble(n, records)
+    let mut d = SeparatorDecomposition::unsettled(n);
+    d.decompose_from(&Csr::new(tree), &mut Split::default(), whole_tree(n));
+    d
 }
 
 /// Shared work-pool state: pending components plus the number of tasks
@@ -784,38 +869,61 @@ pub fn centroid_decomposition_parallel(
         return centroid_decomposition(tree);
     }
     let csr = Csr::new(tree);
+    let removed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let state = Mutex::new(PoolState {
-        queue: vec![whole_tree_task(n)],
+        queue: vec![whole_tree(n)],
         active: 0,
     });
     let cv = Condvar::new();
-    let records = std::thread::scope(|s| {
+    let mut d = SeparatorDecomposition::unsettled(n);
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
-            .map(|_| s.spawn(|| decompose_worker(&csr, n, &state, &cv)))
+            .map(|_| s.spawn(|| decompose_worker(&csr, &removed, &state, &cv)))
             .collect();
-        let mut all = Vec::with_capacity(n);
         for h in handles {
-            all.extend(h.join().expect("decomposition worker panicked"));
+            for (sep, task) in h.join().expect("decomposition worker panicked") {
+                d.settle(sep, &task);
+            }
         }
-        all
     });
-    assemble(n, records)
+    d
 }
 
-fn decompose_worker(csr: &Csr, n: usize, state: &Mutex<PoolState>, cv: &Condvar) -> Vec<Record> {
-    let mut scratch = Scratch::new(n);
-    let mut records = Vec::new();
+/// One pool worker: the separators it settled, each with its task.
+///
+/// A separator's removed mark is set before its pieces are queued, and
+/// the queue's lock orders that before any worker pops a piece, so every
+/// wall a worker meets is marked; concurrent components share no node
+/// and no link, so `Relaxed` is enough.
+fn decompose_worker(
+    csr: &Csr,
+    removed: &[AtomicBool],
+    state: &Mutex<PoolState>,
+    cv: &Condvar,
+) -> Vec<(u32, Task)> {
+    let mut split = Split::default();
+    let mut settled = Vec::new();
+    let mut local = Vec::new();
+    let wall = |y: u32| removed[y as usize].load(Ordering::Relaxed);
     let mut guard = state.lock().expect("decomposition queue lock");
     loop {
         if let Some(task) = guard.queue.pop() {
             guard.active += 1;
             drop(guard);
-            let subs = if task.comp.len() <= SEQ_CUTOFF {
-                run_sequential(csr, &mut scratch, vec![task], &mut records, expand_all);
-                Vec::new()
-            } else {
-                scratch.expand(csr, task, &mut records)
-            };
+            // A small component is finished here; a large one is split
+            // once and its pieces go back to the queue.
+            let mut subs = Vec::new();
+            local.push(task);
+            while let Some(task) = local.pop() {
+                let sep = split.run(csr, task.rep, wall);
+                removed[sep as usize].store(true, Ordering::Relaxed);
+                settled.push((sep, task));
+                if task.size as usize <= SEQ_CUTOFF {
+                    local.extend(split.tasks(sep, &task));
+                } else {
+                    subs.extend(split.tasks(sep, &task));
+                }
+            }
             guard = state.lock().expect("decomposition queue lock");
             guard.active -= 1;
             if !subs.is_empty() {
@@ -825,7 +933,7 @@ fn decompose_worker(csr: &Csr, n: usize, state: &Mutex<PoolState>, cv: &Condvar)
                 cv.notify_all();
             }
         } else if guard.active == 0 {
-            return records;
+            return settled;
         } else {
             guard = cv.wait(guard).expect("decomposition queue lock");
         }
@@ -856,10 +964,66 @@ pub fn random_decomposition<R: Rng>(tree: &RootedTree, rng: &mut R) -> Separator
     decompose(tree, &mut Random(rng))
 }
 
+/// The canonical centroid decomposition by exhaustive search, the
+/// reference the engine is tested against: in each component every node
+/// is tried, and the one whose largest piece is smallest wins, ties going
+/// to the first in a traversal from the representative (of two centroids,
+/// the nearer one). Pieces are ranked as every decomposition here ranks
+/// them. It tries each node of each component against the whole
+/// component, so it costs `O(n²)` per level, and it shares no code with
+/// [`centroid_decomposition`].
+pub fn brute_force_centroid_decomposition(tree: &RootedTree) -> SeparatorDecomposition {
+    struct Search;
+    impl SeparatorChooser for Search {
+        fn choose(
+            &mut self,
+            adj: &[Vec<NodeId>],
+            removed: &[bool],
+            component: &[NodeId],
+        ) -> NodeId {
+            // `cut` marks the walls, the candidate and the nodes counted.
+            let mut cut = removed.to_vec();
+            let mut counted = Vec::new();
+            let mut best = (usize::MAX, component[0]);
+            for &v in component {
+                cut[v.index()] = true;
+                let mut largest = 0;
+                for &nb in &adj[v.index()] {
+                    if cut[nb.index()] {
+                        continue;
+                    }
+                    let start = counted.len();
+                    cut[nb.index()] = true;
+                    counted.push(nb);
+                    let mut i = start;
+                    while let Some(&x) = counted.get(i) {
+                        for &y in &adj[x.index()] {
+                            if !cut[y.index()] {
+                                cut[y.index()] = true;
+                                counted.push(y);
+                            }
+                        }
+                        i += 1;
+                    }
+                    largest = largest.max(counted.len() - start);
+                }
+                for x in counted.drain(..).chain([v]) {
+                    cut[x.index()] = false;
+                }
+                if largest < best.0 {
+                    best = (largest, v);
+                }
+            }
+            best.1
+        }
+    }
+    decompose(tree, &mut Search)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mstv_graph::gen;
+    use mstv_graph::{gen, Weight};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -879,6 +1043,53 @@ mod tests {
             let bound = (usize::BITS - n.leading_zeros()) + 1;
             assert!(d.max_level() <= bound, "n={n}: {} > {bound}", d.max_level());
         }
+    }
+
+    #[test]
+    fn engine_equals_the_exhaustive_search() {
+        // Random trees, paths (two centroids at every even length),
+        // stars and caterpillars, hung from several roots: the root sets
+        // each node's neighbor order, so the rank tie-breaks move with it.
+        let mut rng = StdRng::seed_from_u64(5);
+        let w = gen::WeightDist::Constant(1);
+        for n in [1usize, 2, 3, 4, 5, 6, 9, 16, 40, 121] {
+            let graphs = [
+                gen::random_tree(n, w, &mut rng),
+                gen::path(n, w, &mut rng),
+                gen::star(n, w, &mut rng),
+                gen::caterpillar(n.div_ceil(3), 2, w, &mut rng),
+            ];
+            for g in &graphs {
+                let m = g.num_nodes() as u32;
+                for root in [0, m / 2, m - 1] {
+                    let t = RootedTree::from_graph(g, NodeId(root)).unwrap();
+                    assert_eq!(
+                        centroid_decomposition(&t),
+                        brute_force_centroid_decomposition(&t),
+                        "n = {m}, root {root}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rehang_on_a_path_keeps_it_canonical() {
+        // A 10-node path 0 - 1 - ... - 9 has two centroids, 4 and 5, and
+        // node 0 picks the nearer, 4. Moving the end 8 - 9 to the other
+        // end keeps it a path, 9 - 8 - 0 - 1 - ... - 7, whose centroids
+        // are 2 and 3: the root centroid moves to 2.
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = gen::path(10, gen::WeightDist::Constant(1), &mut rng);
+        let mut t = RootedTree::from_graph(&g, NodeId(0)).unwrap();
+        let mut d = centroid_decomposition(&t);
+        assert_eq!(d.root(), NodeId(4));
+        t.rehang(NodeId(8), NodeId(8), NodeId(0), Weight(1));
+        let mut changed = Vec::new();
+        d.rehang(&t, NodeId(8), NodeId(8), NodeId(0), NodeId(7), &mut changed);
+        assert_eq!(d, centroid_decomposition(&t));
+        assert_eq!(d.root(), NodeId(2));
+        assert!(changed.contains(&NodeId(2)) && changed.contains(&NodeId(4)));
     }
 
     #[test]

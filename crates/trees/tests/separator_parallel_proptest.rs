@@ -2,6 +2,8 @@
 //! must be **byte-identical** to the sequential decomposition — same
 //! separators, levels, subtree ranks, and component sizes — for arbitrary
 //! trees at every thread count, and both must validate against the tree.
+//! Up to 600 nodes both must also equal the exhaustive-search reference
+//! `brute_force_centroid_decomposition`, which shares no code with them.
 //!
 //! `scripts/ci.sh` runs this suite pinned at 2 workers as the
 //! marker-equivalence gate.
@@ -10,7 +12,8 @@ use std::num::NonZeroUsize;
 
 use mstv_graph::NodeId;
 use mstv_trees::{
-    centroid_decomposition, centroid_decomposition_parallel, ParallelConfig, RootedTree,
+    brute_force_centroid_decomposition, centroid_decomposition, centroid_decomposition_parallel,
+    ParallelConfig, RootedTree,
 };
 use proptest::prelude::*;
 
@@ -19,6 +22,10 @@ use proptest::prelude::*;
 /// straddle `SEQ_CUTOFF` so the worker pool genuinely runs). Shapes
 /// range from stars (always parent 0) to paths (always parent `i - 1`).
 const MAX_NODES: usize = 2500;
+
+/// Trees up to this size are also compared with the exhaustive search,
+/// which costs `O(n²)` per level.
+const REFERENCE_NODES: usize = 600;
 
 fn arb_tree() -> impl Strategy<Value = RootedTree> {
     (
@@ -49,6 +56,9 @@ proptest! {
         let seq = centroid_decomposition(&tree);
         seq.validate(&tree).unwrap();
         prop_assert!(seq.is_perfect());
+        if tree.num_nodes() <= REFERENCE_NODES {
+            prop_assert_eq!(&seq, &brute_force_centroid_decomposition(&tree));
+        }
         for threads in [1usize, 2, 8] {
             let cfg = ParallelConfig::with_threads(NonZeroUsize::new(threads).unwrap());
             let par = centroid_decomposition_parallel(&tree, cfg);

@@ -1,13 +1,18 @@
-//! `centroid_decomposition_update` must return exactly the from-scratch
-//! centroid decomposition of the new tree: after up to four edge swaps,
-//! re-rooted at node 0 or at an arbitrary node (with no swap, a pure
-//! re-rooting), and, for an unchanged tree, the old decomposition itself.
+//! `SeparatorDecomposition::rehang` must leave exactly the from-scratch
+//! centroid decomposition of the swapped tree and list every node whose
+//! record it changed: after every re-hang of chains of 1–8 swaps on
+//! random trees, paths and stars of up to 2,500 nodes, rooted at node 0
+//! or elsewhere. The swaps are steered to the cases the update must get
+//! right: the moved subtree holding a high separator (often the root
+//! centroid), the old parent or the new attachment point being a level-1
+//! or level-2 separator, and even-length paths kept paths, where a piece
+//! is exactly half its component.
 //!
 //! `scripts/ci.sh` runs this suite by name in the marker-equivalence
 //! stage.
 
 use mstv_graph::{Graph, NodeId, Weight};
-use mstv_trees::{centroid_decomposition, centroid_decomposition_update, RootedTree};
+use mstv_trees::{centroid_decomposition, RootedTree, SeparatorDecomposition};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -15,86 +20,220 @@ use rand::{Rng, SeedableRng};
 
 const MAX_NODES: usize = 2500;
 
-/// A tree on `0..n` as an edge list: node `i > 0` attaches to a parent
-/// among `0..i` (`shape` = 0 builds a star, 1 a path, others mix), then
-/// ids are shuffled so parents are not always the smaller id.
-fn random_edges(n: usize, shape: u8, rng: &mut StdRng) -> Vec<(u32, u32)> {
+/// A tree on `0..n`: node `i > 0` attaches to a parent among `0..i`
+/// (`shape` 0 builds a star, 1 a path, others mix), then ids are
+/// shuffled so parents are not always the smaller id; rooted at `root`.
+fn random_tree(n: usize, shape: u8, root: u32, rng: &mut StdRng) -> RootedTree {
     let mut ids: Vec<u32> = (0..n as u32).collect();
     ids.shuffle(rng);
-    (1..n)
-        .map(|i| {
-            let p = match shape {
-                0 => 0,
-                1 => i - 1,
-                _ => rng.gen_range(0..i),
-            };
-            (ids[i], ids[p])
-        })
-        .collect()
-}
-
-fn rooted(n: usize, edges: &[(u32, u32)], root: u32) -> RootedTree {
     let mut g = Graph::new(n);
-    for &(u, v) in edges {
-        g.add_edge(NodeId(u), NodeId(v), Weight(1)).unwrap();
+    for i in 1..n {
+        let p = match shape {
+            0 => 0,
+            1 => i - 1,
+            _ => rng.gen_range(0..i),
+        };
+        g.add_edge(NodeId(ids[i]), NodeId(ids[p]), Weight(1))
+            .unwrap();
     }
     RootedTree::from_graph(&g, NodeId(root)).expect("edge list forms a tree")
 }
 
-/// Replaces one random tree edge by a random edge across its cut.
-fn swap_one_edge(n: usize, edges: &mut [(u32, u32)], rng: &mut StdRng) {
-    if edges.is_empty() {
-        return;
-    }
-    let tree = rooted(n, edges, 0);
-    let cut = rng.gen_range(0..edges.len());
-    let (a, b) = edges[cut];
-    let child = if tree.parent(NodeId(a)) == Some(NodeId(b)) {
-        a
-    } else {
-        b
-    };
-    let mut below = vec![false; n];
-    let mut stack = vec![NodeId(child)];
+/// `true` for the nodes of `top`'s subtree.
+fn below(tree: &RootedTree, top: NodeId) -> Vec<bool> {
+    let mut inside = vec![false; tree.num_nodes()];
+    let mut stack = vec![top];
     while let Some(v) = stack.pop() {
-        below[v.index()] = true;
+        inside[v.index()] = true;
         stack.extend_from_slice(tree.children(v));
     }
-    let inside: Vec<u32> = (0..n as u32).filter(|&v| below[v as usize]).collect();
-    let outside: Vec<u32> = (0..n as u32).filter(|&v| !below[v as usize]).collect();
-    edges[cut] = (*inside.choose(rng).unwrap(), *outside.choose(rng).unwrap());
+    inside
+}
+
+/// A swap `(cut, inner, outer)` of `tree`, steered by `aim`:
+///
+/// 0. uniformly random;
+/// 1. the moved subtree holds the root centroid or a level-2 separator;
+/// 2. `cut`'s parent is a level-1 or level-2 separator;
+/// 3. `outer` is a level-1 or level-2 separator;
+/// 4. on a path, both ends of the re-hung edge are path ends, so the
+///    tree stays a path.
+///
+/// An aim the tree cannot meet falls back to a random swap.
+fn pick_swap(
+    tree: &RootedTree,
+    sep: &SeparatorDecomposition,
+    aim: u8,
+    rng: &mut StdRng,
+) -> (NodeId, NodeId, NodeId) {
+    let n = tree.num_nodes() as u32;
+    let high: Vec<NodeId> = tree.nodes().filter(|&v| sep.level(v) <= 2).collect();
+    let mut cut = loop {
+        let v = NodeId(rng.gen_range(0..n));
+        if v != tree.root() {
+            break v;
+        }
+    };
+    let mut outer_pick = None;
+    match aim {
+        1 => {
+            let x = *high.choose(rng).unwrap();
+            let path: Vec<NodeId> = tree
+                .path_to_root(x)
+                .into_iter()
+                .filter(|&v| v != tree.root())
+                .collect();
+            if let Some(&v) = path.choose(rng) {
+                cut = v;
+            }
+        }
+        2 => {
+            let parents: Vec<NodeId> = high
+                .iter()
+                .copied()
+                .filter(|&v| !tree.children(v).is_empty())
+                .collect();
+            if let Some(&p) = parents.choose(rng) {
+                cut = *tree.children(p).choose(rng).unwrap();
+            }
+        }
+        3 => {
+            let o = *high.choose(rng).unwrap();
+            for _ in 0..8 {
+                if !below(tree, cut)[o.index()] {
+                    outer_pick = Some(o);
+                    break;
+                }
+                cut = loop {
+                    let v = NodeId(rng.gen_range(0..n));
+                    if v != tree.root() {
+                        break v;
+                    }
+                };
+            }
+        }
+        _ => {}
+    }
+    let inside = below(tree, cut);
+    let (ins, outs): (Vec<NodeId>, Vec<NodeId>) = tree.nodes().partition(|v| inside[v.index()]);
+    let is_path = tree
+        .nodes()
+        .all(|v| tree.children(v).len() + usize::from(tree.parent(v).is_some()) <= 2);
+    if aim == 4 && is_path {
+        // The moved run's two ends are `cut` and its deepest node; the
+        // rest of the path has two ends too, nodes with one neighbor
+        // left in it (or the one node left).
+        let deepest = *ins.iter().max_by_key(|v| tree.depth(**v)).unwrap();
+        let inner = *[cut, deepest].choose(rng).unwrap();
+        let ends: Vec<NodeId> = outs
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let kept = tree
+                    .children(v)
+                    .iter()
+                    .chain(tree.parent(v).as_ref())
+                    .filter(|u| !inside[u.index()])
+                    .count();
+                kept <= 1
+            })
+            .collect();
+        return (cut, inner, *ends.choose(rng).unwrap());
+    }
+    let inner = *ins.choose(rng).unwrap();
+    let outer = outer_pick.unwrap_or_else(|| *outs.choose(rng).unwrap());
+    (cut, inner, outer)
+}
+
+/// One swap on `tree` and `sep`, checked: the update equals a fresh
+/// decomposition, and every node whose record moved is listed.
+fn swap_and_check(
+    tree: &mut RootedTree,
+    sep: &mut SeparatorDecomposition,
+    (cut, inner, outer): (NodeId, NodeId, NodeId),
+) {
+    let p = tree.parent(cut).expect("cut is not the root");
+    tree.rehang(cut, inner, outer, Weight(1));
+    let old = sep.clone();
+    let mut changed = Vec::new();
+    sep.rehang(tree, cut, inner, outer, p, &mut changed);
+    let fresh = centroid_decomposition(tree);
+    assert_eq!(
+        &*sep, &fresh,
+        "cut {cut} (parent {p}), inner {inner}, outer {outer}"
+    );
+    let mut listed = vec![false; tree.num_nodes()];
+    for v in changed {
+        listed[v.index()] = true;
+    }
+    let record = |d: &SeparatorDecomposition, v: NodeId| {
+        (
+            d.sep_parent(v),
+            d.level(v),
+            d.child_rank(v),
+            d.component_size(v),
+        )
+    };
+    for v in tree.nodes() {
+        assert!(
+            listed[v.index()] || record(&old, v) == record(&fresh, v),
+            "{v} changed its record but was not listed"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn update_equals_a_fresh_decomposition(
-        n in 1usize..=MAX_NODES,
+    fn rehang_equals_a_fresh_decomposition(
+        n in 2usize..=MAX_NODES,
         shape in 0u8..4,
-        swaps in 0usize..=4,
+        swaps in 1usize..=8,
+        rooted_elsewhere in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut edges = random_edges(n, shape, &mut rng);
-        let old_tree = rooted(n, &edges, 0);
-        let old = centroid_decomposition(&old_tree);
-
-        let same = centroid_decomposition_update(&old_tree, &old, &old_tree);
-        prop_assert_eq!(&same, &old, "an unchanged tree must keep its decomposition");
-
+        let root = if rooted_elsewhere { rng.gen_range(0..n as u32) } else { 0 };
+        let mut tree = random_tree(n, shape, root, &mut rng);
+        let mut sep = centroid_decomposition(&tree);
         for _ in 0..swaps {
-            swap_one_edge(n, &mut edges, &mut rng);
+            let aim = rng.gen_range(0..5);
+            let swap = pick_swap(&tree, &sep, aim, &mut rng);
+            swap_and_check(&mut tree, &mut sep, swap);
         }
-        let new_tree = rooted(n, &edges, 0);
-        let fresh = centroid_decomposition(&new_tree);
-        let updated = centroid_decomposition_update(&old_tree, &old, &new_tree);
-        prop_assert_eq!(&updated, &fresh, "{} swaps, n = {}", swaps, n);
-
-        let root = rng.gen_range(0..n as u32);
-        let rerooted = rooted(n, &edges, root);
-        let fresh = centroid_decomposition(&rerooted);
-        let updated = centroid_decomposition_update(&old_tree, &old, &rerooted);
-        prop_assert_eq!(&updated, &fresh, "re-rooted at {}, n = {}", root, n);
     }
+}
+
+#[test]
+fn steered_swaps_reach_every_case() {
+    // Over fixed seeds, each steered case happens, so the proptest above
+    // meets them: the root centroid inside the moved subtree, the old
+    // parent or the new attachment point at level 1 or 2, a path whose
+    // root component has two centroids (a piece of exactly half), and
+    // the root centroid moving.
+    let mut seen = [0usize; 5];
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = [6usize, 16, 40, 120, 300][seed as usize % 5];
+        let shape = (seed % 4) as u8;
+        let mut tree = random_tree(n, shape, 0, &mut rng);
+        let mut sep = centroid_decomposition(&tree);
+        for step in 0..8u8 {
+            let (cut, inner, outer) = pick_swap(&tree, &sep, step % 5, &mut rng);
+            let p = tree.parent(cut).unwrap();
+            let old_root = sep.root();
+            seen[0] += usize::from(below(&tree, cut)[old_root.index()]);
+            seen[1] += usize::from(sep.level(p) <= 2);
+            seen[2] += usize::from(sep.level(outer) <= 2);
+            swap_and_check(&mut tree, &mut sep, (cut, inner, outer));
+            let halves = n.is_multiple_of(2)
+                && tree
+                    .nodes()
+                    .all(|v| tree.children(v).len() + usize::from(tree.parent(v).is_some()) <= 2);
+            seen[3] += usize::from(halves && step % 5 == 4);
+            seen[4] += usize::from(sep.root() != old_root);
+        }
+    }
+    assert!(seen.iter().all(|&k| k > 0), "steered cases seen {seen:?}");
 }

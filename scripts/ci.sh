@@ -49,23 +49,29 @@ echo "== parallel marker equivalence (pinned at 2 workers) =="
 # labels test pins MAX/FLOW/DIST batch output (per family and from the
 # one Γ pass) at 1 and 3 workers to the walk, and dyn's stream test pins
 # the walk-relabelled state to a full Snapshot::build after every
-# mutation. A tree swap updates the old decomposition instead of
-# rebuilding it: the update proptest (random trees up to 2,500 nodes,
-# edge swaps, re-rootings, unchanged trees) and its root twin (chains of
-# MST swaps on fixed seeds) pin centroid_decomposition_update to a fresh
-# centroid_decomposition. The swap also re-hangs the marker's rooted tree
-# in place: the re-hang proptest (chains of swaps on trees up to 2,500
-# nodes, steered to the edge cases) pins RootedTree::rehang to a tree
-# rebuilt from the swapped edge set, field by field, and the root test
-# pins the marker's tree and snapshot bytes to a from-scratch build after
-# every SetWeight/SwapWeights of its chains. At the root, the one pass's
-# records are pinned to the per-family schemes' encodings (and the
-# snapshot to its bytes at 1 and 4 workers), and the tree-membership edge
-# cases to their verdicts.
+# mutation. The proptest also pins both builds to an exhaustive-search
+# reference up to 600 nodes. A tree swap patches the old decomposition in
+# place instead of rebuilding it: the update proptest (chains of 1-8
+# re-hangs on random trees, paths and stars up to 2,500 nodes, steered to
+# the cases that must re-split) and its root twin (chains of MST swaps on
+# fixed seeds) pin SeparatorDecomposition::rehang to a fresh
+# centroid_decomposition after every swap, and to listing every node whose
+# record moved. dyn's width test pins the kept ω/δ maxima to a rebuild's
+# widths as they fall: ties at the top, the heaviest edge swapped out or
+# traded away, the farthest node brought closer. The swap also re-hangs
+# the marker's rooted tree in place: the re-hang proptest (chains of
+# swaps on trees up to 2,500 nodes, steered to the edge cases) pins
+# RootedTree::rehang to a tree rebuilt from the swapped edge set, field
+# by field, and the root test pins the marker's tree and snapshot bytes
+# to a from-scratch build after every SetWeight/SwapWeights of its
+# chains. At the root, the one pass's records are pinned to the
+# per-family schemes' encodings (and the snapshot to its bytes at 1 and
+# 4 workers), and the tree-membership edge cases to their verdicts.
 cargo test -q --offline -p mstv-trees --test separator_parallel_proptest
 cargo test -q --offline -p mstv-core marker_parallel_is_byte_identical
 cargo test -q --offline -p mstv-labels batch_sweep_identical_to_per_node_assembler
 cargo test -q --offline -p mstv-dyn every_mutation_stays_bit_identical_to_rebuild
+cargo test -q --offline -p mstv-dyn widths_follow_their_largest_values_down
 cargo test -q --offline -p mstv-trees --test separator_update_proptest
 cargo test -q --offline --test properties swap_redecomposition_equals_a_fresh_decomposition
 cargo test -q --offline -p mstv-trees --test rehang_proptest
@@ -257,14 +263,17 @@ diff "$tmp/adv_1.txt" "$tmp/adv_2.txt" \
 diff "$tmp/adv_1.txt" <(sed '$d' "$tmp/adv_4.txt") \
     || { echo "ci: adversary runs diverge between 1 and 4 workers"; exit 1; }
 
-echo "== deterministic experiment tables (E1, E2, E4-E6, E8, E9, E12) =="
+echo "== deterministic experiment tables (E1-E9, E12) =="
 # These experiments print counts from fixed seeds (label bits, verdicts,
-# messages, causal rounds), never a timing, so each run must reproduce
-# its committed table byte for byte. E3, E7 and E10 print timings and
-# E11 takes about a minute, so they stay out of this stage.
+# messages, causal rounds, query-loop checksums), never a timing, so each
+# run must reproduce its committed table byte for byte. E3 and E7 build
+# γ_small labels on centroid decompositions, so their tables also pin
+# the decomposition engine. E10 prints timings and E11 takes about a
+# minute, so they stay out of this stage.
 cargo build -q --release --offline -p mstv-bench --bins
-for e in exp_label_size exp_baseline_compare exp_pi_gamma_soundness exp_agreement \
-         exp_lower_bound exp_flow exp_distributed exp_net_faults; do
+for e in exp_label_size exp_baseline_compare exp_gamma_small exp_pi_gamma_soundness \
+         exp_agreement exp_lower_bound exp_sensitivity exp_flow exp_distributed \
+         exp_net_faults; do
     "target/release/$e" > "$tmp/$e.txt"
     diff "experiment-results/$e.txt" "$tmp/$e.txt" \
         || { echo "ci: $e no longer reproduces experiment-results/$e.txt"; exit 1; }

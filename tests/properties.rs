@@ -11,7 +11,9 @@ use mst_verification::mst::{
 };
 use mst_verification::sensitivity::{brute_force_sensitivity, sensitivity};
 use mst_verification::store::{JournalMutation, Snapshot};
-use mst_verification::trees::{centroid_decomposition, centroid_decomposition_update, RootedTree};
+use mst_verification::trees::{
+    brute_force_centroid_decomposition, centroid_decomposition, RootedTree, SeparatorDecomposition,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -399,51 +401,87 @@ fn tree_membership_edge_cases_keep_their_verdicts() {
 #[test]
 fn swap_redecomposition_equals_a_fresh_decomposition() {
     // Chains of MST swaps, each made by undercutting a chord's tree path
-    // as `mstv-dyn` meets them: every update from the previous
-    // decomposition, and from the first one (all swaps so far at once),
-    // must equal a from-scratch one, rooted at node 0 (the marker's
-    // root) or elsewhere. Sparse graphs on a few hundred nodes are where
-    // an equal-sized component can differ from the old one.
+    // as `mstv-dyn` meets them: the rooted tree re-hangs in place and the
+    // decomposition is patched in place (`SeparatorDecomposition::rehang`),
+    // which after every swap must equal a from-scratch decomposition of
+    // the new tree, rooted at node 0 (the marker's root), and list every
+    // node whose record changed. Sparse graphs on a few hundred nodes are
+    // where an equal-sized component can differ from the old one. The
+    // from-scratch engine must also equal the exhaustive-search reference
+    // on the same trees hung from other roots, up to 400 nodes.
     let cases = (0..4u64)
         .flat_map(|seed| [2usize, 9, 30, 60, 150, 400].map(|n| (seed, n)))
         .chain([(4, 3000)]);
     for (seed, n) in cases {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut g = gen::random_connected(n, n, gen::WeightDist::Uniform { max: 1000 }, &mut rng);
-        let mut tree = RootedTree::from_graph_edges(&g, &kruskal(&g), NodeId(0)).unwrap();
+        let mut mst = kruskal(&g);
+        let mut tree = RootedTree::from_graph_edges(&g, &mst, NodeId(0)).unwrap();
         let mut sep = centroid_decomposition(&tree);
-        assert_eq!(centroid_decomposition_update(&tree, &sep, &tree), sep);
-        let (first_tree, first_sep) = (tree.clone(), sep.clone());
         let mut swaps = 0;
         for step in 0..24 {
             let chord = EdgeId(rand::Rng::gen_range(&mut rng, 0..g.num_edges() as u32));
             g.set_weight(chord, Weight(1 + step % 3));
-            let mst = kruskal(&g);
-            let new_tree = RootedTree::from_graph_edges(&g, &mst, NodeId(0)).unwrap();
-            if new_tree
-                .nodes()
-                .any(|v| new_tree.parent(v) != tree.parent(v))
-            {
-                swaps += 1;
-            }
+            let new_mst = kruskal(&g);
+            let new_tree = RootedTree::from_graph_edges(&g, &new_mst, NodeId(0)).unwrap();
             let case = format!("seed {seed}, n = {n}, step {step}");
+            // One weight change swaps at most one tree edge.
+            let was = g.edge_membership(&mst).unwrap();
+            let now = g.edge_membership(&new_mst).unwrap();
+            let removed = mst.iter().find(|e| !now[e.index()]);
+            let added = new_mst.iter().find(|e| !was[e.index()]);
+            let old = sep.clone();
+            let mut changed = Vec::new();
+            if let (Some(&removed), Some(&added)) = (removed, added) {
+                swaps += 1;
+                let r = g.edge(removed);
+                let cut = if tree.parent(r.u) == Some(r.v) {
+                    r.u
+                } else {
+                    r.v
+                };
+                let p = tree.parent(cut).unwrap();
+                let a = g.edge(added);
+                let in_cut = |x: NodeId| tree.path_to_root(x).contains(&cut);
+                let (inner, outer) = if in_cut(a.u) { (a.u, a.v) } else { (a.v, a.u) };
+                tree.rehang(cut, inner, outer, a.w);
+                sep.rehang(&tree, cut, inner, outer, p, &mut changed);
+            }
+            assert!(
+                new_tree
+                    .nodes()
+                    .all(|v| tree.parent(v) == new_tree.parent(v)),
+                "{case}: the re-hung tree"
+            );
             let fresh = centroid_decomposition(&new_tree);
-            let updated = centroid_decomposition_update(&tree, &sep, &new_tree);
-            assert_eq!(updated, fresh, "{case}");
-            assert_eq!(
-                centroid_decomposition_update(&first_tree, &first_sep, &new_tree),
-                fresh,
-                "{case}, from the first tree"
-            );
-            let root = NodeId((step as u32 * 7919) % n as u32);
-            let rerooted = RootedTree::from_graph_edges(&g, &mst, root).unwrap();
-            assert_eq!(
-                centroid_decomposition_update(&tree, &sep, &rerooted),
-                centroid_decomposition(&rerooted),
-                "{case}, root {root}"
-            );
+            assert_eq!(sep, fresh, "{case}");
+            let record = |d: &SeparatorDecomposition, v: NodeId| {
+                (
+                    d.sep_parent(v),
+                    d.level(v),
+                    d.child_rank(v),
+                    d.component_size(v),
+                )
+            };
+            let mut listed = vec![false; n];
+            changed.iter().for_each(|v| listed[v.index()] = true);
+            for v in new_tree.nodes() {
+                assert!(
+                    listed[v.index()] || record(&old, v) == record(&fresh, v),
+                    "{case}: {v} changed unlisted"
+                );
+            }
+            if n <= 400 {
+                let root = NodeId((step as u32 * 7919) % n as u32);
+                let rerooted = RootedTree::from_graph_edges(&g, &new_mst, root).unwrap();
+                assert_eq!(
+                    centroid_decomposition(&rerooted),
+                    brute_force_centroid_decomposition(&rerooted),
+                    "{case}, root {root}"
+                );
+            }
             tree = new_tree;
-            sep = updated;
+            mst = new_mst;
         }
         assert!(
             n < 30 || swaps > 0,
