@@ -16,9 +16,10 @@
 //! accepted" is an assertion, not a column.
 //!
 //! Reported per scenario, both in causal rounds: detection latency (the
-//! depth of the rejecting verification), the detector count, and
-//! recovery cost (the depth of the construction run: GHS, marker, and
-//! its embedded verification).
+//! causal depth at which the first node rejected, reproduced by a
+//! replay of the verification's log), the detector count, and recovery
+//! cost (the depth of the construction run: GHS, marker, and its
+//! embedded verification).
 //!
 //! The memory point reruns the 100k-node cell of the retired E15 scaling
 //! experiment against the compact per-node machine layout: certificates
@@ -44,9 +45,9 @@ use mstv_core::{MstScheme, ParallelConfig, ProofLabelingScheme};
 use mstv_graph::NodeId;
 use mstv_labels::BitString;
 use mstv_net::{
-    forge_labeling, run_verification_encoded_with, AdversaryLink, AdversarySpec, ChurnSpec, Engine,
-    FaultProfile, ForgeClass, ForgeSpec, MstWireScheme, NetConfig, NetSelfStab, NetStabOutcome,
-    PartitionSpec, PerfectLink, ReorderSpec,
+    forge_labeling, replay, run_verification_encoded_with, AdversaryLink, AdversarySpec, ChurnSpec,
+    Engine, FaultProfile, ForgeClass, ForgeSpec, MstWireScheme, NetConfig, NetSelfStab,
+    NetStabOutcome, PartitionSpec, PerfectLink, ReorderSpec,
 };
 
 /// Instance size for the fault-class scenarios.
@@ -239,7 +240,7 @@ fn run_scenario(sc: &Scenario, seed: u64) -> Outcome {
     };
     let n = cfg.graph().num_nodes();
     let mut link = AdversaryLink::new(spec, PROFILE, seed ^ 0x51ab, n);
-    let mut stab = NetSelfStab::from_parts(cfg, labeling);
+    let mut stab = NetSelfStab::from_parts(cfg.clone(), labeling.clone());
     let cycle = stab
         .cycle(&mut link, NetConfig::default())
         .expect("adversarial cycles converge");
@@ -257,6 +258,17 @@ fn run_scenario(sc: &Scenario, seed: u64) -> Outcome {
     assert!(
         !verify.verdict.accepted(),
         "recovered cycle must carry a rejecting verdict"
+    );
+    let detection_rounds = verify
+        .first_reject
+        .expect("a rejecting verification has a first rejection");
+    let wire = MstWireScheme::for_config(&cfg);
+    let replayed =
+        replay(&wire, &cfg, &labeling, &verify.log).expect("the verification's log replays");
+    assert_eq!(
+        replayed.first_reject, verify.first_reject,
+        "class={} k={} seed={seed}: replay moved the first rejection",
+        sc.class, sc.k
     );
     assert!(
         stab.invariant_holds(),
@@ -278,7 +290,7 @@ fn run_scenario(sc: &Scenario, seed: u64) -> Outcome {
         class: sc.class,
         k: sc.k,
         seed,
-        detection_rounds: verify.cost.rounds,
+        detection_rounds,
         detectors: detectors.len(),
         recovery_rounds: recompute_cost.rounds,
     };

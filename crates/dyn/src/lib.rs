@@ -3,7 +3,7 @@
 //! The batch pipeline (`kruskal` → `Snapshot::build`) prices every
 //! mutation at a full rebuild: re-sort all edges, re-decompose the tree,
 //! re-assemble and re-encode `n` labels. This crate keeps an *accepted*
-//! labeling live under a mutation stream by exploiting four locality
+//! labeling live under a mutation stream by exploiting five locality
 //! facts of the `Γ` construction:
 //!
 //! 1. **Separator locality.** A node's label mentions only its own
@@ -36,6 +36,15 @@
 //!    component's canonical centroid stays and re-ranks its pieces, and
 //!    only the components where that fails are re-split. The update lists
 //!    the nodes whose record changed, and commit copies just those.
+//! 5. **One label store, patched in place.** The structured labels are
+//!    one [`GammaPass`]: each node's separator fields and its `(ω, φ, δ)`
+//!    triples, so each separator path is stored once. Phase 4 rewrites
+//!    the dirty nodes' fields in place ([`GammaPass::relabel`]): a short
+//!    dirty list walks each node's chain paths, a long one sweeps only the
+//!    separators whose component holds a dirty node. Phase 6 encodes each
+//!    node's three rows straight from the store
+//!    ([`GammaPass::encode_node`]) and swaps a changed row into place, so
+//!    the row is cloned once, for the record.
 //!
 //! The scheme-wide widths follow the largest tree-edge weight and the
 //! largest distance field. Both are kept with their counts from what a
@@ -45,7 +54,8 @@
 //! [`DynMarker::apply`] classifies each mutation into the cheapest
 //! sufficient reaction — [`DeltaOutcome::NoOp`] (non-tree weight moves
 //! that do not flip the sensitivity threshold, detected in `O(1)` by
-//! decoding the stored `MAX` labels of the edge's endpoints),
+//! reading `MAX` between the edge's endpoints off the store,
+//! [`GammaPass::max_between`]),
 //! [`DeltaOutcome::WeightsOnly`], [`DeltaOutcome::TreeSwap`], or
 //! [`DeltaOutcome::Reencode`] when a scheme-wide field width moved —
 //! and emits the [`DeltaRecord`] for the MSTVJRNL journal. The
@@ -56,10 +66,7 @@
 //! checkpoint.
 
 use mstv_graph::{Edge, EdgeId, Graph, NodeId, Weight};
-use mstv_labels::{
-    decode_max, encode_dist_label_into, walk_labels, BitString, DistLabel, FlowLabel, GammaPass,
-    LabelCodec, MaxLabel, SepFieldCodec,
-};
+use mstv_labels::{BitString, GammaPass, LabelCodec, SepFieldCodec};
 use mstv_mst::{kruskal, repair_after_weight_change_in, Repair};
 use mstv_store::{
     DeltaOutcome, DeltaRecord, DistSection, JournalMutation, LabelDelta, Snapshot, TreeDelta,
@@ -138,19 +145,17 @@ pub struct DynMarker {
     /// records the patches listed into `sep`.
     work_sep: SeparatorDecomposition,
     parents: Vec<Option<(NodeId, Weight)>>,
-    max_s: Vec<MaxLabel>,
-    flow_s: Vec<FlowLabel>,
-    dist_s: Vec<DistLabel>,
-    /// `dist_max[v] == max(dist_s[v].delta)`, kept current for the dirty
-    /// nodes so `deltas` can follow it.
-    dist_max: Vec<u64>,
-    enc_max: Vec<BitString>,
-    enc_flow: Vec<BitString>,
-    enc_dist: Vec<BitString>,
+    /// The `Γ` fields of every node over `tree` and `sep`, the one store
+    /// of structured labels: phase 4 relabels the dirty nodes in place,
+    /// and phase 6 encodes from it.
+    gamma: GammaPass,
+    /// The encoded `MAX`, `FLOW` and `DIST` rows, in that order.
+    enc: [Vec<BitString>; 3],
     max_weight: Weight,
     /// The largest tree-edge weight and its count, for the `ω` width.
     weights: Top,
-    /// The largest `dist_max` entry and its count, for the `δ` width.
+    /// The largest of the nodes' largest `δ` fields and its count, for
+    /// the `δ` width.
     deltas: Top,
     omega_bits: u32,
     delta_bits: u32,
@@ -159,6 +164,8 @@ pub struct DynMarker {
     tree_weight: u128,
     /// Phase 3's dirty list and marks, clear between mutations.
     marks: DirtyMarks,
+    /// The length of the last applied mutation's dirty list.
+    relabelled: usize,
     seq: u64,
 }
 
@@ -191,8 +198,20 @@ impl DynMarker {
         let tree = RootedTree::from_tree_membership(&graph, &in_tree, NodeId(0))
             .expect("kruskal returns a spanning tree");
         let sep = centroid_decomposition(&tree);
-        let n = graph.num_nodes();
-        let mut marker = DynMarker {
+        let gamma = GammaPass::build(&tree, &sep, one_worker());
+        let weights = Top::of(tree.edges().map(|(_, _, w)| w.0));
+        let max_weight = weights.max_weight();
+        let codec = LabelCodec {
+            sep_codec,
+            omega_bits: max_weight.bit_width(),
+        };
+        let enc = gamma.encode(codec, one_worker());
+        let (delta_bits, enc_dist) = enc
+            .dist
+            .expect("a tree whose weight fits u64 has distance labels");
+        let deltas = Top::of(tree.nodes().map(|v| gamma.max_delta(v)));
+        Ok(DynMarker {
+            marks: DirtyMarks::new(graph.num_nodes()),
             graph,
             sep_codec,
             tree_edges,
@@ -202,24 +221,17 @@ impl DynMarker {
             tree,
             work_sep: sep.clone(),
             sep,
-            max_s: Vec::new(),
-            flow_s: Vec::new(),
-            dist_s: Vec::new(),
-            dist_max: Vec::new(),
-            enc_max: Vec::new(),
-            enc_flow: Vec::new(),
-            enc_dist: Vec::new(),
-            max_weight: Weight(1),
-            weights: Top::default(),
-            deltas: Top::default(),
-            omega_bits: 1,
-            delta_bits: 1,
+            gamma,
+            enc: [enc.max, enc.flow, enc_dist],
+            max_weight,
+            weights,
+            deltas,
+            omega_bits: codec.omega_bits,
+            delta_bits,
             tree_weight,
-            marks: DirtyMarks::new(n),
+            relabelled: 0,
             seq: 0,
-        };
-        marker.rebuild_all_labels();
-        Ok(marker)
+        })
     }
 
     /// The graph under mutation.
@@ -242,10 +254,18 @@ impl DynMarker {
         self.seq
     }
 
+    /// How many nodes the last applied mutation relabelled (its dirty
+    /// list; 0 for a no-op), which tells on which side of
+    /// [`GammaPass::sweeps`] its relabel ran.
+    pub fn relabelled(&self) -> usize {
+        self.relabelled
+    }
+
     /// Snapshot of the current state, built from the maintained parts —
     /// byte-identical to `Snapshot::build` on a fresh canonical rebuild
     /// of the mutated graph.
     pub fn snapshot(&self) -> Snapshot {
+        let [max, flow, dist] = self.enc.clone();
         Snapshot::from_parts(
             self.tree.root(),
             self.max_weight,
@@ -254,11 +274,11 @@ impl DynMarker {
                 omega_bits: self.omega_bits,
             },
             self.parents.clone(),
-            self.enc_max.clone(),
-            self.enc_flow.clone(),
+            max,
+            flow,
             Some(DistSection {
                 delta_bits: self.delta_bits,
-                labels: self.enc_dist.clone(),
+                labels: dist,
             }),
         )
     }
@@ -311,6 +331,7 @@ impl DynMarker {
         steps: &[(EdgeId, Weight)],
     ) -> Result<DeltaRecord, DynError> {
         if steps.iter().all(|&(e, w)| self.graph.weight(e) == w) {
+            self.relabelled = 0;
             return Ok(self.finish_record(
                 mutation,
                 DeltaOutcome::NoOp,
@@ -353,7 +374,7 @@ impl DynMarker {
             undo.push((e, old_w));
             if single && !self.in_tree[e.index()] {
                 // O(1) sensitivity test straight off the maintained MAX
-                // labels: a non-tree edge strictly heavier than the path
+                // fields: a non-tree edge strictly heavier than the path
                 // maximum between its endpoints cannot enter the tree
                 // under the (weight, id) EdgeKey order, so nothing — not
                 // even a width — depends on its weight. (A tie needs the
@@ -361,8 +382,7 @@ impl DynMarker {
                 // Only valid while no earlier step dirtied the labels,
                 // hence the `single` guard.
                 let ed = self.graph.edge(e);
-                let path_max = decode_max(&self.max_s[ed.u.index()], &self.max_s[ed.v.index()]);
-                if w > path_max {
+                if w > self.gamma.max_between(ed.u, ed.v) {
                     self.graph.set_weight(e, w);
                     continue;
                 }
@@ -445,6 +465,7 @@ impl DynMarker {
         if !topo_changed && touched.is_empty() {
             // Only harmless non-tree weights moved: labels and widths
             // depend on tree edges alone.
+            self.relabelled = 0;
             return Ok(self.finish_record(
                 mutation,
                 DeltaOutcome::NoOp,
@@ -486,34 +507,19 @@ impl DynMarker {
         self.marks.list.sort_unstable();
         let dirty: &[NodeId] = &self.marks.list;
 
-        // Phase 4: re-assemble structured labels. Small dirty sets walk
-        // each dirty node's chain paths (`walk_labels`: no preprocessing,
-        // O(depth) per chain entry); a dirty set big enough to amortize
-        // it pays for one O(n log n) batch pass over the whole tree
-        // (`GammaPass`, all three families from one sweep), whose labels
-        // outside the dirty set are unchanged. The walk and the pass are
-        // bit-identical.
-        let n = self.graph.num_nodes();
-        if dirty.len().saturating_mul(16) <= n.max(16_384) {
-            for &v in dirty {
-                let (max, flow, dist) = walk_labels(&self.work, new_sep, v);
-                self.max_s[v.index()] = max;
-                self.flow_s[v.index()] = flow;
-                self.dist_s[v.index()] = dist;
-            }
-        } else {
-            let (max, flow, dist) =
-                GammaPass::build(&self.work, new_sep, one_worker()).into_labels();
-            self.max_s = max;
-            self.flow_s = flow;
-            self.dist_s = dist.expect("the marker refuses trees without distance labels");
-        }
+        // Phase 4: relabel the dirty nodes in the `Γ` store, in place. A
+        // short list walks each node's chain paths; a long one sweeps the
+        // components of the separators on its chains (`GammaPass::relabel`
+        // picks, bit-identical either way). The `δ` top trades each dirty
+        // node's old largest field for its new one.
         for &v in dirty {
-            let d = max_delta(&self.dist_s[v.index()]);
-            self.deltas.remove(self.dist_max[v.index()]);
-            self.deltas.add(d);
-            self.dist_max[v.index()] = d;
+            self.deltas.remove(self.gamma.max_delta(v));
         }
+        self.gamma.relabel(&self.work, new_sep, dirty);
+        for &v in dirty {
+            self.deltas.add(self.gamma.max_delta(v));
+        }
+        self.relabelled = dirty.len();
 
         // Phase 5: scheme widths. `ω` width follows the largest tree-edge
         // weight, `δ` width the largest distance field. Both tops follow
@@ -527,7 +533,7 @@ impl DynMarker {
         let new_max_weight = weights.max_weight();
         let new_omega_bits = new_max_weight.bit_width();
         if self.deltas.count == 0 {
-            self.deltas = Top::of(self.dist_max.iter().copied());
+            self.deltas = Top::of(self.graph.nodes().map(|v| self.gamma.max_delta(v)));
         }
         let new_delta_bits = Weight(self.deltas.value).bit_width();
         let widths_changed = new_omega_bits != self.omega_bits || new_delta_bits != self.delta_bits;
@@ -539,9 +545,11 @@ impl DynMarker {
             DeltaOutcome::WeightsOnly
         };
 
-        // Phase 6: re-encode and emit only the rows whose bits moved —
-        // every row after a width change, else the dirty ones, in
-        // ascending node order either way.
+        // Phase 6: re-encode straight from the store and emit only the
+        // rows whose bits moved — every row after a width change, else the
+        // dirty ones, in ascending node order either way. A changed row is
+        // swapped into place, so it is cloned once, for the record, and
+        // the scratch keeps the old row's buffer for the next node.
         let codec = LabelCodec {
             sep_codec: self.sep_codec,
             omega_bits: new_omega_bits,
@@ -553,29 +561,21 @@ impl DynMarker {
         } else {
             dirty
         };
-        let mut max_d = Vec::new();
-        let mut flow_d = Vec::new();
-        let mut dist_d = Vec::new();
-        // One scratch buffer for all three families: a node whose bits
-        // did not move costs a re-encode into reused capacity, never a
-        // fresh allocation. Only actually-changed rows own new bytes.
-        let mut scratch = BitString::new();
+        let mut label_d: [Vec<LabelDelta>; 3] = Default::default();
+        let mut scratch: [BitString; 3] = Default::default();
         for &node in encode {
-            let v = node.index();
-            scratch.clear();
-            codec.encode_max_into(&self.max_s[v], &mut scratch);
-            push_if_changed(&mut self.enc_max, v, &scratch, node.0, &mut max_d);
-            scratch.clear();
-            codec.encode_flow_into(&self.flow_s[v], &mut scratch);
-            push_if_changed(&mut self.enc_flow, v, &scratch, node.0, &mut flow_d);
-            scratch.clear();
-            encode_dist_label_into(
-                &self.dist_s[v],
-                self.sep_codec,
-                new_delta_bits,
-                &mut scratch,
-            );
-            push_if_changed(&mut self.enc_dist, v, &scratch, node.0, &mut dist_d);
+            self.gamma
+                .encode_node(node, codec, new_delta_bits, &mut scratch);
+            for ((row, enc), out) in scratch.iter_mut().zip(&mut self.enc).zip(&mut label_d) {
+                let stored = &mut enc[node.index()];
+                if stored != row {
+                    std::mem::swap(stored, row);
+                    out.push(LabelDelta {
+                        node: node.0,
+                        bits: stored.clone(),
+                    });
+                }
+            }
         }
 
         // Phase 7: tree-row deltas, then commit. Only the re-hung path
@@ -609,6 +609,7 @@ impl DynMarker {
         self.max_weight = new_max_weight;
         self.omega_bits = new_omega_bits;
         self.delta_bits = new_delta_bits;
+        let [max_d, flow_d, dist_d] = label_d;
         Ok(self.finish_record(mutation, outcome, tree_d, max_d, flow_d, dist_d))
     }
 
@@ -687,39 +688,6 @@ impl DynMarker {
             dist,
         }
     }
-
-    /// Full batch (re)build of structured and encoded labels from one
-    /// [`GammaPass`] — the constructor's path, also reusable as a hard
-    /// reset.
-    fn rebuild_all_labels(&mut self) {
-        let pass = GammaPass::build(&self.tree, &self.sep, one_worker());
-        self.weights = Top::of(self.tree.edges().map(|(_, _, w)| w.0));
-        self.max_weight = self.weights.max_weight();
-        self.omega_bits = self.max_weight.bit_width();
-        let codec = LabelCodec {
-            sep_codec: self.sep_codec,
-            omega_bits: self.omega_bits,
-        };
-        let enc = pass.encode(codec, one_worker());
-        let (delta_bits, enc_dist) = enc
-            .dist
-            .expect("the marker refuses trees without distance labels");
-        self.delta_bits = delta_bits;
-        self.enc_max = enc.max;
-        self.enc_flow = enc.flow;
-        self.enc_dist = enc_dist;
-        let (max, flow, dist) = pass.into_labels();
-        self.max_s = max;
-        self.flow_s = flow;
-        self.dist_s = dist.expect("the marker refuses trees without distance labels");
-        self.dist_max = self.dist_s.iter().map(max_delta).collect();
-        self.deltas = Top::of(self.dist_max.iter().copied());
-    }
-}
-
-/// The largest distance field of a label, 0 without one.
-fn max_delta(label: &DistLabel) -> u64 {
-    label.delta.iter().copied().max().unwrap_or(0)
 }
 
 /// The largest of a multiset of values and how many times it occurs,
@@ -975,22 +943,6 @@ fn walk(
                 stack.push((u, v));
             }
         }
-    }
-}
-
-fn push_if_changed(
-    enc: &mut [BitString],
-    v: usize,
-    new_bits: &BitString,
-    node: u32,
-    out: &mut Vec<LabelDelta>,
-) {
-    if enc[v] != *new_bits {
-        enc[v] = new_bits.clone();
-        out.push(LabelDelta {
-            node,
-            bits: new_bits.clone(),
-        });
     }
 }
 
@@ -1365,8 +1317,9 @@ mod tests {
     #[test]
     fn large_dirty_sets_relabel_through_the_batch_builders() {
         // Past 1024 dirty nodes (at n ≤ 16384) phase 4 switches from the
-        // per-node walk to the batch sweeps; evicting tree edges until a
-        // swap re-labels more rows than that exercises the switch.
+        // per-node walk to sweeping the separators above the dirty nodes
+        // (`GammaPass::sweeps`); evicting tree edges until a swap
+        // re-labels more rows than that exercises the switch.
         let (mut marker, mut rng) = random_marker(1100, 1500, 1 << 20, 31);
         let mut batch_sized = 0;
         for _ in 0..12 {

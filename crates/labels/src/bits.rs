@@ -101,13 +101,29 @@ fn load_chunk(bytes: &[u8], pos: usize, width: u32) -> u64 {
 /// assert_eq!(r.read_bits(3), 0b101);
 /// assert_eq!(r.read_elias_gamma(), 9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct BitString {
     /// Invariant: `bytes.len() == len.div_ceil(8)` and every bit at
     /// position `>= len` in the final byte is zero, so the derived
     /// `Eq`/`Hash` see canonical buffers and `to_bytes` is a plain copy.
     bytes: Vec<u8>,
     len: usize,
+}
+
+impl Clone for BitString {
+    fn clone(&self) -> Self {
+        BitString {
+            bytes: self.bytes.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Copies `source` into `self`'s buffer, which allocates only when
+    /// that buffer is too small.
+    fn clone_from(&mut self, source: &Self) {
+        self.bytes.clone_from(&source.bytes);
+        self.len = source.len;
+    }
 }
 
 impl BitString {

@@ -76,7 +76,10 @@ pub fn dist_labels_parallel(
         dist_fits(tree),
         "tree weight overflows u64: no distance labels"
     );
-    gamma_fields::<DistAggregate>(tree, sep, config)
+    let (fields, values) = gamma_fields::<DistAggregate>(tree, sep, config);
+    fields
+        .into_iter()
+        .zip(values)
         .map(|(sep, delta)| DistLabel { sep, delta })
         .collect()
 }

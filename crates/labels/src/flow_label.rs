@@ -54,7 +54,10 @@ pub fn flow_labels_parallel(
     sep: &SeparatorDecomposition,
     config: ParallelConfig,
 ) -> Vec<FlowLabel> {
-    gamma_fields::<FlowAggregate>(tree, sep, config)
+    let (fields, values) = gamma_fields::<FlowAggregate>(tree, sep, config);
+    fields
+        .into_iter()
+        .zip(values)
         .map(|(sep, phi)| FlowLabel { sep, phi })
         .collect()
 }

@@ -107,16 +107,25 @@ impl PathAggregate for TripleAggregate {
 /// from one pass: each vertex's separator fields once, and one
 /// [`omega_sweep`] carrying the `(max, min, sum)` triple. The families'
 /// labels are projections of it, encoded straight to bits
-/// ([`GammaPass::encode`]) or materialized ([`GammaPass::into_labels`]),
-/// and equal what the per-family builders ([`crate::max_labels_parallel`]
-/// and its twins) produce. `DIST` is projected only when the tree's total
-/// weight fits in a `u64` ([`crate::dist_fits`]).
-#[derive(Debug, Clone)]
+/// ([`GammaPass::encode`], or [`GammaPass::encode_node`] for one vertex)
+/// or materialized ([`GammaPass::into_labels`]), and equal what the
+/// per-family builders ([`crate::max_labels_parallel`] and its twins)
+/// produce. `DIST` is projected only when the tree's total weight fits in
+/// a `u64` ([`crate::dist_fits`]).
+///
+/// The pass is also a store an incremental relabeler keeps: after the
+/// tree or its decomposition changes, [`GammaPass::relabel`] rewrites the
+/// fields of the vertices whose labels changed, in place, and leaves it
+/// equal to a fresh [`GammaPass::build`] of the new tree.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GammaPass {
-    nodes: Vec<(Vec<u64>, Vec<Triple>)>,
-    /// Width of the `δ` fields (the bit width of the largest one), when
-    /// the tree has `DIST` labels.
-    delta_bits: Option<u32>,
+    /// Each vertex's separator-path fields.
+    fields: Vec<Vec<u64>>,
+    /// Each vertex's `(MAX, FLOW, DIST)` aggregate fields, one a level.
+    values: Vec<Vec<Triple>>,
+    /// Whether the built tree's total weight fits in a `u64`, so that
+    /// `DIST` is projected.
+    dist: bool,
 }
 
 /// The bit encodings [`GammaPass::encode`] writes, one per vertex and
@@ -131,6 +140,20 @@ pub struct GammaEncoding {
     pub dist: Option<(u32, Vec<BitString>)>,
 }
 
+// The raw value field each family writes from a triple.
+
+fn max_field(t: &Triple) -> u64 {
+    t.0 .0
+}
+
+fn flow_field(t: &Triple) -> u64 {
+    flow_raw(t.1)
+}
+
+fn dist_field(t: &Triple) -> u64 {
+    t.2
+}
+
 impl GammaPass {
     /// Runs the pass: separator fields fanned across `config`'s workers,
     /// then one sweep. Output is identical for every worker count.
@@ -139,16 +162,97 @@ impl GammaPass {
     ///
     /// Panics if `sep` does not belong to `tree` (mismatched node counts).
     pub fn build(tree: &RootedTree, sep: &SeparatorDecomposition, config: ParallelConfig) -> Self {
-        let nodes: Vec<_> = gamma_fields::<TripleAggregate>(tree, sep, config).collect();
-        let delta_bits = dist_fits(tree).then(|| {
-            let max_delta = nodes
-                .iter()
-                .flat_map(|(_, values)| values.iter().map(|&(_, _, sum)| sum))
-                .max()
-                .unwrap_or(0);
-            Weight(max_delta).bit_width()
-        });
-        GammaPass { nodes, delta_bits }
+        let (fields, values) = gamma_fields::<TripleAggregate>(tree, sep, config);
+        GammaPass {
+            fields,
+            values,
+            dist: dist_fits(tree),
+        }
+    }
+
+    /// Whether [`GammaPass::relabel`] sweeps a dirty list of `dirty` of
+    /// `n` vertices: past one vertex in 16 (of at least 16,384), where
+    /// the listed vertices' own chain walks, O(depth) a field, would cost
+    /// more than sweeping the separators above them.
+    pub fn sweeps(dirty: usize, n: usize) -> bool {
+        dirty.saturating_mul(16) > n.max(16_384)
+    }
+
+    /// Rewrites, in place, the fields of the vertices in `dirty` for
+    /// `tree` and its decomposition `sep`. `dirty` must list every vertex
+    /// whose label changed since the pass was built or last relabelled
+    /// (it may list more); the pass then equals [`GammaPass::build`] of
+    /// `tree` and `sep`.
+    ///
+    /// A short list ([`GammaPass::sweeps`] false) walks each listed
+    /// vertex's own chain paths, as [`walk_labels`] does. A long one
+    /// sweeps only the separators whose component holds a listed vertex
+    /// (those on its chain), with the sweep a fresh build runs over every
+    /// separator: the fields it rewrites off the list are unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree` or `sep` has another node count than the pass,
+    /// or (on the walk) if a path's summed weight overflows `u64`.
+    pub fn relabel(&mut self, tree: &RootedTree, sep: &SeparatorDecomposition, dirty: &[NodeId]) {
+        let n = self.fields.len();
+        assert!(
+            tree.num_nodes() == n && sep.num_nodes() == n,
+            "tree and decomposition must match the pass"
+        );
+        let mut chain = Vec::new();
+        if !GammaPass::sweeps(dirty.len(), n) {
+            for &v in dirty {
+                let (fields, values) = (&mut self.fields[v.index()], &mut self.values[v.index()]);
+                walk_node(tree, sep, v, &mut chain, fields, values);
+            }
+            return;
+        }
+        let mut swept = vec![false; n];
+        for &v in dirty {
+            let i = v.index();
+            sep_fields_into(sep, v, &mut chain, &mut self.fields[i]);
+            self.values[i].resize(chain.len(), TripleAggregate::EMPTY);
+            // Chains climb to the root, so the first separator already
+            // marked has its whole chain marked.
+            for &s in chain.iter().rev() {
+                if std::mem::replace(&mut swept[s.index()], true) {
+                    break;
+                }
+            }
+        }
+        let mut stack = Vec::new();
+        for s in tree.nodes().filter(|s| swept[s.index()]) {
+            sweep_component::<TripleAggregate>(tree, sep, s, &mut self.values, &mut stack);
+        }
+    }
+
+    /// `MAX(u, v)`: the heaviest edge on the tree path, decoded from the
+    /// two vertices' fields as [`crate::decode_max`] decodes their
+    /// labels.
+    pub fn max_between(&self, u: NodeId, v: NodeId) -> Weight {
+        let cp = common_prefix(&self.fields[u.index()], &self.fields[v.index()]);
+        let field = |w: NodeId| self.values[w.index()][cp - 1].0;
+        field(u).max(field(v))
+    }
+
+    /// The largest `δ` field of `v`: its summed distance to the farthest
+    /// separator on its chain.
+    pub fn max_delta(&self, v: NodeId) -> u64 {
+        self.values[v.index()]
+            .iter()
+            .map(dist_field)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Width of the `δ` fields (the bit width of the largest one), when
+    /// the pass projects `DIST`.
+    fn delta_bits(&self) -> Option<u32> {
+        self.dist.then(|| {
+            let max_delta = self.values.iter().flatten().map(dist_field).max();
+            Weight(max_delta.unwrap_or(0)).bit_width()
+        })
     }
 
     /// Every vertex's `MAX` and `FLOW` label under `codec`, and its
@@ -167,34 +271,68 @@ impl GammaPass {
         // One family at a time, so each family's labels are allocated
         // together and a section is read back from contiguous memory.
         let family = |bits: u32, field: fn(&Triple) -> u64| {
-            par_map_chunks(self.nodes.len(), config.resolved_threads(), |lo, hi| {
+            par_map_chunks(self.fields.len(), config.resolved_threads(), |lo, hi| {
                 let mut scratch = BitString::new();
-                self.nodes[lo..hi]
-                    .iter()
-                    .map(|(sep, values)| {
-                        scratch.clear();
-                        codec.encode_fields_into(sep, values.iter().map(field), bits, &mut scratch);
+                (lo..hi)
+                    .map(|i| {
+                        self.write_row(i, codec, bits, field, &mut scratch);
                         scratch.clone()
                     })
                     .collect()
             })
         };
         GammaEncoding {
-            max: family(codec.omega_bits, |v| v.0 .0),
-            flow: family(codec.omega_bits, |v| flow_raw(v.1)),
-            dist: self.delta_bits.map(|bits| (bits, family(bits, |v| v.2))),
+            max: family(codec.omega_bits, max_field),
+            flow: family(codec.omega_bits, flow_field),
+            dist: self
+                .delta_bits()
+                .map(|bits| (bits, family(bits, dist_field))),
         }
+    }
+
+    /// Writes `v`'s `MAX`, `FLOW` and `DIST` rows into `rows`, in that
+    /// order, each cleared first: bit for bit the rows
+    /// [`GammaPass::encode`] writes for `v` under `codec`, with `δ` fields
+    /// `delta_bits` wide.
+    ///
+    /// # Panics
+    ///
+    /// As [`GammaPass::encode`].
+    pub fn encode_node(
+        &self,
+        v: NodeId,
+        codec: LabelCodec,
+        delta_bits: u32,
+        rows: &mut [BitString; 3],
+    ) {
+        let [max, flow, dist] = rows;
+        self.write_row(v.index(), codec, codec.omega_bits, max_field, max);
+        self.write_row(v.index(), codec, codec.omega_bits, flow_field, flow);
+        self.write_row(v.index(), codec, delta_bits, dist_field, dist);
+    }
+
+    /// Writes one family's row of vertex `i`, with value fields `bits`
+    /// wide, into `out` (cleared first).
+    fn write_row(
+        &self,
+        i: usize,
+        codec: LabelCodec,
+        bits: u32,
+        field: fn(&Triple) -> u64,
+        out: &mut BitString,
+    ) {
+        out.clear();
+        codec.encode_fields_into(&self.fields[i], self.values[i].iter().map(field), bits, out);
     }
 
     /// The structured labels of every vertex: `MAX`, `FLOW`, and `DIST`
     /// when the tree has them.
     pub fn into_labels(self) -> (Vec<MaxLabel>, Vec<FlowLabel>, Option<Vec<DistLabel>>) {
-        let n = self.nodes.len();
-        let has_dist = self.delta_bits.is_some();
+        let n = self.fields.len();
         let mut max = Vec::with_capacity(n);
         let mut flow = Vec::with_capacity(n);
-        let mut dist = Vec::with_capacity(if has_dist { n } else { 0 });
-        for (sep, values) in self.nodes {
+        let mut dist = Vec::with_capacity(if self.dist { n } else { 0 });
+        for (sep, values) in self.fields.into_iter().zip(self.values) {
             max.push(MaxLabel {
                 sep: sep.clone(),
                 omega: values.iter().map(|v| v.0).collect(),
@@ -203,14 +341,14 @@ impl GammaPass {
                 sep: sep.clone(),
                 phi: values.iter().map(|v| v.1).collect(),
             });
-            if has_dist {
+            if self.dist {
                 dist.push(DistLabel {
                     sep,
                     delta: values.iter().map(|v| v.2).collect(),
                 });
             }
         }
-        (max, flow, has_dist.then_some(dist))
+        (max, flow, self.dist.then_some(dist))
     }
 }
 
@@ -226,122 +364,115 @@ pub(crate) fn gamma_fields<A: PathAggregate>(
     tree: &RootedTree,
     sep: &SeparatorDecomposition,
     config: ParallelConfig,
-) -> impl Iterator<Item = (Vec<u64>, Vec<A::Value>)> {
+) -> (Vec<Vec<u64>>, Vec<Vec<A::Value>>) {
     assert_eq!(
         tree.num_nodes(),
         sep.num_nodes(),
         "decomposition does not match tree"
     );
     let values = omega_sweep::<A>(tree, sep);
-    let fields: Vec<Vec<u64>> =
-        par_map_chunks(tree.num_nodes(), config.resolved_threads(), |lo, hi| {
-            let mut chain = Vec::new();
-            (lo..hi)
-                .map(|i| sep_fields(sep, NodeId::from_index(i), &mut chain))
-                .collect()
-        });
-    fields.into_iter().zip(values)
+    let fields = par_map_chunks(tree.num_nodes(), config.resolved_threads(), |lo, hi| {
+        let mut chain = Vec::new();
+        (lo..hi)
+            .map(|i| {
+                let mut fields = Vec::new();
+                sep_fields_into(sep, NodeId::from_index(i), &mut chain, &mut fields);
+                fields
+            })
+            .collect()
+    });
+    (fields, values)
 }
 
-/// The aggregate fields of every vertex, computed by one DFS sweep per
-/// separator over its own component: the sweep from `s` carries the
-/// running aggregate outward, so each of the `Σ_v level(v)` fields
-/// costs O(1) amortized with near-sequential array traffic — the batch
-/// path. [`walk_labels`] computes the same fields node by node.
+/// The aggregate fields of every vertex: the sweep of every separator
+/// ([`sweep_component`]), so each of the `Σ_v level(v)` fields costs O(1)
+/// amortized with near-sequential array traffic — the batch path.
+/// [`walk_labels`] computes the same fields node by node.
 fn omega_sweep<A: PathAggregate>(
     tree: &RootedTree,
     sep: &SeparatorDecomposition,
 ) -> Vec<Vec<A::Value>> {
-    let n = tree.num_nodes();
-    let mut values: Vec<Vec<A::Value>> = (0..n)
-        .map(|i| vec![A::EMPTY; sep.level(NodeId::from_index(i)) as usize])
+    let mut values: Vec<Vec<A::Value>> = tree
+        .nodes()
+        .map(|v| vec![A::EMPTY; sep.level(v) as usize])
         .collect();
-    // Interval-label the separator tree so "u lies in the component of
-    // separator s" is the O(1) test tin[s] <= tin[u] < tout[s] (u's
-    // level-l(s) separator is s iff s is its separator-tree ancestor).
-    // Children live in one flat CSR array to keep the setup allocation-
-    // and cache-cheap.
-    let mut off = vec![0u32; n + 1];
-    for i in 0..n {
-        if let Some(p) = sep.sep_parent(NodeId::from_index(i)) {
-            off[p.index() + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        off[i + 1] += off[i];
-    }
-    let mut kids = vec![NodeId(0); n.saturating_sub(1)];
-    let mut cursor: Vec<u32> = off[..n].to_vec();
-    for i in 0..n {
-        let v = NodeId::from_index(i);
-        if let Some(p) = sep.sep_parent(v) {
-            kids[cursor[p.index()] as usize] = v;
-            cursor[p.index()] += 1;
-        }
-    }
-    let mut tin = vec![0u32; n];
-    let mut tout = vec![0u32; n];
-    let mut timer = 0u32;
-    let mut walk: Vec<(NodeId, u32)> = vec![(sep.root(), off[sep.root().index()])];
-    tin[sep.root().index()] = timer;
-    timer += 1;
-    while let Some(top) = walk.last_mut() {
-        let (v, next_child) = *top;
-        if next_child < off[v.index() + 1] {
-            top.1 += 1;
-            let c = kids[next_child as usize];
-            tin[c.index()] = timer;
-            timer += 1;
-            walk.push((c, off[c.index()]));
-        } else {
-            tout[v.index()] = timer;
-            walk.pop();
-        }
-    }
-    // One DFS per separator, confined to its component, carrying the
-    // running aggregate; entries are (node, predecessor, field value).
-    let mut stack: Vec<(NodeId, NodeId, A::Value)> = Vec::new();
-    for i in 0..n {
-        let s = NodeId::from_index(i);
-        let slot = sep.level(s) as usize - 1;
-        let (lo, hi) = (tin[i], tout[i]);
-        let inside = |u: NodeId| (lo..hi).contains(&tin[u.index()]);
-        stack.push((s, s, A::EMPTY));
-        while let Some((u, prev, m)) = stack.pop() {
-            values[u.index()][slot] = m;
-            if let Some(p) = tree.parent(u) {
-                if p != prev && inside(p) {
-                    stack.push((p, u, A::extend(m, tree.parent_weight(u))));
-                }
-            }
-            for &c in tree.children(u) {
-                if c != prev && inside(c) {
-                    stack.push((c, u, A::extend(m, tree.parent_weight(c))));
-                }
-            }
-        }
+    let mut stack = Vec::new();
+    for s in tree.nodes() {
+        sweep_component::<A>(tree, sep, s, &mut values, &mut stack);
     }
     values
 }
 
-/// The `E_sep` fields of one vertex, with the separator chain staged in a
-/// caller-owned buffer so batch builders allocate one chain per worker.
-fn sep_fields(sep: &SeparatorDecomposition, v: NodeId, chain: &mut Vec<NodeId>) -> Vec<u64> {
-    sep.ancestors_into(v, chain);
-    let mut fields = Vec::with_capacity(chain.len());
-    fields.push(0u64);
-    for &a in &chain[1..] {
-        fields.push(u64::from(sep.child_rank(a)));
+/// Fills separator `s`'s field (slot `level(s) - 1`) at every vertex of
+/// its component, by one DFS from `s` carrying the running aggregate
+/// outward. The component is what `s` reaches through vertices of higher
+/// level, since the vertices around it are separators removed before it.
+/// `stack` is caller-owned scratch, empty between calls; its entries are
+/// (node, predecessor, field value).
+fn sweep_component<A: PathAggregate>(
+    tree: &RootedTree,
+    sep: &SeparatorDecomposition,
+    s: NodeId,
+    values: &mut [Vec<A::Value>],
+    stack: &mut Vec<(NodeId, NodeId, A::Value)>,
+) {
+    let level = sep.level(s);
+    let slot = level as usize - 1;
+    let inside = |u: NodeId| sep.level(u) > level;
+    stack.push((s, s, A::EMPTY));
+    while let Some((u, prev, m)) = stack.pop() {
+        values[u.index()][slot] = m;
+        if let Some(p) = tree.parent(u) {
+            if p != prev && inside(p) {
+                stack.push((p, u, A::extend(m, tree.parent_weight(u))));
+            }
+        }
+        for &c in tree.children(u) {
+            if c != prev && inside(c) {
+                stack.push((c, u, A::extend(m, tree.parent_weight(c))));
+            }
+        }
     }
-    fields
+}
+
+/// The `E_sep` fields of one vertex into `fields` (cleared first), with
+/// the separator chain staged in a caller-owned buffer, which keeps it.
+fn sep_fields_into(
+    sep: &SeparatorDecomposition,
+    v: NodeId,
+    chain: &mut Vec<NodeId>,
+    fields: &mut Vec<u64>,
+) {
+    sep.ancestors_into(v, chain);
+    fields.clear();
+    fields.reserve(chain.len());
+    fields.push(0u64);
+    fields.extend(chain[1..].iter().map(|&a| u64::from(sep.child_rank(a))));
+}
+
+/// One vertex's separator and aggregate fields into `fields` and
+/// `values` (both cleared first), from one
+/// [`RootedTree::path_stats_naive`] climb per chain separator: O(depth)
+/// per field and no preprocessing.
+fn walk_node(
+    tree: &RootedTree,
+    sep: &SeparatorDecomposition,
+    v: NodeId,
+    chain: &mut Vec<NodeId>,
+    fields: &mut Vec<u64>,
+    values: &mut Vec<Triple>,
+) {
+    sep_fields_into(sep, v, chain, fields);
+    values.clear();
+    values.extend(chain.iter().map(|&a| tree.path_stats_naive(v, a)));
 }
 
 /// The `MAX`, `FLOW` and `DIST` labels of one vertex, from one
-/// [`RootedTree::path_stats_naive`] climb per chain separator: O(depth)
-/// per field and no preprocessing, so an incremental relabeler with a
-/// small dirty set pays for its dirty vertices only. The output equals
-/// the batch builders' ([`crate::max_labels_parallel`] and its `FLOW`
-/// and `DIST` twins) at `v`.
+/// [`RootedTree::path_stats_naive`] climb per chain separator: the walk
+/// [`GammaPass::relabel`] runs on a short dirty list, and the per-node
+/// reference the sweep is checked against. The output equals the batch
+/// builders' ([`crate::max_labels_parallel`] and its `FLOW` and `DIST`
+/// twins) at `v`.
 ///
 /// # Panics
 ///
@@ -352,27 +483,21 @@ pub fn walk_labels(
     sep: &SeparatorDecomposition,
     v: NodeId,
 ) -> (MaxLabel, FlowLabel, DistLabel) {
-    let mut chain = Vec::new();
-    let fields = sep_fields(sep, v, &mut chain);
-    let mut omega = Vec::with_capacity(chain.len());
-    let mut phi = Vec::with_capacity(chain.len());
-    let mut delta = Vec::with_capacity(chain.len());
-    for &a in &chain {
-        let (max, min, sum) = tree.path_stats_naive(v, a);
-        omega.push(max);
-        phi.push(min);
-        delta.push(sum);
-    }
+    let (mut fields, mut values) = (Vec::new(), Vec::new());
+    walk_node(tree, sep, v, &mut Vec::new(), &mut fields, &mut values);
     (
         MaxLabel {
             sep: fields.clone(),
-            omega,
+            omega: values.iter().map(|t| t.0).collect(),
         },
         FlowLabel {
             sep: fields.clone(),
-            phi,
+            phi: values.iter().map(|t| t.1).collect(),
         },
-        DistLabel { sep: fields, delta },
+        DistLabel {
+            sep: fields,
+            delta: values.iter().map(|t| t.2).collect(),
+        },
     )
 }
 

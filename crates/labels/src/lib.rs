@@ -16,9 +16,12 @@
 //! The three families share one construction and differ only in the
 //! path aggregate their value fields carry ([`PathAggregate`]); each has
 //! one batch builder (`*_labels_parallel`, with `*_labels` its one-worker
-//! pin), [`GammaPass`] fills all three from one sweep for callers that
-//! want every family of a tree, and [`walk_labels`] assembles all three
-//! labels of a single vertex for incremental relabelers.
+//! pin), and [`GammaPass`] fills all three from one sweep for callers
+//! that want every family of a tree. An incremental relabeler keeps a
+//! `GammaPass` as its label store and rewrites the changed vertices in
+//! place ([`GammaPass::relabel`]); [`walk_labels`] assembles all three
+//! labels of a single vertex, the per-node reference the sweep is
+//! checked against.
 //!
 //! ```
 //! use mstv_graph::{gen, NodeId};

@@ -68,7 +68,10 @@ pub fn max_labels_parallel(
     sep: &SeparatorDecomposition,
     config: ParallelConfig,
 ) -> Vec<MaxLabel> {
-    gamma_fields::<MaxAggregate>(tree, sep, config)
+    let (fields, values) = gamma_fields::<MaxAggregate>(tree, sep, config);
+    fields
+        .into_iter()
+        .zip(values)
         .map(|(sep, omega)| MaxLabel { sep, omega })
         .collect()
 }

@@ -68,6 +68,9 @@ pub(crate) fn replay_machines<M: ProtocolMachine>(
         };
         let sends = machine.on_event(&ev.to_node_event().expect("targeted events map to inputs"));
         let send_depth = tally.step(target as usize, delivered);
+        if machine.decided() == Some(false) {
+            tally.reject(target as usize);
+        }
         for (_, msg) in sends {
             deepest_sent = deepest_sent.max(tally.send(&msg, send_depth));
         }
@@ -93,6 +96,7 @@ pub(crate) fn replay_machines<M: ProtocolMachine>(
         },
         cost,
         phases,
+        first_reject: tally.first_reject(),
         crash_restarts,
         log: log.clone(),
     })

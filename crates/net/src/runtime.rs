@@ -169,6 +169,8 @@ pub(crate) struct PhaseTally {
     deepest: [u64; 3],
     /// `clock(v)` per node.
     clocks: Vec<u64>,
+    /// The least clock at which a node has reported a rejecting verdict.
+    first_reject: Option<u64>,
 }
 
 impl PhaseTally {
@@ -201,6 +203,18 @@ impl PhaseTally {
         let clock = &mut self.clocks[node];
         *clock = (*clock).max(depth);
         *clock + 1
+    }
+
+    /// Records that `node`, just stepped, reports a rejecting verdict at
+    /// its current clock.
+    pub(crate) fn reject(&mut self, node: usize) {
+        let at = self.clocks[node];
+        self.first_reject = Some(self.first_reject.map_or(at, |first| first.min(at)));
+    }
+
+    /// The causal depth at which the first node rejected, if any did.
+    pub(crate) fn first_reject(&self) -> Option<u64> {
+        self.first_reject
     }
 
     /// Charges one sent message to its phase, returning its depth:
@@ -260,6 +274,12 @@ pub struct NetRun {
     pub cost: MessageCost,
     /// The same cost split by protocol phase (GHS / marker / verify).
     pub phases: PhaseCost,
+    /// Detection latency: the causal depth at which the first node
+    /// rejected (its clock when it first reported a rejecting verdict,
+    /// least over all nodes), `None` when no node ever rejected. On a
+    /// perfect link a node that rejects a neighbour's label does so at
+    /// depth 1, the paper's one round; a replay reproduces it.
+    pub first_reject: Option<u64>,
     /// Crash-restarts that occurred.
     pub crash_restarts: u64,
     /// The complete event schedule, replayable with
@@ -557,6 +577,9 @@ impl<'l> RouterCore<'l> {
                 self.outstanding -= 1;
                 self.verdicts[report.node] = report.verdict;
                 let send_depth = self.phases.step(report.node, delivered);
+                if report.verdict == Some(false) {
+                    self.phases.reject(report.node);
+                }
                 for (port, msg) in report.sends {
                     let depth = self.phases.send(&msg, send_depth);
                     let (to, in_port) =
@@ -629,6 +652,7 @@ impl<'l> RouterCore<'l> {
             verdict,
             cost,
             phases,
+            first_reject: self.phases.first_reject(),
             crash_restarts: self.crash_restarts,
             log: self.log,
         }

@@ -101,6 +101,9 @@ proptest! {
             let again = replay(&wire, &cfg, &labeling, &run.log).expect("log replays");
             prop_assert_eq!(&again.verdict, &run.verdict, "replay witness diverged");
             prop_assert_eq!(again.cost, run.cost);
+            // A forged label is caught by its neighbours in the one round.
+            prop_assert_eq!(run.first_reject, Some(1));
+            prop_assert_eq!(again.first_reject, run.first_reject);
             runs.push(run);
         }
         prop_assert_eq!(
@@ -390,6 +393,11 @@ fn combined_adversary_is_still_sound() {
         let again = replay(&wire, &cfg, &labeling, &run.log).expect("log replays");
         assert_eq!(again.verdict, run.verdict);
         assert_eq!(again.cost, run.cost);
+        let first = run
+            .first_reject
+            .expect("a rejecting run has a first rejection");
+        assert!(first <= run.cost.rounds, "{first} > {}", run.cost.rounds);
+        assert_eq!(again.first_reject, run.first_reject);
         logs.push(run.log.to_string());
     }
     assert_eq!(

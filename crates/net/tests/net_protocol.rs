@@ -70,6 +70,7 @@ fn perfect_link_matches_offline_verifier() {
     .expect("perfect link converges");
     assert!(run.verdict.accepted());
     assert_eq!(run.verdict, offline_verdict(&cfg, &labeling));
+    assert_eq!(run.first_reject, None, "nobody rejects an honest labeling");
     // One label and one ack per edge direction, all in round one.
     let m = cfg.graph().num_edges() as u64;
     assert_eq!(run.cost.msgs, 4 * m);

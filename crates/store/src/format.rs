@@ -347,17 +347,19 @@ impl Snapshot {
         self.parents[v] = entry;
     }
 
-    pub(crate) fn set_max_label(&mut self, v: usize, bits: BitString) {
-        self.max_labels[v] = bits;
+    // The label setters copy into the row's existing buffer, reusing
+    // its capacity.
+    pub(crate) fn set_max_label(&mut self, v: usize, bits: &BitString) {
+        self.max_labels[v].clone_from(bits);
     }
 
-    pub(crate) fn set_flow_label(&mut self, v: usize, bits: BitString) {
-        self.flow_labels[v] = bits;
+    pub(crate) fn set_flow_label(&mut self, v: usize, bits: &BitString) {
+        self.flow_labels[v].clone_from(bits);
     }
 
-    pub(crate) fn set_dist_label(&mut self, v: usize, bits: BitString) {
+    pub(crate) fn set_dist_label(&mut self, v: usize, bits: &BitString) {
         if let Some(d) = &mut self.dist {
-            d.labels[v] = bits;
+            d.labels[v].clone_from(bits);
         }
     }
 
@@ -907,7 +909,7 @@ fn label_payload(labels: &[BitString], prefix: &[u8]) -> Vec<u8> {
     payload.extend_from_slice(prefix);
     for bits in labels {
         payload.extend_from_slice(&(bits.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&bits.to_bytes());
+        payload.extend_from_slice(bits.as_bytes());
     }
     payload
 }

@@ -191,38 +191,24 @@ impl DeltaRecord {
 
     /// Serializes the record with its framing (`seq`, length, CRC32) —
     /// the exact bytes [`Journal::to_bytes`] appends per record, and the
-    /// payload of a serve-tier apply-delta admin request.
+    /// payload of a serve-tier apply-delta admin request. Framing and
+    /// payload go into one buffer of exact size, and each label row is
+    /// copied once, from its own bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = self.payload_bytes();
-        let mut out = Vec::with_capacity(20 + payload.len());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    /// Parses one standalone framed record (no trailing bytes allowed),
-    /// validating the CRC and every node id against `n`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Truncated`], [`StoreError::CrcMismatch`], or
-    /// [`StoreError::Malformed`] naming the defect.
-    pub fn from_bytes(bytes: &[u8], n: u32) -> Result<DeltaRecord, StoreError> {
-        let mut r = ByteReader::new(bytes);
-        let record = Self::read_from(&mut r, n)?;
-        if !r.rest().is_empty() {
-            return Err(StoreError::Malformed {
-                context: "journal record",
-                reason: format!("{} trailing bytes after record", r.rest().len()),
-            });
-        }
-        Ok(record)
-    }
-
-    fn payload_bytes(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(64);
+        let sections = [&self.max, &self.flow, &self.dist];
+        let rows: usize = sections
+            .iter()
+            .flat_map(|section| section.iter())
+            .map(|d| 8 + d.bits.as_bytes().len())
+            .sum();
+        // Mutation (tag and 16 bytes of endpoints or weight), outcome,
+        // widths, the tree list, then the three label lists.
+        let payload_len = 17 + 1 + 16 + 4 + 16 * self.tree.len() + 4 * sections.len() + rows;
+        let mut p = Vec::with_capacity(20 + payload_len);
+        p.extend_from_slice(&self.seq.to_le_bytes());
+        p.extend_from_slice(&(payload_len as u64).to_le_bytes());
+        // The payload's CRC32, written once the payload is.
+        p.extend_from_slice(&[0; 4]);
         match self.mutation {
             JournalMutation::SetWeight { u, v, w } => {
                 p.push(mutation_tag::SET_WEIGHT);
@@ -252,15 +238,37 @@ impl DeltaRecord {
             p.extend_from_slice(&parent.to_le_bytes());
             p.extend_from_slice(&w.to_le_bytes());
         }
-        for section in [&self.max, &self.flow, &self.dist] {
+        for section in sections {
             p.extend_from_slice(&(section.len() as u32).to_le_bytes());
             for d in section {
                 p.extend_from_slice(&d.node.to_le_bytes());
                 p.extend_from_slice(&(d.bits.len() as u32).to_le_bytes());
-                p.extend_from_slice(&d.bits.to_bytes());
+                p.extend_from_slice(d.bits.as_bytes());
             }
         }
+        debug_assert_eq!(p.len(), 20 + payload_len, "record size");
+        let crc = crc32(&p[20..]);
+        p[16..20].copy_from_slice(&crc.to_le_bytes());
         p
+    }
+
+    /// Parses one standalone framed record (no trailing bytes allowed),
+    /// validating the CRC and every node id against `n`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Truncated`], [`StoreError::CrcMismatch`], or
+    /// [`StoreError::Malformed`] naming the defect.
+    pub fn from_bytes(bytes: &[u8], n: u32) -> Result<DeltaRecord, StoreError> {
+        let mut r = ByteReader::new(bytes);
+        let record = Self::read_from(&mut r, n)?;
+        if !r.rest().is_empty() {
+            return Err(StoreError::Malformed {
+                context: "journal record",
+                reason: format!("{} trailing bytes after record", r.rest().len()),
+            });
+        }
+        Ok(record)
     }
 
     /// Reads one framed record from an open cursor; shared by the
@@ -437,13 +445,13 @@ impl DeltaRecord {
             snap.set_parent_entry(d.node as usize, entry);
         }
         for d in &self.max {
-            snap.set_max_label(d.node as usize, d.bits.clone());
+            snap.set_max_label(d.node as usize, &d.bits);
         }
         for d in &self.flow {
-            snap.set_flow_label(d.node as usize, d.bits.clone());
+            snap.set_flow_label(d.node as usize, &d.bits);
         }
         for d in &self.dist {
-            snap.set_dist_label(d.node as usize, d.bits.clone());
+            snap.set_dist_label(d.node as usize, &d.bits);
         }
         Ok(())
     }
@@ -845,7 +853,7 @@ mod tests {
         ));
         // Same shape, different bytes: caught by the CRC anchor.
         let mut near = base.clone();
-        near.set_max_label(0, bits_of(&[true]));
+        near.set_max_label(0, &bits_of(&[true]));
         assert!(matches!(
             j.verify_base(&near),
             Err(StoreError::Malformed {

@@ -48,8 +48,12 @@ echo "== parallel marker equivalence (pinned at 2 workers) =="
 # walk is the only per-node reference the batch builders have: the
 # labels test pins MAX/FLOW/DIST batch output (per family and from the
 # one Γ pass) at 1 and 3 workers to the walk, and dyn's stream test pins
-# the walk-relabelled state to a full Snapshot::build after every
-# mutation. The proptest also pins both builds to an exhaustive-search
+# the relabelled state to a full Snapshot::build after every mutation.
+# The marker relabels its one Γ pass in place: the relabel proptest
+# (random trees, one re-hang, centroid/first-vertex/random
+# decompositions) pins GammaPass::relabel of the true dirty set and of
+# supersets on both sides of its walk/sweep cut-over to a fresh
+# GammaPass::build, field for field. The proptest also pins both builds to an exhaustive-search
 # reference up to 600 nodes. A tree swap patches the old decomposition in
 # place instead of rebuilding it: the update proptest (chains of 1-8
 # re-hangs on random trees, paths and stars up to 2,500 nodes, steered to
@@ -70,6 +74,7 @@ echo "== parallel marker equivalence (pinned at 2 workers) =="
 cargo test -q --offline -p mstv-trees --test separator_parallel_proptest
 cargo test -q --offline -p mstv-core marker_parallel_is_byte_identical
 cargo test -q --offline -p mstv-labels batch_sweep_identical_to_per_node_assembler
+cargo test -q --offline -p mstv-labels --test relabel_proptest
 cargo test -q --offline -p mstv-dyn every_mutation_stays_bit_identical_to_rebuild
 cargo test -q --offline -p mstv-dyn widths_follow_their_largest_values_down
 cargo test -q --offline -p mstv-trees --test separator_update_proptest

@@ -5,7 +5,7 @@ use mst_verification::dynmark::{DynError, DynMarker};
 use mst_verification::graph::{
     gen, tree_states, EdgeId, Graph, GraphError, NodeId, TreeState, Weight,
 };
-use mst_verification::labels::{ImplicitFlowScheme, ImplicitMaxScheme, SepFieldCodec};
+use mst_verification::labels::{GammaPass, ImplicitFlowScheme, ImplicitMaxScheme, SepFieldCodec};
 use mst_verification::mst::{
     check_mst_offline, is_mst, kruskal, mst_weight, prim, MstVerdict, UnionFind,
 };
@@ -499,6 +499,10 @@ fn incremental_marker_keeps_the_rebuilt_tree_and_snapshot() {
     // `Snapshot::build`'s. Weights in 1..=6 make ties everywhere. A
     // pendant edge (a bridge, so always a tree edge) raised to u64::MAX
     // overflows the tree weight halfway through: refused, state untouched.
+    // Some step must relabel by sweeping (past `GammaPass::sweeps`' cut-
+    // over) a dirty list that leaves nodes out, so the sweep of only the
+    // separators above it is pinned here too.
+    let mut swept_a_subset = false;
     for (seed, n, steps) in [
         (0u64, 2usize, 12usize),
         (1, 40, 80),
@@ -538,6 +542,8 @@ fn incremental_marker_keeps_the_rebuilt_tree_and_snapshot() {
                 }
             };
             marker.apply(mutation).unwrap();
+            let dirty = marker.relabelled();
+            swept_a_subset |= GammaPass::sweeps(dirty, n) && dirty < n;
             let g = marker.graph();
             let fresh = RootedTree::from_graph_edges(g, &kruskal(g), NodeId(0)).unwrap();
             assert_eq!(marker.tree(), &fresh, "{case}: {mutation:?}");
@@ -567,4 +573,8 @@ fn incremental_marker_keeps_the_rebuilt_tree_and_snapshot() {
             }
         }
     }
+    assert!(
+        swept_a_subset,
+        "no step swept a dirty list smaller than the tree"
+    );
 }
