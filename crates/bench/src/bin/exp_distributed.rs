@@ -5,8 +5,11 @@
 //! Both sides run on the wire runtime over a perfect link, so both are
 //! counted in causal rounds: a frame's depth is one more than the
 //! deepest frame its sender had received. Verification is the one-round
-//! label exchange; construction is `run_compute` (GHS, then the
-//! distributed marker, then the embedded verification).
+//! label exchange, asserted on every row to cost the paper's `2m`
+//! messages in one round, in a verification run and in the embedded
+//! verification that ends a construction; construction is
+//! `run_compute` (GHS, then the distributed marker, then the embedded
+//! verification).
 
 use std::num::NonZeroUsize;
 
@@ -34,6 +37,16 @@ fn main() {
         let build = run_compute(&g, &mut PerfectLink, NetConfig::default(), engine)
             .expect("perfect-link construction converges");
         assert!(build.net.verdict.accepted());
+        let embedded = build.net.phases.verify;
+        assert_eq!(
+            embedded.msgs,
+            2 * m as u64,
+            "n={n}: one label per edge direction"
+        );
+        assert_eq!(
+            embedded.rounds, 1,
+            "n={n}: the embedded verification is one round"
+        );
         let cfg = mst_configuration(g);
         let labeling = MstScheme::new().marker(&cfg).expect("MST instance");
         let wire = MstWireScheme::for_config(&cfg);
@@ -48,6 +61,11 @@ fn main() {
         .expect("perfect-link verification converges");
         assert!(verify.verdict.accepted());
         assert_eq!(verify.cost.rounds, 1, "n={n}: verification is one round");
+        assert_eq!(
+            verify.cost.msgs,
+            2 * m as u64,
+            "n={n}: one label per edge direction"
+        );
         let (ghs, marker) = (build.net.phases.ghs, build.net.phases.marker);
         rows.push(vec![
             n.to_string(),
@@ -78,7 +96,7 @@ fn main() {
         ],
         &rows,
     );
-    println!("(verify msgs are 4m: one label and one ack per edge direction.)");
+    println!("(verify msgs are 2m: one label per edge direction, none acked.)");
 
     // Self-stabilization: inject faults, measure detection and recovery.
     let mut rng = StdRng::seed_from_u64(0x5E1F);

@@ -2,10 +2,10 @@
 //! loss, duplication, delay, and crash-restarts inflate the one-round
 //! protocol's wire cost over the ideal run?
 //!
-//! On a perfect link the protocol sends one label and one ack per edge
-//! direction, in one causal round. Over a lossy link every lost frame
-//! costs a retransmission (which can deepen the run by a round) and
-//! every crash-restart re-runs a node's whole exchange, so the overhead
+//! On a perfect link the protocol sends one label per edge direction,
+//! in one causal round. Over a lossy link every lost label costs a pull
+//! and its answer, a round trip that can deepen the run by two rounds,
+//! and every crash-restart re-runs a node's whole exchange, so the overhead
 //! factor (messages vs the perfect-link run of the same instance) is
 //! the price of self-stabilizing over an unreliable network — still
 //! worlds away from the cost of reconstruction, which is the paper's

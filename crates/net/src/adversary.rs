@@ -16,7 +16,7 @@
 //!   only the seam between forgers and honest nodes betrays the forgery.
 //! * **Partitions** ([`AdversarySpec::partition`]): a seeded cut whose
 //!   cross frames are blackholed for a round window, then healed —
-//!   fair-lossiness violated *temporarily*, which the ack-gated
+//!   fair-lossiness violated *temporarily*, which the pull
 //!   retransmission must absorb.
 //! * **Reordering** ([`AdversarySpec::reorder`]): frame delays are
 //!   rewritten so each window of consecutive frames is released in

@@ -39,6 +39,8 @@ pub(crate) mod convergecast;
 pub(crate) mod fragment;
 pub(crate) mod ghs;
 
+use std::sync::Arc;
+
 use mstv_core::{encode_mst_label, Labeling, MstLabel, MstScheme, SpanCodec, SpanLabel};
 use mstv_graph::{induced_subgraph, EdgeId, Graph, NodeId, Port, TreeState, Weight};
 use mstv_labels::{BitString, LabelCodec, MaxLabel, SepFieldCodec};
@@ -67,10 +69,11 @@ pub struct ComputeMachine {
     ghs: Ghs,
     marker: Marker,
     verifier: Option<VerifierMachine<MstWireScheme>>,
-    /// Label/ack frames that arrived before this node's verifier
-    /// started (a neighbor can finish earlier), replayed into it on
-    /// start.
-    stash: Vec<(Port, WireMsg)>,
+    /// Payloads of label frames that arrived before this node's
+    /// verifier started (a neighbor can finish earlier), replayed into
+    /// it on start as plain offers: the start's own offer already
+    /// answers any pull among them.
+    stash: Vec<(Port, Arc<BitString>)>,
     /// The sealed outputs, kept for extraction after the run.
     state: Option<TreeState>,
     label: Option<MstLabel>,
@@ -149,7 +152,7 @@ impl ComputeMachine {
 
     /// Phase B → C hand-off: seal the label, derive the instance-wide
     /// codecs, and start the embedded verifier (feeding it any label
-    /// frames that arrived early).
+    /// frames that arrived early, each once, as a plain offer).
     ///
     /// # Crash-restart at the hand-off (audited)
     ///
@@ -162,11 +165,11 @@ impl ComputeMachine {
     /// crash test at the boundary:
     ///
     /// * Early label frames from faster neighbors wait in the stash,
-    ///   which crash-restarts do **not** clear (journal model). They
-    ///   are un-acked at their senders, so even a restart that *had*
-    ///   dropped them would see retransmissions; nothing hinges on the
-    ///   stash surviving — only dedup does (the embedded verifier
-    ///   store-once handles duplicates anyway).
+    ///   which crash-restarts do **not** clear (journal model). Even a
+    ///   restart that *had* dropped them would only leave their labels
+    ///   missing here, and the verifier's ticks pull missing labels;
+    ///   nothing hinges on the stash surviving — only dedup does (the
+    ///   embedded verifier stores each port's label once).
     /// * A restarted verifier re-pulls neighbor labels with the
     ///   `refresh` flag, and answers to refresh pulls never carry the
     ///   flag themselves, so the convergecast cannot hang or ping-pong.
@@ -216,7 +219,11 @@ impl ComputeMachine {
             self.port_weights.clone(),
         );
         out.extend(verifier.on_event(&NodeEvent::Start));
-        for (port, msg) in std::mem::take(&mut self.stash) {
+        for (port, bits) in std::mem::take(&mut self.stash) {
+            let msg = WireMsg::Label {
+                bits,
+                refresh: false,
+            };
             out.extend(verifier.on_event(&NodeEvent::Deliver { port, msg }));
         }
         self.verifier = Some(verifier);
@@ -226,7 +233,7 @@ impl ComputeMachine {
     }
 
     /// Re-offers every unacknowledged channel frame; the verifier, once
-    /// live, re-offers its own.
+    /// live, pulls its missing labels on ticks.
     fn retransmit(&mut self, out: &mut Vec<(Port, WireMsg)>) {
         for (i, ch) in self.chans.iter().enumerate() {
             for frame in ch.retransmit() {
@@ -280,9 +287,9 @@ impl ProtocolMachine for ComputeMachine {
                         }
                     }
                     WireMsg::ComputeAck { seq, .. } => self.chans[i].on_ack(*seq),
-                    WireMsg::Label { .. } | WireMsg::Ack => match &mut self.verifier {
+                    WireMsg::Label { bits, .. } => match &mut self.verifier {
                         Some(v) => out.extend(v.on_event(ev)),
-                        None => self.stash.push((*port, msg.clone())),
+                        None => self.stash.push((*port, Arc::clone(bits))),
                     },
                 }
             }

@@ -60,9 +60,10 @@ pub enum NetError {
         bits: usize,
     },
     /// A frame carries a payload-kind tag this build does not know —
-    /// e.g. a log or capture produced by a newer protocol revision.
-    /// Typed (instead of a generic parse failure) so old replayers
-    /// reject new kinds loudly rather than misparsing them.
+    /// e.g. a log or capture produced by a newer protocol revision, or
+    /// the retired label ack (`0x00`) of the ack-gated protocol.
+    /// Typed (instead of a generic parse failure) so replayers reject
+    /// foreign kinds loudly rather than misparsing them.
     UnknownMsgKind {
         /// The unrecognized tag byte.
         tag: u8,

@@ -48,14 +48,16 @@
 //! work it builds on) makes about the adversary:
 //!
 //! * **`drop`** — links are fair-lossy: any message may vanish, but
-//!   eventual delivery holds (retransmission gated on acks supplies
-//!   the eventual part). Verification stays correct because a verdict
-//!   is only emitted once a label arrived on *every* port.
+//!   eventual delivery holds (an undecided node pulls its missing
+//!   labels at every retransmission boundary, which supplies the
+//!   eventual part). Verification stays correct because a verdict is
+//!   only emitted once a label arrived on *every* port.
 //! * **`max_delay`** — full asynchrony: there is no bound the protocol
 //!   relies on, only quiescence detection. Reordering falls out of
 //!   unequal delays, matching the non-FIFO link assumption.
 //! * **`duplicate`** — at-least-once delivery: the one-round protocol
-//!   is idempotent (a second copy of a label is acked and ignored), as
+//!   is idempotent (a second copy of a label is ignored, a second copy
+//!   of a pull draws a second copy of the same answer), as
 //!   self-stabilizing protocols must be, since a restarted node cannot
 //!   know what it already sent.
 //! * **`crash`/`max_crashes`** — transient state corruption, the

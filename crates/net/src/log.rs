@@ -2,8 +2,9 @@
 //!
 //! A live run records every event it dispatches — starts, deliveries,
 //! ticks, crash-restarts, and retransmission boundaries — in dispatch
-//! order. Each delivery records its frame's causal depth (0 for an
-//! ack), so the log carries the run's clock as well as its schedule.
+//! order. Each delivery records its frame's causal depth (0 for a
+//! construction ack), so the log carries the run's clock as well as its
+//! schedule.
 //! Because the router is the only producer of events and each node
 //! consumes its mailbox in FIFO order, the log's per-node subsequence
 //! is exactly the event sequence that node's machine observed; since
@@ -14,15 +15,14 @@
 //! The format is a line-oriented text file:
 //!
 //! ```text
-//! mstv-net-log v2
+//! mstv-net-log v3
 //! h nodes 8              # free-form key/value headers (provenance)
 //! s 0                    # start event at node 0
 //! d 3 1 1 l 42 a3f2..    # delivery to node 3, port 1, depth 1: label, 42 bits, hex payload
 //! d 3 1 2 lr 42 a3f2..   # same, with the refresh (pull) flag set, depth 2
-//! d 0 2 0 a              # delivery to node 0, port 2: ack (no depth)
 //! d 2 0 5 g 7 18 b4c1..  # construction payload, GHS phase: seq 7, 18 bits
 //! d 2 0 9 m 9 18 b4c1..  # construction payload, marker phase
-//! d 4 1 0 ga 8           # construction ack, GHS phase: next expected seq 8
+//! d 4 1 0 ga 8           # construction ack, GHS phase: next expected seq 8 (no depth)
 //! d 4 1 0 ma 10          # construction ack, marker phase
 //! r                      # retransmission-round boundary
 //! t 0                    # tick at node 0
@@ -31,10 +31,13 @@
 //! ```
 //!
 //! The trailer's `rounds` is the causal depth of the deepest delivered
-//! frame; the `r` markers count retransmission boundaries. A log whose
-//! magic names another version (`v1` logs counted retransmission
-//! generations as rounds and carry no depths) is refused with
-//! [`NetError::LogVersion`].
+//! frame; the `r` markers count retransmission boundaries, each followed
+//! by the boundary's crash-restarts and a tick for every node still
+//! undecided. A log whose magic names another version is refused
+//! with [`NetError::LogVersion`]: `v1` logs counted retransmission
+//! generations as rounds and carry no depths, and `v2` logs record the
+//! ack-gated label exchange, whose acks (`a`) and unconditional ticks
+//! this build's machines no longer produce.
 
 use std::fmt;
 
@@ -48,7 +51,7 @@ use crate::wire::WireMsg;
 
 const MAGIC_PREFIX: &str = "mstv-net-log ";
 /// The format version this build writes and reads.
-pub(crate) const LOG_VERSION: &str = "v2";
+pub(crate) const LOG_VERSION: &str = "v3";
 
 /// One logged event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +69,7 @@ pub enum LogEvent {
         port: u32,
         /// The frame.
         msg: WireMsg,
-        /// The frame's causal depth (0 for an ack).
+        /// The frame's causal depth (0 for a construction ack).
         depth: u64,
     },
     /// A retransmission boundary (the link's round clock ticks).
@@ -228,7 +231,6 @@ impl EventLog {
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| bad(i, "delivery without depth"))?;
                     let msg = match f.next() {
-                        Some("a") => WireMsg::Ack,
                         Some(kind @ ("l" | "lr")) => {
                             let bits = num(&mut f, i, "label without bit length")? as usize;
                             let hex = f.next().ok_or_else(|| bad(i, "label without payload"))?;
@@ -345,7 +347,6 @@ impl fmt::Display for EventLog {
                     msg,
                     depth,
                 } => match msg {
-                    WireMsg::Ack => writeln!(f, "d {to} {port} {depth} a")?,
                     WireMsg::Label { bits, refresh } => writeln!(
                         f,
                         "d {to} {port} {depth} {} {} {}",
@@ -437,8 +438,11 @@ mod tests {
             LogEvent::Deliver {
                 to: 0,
                 port: 2,
-                depth: 0,
-                msg: WireMsg::Ack,
+                depth: 1,
+                msg: WireMsg::Label {
+                    bits: BitString::new().into(),
+                    refresh: false,
+                },
             },
             LogEvent::Round,
             LogEvent::Tick { node: 3 },
@@ -524,5 +528,8 @@ mod tests {
         assert!(EventLog::parse(&event_after_end).is_err());
         let depthless = format!("{magic}\nd 0 0 l 9 ff80\n");
         assert!(EventLog::parse(&depthless).is_err());
+        // The label ack is gone with the ack-gated protocol.
+        let label_ack = format!("{magic}\nd 0 2 0 a\n");
+        assert!(EventLog::parse(&label_ack).is_err());
     }
 }

@@ -20,7 +20,7 @@ use crate::wire::WireMsg;
 /// An input to a node machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeEvent {
-    /// Protocol start: send the own label on every port.
+    /// Protocol start: offer the own label once on every port.
     Start,
     /// A frame arrived on a port.
     Deliver {
@@ -29,13 +29,13 @@ pub enum NodeEvent {
         /// The frame.
         msg: WireMsg,
     },
-    /// A retransmission boundary: re-offer the label on every
-    /// unacknowledged port.
+    /// A retransmission boundary, dispatched only to undecided nodes:
+    /// pull the neighbor labels still missing.
     Tick,
-    /// Crash-restart: volatile protocol memory (received frames, acks,
+    /// Crash-restart: volatile protocol memory (received frames,
     /// verdict) is wiped; persistent memory (state, label) survives, as
     /// the self-stabilization model assumes. The node restarts the
-    /// protocol immediately.
+    /// protocol immediately, pulling on every port.
     CrashRestart,
 }
 
@@ -48,6 +48,14 @@ pub enum NodeEvent {
 /// machine ([`ComputeMachine`](crate::ComputeMachine)) both implement
 /// this, which is what lets construction reuse the transports, fault
 /// injection, logging, and replay unchanged.
+///
+/// A retransmission boundary ticks only the machines whose verdict is
+/// `None`, so a decided machine must need no tick of its own: whatever
+/// a neighbor still lacks from it, the neighbor pulls with a frame the
+/// decided machine answers. A verifier holds every neighbor label once
+/// it decides, so its tick would emit nothing. A decided
+/// `ComputeMachine` holds every neighbor's label too, so every neighbor
+/// has finished construction and needs no construction frame from it.
 pub trait ProtocolMachine: Send + 'static {
     /// Feeds one event, returning the frames to send (paired with the
     /// local out-port).
@@ -119,28 +127,27 @@ impl WireScheme for MstWireScheme {
     }
 }
 
-/// One node of the one-round verification protocol, hardened for lossy
-/// links with ack-gated retransmission.
+/// One node of the one-round verification protocol, made loss-tolerant
+/// by pulls.
 ///
-/// Protocol: on start (and after a crash-restart) send the own label
-/// frame on every port, flagged `refresh` because the sender holds no
-/// neighbor labels yet. On receiving a label, store it and reply with
-/// an ack — also for duplicates, so a restarted sender can still
-/// silence its retransmissions; a *duplicate* carrying the `refresh`
-/// flag additionally answers with the own label, which is how a
-/// crash-restarted neighbor re-collects labels its peers believe were
-/// long since delivered. On a tick, resend the label on every port
-/// whose exchange is incomplete in either direction (own label not
-/// acked, or neighbor label not received — the latter again flagged
-/// `refresh`). Decide as soon as a frame has been received on every
-/// port: reject if any frame failed to decode (including the own,
-/// possibly corrupted, certificate), otherwise run the scheme's local
-/// verifier.
+/// Protocol: on start, offer the own label once on every port. A
+/// received label is stored; a label frame flagged `refresh` is a pull
+/// (its sender lacks this node's label) and is answered with exactly
+/// one own-label frame, whether or not it is the first copy to arrive.
+/// A plain offer is answered by nothing. On a tick, re-send the own
+/// label, flagged `refresh`, only on ports whose neighbor label is
+/// still missing; a crash-restart pulls on every port. No frame is
+/// ever acknowledged, so a perfect link costs exactly `2m` frames in
+/// one round, the paper's one-round exchange. Decide as soon as a label
+/// has been received on every port: reject if any frame failed to
+/// decode (including the own, possibly corrupted, certificate),
+/// otherwise run the scheme's local verifier.
 ///
-/// Answer frames never carry `refresh` (the answering node, having
-/// just processed a duplicate, holds the sender's label), so an answer
-/// can never trigger another answer: refresh chains have depth one and
-/// the protocol cannot ping-pong.
+/// Answers never carry `refresh` (the answering node holds the
+/// sender's label, just delivered), so an answer can never draw
+/// another answer: pull chains have depth one and the protocol cannot
+/// ping-pong.
+///
 /// # Memory layout
 ///
 /// The machine keeps a *compact* per-node footprint so the worker
@@ -153,11 +160,10 @@ impl WireScheme for MstWireScheme {
 /// snapshots play with label payloads). Decoding happens once, at
 /// decide time, and the payload pointers are dropped the moment the
 /// verdict is fixed — a decided machine holds no neighbor payload at
-/// all. Delivery and ack flags are bitsets, and the own certificate is
-/// a shared [`Arc<BitString>`] so broadcasting clones a pointer, not a
+/// all. Delivery flags are a bitset, and the own certificate is a
+/// shared [`Arc<BitString>`] so an offer clones a pointer, not a
 /// payload. None of this is observable: the emitted frames, their
-/// order, and the verdict are identical to decoding on arrival, so
-/// event logs recorded by earlier layouts replay unchanged.
+/// order, and the verdict are identical to decoding on arrival.
 #[derive(Debug, Clone)]
 pub struct VerifierMachine<W: WireScheme> {
     scheme: W,
@@ -173,11 +179,9 @@ pub struct VerifierMachine<W: WireScheme> {
     /// `None` again afterwards.
     frames: Vec<Option<Arc<BitString>>>,
     /// Delivery bitset, one bit per port — outlives the payload drop,
-    /// because the duplicate/refresh logic needs the *fact* of
-    /// delivery after the bits are gone.
+    /// because deduplication needs the *fact* of delivery after the
+    /// bits are gone.
     delivered: Vec<u64>,
-    /// Ack bitset, one bit per port.
-    acked: Vec<u64>,
     verdict: Option<bool>,
 }
 
@@ -219,17 +223,8 @@ impl<W: WireScheme> VerifierMachine<W> {
             ports,
             frames: vec![None; deg],
             delivered: vec![0; deg.div_ceil(64)],
-            acked: vec![0; deg.div_ceil(64)],
             verdict: None,
         }
-    }
-
-    fn is_acked(&self, i: usize) -> bool {
-        self.acked[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    fn set_acked(&mut self, i: usize) {
-        self.acked[i / 64] |= 1 << (i % 64);
     }
 
     fn is_received(&self, i: usize) -> bool {
@@ -241,8 +236,8 @@ impl<W: WireScheme> VerifierMachine<W> {
     }
 
     /// Frees the neighbor payloads once they can no longer matter:
-    /// after a decide, only the *fact* that a port delivered (for the
-    /// duplicate/refresh logic) is needed, never the bits again —
+    /// after a decide, only the *fact* that a port delivered (for
+    /// deduplication) is needed, never the bits again —
     /// the next thing that could need bits is a crash-restart, which
     /// wipes everything anyway.
     fn release_payloads(&mut self) {
@@ -263,21 +258,14 @@ impl<W: WireScheme> VerifierMachine<W> {
     /// local out-port).
     pub fn on_event(&mut self, ev: &NodeEvent) -> Vec<(Port, WireMsg)> {
         match ev {
-            NodeEvent::Start | NodeEvent::CrashRestart => {
-                self.frames.fill(None);
-                self.delivered.fill(0);
-                self.acked.fill(0);
-                self.verdict = None;
-                self.try_decide();
-                self.broadcast(|_, _| true)
-            }
+            NodeEvent::Start => self.restart(false),
+            NodeEvent::CrashRestart => self.restart(true),
             NodeEvent::Deliver { port, msg } => match msg {
                 WireMsg::Label { bits, refresh } => {
                     let i = port.index();
                     if i >= self.frames.len() {
                         return Vec::new();
                     }
-                    let mut out = vec![(*port, WireMsg::Ack)];
                     if !self.is_received(i) {
                         // Retain the shared payload only; decoding
                         // waits for the decide, after which the
@@ -285,54 +273,51 @@ impl<W: WireScheme> VerifierMachine<W> {
                         self.frames[i] = Some(Arc::clone(bits));
                         self.set_received(i);
                         self.try_decide();
-                    } else if *refresh {
-                        // A duplicate pull: the sender restarted and
-                        // lost our label. Answer without the refresh
-                        // flag — we hold the sender's label — so the
-                        // answer cannot trigger another answer.
-                        out.push((
-                            *port,
-                            WireMsg::Label {
-                                bits: Arc::clone(&self.encoded),
-                                refresh: false,
-                            },
-                        ));
                     }
-                    out
-                }
-                WireMsg::Ack => {
-                    if port.index() < self.frames.len() {
-                        self.set_acked(port.index());
+                    if *refresh {
+                        // A pull: the sender lacks our label. Answer
+                        // without the flag, since we now hold the
+                        // sender's, so the answer draws no answer.
+                        vec![(*port, self.own_label(false))]
+                    } else {
+                        Vec::new()
                     }
-                    Vec::new()
                 }
                 // Construction traffic is not this machine's protocol;
                 // inside a ComputeMachine it is consumed before the
                 // embedded verifier sees events.
                 WireMsg::Compute { .. } | WireMsg::ComputeAck { .. } => Vec::new(),
             },
-            NodeEvent::Tick => self.broadcast(|acked, received| !acked || !received),
+            NodeEvent::Tick => self
+                .ports
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !self.is_received(i))
+                .map(|(_, &(p, _))| (p, self.own_label(true)))
+                .collect(),
         }
     }
 
-    /// Offers the own label on every port `send_on(acked, received)`
-    /// selects, flagging `refresh` on ports whose neighbor label is
-    /// still missing.
-    fn broadcast(&self, send_on: impl Fn(bool, bool) -> bool) -> Vec<(Port, WireMsg)> {
-        let mut out = Vec::new();
-        for (i, &(p, _)) in self.ports.iter().enumerate() {
-            let received = self.is_received(i);
-            if send_on(self.is_acked(i), received) {
-                out.push((
-                    p,
-                    WireMsg::Label {
-                        bits: Arc::clone(&self.encoded),
-                        refresh: !received,
-                    },
-                ));
-            }
+    /// Wipes the volatile memory and offers the own label on every
+    /// port: flagged `refresh` after a crash, which lost every neighbor
+    /// label, and plain at the start, when every neighbor offers too.
+    fn restart(&mut self, pull: bool) -> Vec<(Port, WireMsg)> {
+        self.frames.fill(None);
+        self.delivered.fill(0);
+        self.verdict = None;
+        self.try_decide();
+        self.ports
+            .iter()
+            .map(|&(p, _)| (p, self.own_label(pull)))
+            .collect()
+    }
+
+    /// The own label as a frame.
+    fn own_label(&self, refresh: bool) -> WireMsg {
+        WireMsg::Label {
+            bits: Arc::clone(&self.encoded),
+            refresh,
         }
-        out
     }
 
     fn try_decide(&mut self) {
@@ -391,5 +376,94 @@ impl<W: WireScheme> ProtocolMachine for VerifierMachine<W> {
 
     fn decided(&self) -> Option<bool> {
         VerifierMachine::decided(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mstv_core::{mst_configuration, MstScheme, ProofLabelingScheme};
+    use mstv_graph::Graph;
+
+    /// The middle node of the path `0 – 1 – 2`, and the certificates
+    /// of its two neighbors.
+    fn middle_of_a_path() -> (VerifierMachine<MstWireScheme>, [Arc<BitString>; 2]) {
+        let mut g = Graph::new(3);
+        g.add_edge(NodeId(0), NodeId(1), Weight(4)).expect("edge");
+        g.add_edge(NodeId(1), NodeId(2), Weight(7)).expect("edge");
+        let cfg = mst_configuration(g);
+        let labeling = MstScheme::new().marker(&cfg).expect("MST labels");
+        let cert = |v: u32| Arc::new(labeling.encoded(NodeId(v)).clone());
+        let machine =
+            VerifierMachine::new(MstWireScheme::for_config(&cfg), &cfg, NodeId(1), cert(1));
+        // Port i of node 1 leads to the i-th neighbor in insertion order.
+        (machine, [cert(0), cert(2)])
+    }
+
+    fn label(bits: &Arc<BitString>, refresh: bool) -> WireMsg {
+        WireMsg::Label {
+            bits: Arc::clone(bits),
+            refresh,
+        }
+    }
+
+    fn deliver(port: u32, msg: WireMsg) -> NodeEvent {
+        NodeEvent::Deliver {
+            port: Port(port),
+            msg,
+        }
+    }
+
+    /// Every frame's refresh flag, in emission order.
+    fn flags(out: &[(Port, WireMsg)]) -> Vec<(Port, bool)> {
+        out.iter()
+            .map(|(p, msg)| match msg {
+                WireMsg::Label { refresh, .. } => (*p, *refresh),
+                other => panic!("a verifier sent {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn start_offers_and_a_crash_pulls_on_every_port() {
+        let (mut m, _) = middle_of_a_path();
+        let offer = m.on_event(&NodeEvent::Start);
+        assert_eq!(flags(&offer), [(Port(0), false), (Port(1), false)]);
+        let pull = m.on_event(&NodeEvent::CrashRestart);
+        assert_eq!(flags(&pull), [(Port(0), true), (Port(1), true)]);
+    }
+
+    #[test]
+    fn a_decided_machines_tick_emits_nothing() {
+        let (mut m, [a, b]) = middle_of_a_path();
+        m.on_event(&NodeEvent::Start);
+        m.on_event(&deliver(0, label(&a, false)));
+        // Undecided, it pulls only on the port still missing a label.
+        assert_eq!(flags(&m.on_event(&NodeEvent::Tick)), [(Port(1), true)]);
+        m.on_event(&deliver(1, label(&b, false)));
+        assert_eq!(m.decided(), Some(true));
+        assert!(m.on_event(&NodeEvent::Tick).is_empty());
+    }
+
+    #[test]
+    fn a_pull_is_answered_by_exactly_one_label() {
+        let (mut m, [a, _]) = middle_of_a_path();
+        m.on_event(&NodeEvent::Start);
+        // The first copy and a duplicate each draw one plain answer.
+        for _ in 0..2 {
+            let out = m.on_event(&deliver(0, label(&a, true)));
+            assert_eq!(flags(&out), [(Port(0), false)]);
+            assert_eq!(out[0].1, label(&m.encoded, false));
+        }
+    }
+
+    #[test]
+    fn a_plain_offer_is_answered_by_nothing() {
+        let (mut m, [a, b]) = middle_of_a_path();
+        m.on_event(&NodeEvent::Start);
+        assert!(m.on_event(&deliver(0, label(&a, false))).is_empty());
+        assert!(m.on_event(&deliver(0, label(&a, false))).is_empty());
+        assert!(m.on_event(&deliver(1, label(&b, false))).is_empty());
+        assert_eq!(m.decided(), Some(true));
     }
 }

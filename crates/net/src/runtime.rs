@@ -40,7 +40,11 @@
 //! held back, either every node has decided — the run is over — or some
 //! frame was lost and a retransmission boundary fires: the link's round
 //! counter increments, the link may pick crash victims, and every node
-//! gets a tick to re-offer unacknowledged frames.
+//! whose verdict is still `None` gets a tick. A verifier's tick pulls
+//! the neighbor labels it lacks, and a construction machine's also
+//! re-offers its unacknowledged channel frames. A decided node gets no
+//! tick: it would have nothing to pull, and it answers every pull that
+//! reaches it (the [`ProtocolMachine`] contract).
 //!
 //! # The clock
 //!
@@ -55,7 +59,9 @@
 //! [`LogEvent::Deliver`], and the router moves a node's clock when it
 //! reaches that node's report — in dispatch order, so the clocks are as
 //! deterministic as the log, and replay recomputes them from it. On a
-//! perfect link, verification takes exactly one round.
+//! perfect link, verification takes exactly one round and `2m` frames:
+//! every node offers its label once on every port, and nothing is
+//! acknowledged.
 //!
 //! A machine that panics while an event is outstanding surfaces as
 //! [`NetError::WorkerDied`] naming the node — never a hang: the panic is
@@ -160,7 +166,7 @@ pub struct PhaseCost {
 /// A payload frame (a label, a GHS or a marker frame) sent by node `v`
 /// has depth `clock(v) + 1`, where `clock(v)` is the largest depth of
 /// any payload frame delivered to `v` so far (0 before the first).
-/// Acks have no depth and move no clock.
+/// Construction acks have no depth and move no clock.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PhaseTally {
     msgs: [u64; 3],
@@ -307,7 +313,7 @@ struct HeldFrame {
     to: usize,
     port: Port,
     msg: WireMsg,
-    /// Causal depth (0 for an ack).
+    /// Causal depth (0 for a construction ack).
     depth: u64,
 }
 
@@ -615,8 +621,8 @@ impl<'l> RouterCore<'l> {
             }
 
             // Retransmission boundary: some frame was lost. Crash picks
-            // first (a crashed node restarts and re-offers everything),
-            // then every node re-offers on unacked ports.
+            // first (a crashed node restarts and pulls on every port),
+            // then every undecided node ticks.
             self.round += 1;
             if self.net.record_log {
                 self.log.events.push(LogEvent::Round);
@@ -628,7 +634,9 @@ impl<'l> RouterCore<'l> {
                 self.ready.push_back(LogEvent::Crash { node: v as u32 });
             }
             for v in 0..n {
-                self.ready.push_back(LogEvent::Tick { node: v as u32 });
+                if self.verdicts[v].is_none() {
+                    self.ready.push_back(LogEvent::Tick { node: v as u32 });
+                }
             }
         }
     }
@@ -727,10 +735,10 @@ pub(crate) fn run_machines<M: ProtocolMachine>(
     Ok((core.finish(), finals))
 }
 
-/// Runs the ack-hardened one-round verification protocol live on the
-/// host-sized worker pool, frames subjected to `link`'s fault
-/// decisions. Equivalent to [`run_verification_with`] with
-/// [`Engine::default`].
+/// Runs the one-round verification protocol, made loss-tolerant by
+/// pulls, live on the host-sized worker pool, frames subjected to
+/// `link`'s fault decisions. Equivalent to [`run_verification_with`]
+/// with [`Engine::default`].
 ///
 /// Returns the aggregated verdict, the exact communication cost, and
 /// an event log whose replay reproduces both.

@@ -9,8 +9,12 @@
 //!
 //! Two message families share the format:
 //!
-//! * the one-round **verification** protocol ([`WireMsg::Label`] /
-//!   [`WireMsg::Ack`]), unchanged since the first runtime;
+//! * the one-round **verification** protocol ([`WireMsg::Label`]): a
+//!   label frame is an offer, or with its `refresh` flag a pull that
+//!   its receiver answers with its own label. Nothing acknowledges a
+//!   label, so a perfect link carries exactly one frame per edge
+//!   direction. Frame tag `0x00`, the label ack of an earlier
+//!   protocol, is retired (see [`WireMsg::to_frame`]);
 //! * the **construction** protocol ([`WireMsg::Compute`] /
 //!   [`WireMsg::ComputeAck`]), which carries the GHS fragment messages
 //!   (CONNECT/TEST/REPORT/…) and the distributed-marker messages over a
@@ -60,16 +64,13 @@ pub enum WireMsg {
         /// the text log all go through the underlying bits.
         bits: Arc<BitString>,
         /// Set when the sender does not hold this neighbor's label —
-        /// a pull request. A receiver that already delivered its label
-        /// (so this frame is a duplicate) answers a refresh frame by
-        /// re-sending its own label; this is what lets a
-        /// crash-restarted node re-collect labels its neighbors
-        /// believe were long since delivered.
+        /// a pull. The receiver answers every pull with exactly one
+        /// frame of its own label, without the flag; a plain offer is
+        /// answered by nothing. Pulls are how a node re-collects what
+        /// the link lost, and how a crash-restarted node re-collects
+        /// labels its neighbors delivered long before.
         refresh: bool,
     },
-    /// Acknowledgement of a received label, used only to suppress
-    /// retransmissions on lossy links.
-    Ack,
     /// A construction-protocol payload riding the per-edge reliable
     /// channel: GHS fragment messages (`marker == false`) or
     /// distributed-marker messages (`marker == true`), already
@@ -116,9 +117,9 @@ pub(crate) enum PhaseClass {
 impl WireMsg {
     /// Bits charged to the communication cost for this message: the
     /// exact payload length plus a small kind tag — two bits for labels
-    /// and one for acks (the historical three-kind tag space, kept so
-    /// recorded verification runs and benches stay comparable), three
-    /// bits for the construction kinds — plus the 32-bit sequence
+    /// (the tag width of the ack-gated protocol's three kinds, kept so
+    /// label bit counts stay comparable across releases), three bits
+    /// for the construction kinds — plus the 32-bit sequence
     /// number a reliable channel genuinely has to carry. Transport
     /// framing (the byte-aligned length field of [`WireMsg::to_frame`])
     /// is bookkeeping of the in-process harness and is not charged:
@@ -127,24 +128,24 @@ impl WireMsg {
     pub fn wire_bits(&self) -> u64 {
         match self {
             WireMsg::Label { bits, .. } => 2 + bits.len() as u64,
-            WireMsg::Ack => 1,
             WireMsg::Compute { bits, .. } => 3 + 32 + bits.len() as u64,
             WireMsg::ComputeAck { .. } => 3 + 32,
         }
     }
 
-    /// Whether this is an acknowledgement: acks carry no causal depth
-    /// and move no clock (see [`MessageCost::rounds`]).
+    /// Whether this is a construction-channel acknowledgement, the one
+    /// kind that carries no causal depth and moves no clock (see
+    /// [`MessageCost::rounds`]).
     ///
     /// [`MessageCost::rounds`]: mstv_core::MessageCost::rounds
     pub(crate) fn is_ack(&self) -> bool {
-        matches!(self, WireMsg::Ack | WireMsg::ComputeAck { .. })
+        matches!(self, WireMsg::ComputeAck { .. })
     }
 
     /// Which phase this message is charged to.
     pub(crate) fn phase_class(&self) -> PhaseClass {
         match self {
-            WireMsg::Label { .. } | WireMsg::Ack => PhaseClass::Verify,
+            WireMsg::Label { .. } => PhaseClass::Verify,
             WireMsg::Compute { marker, .. } | WireMsg::ComputeAck { marker, .. } => {
                 if *marker {
                     PhaseClass::Marker
@@ -157,12 +158,15 @@ impl WireMsg {
 
     /// Serializes the message to a self-delimiting byte frame:
     ///
-    /// * `[0x00]` — ack;
     /// * `[0x01 | 0x02, bit-length u32 LE, payload]` — label
     ///   (plain | refresh);
     /// * `[0x03 | 0x04, seq u32 LE, bit-length u32 LE, payload]` —
     ///   construction payload (GHS | marker);
     /// * `[0x05 | 0x06, seq u32 LE]` — construction ack (GHS | marker).
+    ///
+    /// Tag `0x00`, the label ack of the ack-gated protocol, is retired
+    /// and never reused, so a capture from that protocol fails to parse
+    /// instead of misparsing.
     ///
     /// # Errors
     ///
@@ -171,7 +175,6 @@ impl WireMsg {
     /// a longer payload would round-trip corrupted rather than fail.
     pub fn to_frame(&self) -> Result<Vec<u8>, NetError> {
         match self {
-            WireMsg::Ack => Ok(vec![0x00]),
             WireMsg::Label { bits, refresh } => {
                 let bit_len = frame_bit_len(bits.len())?;
                 let mut out = Vec::with_capacity(5 + bits.len() / 8 + 1);
@@ -203,8 +206,9 @@ impl WireMsg {
     /// # Errors
     ///
     /// [`NetError::UnknownMsgKind`] for a tag this build does not know
-    /// (a capture from a newer protocol revision must fail loudly, not
-    /// misparse); [`NetError::BadFrame`] for a structurally broken
+    /// (a capture from a newer protocol revision, or the retired ack tag
+    /// `0x00`, must fail loudly, not misparse); [`NetError::BadFrame`]
+    /// for a structurally broken
     /// frame (short buffer, trailing bytes, dirty padding bits).
     pub fn from_frame(bytes: &[u8]) -> Result<WireMsg, NetError> {
         let bad = |reason: &str| NetError::BadFrame {
@@ -225,8 +229,6 @@ impl WireMsg {
             Ok((u32::from_le_bytes(*seq_bytes), tail))
         }
         match bytes.split_first().ok_or_else(|| bad("empty frame"))? {
-            (0x00, []) => Ok(WireMsg::Ack),
-            (0x00, _) => Err(bad("trailing bytes after ack")),
             (tag @ (0x01 | 0x02), rest) => Ok(WireMsg::Label {
                 bits: Arc::new(payload_of(rest)?),
                 refresh: *tag == 0x02,
@@ -272,10 +274,6 @@ mod tests {
                 Ok(msg)
             );
         }
-        assert_eq!(
-            WireMsg::from_frame(&WireMsg::Ack.to_frame().expect("acks always frame")),
-            Ok(WireMsg::Ack)
-        );
         for marker in [false, true] {
             let msg = WireMsg::Compute {
                 marker,
@@ -315,9 +313,9 @@ mod tests {
         // Forward compatibility: a frame from a future protocol
         // revision (unknown tag) must surface as `UnknownMsgKind` with
         // the offending tag — never as a silent misparse or a generic
-        // failure. Tags 0x00–0x06 are taken; everything above is
-        // future space.
-        for tag in 0x07..=0xff {
+        // failure. Tags 0x01–0x06 are taken; 0x00, the retired label
+        // ack, stays unknown, and everything above is future space.
+        for tag in std::iter::once(0x00).chain(0x07..=0xff) {
             assert_eq!(
                 WireMsg::from_frame(&[tag, 0, 0, 0, 0]),
                 Err(NetError::UnknownMsgKind { tag }),
@@ -335,10 +333,6 @@ mod tests {
     fn malformed_frames_rejected() {
         assert!(matches!(
             WireMsg::from_frame(&[]),
-            Err(NetError::BadFrame { .. })
-        ));
-        assert!(matches!(
-            WireMsg::from_frame(&[0x00, 0x00]),
             Err(NetError::BadFrame { .. })
         ));
         assert!(matches!(
@@ -360,7 +354,6 @@ mod tests {
             refresh: false,
         };
         assert_eq!(label.wire_bits(), 18);
-        assert_eq!(WireMsg::Ack.wire_bits(), 1);
         let compute = WireMsg::Compute {
             marker: true,
             seq: 9,

@@ -2,15 +2,19 @@
 //! distributed marker → embedded verification): the tree must equal
 //! Kruskal's, the labels must be bit-identical to the centralized
 //! marker's, one worker and several must agree, logs must replay
-//! exactly, and all of it must hold under lossy links.
+//! exactly, and all of it must hold under lossy links. The embedded
+//! verification answers each pull once, also a pull that reached a node
+//! before its verifier started.
 
+use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
 
 use mstv_core::{mst_configuration, ProofLabelingScheme};
 use mstv_graph::{gen, Graph, NodeId};
 use mstv_net::{
-    replay_compute, run_compute, ComputeRun, Engine, FaultProfile, LossyLink, NetConfig,
-    PerfectLink,
+    replay_compute, run_compute, run_verification_with, ComputeMachine, ComputeRun, Engine,
+    EventLog, FaultProfile, LogEvent, LossyLink, MstWireScheme, NetConfig, PerfectLink,
+    ProtocolMachine, VerifierMachine, WireMsg,
 };
 use mstv_trees::ParallelConfig;
 use proptest::prelude::*;
@@ -165,6 +169,97 @@ fn phase_costs_are_exhaustive_and_attributed() {
             "every phase exchanges messages on a 24-node instance: {p:?}"
         );
     }
+}
+
+/// Re-feeds a recorded schedule to fresh machines and checks the pull
+/// discipline at every node: a tick reaches only an undecided node, and
+/// a plain label on a port is the node's first label there (its start
+/// offer) or the answer to one pull delivered on that port after the
+/// node started verifying. A pull that arrived earlier is answered by
+/// the start offer alone. Returns how many pulls arrived before their
+/// receiver started verifying.
+fn assert_pull_discipline<M: ProtocolMachine>(machines: &mut [M], log: &EventLog) -> usize {
+    let mut started = vec![false; machines.len()];
+    let mut offered = HashSet::new();
+    let mut owed: HashMap<(usize, u32), u32> = HashMap::new();
+    let mut early = 0;
+    for ev in &log.events {
+        let Some(v) = ev.target().map(|v| v as usize) else {
+            continue;
+        };
+        if let LogEvent::Tick { .. } = ev {
+            assert_eq!(machines[v].decided(), None, "a decided {v} was ticked");
+        }
+        if let LogEvent::Deliver {
+            port,
+            msg: WireMsg::Label { refresh: true, .. },
+            ..
+        } = ev
+        {
+            if started[v] {
+                *owed.entry((v, *port)).or_default() += 1;
+            } else {
+                early += 1;
+            }
+        }
+        let input = ev.to_node_event().expect("targeted events map to inputs");
+        for (port, msg) in machines[v].on_event(&input) {
+            let WireMsg::Label { refresh, .. } = msg else {
+                continue;
+            };
+            started[v] = true;
+            if refresh || offered.insert((v, port.0)) {
+                continue;
+            }
+            let debt = owed.entry((v, port.0)).or_default();
+            assert!(*debt > 0, "{v} sent an unasked label on port {}", port.0);
+            *debt -= 1;
+        }
+    }
+    early
+}
+
+#[test]
+fn pulls_are_answered_once_and_ticks_reach_only_undecided_nodes() {
+    let g = make_graph(48, 80, 500, 31);
+    let profile = FaultProfile {
+        drop: 0.2,
+        duplicate: 0.1,
+        max_delay: 2,
+        crash: 0.02,
+        max_crashes: 3,
+    };
+    let cfg = mst_configuration(g.clone());
+    let wire = MstWireScheme::for_config(&cfg);
+    let mut early = 0;
+    for seed in 0..4 {
+        let mut link = LossyLink::new(profile, seed);
+        let run = run_compute(&g, &mut link, NetConfig::default(), pool(1))
+            .expect("fair-lossy construction converges");
+        let mut machines: Vec<ComputeMachine> = (0..g.num_nodes())
+            .map(|v| ComputeMachine::new(&g, NodeId(v as u32)))
+            .collect();
+        early += assert_pull_discipline(&mut machines, &run.net.log);
+
+        let mut link = LossyLink::new(profile, seed);
+        let verify = run_verification_with(
+            &wire,
+            &cfg,
+            &run.labeling,
+            &mut link,
+            NetConfig::default(),
+            pool(1),
+        )
+        .expect("fair-lossy verification converges");
+        let mut machines: Vec<_> = (0..g.num_nodes())
+            .map(|v| {
+                let v = NodeId(v as u32);
+                VerifierMachine::new(wire, &cfg, v, run.labeling.encoded(v).clone())
+            })
+            .collect();
+        assert_pull_discipline(&mut machines, &verify.log);
+    }
+    assert!(early > 0, "no pull reached a node still building");
 }
 
 proptest! {

@@ -127,7 +127,7 @@ const USAGE: &str = "usage:
   mstv net --replay <log-file>
       re-run a saved event log deterministically on one thread and
       cross-check verdict and counts against the recorded run; logs of
-      another format version (mstv-net-log v1) are refused
+      another format version (mstv-net-log v1 or v2) are refused
       (verification and construction logs alike; construction logs
       also rebuild the tree and labels)
   mstv snapshot write <graph-file> <out.snap> [--codec gamma|fixed] [--threads N]

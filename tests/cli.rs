@@ -241,19 +241,23 @@ fn net_runs_lossy_verification_and_replays_its_log() {
 #[test]
 fn net_replay_refuses_a_log_of_another_version() {
     let dir = test_dir("net_replay_refuses_a_log_of_another_version");
-    let path = dir.join("v1.log");
-    std::fs::write(&path, "mstv-net-log v1\nh nodes 4\ns 0\nd 1 0 l 9 ff80\n").unwrap();
-    let out = mstv()
-        .args(["net", "--replay", &path.to_string_lossy()])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "a v1 log must be refused");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(stderr.lines().count(), 1, "{stderr}");
-    assert!(
-        stderr.contains("v1"),
-        "the error must name the version: {stderr}"
-    );
+    // v1 counted retransmission generations; v2 acked every label.
+    for (old, delivery) in [("v1", "d 1 0 l 9 ff80"), ("v2", "d 0 2 0 a")] {
+        let path = dir.join(format!("{old}.log"));
+        let log = format!("mstv-net-log {old}\nh nodes 4\ns 0\n{delivery}\n");
+        std::fs::write(&path, log).unwrap();
+        let out = mstv()
+            .args(["net", "--replay", &path.to_string_lossy()])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "a {old} log must be refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(
+            stderr.contains(old),
+            "the error must name the version: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! run records is the same on one worker as on four and replays to the
 //! same verdict and cost, a one-worker run steps every machine on the
 //! calling thread, and every run is counted in causal rounds that the
-//! log carries and replay recomputes.
+//! log carries and replay recomputes. On a perfect link verification is
+//! the paper's one round: `2m` frames, one per edge direction.
 
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
@@ -223,12 +224,14 @@ fn the_wire_counts_causal_rounds() {
         let run = run_compute(&g, &mut PerfectLink, NetConfig::default(), pool(1))
             .unwrap_or_else(|e| panic!("n={n}: {e}"));
         let p = run.net.phases;
+        let m = g.num_edges() as u64;
         assert!(p.ghs.rounds > 0, "n={n}: GHS took no round: {p:?}");
         assert!(
             p.marker.rounds > 0,
             "n={n}: the marker took no round: {p:?}"
         );
         assert_eq!(p.verify.rounds, 1, "n={n}: {p:?}");
+        assert_eq!(p.verify.msgs, 2 * m, "n={n}: {p:?}");
         assert_eq!(
             p.ghs.rounds + p.marker.rounds + p.verify.rounds,
             run.net.cost.rounds,
@@ -239,7 +242,8 @@ fn the_wire_counts_causal_rounds() {
         let again = replay_compute(&g, &log).expect("the log replays");
         assert_eq!(again.net.cost, run.net.cost, "n={n}");
         assert_eq!(again.net.phases, run.net.phases, "n={n}");
-        // Verifying what was built is one round on a perfect link.
+        // Verifying what was built is one round of 2m frames on a
+        // perfect link.
         let cfg = mst_configuration(g);
         let wire = MstWireScheme::for_config(&cfg);
         let verify = run_verification(
@@ -252,14 +256,19 @@ fn the_wire_counts_causal_rounds() {
         .expect("a perfect link converges");
         assert!(verify.verdict.accepted());
         assert_eq!(verify.cost.rounds, 1, "n={n}");
+        assert_eq!(verify.cost.msgs, 2 * m, "n={n}");
     }
-    // A log written before the clock counted depth is refused by name.
-    let err = EventLog::parse("mstv-net-log v1\ns 0\n").expect_err("v1 is refused");
-    assert_eq!(
-        err,
-        NetError::LogVersion {
-            found: "v1".to_string()
-        }
-    );
-    assert!(err.to_string().contains("v1"), "{err}");
+    // Logs written before the clock counted depth (v1) or while labels
+    // were acked (v2) are refused by name.
+    for old in ["v1", "v2"] {
+        let err = EventLog::parse(&format!("mstv-net-log {old}\ns 0\n"))
+            .expect_err("an old log is refused");
+        assert_eq!(
+            err,
+            NetError::LogVersion {
+                found: old.to_string()
+            }
+        );
+        assert!(err.to_string().contains(old), "{err}");
+    }
 }
