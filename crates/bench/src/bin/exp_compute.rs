@@ -5,7 +5,7 @@
 //! layer's. Each phase's rounds are the depth it adds over the phases
 //! before it, so the three sum to the run's total.
 //!
-//! Two things are *asserted*, so the table cannot be fast-but-wrong:
+//! Three things are *asserted*, so the table cannot be fast-but-wrong:
 //!
 //! * **Oracle diff** — at every size, the labeling the network builds
 //!   is bit-identical to the centralized marker's on the same graph,
@@ -14,15 +14,17 @@
 //!   factor of the classic `O(m + n log n)` GHS bound (acks included;
 //!   the reliable channel acks every frame, which at most doubles the
 //!   constant).
+//! * **Marker depth envelope** — the distributed marker's rounds stay
+//!   within `4H + L·(6H + 1)`, `H` the MST's height from node 0 and `L`
+//!   the number of decomposition levels ([`marker_envelope`]).
 //!
-//! Timings are reported, never asserted. Besides the greppable
-//! per-point JSON lines, the whole series is written to
-//! `BENCH_compute.json` (override the path with the first positional
-//! argument).
+//! Every figure is a count from fixed seeds, so the output reproduces
+//! byte for byte (`experiment-results/exp_compute.txt`); wall time is
+//! `perfbench/`'s to measure. Besides the greppable per-point JSON
+//! lines, the whole series is written to `BENCH_compute.json` (override
+//! the path with the first positional argument).
 
-use std::time::Instant;
-
-use mstv_bench::{lg, print_table, workload};
+use mstv_bench::{lg, marker_envelope, print_table, workload};
 use mstv_core::{mst_configuration, MessageCost, MstScheme, ProofLabelingScheme};
 use mstv_graph::NodeId;
 use mstv_net::{run_compute, Engine, NetConfig, PerfectLink};
@@ -38,13 +40,15 @@ const GHS_FACTOR: f64 = 16.0;
 struct Point {
     nodes: usize,
     edges: usize,
-    secs: f64,
     ghs: MessageCost,
     marker: MessageCost,
     verify: MessageCost,
     total: MessageCost,
     /// `ghs.msgs / (m + n log₂ n)` — the measured GHS constant.
     ghs_ratio: f64,
+    /// The MST's height from node 0, the number of decomposition
+    /// levels, and the marker's depth envelope over them.
+    envelope: (u64, u64, u64),
 }
 
 fn main() {
@@ -56,7 +60,6 @@ fn main() {
         let g = workload(n, 1 << 16, 0xE17 + n as u64);
         let m = g.num_edges();
 
-        let t0 = Instant::now();
         let run = run_compute(
             &g,
             &mut PerfectLink,
@@ -64,7 +67,6 @@ fn main() {
             Engine::default(),
         )
         .expect("perfect-link construction converges");
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
         assert!(
             run.net.verdict.accepted(),
             "n={n}: network rejected its own construction"
@@ -96,23 +98,32 @@ fn main() {
             run.net.phases.ghs.msgs
         );
 
+        // Marker depth envelope.
+        let envelope = marker_envelope(&run.labeling);
+        let (height, levels, bound) = envelope;
+        assert!(
+            run.net.phases.marker.rounds <= bound,
+            "n={n}: the marker took {} rounds, over 4H + L(6H + 1) = {bound} \
+             (H = {height}, L = {levels})",
+            run.net.phases.marker.rounds
+        );
+
         let p = Point {
             nodes: n,
             edges: m,
-            secs,
             ghs: run.net.phases.ghs,
             marker: run.net.phases.marker,
             verify: run.net.phases.verify,
             total: run.net.cost,
             ghs_ratio,
+            envelope,
         };
         println!(
-            "{{\"experiment\":\"compute\",\"nodes\":{},\"edges\":{},\"secs\":{:.6},\
+            "{{\"experiment\":\"compute\",\"nodes\":{},\"edges\":{},\
              \"ghs_msgs\":{},\"marker_msgs\":{},\"verify_msgs\":{},\"total_msgs\":{},\
              \"total_bits\":{},\"rounds\":{},\"ghs_ratio\":{:.2}}}",
             p.nodes,
             p.edges,
-            p.secs,
             p.ghs.msgs,
             p.marker.msgs,
             p.verify.msgs,
@@ -137,9 +148,9 @@ fn main() {
                     "{} / {} / {}",
                     p.ghs.rounds, p.marker.rounds, p.verify.rounds
                 ),
+                format!("{} / {} / {}", p.envelope.0, p.envelope.1, p.envelope.2),
                 p.total.msgs.to_string(),
                 format!("{:.2}", p.ghs_ratio),
-                format!("{:.3}", p.secs),
             ]
         })
         .collect();
@@ -152,9 +163,9 @@ fn main() {
             "marker msgs/bits",
             "verify msgs/bits",
             "rounds ghs/marker/verify",
+            "H / L / marker envelope",
             "total msgs",
             "ghs/(m+nlgn)",
-            "secs",
         ],
         &rows,
     );
@@ -163,7 +174,6 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_compute.json".to_owned());
     std::fs::write(&out, series_json(&points)).expect("write benchmark series");
-    println!("series written to {out}");
 }
 
 /// The committed `BENCH_compute.json` schema: experiment id, the
@@ -181,21 +191,25 @@ fn series_json(points: &[Point]) -> String {
     out.push_str(&format!("  \"ghs_bound_factor\": {GHS_FACTOR},\n"));
     out.push_str(
         "  \"asserted\": [\"labels bit-identical to centralized marker\", \
-         \"tree equals Kruskal's\", \"ghs msgs within bound factor of m + n log2 n\"],\n",
+         \"tree equals Kruskal's\", \"ghs msgs within bound factor of m + n log2 n\", \
+         \"marker rounds within 4H + L(6H + 1)\"],\n",
     );
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"nodes\": {}, \"edges\": {}, \"secs\": {:.6}, \"ghs\": {}, \
-             \"marker\": {}, \"verify\": {}, \"total\": {}, \"ghs_ratio\": {:.3}}}{}\n",
+            "    {{\"nodes\": {}, \"edges\": {}, \"ghs\": {}, \"marker\": {}, \
+             \"verify\": {}, \"total\": {}, \"ghs_ratio\": {:.3}, \"height\": {}, \
+             \"levels\": {}, \"marker_envelope\": {}}}{}\n",
             p.nodes,
             p.edges,
-            p.secs,
             phase(&p.ghs),
             phase(&p.marker),
             phase(&p.verify),
             phase(&p.total),
             p.ghs_ratio,
+            p.envelope.0,
+            p.envelope.1,
+            p.envelope.2,
             if i + 1 == points.len() { "" } else { "," }
         ));
     }

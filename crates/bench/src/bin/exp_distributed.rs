@@ -9,11 +9,13 @@
 //! messages in one round, in a verification run and in the embedded
 //! verification that ends a construction; construction is
 //! `run_compute` (GHS, then the distributed marker, then the embedded
-//! verification).
+//! verification). The marker's rounds are asserted on every row to stay
+//! within `4H + L·(6H + 1)`, `H` the MST's height from node 0 and `L`
+//! the number of decomposition levels ([`marker_envelope`]).
 
 use std::num::NonZeroUsize;
 
-use mstv_bench::{print_table, workload};
+use mstv_bench::{marker_envelope, print_table, workload};
 use mstv_core::{faults, mst_configuration, MstScheme, ParallelConfig, ProofLabelingScheme};
 use mstv_net::{
     run_compute, run_verification_with, Engine, MstWireScheme, NetConfig, NetSelfStab,
@@ -67,6 +69,13 @@ fn main() {
             "n={n}: one label per edge direction"
         );
         let (ghs, marker) = (build.net.phases.ghs, build.net.phases.marker);
+        let (height, levels, envelope) = marker_envelope(&build.labeling);
+        assert!(
+            marker.rounds <= envelope,
+            "n={n}: the marker took {} rounds, over 4H + L(6H + 1) = {envelope} \
+             (H = {height}, L = {levels})",
+            marker.rounds
+        );
         rows.push(vec![
             n.to_string(),
             m.to_string(),
@@ -76,6 +85,7 @@ fn main() {
             ghs.rounds.to_string(),
             ghs.msgs.to_string(),
             marker.rounds.to_string(),
+            envelope.to_string(),
             marker.msgs.to_string(),
             (ghs.bits + marker.bits).to_string(),
         ]);
@@ -91,12 +101,14 @@ fn main() {
             "ghs rounds",
             "ghs msgs",
             "marker rounds",
+            "envelope",
             "marker msgs",
             "build bits",
         ],
         &rows,
     );
     println!("(verify msgs are 2m: one label per edge direction, none acked.)");
+    println!("(envelope: 4H + L(6H + 1), H the MST's height, L its decomposition levels.)");
 
     // Self-stabilization: inject faults, measure detection and recovery.
     let mut rng = StdRng::seed_from_u64(0x5E1F);

@@ -7,6 +7,7 @@
 //! `cargo run --release -p mstv-bench --bin <exp_name>`. Wall-clock
 //! timing of the pipeline is `perfbench/`'s job; these binaries count.
 
+use mstv_core::{Labeling, MstLabel};
 use mstv_graph::{gen, ConfigGraph, Graph, TreeState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,6 +50,24 @@ pub fn workload(n: usize, max_w: u64, seed: u64) -> Graph {
 /// The standard workload with its MST installed in node states.
 pub fn mst_workload(n: usize, max_w: u64, seed: u64) -> ConfigGraph<TreeState> {
     mstv_core::mst_configuration(workload(n, max_w, seed))
+}
+
+/// The distributed marker's depth envelope on a `π_mst` labeling:
+/// `(H, L, 4H + L·(6H + 1))`, where `H` is the MST's height from node 0
+/// (the largest root distance) and `L` the number of decomposition
+/// levels (the longest orientation list). Per level the size
+/// convergecast takes at most `2·ecc ≤ 4H` rounds, the descent to the
+/// centroid at most `2H`, then one announce hop; the rooting and the
+/// `LabelDone` + `StartVerify` hand-off add `2H` each.
+pub fn marker_envelope(labeling: &Labeling<MstLabel>) -> (u64, u64, u64) {
+    let labels = labeling.labels();
+    let height = labels.iter().map(|l| l.span.dist).max().unwrap_or(0);
+    let levels = labels
+        .iter()
+        .map(|l| l.orient.len() as u64)
+        .max()
+        .unwrap_or(0);
+    (height, levels, 4 * height + levels * (6 * height + 1))
 }
 
 /// `⌈log₂(x + 1)⌉` as f64 (≥ 1), the paper's `log` of a size/weight.

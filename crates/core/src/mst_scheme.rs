@@ -26,7 +26,7 @@
 //! can only cause extra rejections of configurations that were not proper
 //! MST encodings anyway.
 
-use mstv_graph::{ConfigGraph, EdgeId, NodeId, TreeState, Weight};
+use mstv_graph::{ConfigGraph, NodeId, TreeState, Weight};
 use mstv_labels::{try_decode_max, BitString, LabelCodec, MaxAggregate, MaxLabel, SepFieldCodec};
 use mstv_trees::{centroid_decomposition_parallel, par_map_chunks};
 
@@ -54,16 +54,6 @@ impl MstScheme {
     /// Creates the scheme.
     pub fn new() -> Self {
         MstScheme
-    }
-
-    /// The candidate tree's edges as induced by the states (each non-root
-    /// node's parent edge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a state points at a nonexistent port.
-    pub fn candidate_edges(cfg: &ConfigGraph<TreeState>) -> Vec<EdgeId> {
-        cfg.induced_edges()
     }
 
     /// The marker with every stage after the MST check fanned across a
@@ -283,7 +273,7 @@ pub fn mst_configuration(graph: mstv_graph::Graph) -> ConfigGraph<TreeState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mstv_graph::{gen, tree_states, Graph, Port};
+    use mstv_graph::{gen, tree_states, EdgeId, Graph};
     use mstv_trees::centroid_decomposition;
 
     use crate::pi_gamma::orient_fields;
@@ -688,14 +678,5 @@ mod tests {
         let scheme = MstScheme::new();
         let labeling = scheme.marker(&cfg).unwrap();
         assert!(scheme.verify_all(&cfg, &labeling).accepted());
-    }
-
-    #[test]
-    fn candidate_edges_match_induced() {
-        let cfg = config(12, 8, 50, 15);
-        let edges = MstScheme::candidate_edges(&cfg);
-        assert_eq!(edges, cfg.induced_edges());
-        assert_eq!(edges.len(), 11);
-        let _ = Port(0);
     }
 }

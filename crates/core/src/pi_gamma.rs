@@ -51,15 +51,6 @@ impl Orient {
         }
     }
 
-    /// Decodes the two-bit encoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the reserved pattern `3`.
-    pub fn from_bits(v: u64) -> Self {
-        Self::try_from_bits(v).unwrap_or_else(|| panic!("invalid orientation encoding {v}"))
-    }
-
     /// Decodes the two-bit encoding; `None` on the reserved pattern `3`.
     pub fn try_from_bits(v: u64) -> Option<Self> {
         match v {

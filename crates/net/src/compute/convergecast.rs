@@ -12,17 +12,18 @@
 //!    spanning sublabel), the convergecast returns child identities,
 //!    subtree sizes, and the subtree-maximum *incident* weight — so
 //!    the root learns `n` and the instance-wide `W` the label codecs
-//!    need, which the first [`Msg::Total`] then spreads to everyone.
+//!    need, which [`Msg::StartVerify`] spreads at the end.
 //! 2. **Recursive centroid decomposition**, one component at a time,
-//!    components evolving in parallel. Per component: a preorder
-//!    *walk* ([`Msg::Walk`]/[`Msg::WalkRet`]) from the component's
-//!    representative assigns DFS positions and sizes, visiting
-//!    neighbors in *descending* identity order — the exact pop order
-//!    of the sequential stack DFS; [`Msg::Total`] broadcasts the
-//!    component size down the walk tree; [`Msg::MinCast`] convergecasts
-//!    the lexicographic minimum `(piece, pos)` — the sequential
-//!    strict-less scan in position order; [`Msg::Elect`] descends to
-//!    the winner, the component's centroid.
+//!    components evolving in parallel, by the rule of the sequential
+//!    engine (`mstv_trees::centroid_decomposition`). Per component:
+//!    the representative floods a [`Msg::Probe`] over the component's
+//!    tree edges and the subtree sizes converge back to it
+//!    ([`Msg::Size`]); then [`Msg::Elect`], carrying the component
+//!    size, descends into the child holding more than half of it until
+//!    it reaches a node with no such child — the centroid, and of two
+//!    centroids the one nearer the representative. At level 1 the
+//!    representative is node 0 and the rooting convergecast already
+//!    carried the sizes, so the election starts at once.
 //! 3. **Separator announcement** ([`Msg::Announce`]): the separator
 //!    ranks its pieces by size (stable sort over ascending neighbor
 //!    identity, as the sequential `pieces` loop does), then floods each
@@ -31,12 +32,14 @@
 //!    separator field, the accumulated maximum the `ω` field, and the
 //!    arrival direction (parent port or not) the orientation bit. The
 //!    separator's own edges die; the neighbor that received the
-//!    `from_sep` copy becomes the piece's representative and starts
-//!    the next level's walk. Per-channel FIFO guarantees the announce
-//!    outruns every next-level message into the piece.
+//!    `from_sep` copy becomes the piece's representative, forwards the
+//!    announce, then probes the piece for the next level. Per-channel
+//!    FIFO guarantees the announce outruns every next-level message
+//!    into the piece.
 //! 4. **Hand-off** ([`Msg::LabelDone`]/[`Msg::StartVerify`]): a
 //!    convergecast on the spanning tree tells the root all labels are
-//!    complete; the root broadcasts the verification start.
+//!    complete; the root broadcasts the verification start with the
+//!    instance's `(n, W)`.
 
 use std::cmp::Reverse;
 
@@ -58,37 +61,27 @@ pub(crate) struct Marker {
     pub parent_id: Option<u64>,
     /// Span-tree child ports (branch ports minus the parent port).
     span_children: Vec<usize>,
-    /// Per port: the identity of the span child behind it (drives the
-    /// walk's neighbor ordering).
+    /// Per port: the identity of the span child behind it (orders a
+    /// separator's pieces).
     child_id: Vec<Option<u64>>,
-    /// Outstanding [`Msg::SpanUp`]s.
-    spanup_pending: usize,
-    /// Accumulators for the rooting convergecast.
+    /// Subtree-maximum incident weight gathered by the rooting
+    /// convergecast.
     acc_max: u64,
-    acc_size: u64,
     /// Instance-wide `(n, max weight)` once known: at the root after
-    /// the rooting convergecast, elsewhere with the first
-    /// [`Msg::Total`] (which is always the level-1, whole-tree one).
+    /// the rooting convergecast, elsewhere with [`Msg::StartVerify`].
     pub inst: Option<(u64, u64)>,
     /// Tree edges still inside this node's current component.
     alive: Vec<bool>,
-    /// Walk state for the current decomposition level.
-    walk_parent: Option<usize>,
-    pos: u64,
-    counter: u64,
-    /// Ports still to visit, descending neighbor identity.
-    order: Vec<usize>,
-    idx: usize,
-    /// Visited children with their walk-subtree sizes, in visit order.
-    dfs_children: Vec<(usize, u64)>,
-    my_size: u64,
-    total: u64,
-    /// Outstanding [`Msg::MinCast`]s.
-    mincast_pending: usize,
-    /// Running minimum `(piece, pos)` and the port it came from
-    /// (`None`: this node is its own subtree's minimum).
-    min_key: (u64, u64),
-    win_port: Option<usize>,
+    /// This level's port towards the component's representative
+    /// (`None` at the representative).
+    up: Option<usize>,
+    /// This level's ports away from the representative, with the
+    /// subtree sizes reported over them.
+    kids: Vec<(usize, u64)>,
+    /// Sizes still to be reported over `kids`.
+    pending: usize,
+    /// This node's subtree size at this level.
+    size: u64,
     /// `γ` sublabel under assembly: separator fields, `ω` fields, and
     /// orientations, one entry per decomposition level.
     pub sep: Vec<u64>,
@@ -112,22 +105,13 @@ impl Marker {
             parent_id: None,
             span_children: Vec::new(),
             child_id: vec![None; deg],
-            spanup_pending: 0,
             acc_max: 0,
-            acc_size: 0,
             inst: None,
             alive: vec![false; deg],
-            walk_parent: None,
-            pos: 0,
-            counter: 0,
-            order: Vec::new(),
-            idx: 0,
-            dfs_children: Vec::new(),
-            my_size: 0,
-            total: 0,
-            mincast_pending: 0,
-            min_key: (0, 0),
-            win_port: None,
+            up: None,
+            kids: Vec::new(),
+            pending: 0,
+            size: 0,
             // `sep[0]` is the shared constant of every `γ` label.
             sep: vec![0],
             omega: Vec::new(),
@@ -147,20 +131,7 @@ impl Marker {
             self.alive[i] = true;
         }
         if self.my_id == 0 {
-            self.span_children = branch.to_vec();
-            self.spanup_pending = branch.len();
-            self.labeldone_pending = branch.len();
-            for &i in branch {
-                out.push((
-                    i,
-                    Msg::Span {
-                        root_id: 0,
-                        sender_id: 0,
-                        dist: 0,
-                    },
-                ));
-            }
-            self.maybe_spanup(ports, out);
+            self.root_below(None, ports, out);
         }
     }
 
@@ -176,27 +147,7 @@ impl Marker {
                 self.parent_port = Some(p);
                 self.parent_id = Some(sender_id);
                 self.dist = dist + 1;
-                self.span_children = self
-                    .alive
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, &a)| a && i != p)
-                    .map(|(i, _)| i)
-                    .collect();
-                self.spanup_pending = self.span_children.len();
-                self.labeldone_pending = self.span_children.len();
-                for k in 0..self.span_children.len() {
-                    let i = self.span_children[k];
-                    out.push((
-                        i,
-                        Msg::Span {
-                            root_id,
-                            sender_id: self.my_id,
-                            dist: self.dist,
-                        },
-                    ));
-                }
-                self.maybe_spanup(ports, out);
+                self.root_below(Some(p), ports, out);
             }
             Msg::SpanUp {
                 sender_id,
@@ -205,43 +156,11 @@ impl Marker {
             } => {
                 self.child_id[p] = Some(sender_id);
                 self.acc_max = self.acc_max.max(max_w);
-                self.acc_size += size;
-                self.spanup_pending -= 1;
-                self.maybe_spanup(ports, out);
+                self.kid_size(p, size, ports, out);
             }
-            Msg::Walk { pos } => {
-                self.reset_level(Some(p), pos);
-                self.advance(ports, out);
-            }
-            Msg::WalkRet { next, size } => {
-                self.counter = next;
-                self.dfs_children.push((p, size));
-                self.advance(ports, out);
-            }
-            Msg::Total { total, max_w } => {
-                if self.inst.is_none() {
-                    // The first Total is the level-1 one: its component
-                    // is the whole tree, so `total` is `n`.
-                    self.inst = Some((total, max_w));
-                }
-                self.total = total;
-                self.total_known(ports, out);
-            }
-            Msg::MinCast { piece, pos } => {
-                if (piece, pos) < self.min_key {
-                    self.min_key = (piece, pos);
-                    self.win_port = Some(p);
-                }
-                self.mincast_pending -= 1;
-                self.finish_mincast(ports, out);
-            }
-            Msg::Elect => {
-                if let Some(w) = self.win_port {
-                    out.push((w, Msg::Elect));
-                } else {
-                    self.become_separator(ports, out);
-                }
-            }
+            Msg::Probe => self.open(Some(p), &Msg::Probe, ports, out),
+            Msg::Size { size } => self.kid_size(p, size, ports, out),
+            Msg::Elect { total } => self.elect(total, ports, out),
             Msg::Announce {
                 omega,
                 rank,
@@ -268,47 +187,102 @@ impl Marker {
                 }
                 if from_sep {
                     // The separator's edge dies; this node represents
-                    // the remaining piece and starts the next level.
+                    // the remaining piece and probes it for the next
+                    // level, behind the announce it just forwarded.
                     self.alive[p] = false;
-                    self.begin_level(ports, out);
+                    self.open(None, &Msg::Probe, ports, out);
                 }
             }
             Msg::LabelDone => {
                 self.labeldone_pending -= 1;
                 self.maybe_labeldone(out);
             }
-            Msg::StartVerify => {
-                self.verify_ready = true;
-                for k in 0..self.span_children.len() {
-                    out.push((self.span_children[k], Msg::StartVerify));
-                }
-            }
+            Msg::StartVerify { n, max_w } => self.start_verify((n, max_w), out),
             _ => debug_assert!(false, "GHS payload routed to marker: {msg:?}"),
         }
     }
 
-    /// Sends the rooting convergecast up (or, at the root, fixes the
-    /// instance parameters and opens the level-1 decomposition).
-    fn maybe_spanup(&mut self, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
-        let rooted = self.my_id == 0 || self.parent_port.is_some();
-        if !rooted || self.spanup_pending > 0 {
+    /// Roots the tree below this node: the [`Msg::Span`] broadcast,
+    /// which doubles as the level-1 probe from node 0.
+    fn root_below(&mut self, up: Option<usize>, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
+        self.span_children = (0..self.alive.len())
+            .filter(|&i| self.alive[i] && Some(i) != up)
+            .collect();
+        self.labeldone_pending = self.span_children.len();
+        let span = Msg::Span {
+            root_id: 0,
+            sender_id: self.my_id,
+            dist: self.dist,
+        };
+        self.open(up, &span, ports, out);
+    }
+
+    /// Opens this level's size convergecast here: `probe` goes to every
+    /// component edge except `up`, the port towards the representative
+    /// (`None` at the representative itself).
+    fn open(
+        &mut self,
+        up: Option<usize>,
+        probe: &Msg,
+        ports: &[PortInfo],
+        out: &mut Vec<(usize, Msg)>,
+    ) {
+        self.up = up;
+        self.kids.clear();
+        self.pending = 0;
+        for q in (0..self.alive.len()).filter(|&q| self.alive[q] && Some(q) != up) {
+            out.push((q, probe.clone()));
+            self.pending += 1;
+        }
+        self.converge(ports, out);
+    }
+
+    /// Records the subtree size reported over port `p`.
+    fn kid_size(&mut self, p: usize, size: u64, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
+        self.kids.push((p, size));
+        self.pending -= 1;
+        self.converge(ports, out);
+    }
+
+    /// Once every size below is in: report this subtree's size up, or,
+    /// at the representative, start the election with the component's
+    /// size. Before any level is sealed this is the rooting
+    /// convergecast, which also gathers the instance's `(n, W)`.
+    fn converge(&mut self, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
+        if self.pending > 0 {
             return;
         }
-        let local_max = ports.iter().map(|q| q.weight).max().unwrap_or(0);
-        let max_w = self.acc_max.max(local_max);
-        let size = self.acc_size + 1;
-        if let Some(pp) = self.parent_port {
-            out.push((
-                pp,
+        self.size = 1 + self.kids.iter().map(|&(_, s)| s).sum::<u64>();
+        let rooting = self.orient.is_empty();
+        let max_w = || {
+            let local = ports.iter().map(|q| q.weight).max().unwrap_or(0);
+            self.acc_max.max(local)
+        };
+        match self.up {
+            Some(up) if rooting => out.push((
+                up,
                 Msg::SpanUp {
                     sender_id: self.my_id,
-                    max_w,
-                    size,
+                    max_w: max_w(),
+                    size: self.size,
                 },
-            ));
-        } else {
-            self.inst = Some((size, max_w));
-            self.begin_level(ports, out);
+            )),
+            Some(up) => out.push((up, Msg::Size { size: self.size })),
+            None => {
+                if rooting {
+                    self.inst = Some((self.size, max_w()));
+                }
+                self.elect(self.size, ports, out);
+            }
+        }
+    }
+
+    /// The election at this node: descend into the child holding more
+    /// than half of the component, or, with none, become its centroid.
+    fn elect(&mut self, total: u64, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
+        match self.kids.iter().find(|&&(_, s)| 2 * s > total) {
+            Some(&(q, _)) => out.push((q, Msg::Elect { total })),
+            None => self.become_separator(total, ports, out),
         }
     }
 
@@ -323,132 +297,24 @@ impl Marker {
         }
     }
 
-    /// Resets the per-level walk state. `walk_parent` is `None` for the
-    /// component representative (who owns position 0).
-    fn reset_level(&mut self, walk_parent: Option<usize>, pos: u64) {
-        self.walk_parent = walk_parent;
-        self.pos = pos;
-        self.counter = pos + 1;
-        let mut order: Vec<usize> = (0..self.alive.len())
-            .filter(|&i| self.alive[i] && Some(i) != walk_parent)
-            .collect();
-        // Descending neighbor identity: the sequential stack DFS pushes
-        // ascending and pops the largest first.
-        order.sort_by_key(|&i| Reverse(self.adj_key(i)));
-        self.order = order;
-        self.idx = 0;
-        self.dfs_children.clear();
-        self.win_port = None;
-    }
-
-    /// Becomes the representative of the current component and starts
-    /// its walk (or, for a singleton, seals the label).
-    fn begin_level(&mut self, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
-        self.reset_level(None, 0);
-        if self.order.is_empty() {
-            self.become_separator(ports, out);
-        } else {
-            self.advance(ports, out);
-        }
-    }
-
-    /// Sends the walk token onward, or closes this node's visit.
-    fn advance(&mut self, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
-        if self.idx < self.order.len() {
-            let q = self.order[self.idx];
-            self.idx += 1;
-            out.push((q, Msg::Walk { pos: self.counter }));
-            return;
-        }
-        self.my_size = 1 + self.dfs_children.iter().map(|&(_, s)| s).sum::<u64>();
-        if let Some(wp) = self.walk_parent {
-            out.push((
-                wp,
-                Msg::WalkRet {
-                    next: self.counter,
-                    size: self.my_size,
-                },
-            ));
-        } else {
-            // The representative's walk is the whole component.
-            self.total = self.my_size;
-            let (_, max_w) = self.inst.expect("the rep knows the instance");
-            for k in 0..self.dfs_children.len() {
-                let (q, _) = self.dfs_children[k];
-                out.push((
-                    q,
-                    Msg::Total {
-                        total: self.total,
-                        max_w,
-                    },
-                ));
-            }
-            self.total_known(ports, out);
-        }
-    }
-
-    /// With the component total in hand: compute this node's `piece`
-    /// value, forward the total, and open the centroid convergecast.
-    fn total_known(&mut self, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
-        if self.walk_parent.is_some() {
-            let (_, max_w) = self.inst.expect("set by the first Total");
-            for k in 0..self.dfs_children.len() {
-                let (q, _) = self.dfs_children[k];
-                out.push((
-                    q,
-                    Msg::Total {
-                        total: self.total,
-                        max_w,
-                    },
-                ));
-            }
-        }
-        let down = self.dfs_children.iter().map(|&(_, s)| s).max().unwrap_or(0);
-        let piece = (self.total - self.my_size).max(down);
-        self.min_key = (piece, self.pos);
-        self.win_port = None;
-        self.mincast_pending = self.dfs_children.len();
-        self.finish_mincast(ports, out);
-    }
-
-    /// Once every walk child voted: forward the minimum up, or (at the
-    /// representative) elect the winner.
-    fn finish_mincast(&mut self, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
-        if self.mincast_pending > 0 {
-            return;
-        }
-        if let Some(wp) = self.walk_parent {
-            out.push((
-                wp,
-                Msg::MinCast {
-                    piece: self.min_key.0,
-                    pos: self.min_key.1,
-                },
-            ));
-        } else if let Some(w) = self.win_port {
-            out.push((w, Msg::Elect));
-        } else {
-            self.become_separator(ports, out);
-        }
-    }
-
-    /// Elected centroid: rank the pieces, announce into each, seal the
-    /// own label, and retire from the decomposition.
-    fn become_separator(&mut self, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
+    /// Elected centroid of a component of `total` nodes: rank the
+    /// pieces, announce into each, seal the own label, and retire from
+    /// the decomposition.
+    fn become_separator(&mut self, total: u64, ports: &[PortInfo], out: &mut Vec<(usize, Msg)>) {
         // Pieces in ascending neighbor identity (the sequential CSR
         // order), stably ranked by descending size.
         let mut piece_ports: Vec<usize> =
             (0..self.alive.len()).filter(|&i| self.alive[i]).collect();
         piece_ports.sort_by_key(|&i| self.adj_key(i));
         let size_of = |q: usize| {
-            if Some(q) == self.walk_parent {
-                self.total - self.my_size
+            if Some(q) == self.up {
+                total - self.size
             } else {
-                self.dfs_children
+                self.kids
                     .iter()
                     .find(|&&(c, _)| c == q)
                     .map(|&(_, s)| s)
-                    .expect("an alive non-parent port is a walk child")
+                    .expect("an alive port other than `up` reported a size")
             }
         };
         let mut by_size: Vec<usize> = (0..piece_ports.len()).collect();
@@ -481,13 +347,22 @@ impl Marker {
             return;
         }
         self.sent_labeldone = true;
-        if let Some(pp) = self.parent_port {
-            out.push((pp, Msg::LabelDone));
-        } else {
-            self.verify_ready = true;
-            for k in 0..self.span_children.len() {
-                out.push((self.span_children[k], Msg::StartVerify));
+        match self.parent_port {
+            Some(pp) => out.push((pp, Msg::LabelDone)),
+            None => {
+                let inst = self.inst.expect("the root knows the instance");
+                self.start_verify(inst, out);
             }
+        }
+    }
+
+    /// Learns the instance's `(n, W)` and passes the verification start
+    /// down the spanning tree.
+    fn start_verify(&mut self, (n, max_w): (u64, u64), out: &mut Vec<(usize, Msg)>) {
+        self.inst = Some((n, max_w));
+        self.verify_ready = true;
+        for &q in &self.span_children {
+            out.push((q, Msg::StartVerify { n, max_w }));
         }
     }
 

@@ -70,8 +70,9 @@ pub(crate) struct EdgeKey {
 ///
 /// The first eight kinds are the GHS fragment protocol (phase A);
 /// the rest drive the distributed marker (phase B): spanning-label
-/// broadcast/convergecast, the preorder walk, centroid election,
-/// separator announcements, and the verification hand-off.
+/// broadcast/convergecast, the per-component size convergecast and
+/// centroid election, separator announcements, and the verification
+/// hand-off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Msg {
     /// Fragment of level `level` asks to connect over this edge.
@@ -118,10 +119,11 @@ pub(crate) enum Msg {
         /// The sender's distance to the root.
         dist: u64,
     },
-    /// Convergecast after [`Msg::Span`]: subtree size, subtree-maximum
-    /// incident weight (over *all* ports, so the root learns the whole
-    /// graph's `W`), and the sender's id (the receiver learns its
-    /// children's identities, which order the preorder walk).
+    /// Convergecast after [`Msg::Span`]: subtree size (the level-1
+    /// sizes the first election reads), subtree-maximum incident weight
+    /// (over *all* ports, so the root learns the whole graph's `W`),
+    /// and the sender's id (the receiver learns its children's
+    /// identities, which order a separator's pieces).
     SpanUp {
         /// The sender's identity.
         sender_id: u64,
@@ -130,37 +132,21 @@ pub(crate) enum Msg {
         /// The sender's subtree size.
         size: u64,
     },
-    /// The preorder-walk token descends, assigning position `pos`.
-    Walk {
-        /// Preorder position assigned to the receiver.
-        pos: u64,
-    },
-    /// The walk token returns: next free position and subtree size.
-    WalkRet {
-        /// First preorder position after the sender's subtree.
-        next: u64,
-        /// The sender's walk-subtree size.
+    /// Opens a component's size convergecast: flooded from its
+    /// representative over the component's tree edges.
+    Probe,
+    /// Convergecast after [`Msg::Probe`]: the sender's subtree size,
+    /// seen from the component's representative.
+    Size {
+        /// The sender's subtree size.
         size: u64,
     },
-    /// Broadcast down the walk tree after the walk completes: the
-    /// component's size, plus the instance-wide maximum weight (needed
-    /// once, at level 1, for the label codecs).
-    Total {
-        /// Component size.
+    /// Descends into the child holding more than half of the component
+    /// until it reaches the centroid.
+    Elect {
+        /// The component's size.
         total: u64,
-        /// Instance-wide maximum edge weight.
-        max_w: u64,
     },
-    /// Convergecast electing the centroid: lexicographic minimum of
-    /// `(piece, pos)`.
-    MinCast {
-        /// Largest piece left if the subtree minimum were removed.
-        piece: u64,
-        /// Walk position of the subtree minimum (tie-break).
-        pos: u64,
-    },
-    /// Descends the winning convergecast chain to the elected centroid.
-    Elect,
     /// A separator announcement flooding one piece: the path-maximum
     /// weight so far and the piece's size rank.
     Announce {
@@ -174,12 +160,22 @@ pub(crate) enum Msg {
     },
     /// Convergecast on the spanning tree: every label below is done.
     LabelDone,
-    /// Broadcast on the spanning tree: start the embedded verifier.
-    StartVerify,
+    /// Broadcast on the spanning tree: start the embedded verifier,
+    /// whose label codecs need the instance's size and weight range.
+    StartVerify {
+        /// Number of nodes.
+        n: u64,
+        /// Instance-wide maximum edge weight.
+        max_w: u64,
+    },
 }
 
-/// Payload tag width. 18 kinds fit in 5 bits; unknown tags decode to
-/// `None` (and a live channel never produces them).
+/// Payload tag width: 5 bits, of which tags 0–21 are assigned. Tags
+/// 10–14 and 17 belonged to the marker's retired preorder walk and to
+/// the earlier layouts of [`Msg::Elect`] and [`Msg::StartVerify`]; they
+/// are never reused, so an old payload cannot decode as a new kind.
+/// Unknown tags decode to `None` (and a live channel never produces
+/// them).
 const TAG_BITS: u32 = 5;
 
 impl Msg {
@@ -202,14 +198,12 @@ impl Msg {
             Msg::Done => 7,
             Msg::Span { .. } => 8,
             Msg::SpanUp { .. } => 9,
-            Msg::Walk { .. } => 10,
-            Msg::WalkRet { .. } => 11,
-            Msg::Total { .. } => 12,
-            Msg::MinCast { .. } => 13,
-            Msg::Elect => 14,
             Msg::Announce { .. } => 15,
             Msg::LabelDone => 16,
-            Msg::StartVerify => 17,
+            Msg::Probe => 18,
+            Msg::Size { .. } => 19,
+            Msg::Elect { .. } => 20,
+            Msg::StartVerify { .. } => 21,
         }
     }
 
@@ -260,20 +254,13 @@ impl Msg {
                 num(&mut out, *max_w);
                 num(&mut out, *size);
             }
-            Msg::Walk { pos } => num(&mut out, *pos),
-            Msg::WalkRet { next, size } => {
-                num(&mut out, *next);
-                num(&mut out, *size);
-            }
-            Msg::Total { total, max_w } => {
-                num(&mut out, *total);
+            Msg::Probe | Msg::LabelDone => {}
+            Msg::Size { size } => num(&mut out, *size),
+            Msg::Elect { total } => num(&mut out, *total),
+            Msg::StartVerify { n, max_w } => {
+                num(&mut out, *n);
                 num(&mut out, *max_w);
             }
-            Msg::MinCast { piece, pos } => {
-                num(&mut out, *piece);
-                num(&mut out, *pos);
-            }
-            Msg::Elect | Msg::LabelDone | Msg::StartVerify => {}
             Msg::Announce {
                 omega,
                 rank,
@@ -332,27 +319,19 @@ impl Msg {
                 max_w: num(r)?,
                 size: num(r)?,
             },
-            10 => Msg::Walk { pos: num(r)? },
-            11 => Msg::WalkRet {
-                next: num(r)?,
-                size: num(r)?,
-            },
-            12 => Msg::Total {
-                total: num(r)?,
-                max_w: num(r)?,
-            },
-            13 => Msg::MinCast {
-                piece: num(r)?,
-                pos: num(r)?,
-            },
-            14 => Msg::Elect,
             15 => Msg::Announce {
                 omega: num(r)?,
                 rank: num(r)?,
                 from_sep: r.try_read_bit()?,
             },
             16 => Msg::LabelDone,
-            17 => Msg::StartVerify,
+            18 => Msg::Probe,
+            19 => Msg::Size { size: num(r)? },
+            20 => Msg::Elect { total: num(r)? },
+            21 => Msg::StartVerify {
+                n: num(r)?,
+                max_w: num(r)?,
+            },
             _ => return None,
         };
         if r.remaining() != 0 {
@@ -485,21 +464,19 @@ mod tests {
                 max_w: 1 << 40,
                 size: 33,
             },
-            Msg::Walk { pos: 7 },
-            Msg::WalkRet { next: 8, size: 1 },
-            Msg::Total {
-                total: 64,
-                max_w: 12,
-            },
-            Msg::MinCast { piece: 31, pos: 0 },
-            Msg::Elect,
+            Msg::Probe,
+            Msg::Size { size: 7 },
+            Msg::Elect { total: 64 },
             Msg::Announce {
                 omega: 99,
                 rank: 1,
                 from_sep: true,
             },
             Msg::LabelDone,
-            Msg::StartVerify,
+            Msg::StartVerify {
+                n: 64,
+                max_w: 1 << 40,
+            },
         ];
         for msg in samples {
             let bits = msg.encode();
@@ -512,10 +489,25 @@ mod tests {
     fn malformed_payloads_decode_to_none() {
         // Truncated tag.
         assert_eq!(Msg::decode(&BitString::new()), None);
-        // Unknown tag.
-        let mut bits = BitString::new();
-        bits.push_bits(31, TAG_BITS);
-        assert_eq!(Msg::decode(&bits), None);
+        // Unknown tags, the retired ones included, each followed by as
+        // many numeric fields as its old layout had.
+        for (tag, fields) in [
+            (10, 1),
+            (11, 2),
+            (12, 2),
+            (13, 2),
+            (14, 0),
+            (17, 0),
+            (22, 0),
+            (31, 0),
+        ] {
+            let mut bits = BitString::new();
+            bits.push_bits(tag, TAG_BITS);
+            for _ in 0..fields {
+                bits.push_elias_gamma(1);
+            }
+            assert_eq!(Msg::decode(&bits), None, "tag {tag}");
+        }
         // Trailing garbage after a well-formed payload.
         let mut bits = Msg::Accept.encode();
         bits.push(true);
@@ -531,7 +523,7 @@ mod tests {
         let mut tx = Channel::default();
         let mut rx = Channel::default();
         let frames: Vec<WireMsg> = (0..3)
-            .map(|i| tx.send(false, Msg::Walk { pos: i }.encode()))
+            .map(|i| tx.send(false, Msg::Size { size: i }.encode()))
             .collect();
         let parts = |f: &WireMsg| match f {
             WireMsg::Compute { marker, seq, bits } => (*marker, *seq, bits.clone()),
@@ -561,7 +553,7 @@ mod tests {
             got.iter()
                 .map(|p| Msg::decode(p).expect("well-formed"))
                 .collect::<Vec<_>>(),
-            vec![Msg::Walk { pos: 1 }, Msg::Walk { pos: 2 }]
+            vec![Msg::Size { size: 1 }, Msg::Size { size: 2 }]
         );
         assert_eq!(
             ack,

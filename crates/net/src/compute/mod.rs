@@ -13,9 +13,13 @@
 //!   the unique MST under that order — Kruskal's tree exactly.
 //! * **Phase B — marker** ([`convergecast`]): node 0 roots the tree,
 //!   then a message-passing centroid decomposition assigns every node
-//!   its `π_mst` label, replaying the sequential marker's tie-breaks
-//!   so the labels are **bit-identical** to
-//!   [`MstScheme::marker_parallel`] on the same graph.
+//!   its `π_mst` label. Each component's centroid is elected by the
+//!   sequential engine's rule — a size convergecast to the component's
+//!   representative, then a descent into the child holding more than
+//!   half — and the pieces are ranked by its tie-breaks, so the labels
+//!   are **bit-identical** to [`MstScheme::marker_parallel`] on the
+//!   same graph. The phase's depth follows the tree's height times the
+//!   number of decomposition levels.
 //! * **Phase C — verification**: each node builds an embedded
 //!   [`VerifierMachine`] from its self-assembled label and runs the
 //!   standard one-round exchange — end-to-end acceptance of the
@@ -48,7 +52,7 @@ use mstv_labels::{BitString, LabelCodec, MaxLabel, SepFieldCodec};
 use crate::error::NetError;
 use crate::link::Link;
 use crate::log::EventLog;
-use crate::machine::{MstWireScheme, NodeEvent, ProtocolMachine, VerifierMachine};
+use crate::machine::{port_beyond, MstWireScheme, NodeEvent, ProtocolMachine, VerifierMachine};
 use crate::runtime::{run_machines, Engine, NetConfig, NetRun};
 use crate::wire::WireMsg;
 
@@ -151,8 +155,9 @@ impl ComputeMachine {
     }
 
     /// Phase B → C hand-off: seal the label, derive the instance-wide
-    /// codecs, and start the embedded verifier (feeding it any label
-    /// frames that arrived early, each once, as a plain offer).
+    /// codecs from the `(n, W)` that [`Msg::StartVerify`] brought, and
+    /// start the embedded verifier (feeding it any label frames that
+    /// arrived early, each once, as a plain offer).
     ///
     /// # Crash-restart at the hand-off (audited)
     ///
@@ -316,6 +321,15 @@ impl ProtocolMachine for ComputeMachine {
     fn decided(&self) -> Option<bool> {
         self.verifier.as_ref().and_then(|v| v.decided())
     }
+
+    fn malformed(&self, port: Port, msg: &WireMsg) -> Option<String> {
+        port_beyond(port, self.ports.len()).or_else(|| match msg {
+            WireMsg::Compute { bits, .. } if Msg::decode(bits).is_none() => {
+                Some("construction payload does not decode".to_string())
+            }
+            _ => None,
+        })
+    }
 }
 
 /// Outcome of a distributed construction run: everything a [`NetRun`]
@@ -407,7 +421,8 @@ pub fn run_compute(
 /// # Errors
 ///
 /// [`NetError::Undecided`] if the schedule ends early,
-/// [`NetError::BadLog`] if an event targets a node outside `g`.
+/// [`NetError::BadLog`] naming the log's line if an event targets a
+/// node or port outside `g` or carries a payload that does not decode.
 pub fn replay_compute(g: &Graph, log: &EventLog) -> Result<ComputeRun, NetError> {
     let mut machines = build_machines(g);
     let run = crate::replay::replay_machines(&mut machines, log)?;

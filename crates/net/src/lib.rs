@@ -14,7 +14,10 @@
 //! causal rounds: a frame's depth is one more than the deepest frame
 //! its sender had received, so one-round verification costs one round
 //! on a perfect link and construction ([`run_compute`]) reports how
-//! deep GHS and the marker go. A pluggable [`Link`] decides each
+//! deep GHS and the marker go; the marker elects each centroid with a
+//! size convergecast and a descent, so its depth follows the tree's
+//! height times the number of decomposition levels, not `n`. A
+//! pluggable [`Link`] decides each
 //! frame's fate: the [`PerfectLink`] delivers everything immediately,
 //! while a [`LossyLink`] driven by a seeded RNG injects drops,
 //! bounded delays (hence reordering), duplicates, and crash-restarts.
@@ -34,7 +37,10 @@
 //!   ([`EventLog`]); node machines are pure functions of their event
 //!   sequence; so re-feeding the log on a single thread reproduces the
 //!   live run's verdict *and* its message/bit counters exactly —
-//!   whatever pool size recorded the log.
+//!   whatever pool size recorded the log. A delivery no live run could
+//!   have made (a depth no send produced, a port beyond its node's
+//!   degree, a construction payload that does not decode) is a
+//!   [`NetError::BadLog`] naming the line of the log's text.
 //! * **Verdict stability**: whatever schedule the router and the
 //!   fault injector produce, a run that converges must end in the same
 //!   verdict as the offline `verify_all` — the protocol's outcome is

@@ -15,7 +15,7 @@
 //! The format is a line-oriented text file:
 //!
 //! ```text
-//! mstv-net-log v3
+//! mstv-net-log v4
 //! h nodes 8              # free-form key/value headers (provenance)
 //! s 0                    # start event at node 0
 //! d 3 1 1 l 42 a3f2..    # delivery to node 3, port 1, depth 1: label, 42 bits, hex payload
@@ -35,9 +35,17 @@
 //! by the boundary's crash-restarts and a tick for every node still
 //! undecided. A log whose magic names another version is refused
 //! with [`NetError::LogVersion`]: `v1` logs counted retransmission
-//! generations as rounds and carry no depths, and `v2` logs record the
+//! generations as rounds and carry no depths, `v2` logs record the
 //! ack-gated label exchange, whose acks (`a`) and unconditional ticks
-//! this build's machines no longer produce.
+//! this build's machines no longer produce, and `v3` construction logs
+//! record the marker's retired preorder walk, whose payload kinds
+//! (walk, return, total, minimum) this build's machines neither send
+//! nor decode.
+//!
+//! A parsed log remembers the text line of each event, so a replay
+//! that finds an event malformed names the line of the file; a log
+//! built in memory names the line its text form would put the event
+//! on.
 
 use std::fmt;
 
@@ -51,7 +59,7 @@ use crate::wire::WireMsg;
 
 const MAGIC_PREFIX: &str = "mstv-net-log ";
 /// The format version this build writes and reads.
-pub(crate) const LOG_VERSION: &str = "v3";
+pub(crate) const LOG_VERSION: &str = "v4";
 
 /// One logged event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,7 +135,7 @@ pub struct RunSummary {
 
 /// A complete event log: provenance headers, the event schedule, and an
 /// optional outcome summary.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct EventLog {
     /// Free-form `(key, value)` provenance headers (instance
     /// parameters, fault profile, seeds). Keys must not contain
@@ -137,6 +145,18 @@ pub struct EventLog {
     pub events: Vec<LogEvent>,
     /// The live run's outcome, if recorded.
     pub summary: Option<RunSummary>,
+    /// The 1-based text line of each event, for a parsed log (empty
+    /// for a log built in memory).
+    lines: Vec<usize>,
+}
+
+/// Two logs are equal when their records are: where a parsed log's
+/// events sat in its text is not part of the log.
+impl PartialEq for EventLog {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.headers, &self.events, &self.summary)
+            == (&other.headers, &other.events, &other.summary)
+    }
 }
 
 impl EventLog {
@@ -164,6 +184,16 @@ impl EventLog {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// The 1-based text line of event `i`: where the parsed text had
+    /// it, or for a log built in memory, where its text form puts it
+    /// (the magic line, then the headers, then the events).
+    pub(crate) fn line_of(&self, i: usize) -> usize {
+        self.lines
+            .get(i)
+            .copied()
+            .unwrap_or(2 + self.headers.len() + i)
     }
 
     /// Parses a log from its text form.
@@ -278,6 +308,7 @@ impl EventLog {
                 return Err(bad(i, "event after summary trailer"));
             }
             log.events.push(ev);
+            log.lines.push(i + 1);
         }
         Ok(log)
     }
@@ -509,6 +540,22 @@ mod tests {
         assert_eq!(parsed, log);
         assert_eq!(parsed.header("nodes"), Some("4"));
         assert_eq!(parsed.header("profile"), Some("drop=0.25 dup=0 delay=2"));
+    }
+
+    #[test]
+    fn events_know_their_text_lines() {
+        let log = sample_log();
+        let text = log.to_string();
+        // A log built in memory places its events where its text puts
+        // them; a parsed one remembers where they were, blank lines
+        // and late headers included.
+        let first = text.lines().position(|l| l.starts_with("s ")).unwrap() + 1;
+        assert_eq!(log.line_of(0), first);
+        assert_eq!(EventLog::parse(&text).unwrap().line_of(0), first);
+        let spaced = text.replacen("\ns 0\n", "\n\nh late 1\ns 0\n", 1);
+        let parsed = EventLog::parse(&spaced).unwrap();
+        assert_eq!(parsed.line_of(0), first + 2);
+        assert_eq!(parsed.line_of(1), first + 3);
     }
 
     #[test]

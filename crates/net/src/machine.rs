@@ -65,6 +65,19 @@ pub trait ProtocolMachine: Send + 'static {
     /// The router keeps scheduling ticks until every node reports
     /// `Some`.
     fn decided(&self) -> Option<bool>;
+
+    /// Why a recorded delivery could not have reached this machine in
+    /// a live run — a port beyond its degree, or a payload its protocol
+    /// cannot parse — or `None`. Only replay asks, before it feeds the
+    /// delivery: the live router delivers only frames the machines
+    /// produced, over ports that exist.
+    fn malformed(&self, port: Port, msg: &WireMsg) -> Option<String>;
+}
+
+/// The [`ProtocolMachine::malformed`] reason for a delivery on `port`
+/// at a node of degree `deg`, if the port does not exist.
+pub(crate) fn port_beyond(port: Port, deg: usize) -> Option<String> {
+    (port.index() >= deg).then(|| format!("delivery on {port} of a node with {deg} ports"))
 }
 
 /// A proof labeling scheme that can ride the wire: it can decode a
@@ -376,6 +389,10 @@ impl<W: WireScheme> ProtocolMachine for VerifierMachine<W> {
 
     fn decided(&self) -> Option<bool> {
         VerifierMachine::decided(self)
+    }
+
+    fn malformed(&self, port: Port, _msg: &WireMsg) -> Option<String> {
+        port_beyond(port, self.frames.len())
     }
 }
 

@@ -17,7 +17,7 @@
 //! the depths the log's deliveries carry, not copied from the trailer.
 
 use mstv_core::{Labeling, Verdict};
-use mstv_graph::{ConfigGraph, NodeId};
+use mstv_graph::{ConfigGraph, NodeId, Port};
 
 use crate::error::NetError;
 use crate::log::{EventLog, LogEvent};
@@ -30,7 +30,9 @@ use crate::runtime::{NetRun, PhaseTally};
 /// every frame it sends, and the phase split are recomputed from them,
 /// and a delivery whose depth no replayed send produced (an ack with a
 /// depth, a payload without one, or one deeper than anything sent so
-/// far) is a malformed log.
+/// far) is a malformed log, as is one its machine calls
+/// [malformed](ProtocolMachine::malformed). Every error names the
+/// event's line in the log's text.
 ///
 /// Returns the reproduced outcome plus the machines in their final
 /// states (construction replays read the computed labels out of them).
@@ -46,7 +48,7 @@ pub(crate) fn replay_machines<M: ProtocolMachine>(
             continue;
         };
         let bad = |reason: String| NetError::BadLog {
-            line: i + 1,
+            line: log.line_of(i),
             reason,
         };
         let machine = machines
@@ -57,9 +59,14 @@ pub(crate) fn replay_machines<M: ProtocolMachine>(
                 crash_restarts += 1;
                 0
             }
-            LogEvent::Deliver { msg, depth, .. } => {
+            LogEvent::Deliver {
+                port, msg, depth, ..
+            } => {
                 if msg.is_ack() != (*depth == 0) || *depth > deepest_sent {
                     return Err(bad(format!("delivery at depth {depth} was never sent")));
+                }
+                if let Some(reason) = machine.malformed(Port(*port), msg) {
+                    return Err(bad(reason));
                 }
                 tally.deliver(msg, *depth);
                 *depth
@@ -109,8 +116,9 @@ pub(crate) fn replay_machines<M: ProtocolMachine>(
 /// # Errors
 ///
 /// [`NetError::Undecided`] if the schedule ends before every node has
-/// decided, [`NetError::BadLog`] if an event targets a node or port
-/// outside the instance.
+/// decided, [`NetError::BadLog`] naming the log's line if an event
+/// targets a node or port outside the instance or carries a depth no
+/// replayed send produced.
 ///
 /// # Panics
 ///

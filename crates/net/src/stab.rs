@@ -96,11 +96,6 @@ impl NetSelfStab {
         &self.labeling
     }
 
-    /// Mutable labels, so tests can corrupt a certificate.
-    pub fn labeling_mut(&mut self) -> &mut Labeling<MstLabel> {
-        &mut self.labeling
-    }
-
     /// Whether the current states encode an MST of the current graph.
     pub fn invariant_holds(&self) -> bool {
         mstv_mst::is_mst(self.cfg.graph(), &self.cfg.induced_edges())

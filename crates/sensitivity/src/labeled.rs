@@ -96,11 +96,6 @@ impl SensitivityLabels {
         self.gamma.label(v)
     }
 
-    /// The cover field of node `v` (cover weight of its parent edge).
-    pub fn cover_field(&self, v: NodeId) -> Option<Weight> {
-        self.cover[v.index()]
-    }
-
     /// The scheme's per-node label size in bits: `γ_small` encoding plus
     /// the cover field.
     pub fn max_label_bits(&self) -> usize {

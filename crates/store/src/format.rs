@@ -492,92 +492,26 @@ impl Snapshot {
     /// [`StoreError::UnsupportedVersion`], [`StoreError::Truncated`],
     /// [`StoreError::CrcMismatch`], or [`StoreError::Malformed`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
-        let mut r = ByteReader::new(bytes);
-        let (version, header) = parse_prelude(&mut r)?;
+        let sections = read_sections(bytes, |family| match family {
+            Family::Rows(rows) => rows,
+            Family::Column { col, .. } => col.to_bitstrings(),
+        })?;
         let SnapHeader {
-            n,
             root,
             max_weight,
             codec,
-            section_count,
-        } = header;
-
-        let mut parents = None;
-        let mut max_labels = None;
-        let mut flow_labels = None;
-        let mut dist = None;
-        for _ in 0..section_count {
-            let tag = r.read_u8("section tag")?;
-            let len = r.read_u64("section length")? as usize;
-            let stored = r.read_u32("section checksum")?;
-            let section_name = section_name(version, tag)?;
-            let payload = r.take(len, section_name)?;
-            let computed = crc32(payload);
-            if computed != stored {
-                return Err(StoreError::CrcMismatch {
-                    section: section_name,
-                    stored,
-                    computed,
-                });
-            }
-            match tag {
-                tag::TREE => {
-                    reject_duplicate(parents.is_some(), section_name)?;
-                    parents = Some(parse_tree_payload(payload, n)?);
-                }
-                tag::MAX => {
-                    reject_duplicate(max_labels.is_some(), section_name)?;
-                    max_labels = Some(parse_label_payload(payload, n, section_name)?);
-                }
-                tag::FLOW => {
-                    reject_duplicate(flow_labels.is_some(), section_name)?;
-                    flow_labels = Some(parse_label_payload(payload, n, section_name)?);
-                }
-                tag::DIST => {
-                    reject_duplicate(dist.is_some(), section_name)?;
-                    let mut d = ByteReader::new(payload);
-                    let delta_bits = read_delta_bits(&mut d)?;
-                    let labels = parse_label_payload(d.rest(), n, section_name)?;
-                    dist = Some(DistSection { delta_bits, labels });
-                }
-                tag::MAXC => {
-                    reject_duplicate(max_labels.is_some(), section_name)?;
-                    let col = parse_columnar(payload, n, section_name)?;
-                    max_labels = Some(col.to_bitstrings());
-                }
-                tag::FLOWC => {
-                    reject_duplicate(flow_labels.is_some(), section_name)?;
-                    let col = parse_columnar(payload, n, section_name)?;
-                    flow_labels = Some(col.to_bitstrings());
-                }
-                tag::DISTC => {
-                    reject_duplicate(dist.is_some(), section_name)?;
-                    let mut d = ByteReader::new(payload);
-                    let delta_bits = read_delta_bits(&mut d)?;
-                    let col = parse_columnar(d.rest(), n, section_name)?;
-                    dist = Some(DistSection {
-                        delta_bits,
-                        labels: col.to_bitstrings(),
-                    });
-                }
-                _ => unreachable!("section_name rejected unknown tags"),
-            }
-        }
-        if !r.rest().is_empty() {
-            return Err(StoreError::Malformed {
-                context: "container",
-                reason: format!("{} trailing bytes after last section", r.rest().len()),
-            });
-        }
-        let missing = |section| StoreError::MissingSection { section };
+            ..
+        } = sections.header;
         Ok(Snapshot {
             root,
             max_weight,
             codec,
-            parents: parents.ok_or(missing("tree"))?,
-            max_labels: max_labels.ok_or(missing("max"))?,
-            flow_labels: flow_labels.ok_or(missing("flow"))?,
-            dist,
+            parents: sections.parents,
+            max_labels: sections.max,
+            flow_labels: sections.flow,
+            dist: sections
+                .dist
+                .map(|(delta_bits, labels)| DistSection { delta_bits, labels }),
         })
     }
 
@@ -764,9 +698,7 @@ fn splitmix64(i: u64) -> u64 {
 }
 
 /// The header fields shared by every container version, decoded and
-/// validated. What [`parse_prelude`] hands back to both the owning
-/// parser ([`Snapshot::from_bytes`]) and the mapping one
-/// ([`crate::MappedSnapshot`]).
+/// validated by [`parse_prelude`].
 pub(crate) struct SnapHeader {
     pub n: u32,
     pub root: NodeId,
@@ -778,7 +710,7 @@ pub(crate) struct SnapHeader {
 /// Parses and validates everything before the first section: magic,
 /// version (1 or 2), reserved word, and the CRC-protected header. On
 /// return the reader is positioned at the first section tag.
-pub(crate) fn parse_prelude(r: &mut ByteReader<'_>) -> Result<(u16, SnapHeader), StoreError> {
+fn parse_prelude(r: &mut ByteReader<'_>) -> Result<(u16, SnapHeader), StoreError> {
     if r.take(8, "magic")? != MAGIC {
         return Err(StoreError::BadMagic);
     }
@@ -851,7 +783,7 @@ pub(crate) fn parse_prelude(r: &mut ByteReader<'_>) -> Result<(u16, SnapHeader),
     ))
 }
 
-pub(crate) fn read_delta_bits(d: &mut ByteReader<'_>) -> Result<u32, StoreError> {
+fn read_delta_bits(d: &mut ByteReader<'_>) -> Result<u32, StoreError> {
     let delta_bits = d.read_u32("delta field width")?;
     if delta_bits == 0 || delta_bits > 64 {
         return Err(StoreError::Malformed {
@@ -862,7 +794,7 @@ pub(crate) fn read_delta_bits(d: &mut ByteReader<'_>) -> Result<u32, StoreError>
     Ok(delta_bits)
 }
 
-pub(crate) fn section_name(version: u16, tag: u8) -> Result<&'static str, StoreError> {
+fn section_name(version: u16, tag: u8) -> Result<&'static str, StoreError> {
     let (name, version_ok) = match tag {
         tag::TREE => ("tree", true),
         tag::MAX => ("max", version == VERSION),
@@ -887,7 +819,116 @@ pub(crate) fn section_name(version: u16, tag: u8) -> Result<&'static str, StoreE
     Ok(name)
 }
 
-pub(crate) fn reject_duplicate(present: bool, section: &'static str) -> Result<(), StoreError> {
+/// One label family as [`read_sections`] finds it.
+pub(crate) enum Family<'a> {
+    /// A version-1 section, parsed into one record per node.
+    Rows(Vec<BitString>),
+    /// A validated version-2 column, still in the container's bytes;
+    /// `at` is the byte offset of its offsets table.
+    Column { at: usize, col: ColumnarSection<'a> },
+}
+
+/// A container's sections, every one framed, CRC-checked, and validated,
+/// each label family in whatever form the reader's `keep` made of it.
+pub(crate) struct Sections<T> {
+    pub version: u16,
+    pub header: SnapHeader,
+    pub parents: Vec<Option<(NodeId, Weight)>>,
+    pub max: T,
+    pub flow: T,
+    pub dist: Option<(u32, T)>,
+}
+
+/// The one section walk behind [`Snapshot::from_bytes`] and
+/// [`crate::MappedSnapshot::open`]: the prelude, then each section's
+/// frame and CRC, refusing unknown tags, tags of the other version and
+/// duplicates, then trailing bytes and missing sections. Each label
+/// family goes to `keep` as soon as it is validated, so the owning
+/// reader materializes it and the mapping one keeps a v2 column where
+/// it lies.
+///
+/// # Errors
+///
+/// The typed [`StoreError`] naming what was wrong (see
+/// [`Snapshot::from_bytes`]).
+pub(crate) fn read_sections<'a, T>(
+    bytes: &'a [u8],
+    mut keep: impl FnMut(Family<'a>) -> T,
+) -> Result<Sections<T>, StoreError> {
+    let mut r = ByteReader::new(bytes);
+    let (version, header) = parse_prelude(&mut r)?;
+    let n = header.n;
+    let mut parents = None;
+    let mut max = None;
+    let mut flow = None;
+    let mut dist = None;
+    for _ in 0..header.section_count {
+        let tag = r.read_u8("section tag")?;
+        let len = r.read_u64("section length")? as usize;
+        let stored = r.read_u32("section checksum")?;
+        let section = section_name(version, tag)?;
+        let at = r.position();
+        let payload = r.take(len, section)?;
+        let computed = crc32(payload);
+        if computed != stored {
+            return Err(StoreError::CrcMismatch {
+                section,
+                stored,
+                computed,
+            });
+        }
+        // The family's records start `skip` bytes into the payload.
+        let family = |skip: usize| -> Result<Family<'a>, StoreError> {
+            let records = &payload[skip..];
+            Ok(if tag >= tag::MAXC {
+                Family::Column {
+                    at: at + skip,
+                    col: parse_columnar(records, n, section)?,
+                }
+            } else {
+                Family::Rows(parse_label_payload(records, n, section)?)
+            })
+        };
+        match tag {
+            tag::TREE => {
+                reject_duplicate(parents.is_some(), section)?;
+                parents = Some(parse_tree_payload(payload, n)?);
+            }
+            tag::MAX | tag::MAXC => {
+                reject_duplicate(max.is_some(), section)?;
+                max = Some(keep(family(0)?));
+            }
+            tag::FLOW | tag::FLOWC => {
+                reject_duplicate(flow.is_some(), section)?;
+                flow = Some(keep(family(0)?));
+            }
+            tag::DIST | tag::DISTC => {
+                reject_duplicate(dist.is_some(), section)?;
+                let mut d = ByteReader::new(payload);
+                let delta_bits = read_delta_bits(&mut d)?;
+                dist = Some((delta_bits, keep(family(d.position())?)));
+            }
+            _ => unreachable!("section_name rejected unknown tags"),
+        }
+    }
+    if !r.rest().is_empty() {
+        return Err(StoreError::Malformed {
+            context: "container",
+            reason: format!("{} trailing bytes after last section", r.rest().len()),
+        });
+    }
+    let missing = |section| StoreError::MissingSection { section };
+    Ok(Sections {
+        version,
+        header,
+        parents: parents.ok_or(missing("tree"))?,
+        max: max.ok_or(missing("max"))?,
+        flow: flow.ok_or(missing("flow"))?,
+        dist,
+    })
+}
+
+fn reject_duplicate(present: bool, section: &'static str) -> Result<(), StoreError> {
     if present {
         return Err(StoreError::Malformed {
             context: "container",
@@ -932,8 +973,8 @@ fn columnar_payload(labels: &[BitString], prefix: &[u8]) -> Vec<u8> {
 
 /// A validated borrowed view of one columnar label section: the offsets
 /// table and the packed payload, both still in the container's bytes.
-/// This is what [`crate::MappedSnapshot`] keeps per family — label `v`
-/// is served as a [`mstv_labels::BitSlice`] straight out of `payload`.
+/// [`crate::MappedSnapshot`] keeps where it lies and serves label `v` as
+/// a [`mstv_labels::BitSlice`] straight out of the payload.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ColumnarSection<'a> {
     offsets: &'a [u8],
@@ -963,6 +1004,11 @@ impl<'a> ColumnarSection<'a> {
         mstv_labels::BitSlice::new(self.payload, start, end - start)
     }
 
+    /// The packed payload's length in bytes.
+    pub(crate) fn payload_len(&self) -> usize {
+        self.payload.len()
+    }
+
     /// Materializes every label as an owned [`BitString`] (the owning
     /// v2 parse path).
     pub(crate) fn to_bitstrings(self) -> Vec<BitString> {
@@ -977,7 +1023,7 @@ impl<'a> ColumnarSection<'a> {
 /// label exceeds [`MAX_LABEL_BITS`], the payload is exactly
 /// `⌈offsets[n]/8⌉` bytes, and the final byte's padding bits are zero —
 /// so every serving path downstream can slice without rechecking.
-pub(crate) fn parse_columnar<'a>(
+fn parse_columnar<'a>(
     payload: &'a [u8],
     n: u32,
     section: &'static str,
@@ -1030,10 +1076,7 @@ pub(crate) fn parse_columnar<'a>(
     Ok(col)
 }
 
-pub(crate) fn parse_tree_payload(
-    payload: &[u8],
-    n: u32,
-) -> Result<Vec<Option<(NodeId, Weight)>>, StoreError> {
+fn parse_tree_payload(payload: &[u8], n: u32) -> Result<Vec<Option<(NodeId, Weight)>>, StoreError> {
     let mut r = ByteReader::new(payload);
     let mut parents = Vec::with_capacity(n as usize);
     for v in 0..n {
@@ -1060,7 +1103,7 @@ pub(crate) fn parse_tree_payload(
     Ok(parents)
 }
 
-pub(crate) fn parse_label_payload(
+fn parse_label_payload(
     payload: &[u8],
     n: u32,
     section: &'static str,

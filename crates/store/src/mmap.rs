@@ -33,11 +33,7 @@ use mstv_graph::{NodeId, Weight};
 use mstv_labels::{BitSlice, BitString, LabelCodec, PackedLabels};
 use mstv_trees::RootedTree;
 
-use crate::crc::crc32;
-use crate::format::{
-    parse_columnar, parse_label_payload, parse_prelude, parse_tree_payload, read_delta_bits,
-    reject_duplicate, section_name, tag, ByteReader, SnapHeader,
-};
+use crate::format::{read_sections, Family, Sections, SnapHeader};
 use crate::{DistSection, Snapshot, StoreError};
 
 /// The bytes backing a mapped snapshot: a real `mmap` on Unix, a heap
@@ -192,86 +188,22 @@ impl MappedSnapshot {
     /// otherwise the same typed errors as [`Snapshot::from_bytes`].
     pub fn open(path: impl AsRef<Path>) -> Result<MappedSnapshot, StoreError> {
         let buf = MapBuf::open(path.as_ref())?;
-        let (version, header, parents, max, flow, dist) = {
-            let bytes: &[u8] = &buf;
-            let mut r = ByteReader::new(bytes);
-            let (version, header) = parse_prelude(&mut r)?;
-            let n = header.n;
-
-            let mut parents = None;
-            let mut max = None;
-            let mut flow = None;
-            let mut dist = None;
-            for _ in 0..header.section_count {
-                let tag = r.read_u8("section tag")?;
-                let len = r.read_u64("section length")? as usize;
-                let stored = r.read_u32("section checksum")?;
-                let section = section_name(version, tag)?;
-                let payload_at = r.position();
-                let payload = r.take(len, section)?;
-                let computed = crc32(payload);
-                if computed != stored {
-                    return Err(StoreError::CrcMismatch {
-                        section,
-                        stored,
-                        computed,
-                    });
-                }
-                match tag {
-                    tag::TREE => {
-                        reject_duplicate(parents.is_some(), section)?;
-                        parents = Some(parse_tree_payload(payload, n)?);
-                    }
-                    tag::MAX => {
-                        reject_duplicate(max.is_some(), section)?;
-                        max = Some(repack(payload, n, section)?);
-                    }
-                    tag::FLOW => {
-                        reject_duplicate(flow.is_some(), section)?;
-                        flow = Some(repack(payload, n, section)?);
-                    }
-                    tag::DIST => {
-                        reject_duplicate(dist.is_some(), section)?;
-                        let mut d = ByteReader::new(payload);
-                        let delta_bits = read_delta_bits(&mut d)?;
-                        dist = Some((delta_bits, repack(d.rest(), n, section)?));
-                    }
-                    tag::MAXC => {
-                        reject_duplicate(max.is_some(), section)?;
-                        parse_columnar(payload, n, section)?;
-                        max = Some(in_file(payload_at, len, n));
-                    }
-                    tag::FLOWC => {
-                        reject_duplicate(flow.is_some(), section)?;
-                        parse_columnar(payload, n, section)?;
-                        flow = Some(in_file(payload_at, len, n));
-                    }
-                    tag::DISTC => {
-                        reject_duplicate(dist.is_some(), section)?;
-                        let mut d = ByteReader::new(payload);
-                        let delta_bits = read_delta_bits(&mut d)?;
-                        parse_columnar(d.rest(), n, section)?;
-                        dist = Some((delta_bits, in_file(payload_at + 4, len - 4, n)));
-                    }
-                    _ => unreachable!("section_name rejected unknown tags"),
-                }
-            }
-            if !r.rest().is_empty() {
-                return Err(StoreError::Malformed {
-                    context: "container",
-                    reason: format!("{} trailing bytes after last section", r.rest().len()),
-                });
-            }
-            let missing = |section| StoreError::MissingSection { section };
-            (
-                version,
-                header,
-                parents.ok_or(missing("tree"))?,
-                max.ok_or(missing("max"))?,
-                flow.ok_or(missing("flow"))?,
-                dist,
-            )
-        };
+        let sections = read_sections(&buf, |family| match family {
+            Family::Rows(rows) => LabelColumn::Repacked(PackedLabels::from_bitstrings(&rows)),
+            Family::Column { at, col } => LabelColumn::InFile {
+                offsets_at: at,
+                payload_at: at + 8 * (col.len() + 1),
+                payload_len: col.payload_len(),
+            },
+        })?;
+        let Sections {
+            version,
+            header,
+            parents,
+            max,
+            flow,
+            dist,
+        } = sections;
         let SnapHeader {
             n,
             root,
@@ -323,15 +255,6 @@ impl MappedSnapshot {
     /// The codec all stored `MAX`/`FLOW` labels were encoded under.
     pub fn codec(&self) -> LabelCodec {
         self.codec
-    }
-
-    /// The stored parent entry of `v` (`None` at the root).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn parent_entry(&self, v: usize) -> Option<(NodeId, Weight)> {
-        self.parents[v]
     }
 
     /// The `δ` field width of the dist section, if one is present.
@@ -451,24 +374,6 @@ impl Snapshot {
     /// See [`MappedSnapshot::open`].
     pub fn open_mmap(path: impl AsRef<Path>) -> Result<MappedSnapshot, StoreError> {
         MappedSnapshot::open(path)
-    }
-}
-
-/// Repacks a v1 row-oriented label payload into one contiguous arena.
-fn repack(payload: &[u8], n: u32, section: &'static str) -> Result<LabelColumn, StoreError> {
-    let rows = parse_label_payload(payload, n, section)?;
-    Ok(LabelColumn::Repacked(PackedLabels::from_bitstrings(&rows)))
-}
-
-/// Records where a validated columnar section's tables live in the
-/// file: `payload_at` is the absolute byte offset of the offsets table
-/// (any `delta_bits` prefix already skipped), `len` its byte length.
-fn in_file(payload_at: usize, len: usize, n: u32) -> LabelColumn {
-    let table = 8 * (n as usize + 1);
-    LabelColumn::InFile {
-        offsets_at: payload_at,
-        payload_at: payload_at + table,
-        payload_len: len - table,
     }
 }
 

@@ -32,6 +32,12 @@
 //! above its id. The search keeps its scratch by discovery position, so
 //! a component costs one walk over its nodes and their links.
 //!
+//! The distributed marker (`mstv-net`'s construction) applies the same
+//! rule with messages: the representative's probe and a convergecast of
+//! subtree sizes stand in for the search, and an election message
+//! descends into the child holding more than half. Its labels are
+//! therefore bit-identical to the ones built from this decomposition.
+//!
 //! # Parallel construction and determinism
 //!
 //! After each separator is removed, the remaining pieces are independent,

@@ -268,21 +268,27 @@ diff "$tmp/adv_1.txt" "$tmp/adv_2.txt" \
 diff "$tmp/adv_1.txt" <(sed '$d' "$tmp/adv_4.txt") \
     || { echo "ci: adversary runs diverge between 1 and 4 workers"; exit 1; }
 
-echo "== deterministic experiment tables (E1-E9, E12) =="
+echo "== deterministic experiment tables (E1-E9, E12, E17) =="
 # These experiments print counts from fixed seeds (label bits, verdicts,
 # messages, causal rounds, query-loop checksums), never a timing, so each
 # run must reproduce its committed table byte for byte. E3 and E7 build
 # γ_small labels on centroid decompositions, so their tables also pin
-# the decomposition engine. E10 prints timings and E11 takes about a
+# the decomposition engine. E17 also writes its series as JSON: it gets
+# a scratch path, so CI never rewrites the tracked BENCH_compute.json,
+# and that file is diffed too. E10 prints timings and E11 takes about a
 # minute, so they stay out of this stage.
 cargo build -q --release --offline -p mstv-bench --bins
 for e in exp_label_size exp_baseline_compare exp_gamma_small exp_pi_gamma_soundness \
          exp_agreement exp_lower_bound exp_sensitivity exp_flow exp_distributed \
-         exp_net_faults; do
-    "target/release/$e" > "$tmp/$e.txt"
+         exp_net_faults exp_compute; do
+    args=()
+    [ "$e" = exp_compute ] && args=("$tmp/BENCH_compute.json")
+    "target/release/$e" "${args[@]}" > "$tmp/$e.txt"
     diff "experiment-results/$e.txt" "$tmp/$e.txt" \
         || { echo "ci: $e no longer reproduces experiment-results/$e.txt"; exit 1; }
 done
+diff BENCH_compute.json "$tmp/BENCH_compute.json" \
+    || { echo "ci: exp_compute no longer reproduces BENCH_compute.json"; exit 1; }
 
 echo "== distributed examples (construction, verification, self-stabilization) =="
 # Both examples assert what they print: the wire runs agree with the

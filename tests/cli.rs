@@ -241,8 +241,13 @@ fn net_runs_lossy_verification_and_replays_its_log() {
 #[test]
 fn net_replay_refuses_a_log_of_another_version() {
     let dir = test_dir("net_replay_refuses_a_log_of_another_version");
-    // v1 counted retransmission generations; v2 acked every label.
-    for (old, delivery) in [("v1", "d 1 0 l 9 ff80"), ("v2", "d 0 2 0 a")] {
+    // v1 counted retransmission generations; v2 acked every label; v3
+    // construction logs carry the marker's retired walk.
+    for (old, delivery) in [
+        ("v1", "d 1 0 l 9 ff80"),
+        ("v2", "d 0 2 0 a"),
+        ("v3", "d 0 1 1 m 0 10 2a00"),
+    ] {
         let path = dir.join(format!("{old}.log"));
         let log = format!("mstv-net-log {old}\nh nodes 4\ns 0\n{delivery}\n");
         std::fs::write(&path, log).unwrap();

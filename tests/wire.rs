@@ -5,7 +5,10 @@
 //! same verdict and cost, a one-worker run steps every machine on the
 //! calling thread, and every run is counted in causal rounds that the
 //! log carries and replay recomputes. On a perfect link verification is
-//! the paper's one round: `2m` frames, one per edge direction.
+//! the paper's one round: `2m` frames, one per edge direction, and the
+//! distributed marker stays within its depth envelope. A replayed
+//! delivery that no live run could have made is refused naming the
+//! line of the log's text.
 
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
@@ -13,9 +16,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 
 use mst_verification::core::{
-    mst_configuration, LocalView, MstLabel, MstScheme, ProofLabelingScheme,
+    mst_configuration, Labeling, LocalView, MstLabel, MstScheme, ProofLabelingScheme,
 };
-use mst_verification::graph::{gen, Graph, NodeId, TreeState};
+use mst_verification::graph::{gen, ConfigGraph, Graph, NodeId, TreeState};
 use mst_verification::labels::BitString;
 use mst_verification::net::{
     forge_labeling, replay, replay_compute, run_compute, run_verification, run_verification_with,
@@ -217,31 +220,63 @@ fn one_worker_steps_every_machine_on_the_calling_thread() {
     );
 }
 
+/// The MST's height from node 0 and the number of decomposition
+/// levels, read off a `π_mst` labeling: the largest root distance and
+/// the longest orientation list.
+fn height_and_levels(labeling: &Labeling<MstLabel>) -> (u64, u64) {
+    let labels = labeling.labels();
+    let height = labels.iter().map(|l| l.span.dist).max().unwrap_or(0);
+    let levels = labels
+        .iter()
+        .map(|l| l.orient.len() as u64)
+        .max()
+        .unwrap_or(0);
+    (height, levels)
+}
+
 #[test]
 fn the_wire_counts_causal_rounds() {
-    for (n, extra, seed) in [(2usize, 0usize, 21u64), (17, 20, 22), (64, 120, 23)] {
-        let g = graph(n, extra, seed);
+    let mut rng = StdRng::seed_from_u64(24);
+    let star = gen::star(64, gen::WeightDist::Uniform { max: 500 }, &mut rng);
+    let instances = [
+        ("n=2", graph(2, 0, 21)),
+        ("n=17", graph(17, 20, 22)),
+        ("n=64", graph(64, 120, 23)),
+        ("star64", star),
+    ];
+    for (n, g) in instances {
         let run = run_compute(&g, &mut PerfectLink, NetConfig::default(), pool(1))
-            .unwrap_or_else(|e| panic!("n={n}: {e}"));
+            .unwrap_or_else(|e| panic!("{n}: {e}"));
         let p = run.net.phases;
         let m = g.num_edges() as u64;
-        assert!(p.ghs.rounds > 0, "n={n}: GHS took no round: {p:?}");
-        assert!(
-            p.marker.rounds > 0,
-            "n={n}: the marker took no round: {p:?}"
-        );
-        assert_eq!(p.verify.rounds, 1, "n={n}: {p:?}");
-        assert_eq!(p.verify.msgs, 2 * m, "n={n}: {p:?}");
+        assert!(p.ghs.rounds > 0, "{n}: GHS took no round: {p:?}");
+        assert!(p.marker.rounds > 0, "{n}: the marker took no round: {p:?}");
+        assert_eq!(p.verify.rounds, 1, "{n}: {p:?}");
+        assert_eq!(p.verify.msgs, 2 * m, "{n}: {p:?}");
         assert_eq!(
             p.ghs.rounds + p.marker.rounds + p.verify.rounds,
             run.net.cost.rounds,
-            "n={n}: the phases must sum to the total"
+            "{n}: the phases must sum to the total"
         );
+        // The marker's depth follows the tree's height H times the
+        // number of decomposition levels L: per level the size
+        // convergecast takes at most 4H rounds, the descent 2H, the
+        // announce one hop; the rooting and the hand-off add 2H each.
+        let (height, levels) = height_and_levels(&run.labeling);
+        let envelope = 4 * height + levels * (6 * height + 1);
+        assert!(
+            p.marker.rounds <= envelope,
+            "{n}: the marker took {} rounds, over its envelope {envelope} (H = {height}, L = {levels})",
+            p.marker.rounds
+        );
+        if n == "star64" {
+            assert_eq!((height, levels, envelope), (1, 2, 18));
+        }
         // The log carries the clock: replay recomputes it from the text.
         let log = EventLog::parse(&run.net.log.to_string()).expect("the log parses");
         let again = replay_compute(&g, &log).expect("the log replays");
-        assert_eq!(again.net.cost, run.net.cost, "n={n}");
-        assert_eq!(again.net.phases, run.net.phases, "n={n}");
+        assert_eq!(again.net.cost, run.net.cost, "{n}");
+        assert_eq!(again.net.phases, run.net.phases, "{n}");
         // Verifying what was built is one round of 2m frames on a
         // perfect link.
         let cfg = mst_configuration(g);
@@ -255,12 +290,13 @@ fn the_wire_counts_causal_rounds() {
         )
         .expect("a perfect link converges");
         assert!(verify.verdict.accepted());
-        assert_eq!(verify.cost.rounds, 1, "n={n}");
-        assert_eq!(verify.cost.msgs, 2 * m, "n={n}");
+        assert_eq!(verify.cost.rounds, 1, "{n}");
+        assert_eq!(verify.cost.msgs, 2 * m, "{n}");
     }
-    // Logs written before the clock counted depth (v1) or while labels
-    // were acked (v2) are refused by name.
-    for old in ["v1", "v2"] {
+    // Logs written before the clock counted depth (v1), while labels
+    // were acked (v2) or while the marker walked its components (v3)
+    // are refused by name.
+    for old in ["v1", "v2", "v3"] {
         let err = EventLog::parse(&format!("mstv-net-log {old}\ns 0\n"))
             .expect_err("an old log is refused");
         assert_eq!(
@@ -271,4 +307,108 @@ fn the_wire_counts_causal_rounds() {
         );
         assert!(err.to_string().contains(old), "{err}");
     }
+}
+
+/// `log` in its text form with provenance headers ahead of the events,
+/// as `mstv net --log` writes it, after `edit` rewrote the fields of
+/// the first delivery line that `pick` accepts. Returns that line's
+/// 1-based number and the edited log, parsed.
+fn edit_first_delivery(
+    log: &EventLog,
+    pick: impl Fn(&[String]) -> bool,
+    edit: impl FnOnce(&mut Vec<String>),
+) -> (usize, EventLog) {
+    let mut log = log.clone();
+    for (key, value) in [("nodes", "64"), ("extra", "120"), ("seed", "41")] {
+        log.push_header(key, value);
+    }
+    let mut lines: Vec<String> = log.to_string().lines().map(str::to_owned).collect();
+    let at = lines
+        .iter()
+        .position(|line| {
+            let fields: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            fields[0] == "d" && pick(&fields)
+        })
+        .expect("the log holds such a delivery");
+    let mut fields: Vec<String> = lines[at].split_whitespace().map(str::to_owned).collect();
+    edit(&mut fields);
+    lines[at] = fields.join(" ");
+    let text = lines.join("\n");
+    (
+        at + 1,
+        EventLog::parse(&text).expect("the edited log parses"),
+    )
+}
+
+/// A 64-node verification run on a perfect link, with what replaying
+/// its log needs.
+fn verification_at_64() -> (
+    MstWireScheme,
+    ConfigGraph<TreeState>,
+    Labeling<MstLabel>,
+    EventLog,
+) {
+    let cfg = mst_configuration(graph(64, 120, 41));
+    let labeling = MstScheme::new()
+        .marker(&cfg)
+        .expect("marker labels the MST");
+    let wire = MstWireScheme::for_config(&cfg);
+    let run = run_verification(
+        &wire,
+        &cfg,
+        &labeling,
+        &mut PerfectLink,
+        NetConfig::default(),
+    )
+    .expect("a perfect link converges");
+    (wire, cfg, labeling, run.log)
+}
+
+#[test]
+fn a_replay_error_names_the_line_of_the_file() {
+    let (wire, cfg, labeling, log) = verification_at_64();
+    let (line, edited) = edit_first_delivery(&log, |_| true, |f| f[3] = "7".to_owned());
+    assert_eq!(
+        replay(&wire, &cfg, &labeling, &edited).map(|run| run.verdict),
+        Err(NetError::BadLog {
+            line,
+            reason: "delivery at depth 7 was never sent".to_owned()
+        })
+    );
+}
+
+#[test]
+fn a_replayed_delivery_on_a_port_beyond_the_degree_is_a_bad_log() {
+    let (wire, cfg, labeling, log) = verification_at_64();
+    let (line, edited) = edit_first_delivery(&log, |_| true, |f| f[2] = "99".to_owned());
+    match replay(&wire, &cfg, &labeling, &edited) {
+        Err(NetError::BadLog { line: at, reason }) => {
+            assert_eq!(at, line, "{reason}");
+            assert!(reason.contains("p99"), "{reason}");
+        }
+        other => panic!("expected a bad log at line {line}, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_replayed_construction_payload_that_does_not_decode_is_a_bad_log() {
+    let g = graph(64, 120, 42);
+    let run = run_compute(&g, &mut PerfectLink, NetConfig::default(), pool(1))
+        .expect("a perfect link converges");
+    // Five bits of tag 31, which names no payload kind.
+    let (line, edited) = edit_first_delivery(
+        &run.net.log,
+        |f| f[4] == "g" || f[4] == "m",
+        |f| {
+            f[6] = "5".to_owned();
+            f[7] = "1f".to_owned();
+        },
+    );
+    assert_eq!(
+        replay_compute(&g, &edited).map(|run| run.net.verdict),
+        Err(NetError::BadLog {
+            line,
+            reason: "construction payload does not decode".to_owned()
+        })
+    );
 }
