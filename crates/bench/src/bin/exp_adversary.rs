@@ -34,7 +34,10 @@
 //!
 //! Besides the greppable per-scenario JSON lines, the whole series is
 //! written to `BENCH_adversary.json` (override the path with the first
-//! positional argument).
+//! positional argument). The file holds counts only: the scenarios and
+//! the memory point's messages and rounds. That point's wall time, peak
+//! RSS and reduction vary from run to run, so they go to stdout alone,
+//! and a rerun rewrites the file byte for byte.
 
 use std::process::Command;
 use std::sync::Arc;
@@ -432,7 +435,7 @@ fn peak_rss_kb() -> u64 {
 
 /// The committed `BENCH_adversary.json` schema: experiment id, the
 /// fault profile, one object per (scenario, seed) run, the aggregate
-/// soundness count, and the compact-state memory point.
+/// soundness count, and the memory point's message and round counts.
 fn series_json(outcomes: &[Outcome], rss: &RssPoint) -> String {
     let mut out = String::from("{\n  \"experiment\": \"adversary\",\n");
     out.push_str(&format!("  \"nodes\": {FAULT_NODES},\n"));
@@ -456,10 +459,9 @@ fn series_json(outcomes: &[Outcome], rss: &RssPoint) -> String {
     }
     out.push_str("  ],\n  \"forged_accepted\": 0,\n");
     out.push_str(&format!(
-        "  \"rss\": {{\"nodes\": {RSS_NODES}, \"engine\": \"events\", \"secs\": {:.6}, \
-         \"peak_rss_kb\": {}, \"baseline_e15_kb\": {E15_BASELINE_RSS_KB}, \
-         \"reduction\": {:.3}, \"msgs\": {}, \"rounds\": {}}}\n",
-        rss.secs, rss.peak_rss_kb, rss.reduction, rss.msgs, rss.rounds
+        "  \"rss\": {{\"nodes\": {RSS_NODES}, \"engine\": \"events\", \"msgs\": {}, \
+         \"rounds\": {}}}\n",
+        rss.msgs, rss.rounds
     ));
     out.push_str("}\n");
     out

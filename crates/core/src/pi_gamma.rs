@@ -260,7 +260,7 @@ pub(crate) fn check_tree_neighbors<'v, A: PathAggregate, S, L>(
 
 /// Computes the honest orientation fields for every node, given the rooted
 /// tree and the separator decomposition the marker used: the one-worker
-/// [`orient_fields_parallel`].
+/// `orient_fields_parallel`.
 pub fn orient_fields(tree: &RootedTree, sep: &SeparatorDecomposition) -> Vec<Vec<Orient>> {
     orient_fields_parallel(
         tree,

@@ -11,8 +11,10 @@
 //! such a byte buffer; [`BitSlice`] borrows a window of one — any byte
 //! buffer, including a memory-mapped snapshot section — at an arbitrary
 //! bit offset, which is what makes zero-copy label serving possible.
-//! Both hand out the same [`BitReader`], whose word-batched accessors
-//! move whole 64-bit chunks per call instead of one bit per call.
+//! The writer moves whole 64-bit chunks per call instead of one bit per
+//! call. Both hand out the same [`BitReader`], which loads the stream
+//! into a 64-bit register window once per stream word and takes each
+//! field off it by shifts.
 //!
 //! The one-bit-per-call implementation this module replaced is pinned in
 //! [`crate::reference`] and differential tests assert the two produce
@@ -417,6 +419,8 @@ impl<'a> BitSlice<'a> {
             start: self.start,
             len: self.len,
             pos: 0,
+            window: 0,
+            avail: 0,
         }
     }
 
@@ -461,17 +465,31 @@ impl fmt::Display for BitSlice<'_> {
     }
 }
 
+/// The most stream bits a [`BitReader`]'s register window holds: seven
+/// bytes, so a refill at any bit offset fits one 8-byte load.
+const WINDOW: u32 = 56;
+
 /// A sequential reader over a packed bit stream — the decode side of
-/// [`BitString`] and [`BitSlice`]. All multi-bit accessors are
-/// word-batched: `read_bits` is one unaligned load, and the Elias
-/// decoders scan zeros with `trailing_zeros` on 64-bit windows instead
-/// of a bit-at-a-time loop.
+/// [`BitString`] and [`BitSlice`].
+///
+/// The reader keeps the next stream bits (at most 56) in a 64-bit
+/// register window, most significant first, so a field is a shift off
+/// the window's top and a γ codeword's zero run is its
+/// `leading_zeros`. The window is refilled by one unaligned load, and
+/// only when the next field does not fit in what it holds: each stream
+/// word is loaded and bit-reversed once, not once per field. Fields
+/// and γ codewords wider than the window are read straight from the
+/// buffer at the cursor.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
     start: usize,
     len: usize,
     pos: usize,
+    /// Stream bits `pos..pos + avail`, the first in bit 63; every bit
+    /// below them is zero.
+    window: u64,
+    avail: u32,
 }
 
 impl BitReader<'_> {
@@ -485,6 +503,39 @@ impl BitReader<'_> {
         self.len - self.pos
     }
 
+    /// Reloads the window with the next `min(56, remaining)` bits.
+    #[inline]
+    fn fill(&mut self) {
+        self.avail = self.remaining().min(WINDOW as usize) as u32;
+        self.window = load_chunk(self.bytes, self.start + self.pos, self.avail).reverse_bits();
+    }
+
+    /// Takes the next `width <= avail` bits off the window's top.
+    #[inline]
+    fn take(&mut self, width: u32) -> u64 {
+        debug_assert!(width <= self.avail);
+        // Two shifts, so a zero width takes nothing instead of
+        // shifting by 64.
+        let value = (self.window >> 1) >> (63 - width);
+        self.window <<= width;
+        self.avail -= width;
+        self.pos += width as usize;
+        value
+    }
+
+    /// Advances the cursor `bits <= remaining` bits; a skip past the
+    /// window empties it.
+    #[inline]
+    fn skip(&mut self, bits: usize) {
+        if bits <= self.avail as usize {
+            self.window <<= bits;
+            self.avail -= bits as u32;
+        } else {
+            (self.window, self.avail) = (0, 0);
+        }
+        self.pos += bits;
+    }
+
     /// Reads one bit.
     ///
     /// # Panics
@@ -493,9 +544,10 @@ impl BitReader<'_> {
     #[inline]
     pub fn read_bit(&mut self) -> bool {
         assert!(self.pos < self.len, "bit index out of range");
-        let i = self.start + self.pos;
-        self.pos += 1;
-        self.bytes[i / 8] >> (i % 8) & 1 == 1
+        if self.avail == 0 {
+            self.fill();
+        }
+        self.take(1) == 1
     }
 
     /// Reads `width` bits, MSB first.
@@ -507,9 +559,33 @@ impl BitReader<'_> {
     pub fn read_bits(&mut self, width: u32) -> u64 {
         assert!(width <= 64, "width exceeds 64");
         assert!(self.remaining() >= width as usize, "bit index out of range");
-        let chunk = load_chunk(self.bytes, self.start + self.pos, width);
-        self.pos += width as usize;
-        stream_chunk(chunk, width)
+        if width > self.avail {
+            if width > WINDOW {
+                let chunk = load_chunk(self.bytes, self.start + self.pos, width);
+                self.skip(width as usize);
+                return stream_chunk(chunk, width);
+            }
+            self.fill();
+        }
+        self.take(width)
+    }
+
+    /// The next Elias gamma value when its whole codeword fits in the
+    /// window (refilled once if need be), or `None`, cursor unmoved,
+    /// when the codeword is wider than the window, truncated or
+    /// malformed — the callers' positional path sorts those out.
+    #[inline]
+    fn window_gamma(&mut self) -> Option<u64> {
+        // Bits below the window's `avail` are zero, so a zero run that
+        // leaves the window makes `len` exceed `avail`.
+        let mut len = 2 * self.window.leading_zeros() + 1;
+        if len > self.avail {
+            self.fill();
+            len = 2 * self.window.leading_zeros() + 1;
+        }
+        // Read most significant first, the codeword's leading zeros
+        // vanish: its bits are the value.
+        (len <= self.avail).then(|| self.take(len))
     }
 
     /// The number of zero bits at the cursor before the next one bit, or
@@ -544,6 +620,9 @@ impl BitReader<'_> {
     /// run claims a value wider than 64 bits (which no
     /// [`BitString::push_elias_gamma`] output contains).
     pub fn read_elias_gamma(&mut self) -> u64 {
+        if let Some(value) = self.window_gamma() {
+            return value;
+        }
         let zeros = self
             .peek_zero_run()
             .unwrap_or_else(|| panic!("bit index out of range"));
@@ -551,7 +630,7 @@ impl BitReader<'_> {
             zeros < 64,
             "Elias gamma zero run of {zeros} exceeds a u64 value"
         );
-        self.pos += zeros;
+        self.skip(zeros);
         self.read_bits(zeros as u32 + 1)
     }
 
@@ -563,7 +642,7 @@ impl BitReader<'_> {
         if self.remaining() < bits {
             return None;
         }
-        self.pos += bits;
+        self.skip(bits);
         Some(())
     }
 
@@ -582,42 +661,16 @@ impl BitReader<'_> {
         (self.remaining() >= width as usize).then(|| self.read_bits(width))
     }
 
-    /// Reads an Elias gamma codeword as an opaque *token* instead of a
-    /// value: gamma is prefix-free, so two tokens are equal exactly
-    /// when the encoded values are. Comparing tokens skips the bit
-    /// reversal a numeric decode pays — the equality-only fast path of
-    /// the pairwise label decoders, which compare separator fields but
-    /// never use their values.
-    ///
-    /// The token is `(tag, bits)`: for codewords up to 63 bits the raw
-    /// stream-order bits under their length, for wider (rarer) ones a
-    /// disjoint tag derived from the zero run plus the decoded value.
-    /// Which form a value takes depends only on the value itself, so
-    /// the two forms never collide. Rejects the same malformed streams
-    /// as [`BitReader::try_read_elias_gamma`].
+    /// Reads an Elias gamma codeword as an opaque *token*: gamma is
+    /// prefix-free, so two tokens are equal exactly when the encoded
+    /// values are. The token is `(codeword length, value)`; a numeric
+    /// decode off the register window pays no bit reversal, so the
+    /// token costs what [`BitReader::try_read_elias_gamma`] costs, and
+    /// it rejects the same malformed streams.
     #[inline]
     pub fn try_read_elias_gamma_token(&mut self) -> Option<(u32, u64)> {
-        let rem = self.remaining();
-        if rem > 0 {
-            let width = rem.min(64) as u32;
-            let mut chunk = load_chunk(self.bytes, self.start + self.pos, width);
-            if width < 64 {
-                chunk |= !0u64 << width;
-            }
-            let tz = chunk.trailing_zeros();
-            let len = 2 * tz + 1;
-            if tz < width && len <= width {
-                self.pos += len as usize;
-                return Some((len, chunk & (!0u64 >> (64 - len))));
-            }
-        }
-        // A codeword wider than 64 bits (zero run of 32..64): decode
-        // numerically. Tag 128 + zero-run cannot equal any raw-form
-        // length (those are at most 63), and the zero run is a
-        // function of the value, so equal values still tokenize
-        // equally through either arm.
-        let v = self.try_read_elias_gamma()?;
-        Some((128 + (64 - v.leading_zeros()), v))
+        let value = self.try_read_elias_gamma()?;
+        Some((2 * (64 - value.leading_zeros()) - 1, value))
     }
 
     /// Reads an Elias gamma code, or `None` on a truncated stream or a
@@ -630,31 +683,17 @@ impl BitReader<'_> {
     /// must refuse, not misread.
     #[inline]
     pub fn try_read_elias_gamma(&mut self) -> Option<u64> {
-        // Fast path: one window load covers the whole codeword — zero
-        // run and value bits together. Label fields are tiny (the
-        // size-ordered ranks of `γ_small` mostly fit a handful of
-        // bits), so this is the overwhelmingly common case; anything
-        // wider falls through to the general scan below.
-        let rem = self.remaining();
-        if rem > 0 {
-            let width = rem.min(64) as u32;
-            let mut chunk = load_chunk(self.bytes, self.start + self.pos, width);
-            if width < 64 {
-                // Pad past-the-end bits with ones so trailing_zeros
-                // cannot run beyond the stream.
-                chunk |= !0u64 << width;
-            }
-            let tz = chunk.trailing_zeros() as usize;
-            if tz < width as usize && 2 * tz < width as usize {
-                self.pos += 2 * tz + 1;
-                return Some(stream_chunk(chunk >> tz, tz as u32 + 1));
-            }
+        // Label fields are tiny (the size-ordered ranks of `γ_small`
+        // mostly fit a handful of bits), so the window almost always
+        // holds the whole codeword.
+        if let Some(value) = self.window_gamma() {
+            return Some(value);
         }
         let zeros = self.peek_zero_run()?;
         if zeros >= 64 || self.remaining() - zeros < zeros + 1 {
             return None;
         }
-        self.pos += zeros;
+        self.skip(zeros);
         Some(self.read_bits(zeros as u32 + 1))
     }
 

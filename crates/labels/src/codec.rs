@@ -115,17 +115,6 @@ impl LabelCodec {
         Some((sep, values))
     }
 
-    /// Reads one separator field as an equality-comparable token (see
-    /// [`crate::BitReader::try_read_elias_gamma_token`]) — the pairwise
-    /// decoders compare fields but never use their numeric values.
-    #[inline]
-    fn try_read_sep_token(&self, r: &mut crate::BitReader<'_>) -> Option<(u32, u64)> {
-        match self.sep_codec {
-            SepFieldCodec::EliasGamma => r.try_read_elias_gamma_token(),
-            SepFieldCodec::FixedWidth { bits } => Some((bits, r.try_read_bits(bits)?)),
-        }
-    }
-
     /// Serializes a `MAX` label: `gamma(l)`, then the `l - 1` non-constant
     /// separator fields, then `l` fixed-width `ω` fields.
     ///
@@ -207,7 +196,7 @@ impl LabelCodec {
     }
 
     /// Non-panicking decoder for the distance labels written by
-    /// [`ImplicitDistScheme`]: the separator fields follow this codec's
+    /// [`crate::ImplicitDistScheme`]: the separator fields follow this codec's
     /// `sep_codec`, the `δ` fields are `delta_bits` wide (the scheme's
     /// own width, carried separately because distances are bounded by
     /// `n·W`, not `W`). Rejects truncated streams and trailing garbage.
@@ -273,10 +262,8 @@ impl LabelCodec {
         let mut cp = 1usize;
         let mut diverged = false;
         for _ in 0..m {
-            // Equality is all the walk needs, so compare raw prefix-free
-            // tokens — no bit reversal into numeric field values.
-            let fa = self.try_read_sep_token(&mut ra)?;
-            let fb = self.try_read_sep_token(&mut rb)?;
+            let fa = self.try_read_sep_field(&mut ra)?;
+            let fb = self.try_read_sep_field(&mut rb)?;
             if !diverged && fa == fb {
                 cp += 1;
             } else {
@@ -284,10 +271,10 @@ impl LabelCodec {
             }
         }
         for _ in m..la - 1 {
-            self.try_read_sep_token(&mut ra)?;
+            self.try_read_sep_field(&mut ra)?;
         }
         for _ in m..lb - 1 {
-            self.try_read_sep_token(&mut rb)?;
+            self.try_read_sep_field(&mut rb)?;
         }
         // Exact framing: what remains must be precisely the two value
         // blocks — the pairwise twin of the trailing-garbage check.

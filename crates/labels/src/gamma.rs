@@ -105,7 +105,7 @@ impl PathAggregate for TripleAggregate {
 
 /// The fields of all three `Γ` families over one tree and decomposition,
 /// from one pass: each vertex's separator fields once, and one
-/// [`omega_sweep`] carrying the `(max, min, sum)` triple. The families'
+/// `omega_sweep` carrying the `(max, min, sum)` triple. The families'
 /// labels are projections of it, encoded straight to bits
 /// ([`GammaPass::encode`], or [`GammaPass::encode_node`] for one vertex)
 /// or materialized ([`GammaPass::into_labels`]), and equal what the

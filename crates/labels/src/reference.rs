@@ -1,6 +1,6 @@
 //! The pinned one-bit-per-call `BitString` implementation.
 //!
-//! This is the bit-loop encoder/decoder that [`crate::bits`] replaced
+//! This is the bit-loop encoder/decoder that [`crate::BitString`] replaced
 //! with word-batched internals. It is kept verbatim (modulo the struct
 //! names and the removal of two decoder bugs noted below) for
 //! differential testing: `tests/bitstring_differential.rs` runs random

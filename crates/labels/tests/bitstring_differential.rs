@@ -6,11 +6,12 @@
 //! layout. Random operation sequences run through both implementations
 //! and must agree on every observable: bit length, every `get`, the
 //! packed byte output, `from_bytes` acceptance, and the values each
-//! reader hands back (both the panicking and the fallible flavors).
+//! reader hands back (both the panicking and the fallible flavors),
+//! including a reader windowed at any bit offset of a larger buffer.
 //! A batched shortcut that changes even one emitted bit fails here.
 
-use mstv_labels::reference::RefBitString;
-use mstv_labels::BitString;
+use mstv_labels::reference::{RefBitReader, RefBitString};
+use mstv_labels::{BitSlice, BitString};
 use proptest::prelude::*;
 
 /// One operation applied to both implementations in lockstep.
@@ -203,5 +204,152 @@ proptest! {
         }
         prop_assert_eq!(new_r.try_read_elias_gamma(), None);
         prop_assert_eq!(old_r.try_read_elias_gamma(), None);
+    }
+}
+
+/// One read against both readers in the windowed-reader test.
+#[derive(Debug, Clone)]
+enum Read {
+    Bit,
+    Bits(u32),
+    /// A skip; on the reference, a read whose result is thrown away.
+    Skip(usize),
+    Gamma,
+    Token,
+}
+
+fn read_strategy() -> impl Strategy<Value = Read> {
+    prop_oneof![
+        Just(Read::Bit),
+        (0u32..=64).prop_map(Read::Bits),
+        (0usize..=200).prop_map(Read::Skip),
+        Just(Read::Gamma),
+        Just(Read::Token),
+    ]
+}
+
+/// The reference's γ read under the batched reader's contract: `None`,
+/// cursor unmoved, on a truncated codeword or on a zero run of 64 or
+/// more (which the reference would wrap into a bogus value).
+fn ref_gamma(r: &mut RefBitReader<'_>) -> Option<u64> {
+    let mut scan = r.clone();
+    let mut zeros = 0;
+    while scan.try_read_bit() == Some(false) {
+        zeros += 1;
+    }
+    if zeros >= 64 {
+        return None;
+    }
+    let mut probe = r.clone();
+    let value = probe.try_read_elias_gamma()?;
+    *r = probe;
+    Some(value)
+}
+
+/// `bits` re-windowed at bit offset `8 * pre.len() + lead.len()` of a
+/// buffer that holds garbage on both sides: `pre` bytes, `lead` bits,
+/// the stream, `trail` bits, then `post` bytes.
+fn host_buffer(
+    bits: &BitString,
+    pre: &[u8],
+    lead: &[bool],
+    trail: &[bool],
+    post: &[u8],
+) -> Vec<u8> {
+    let mut host = BitString::new();
+    for &b in lead {
+        host.push(b);
+    }
+    host.extend_from(bits);
+    for &b in trail {
+        host.push(b);
+    }
+    [pre, host.as_bytes(), post].concat()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn windowed_reader_agrees_at_any_offset_under_mixed_reads(
+        ops in proptest::collection::vec(op_strategy(), 0..25),
+        reads in proptest::collection::vec(read_strategy(), 0..80),
+        pre in proptest::collection::vec(any::<u8>(), 0..10),
+        lead in proptest::collection::vec(any::<bool>(), 0..8),
+        trail in proptest::collection::vec(any::<bool>(), 0..8),
+        post in proptest::collection::vec(any::<u8>(), 0..10)
+    ) {
+        // Random garbage around a random bit offset makes window
+        // refills take both load paths (a full 8-byte load, and the
+        // short one at the buffer's end) and must never leak into a
+        // value. Reads ignore the op boundaries, so γ reads also meet
+        // truncated and overlong codewords.
+        let (new, old) = build_both(&ops);
+        let buf = host_buffer(&new, &pre, &lead, &trail, &post);
+        let slice = BitSlice::new(&buf, 8 * pre.len() + lead.len(), new.len());
+        let mut new_r = slice.reader();
+        let mut old_r = old.reader();
+        let mut tokens = Vec::new();
+        for read in &reads {
+            match *read {
+                Read::Bit => prop_assert_eq!(new_r.try_read_bit(), old_r.try_read_bit()),
+                Read::Bits(w) => prop_assert_eq!(new_r.try_read_bits(w), old_r.try_read_bits(w)),
+                Read::Skip(n) => {
+                    let skipped = (old_r.remaining() >= n).then(|| {
+                        for _ in 0..n {
+                            old_r.read_bit();
+                        }
+                    });
+                    prop_assert_eq!(new_r.try_skip_bits(n), skipped);
+                }
+                Read::Gamma => {
+                    prop_assert_eq!(new_r.try_read_elias_gamma(), ref_gamma(&mut old_r));
+                }
+                Read::Token => {
+                    let token = new_r.try_read_elias_gamma_token();
+                    let value = ref_gamma(&mut old_r);
+                    prop_assert_eq!(token.is_some(), value.is_some());
+                    tokens.extend(token.zip(value));
+                }
+            }
+            prop_assert_eq!(new_r.position(), old_r.position(), "after {:?}", read);
+        }
+        for &(ta, va) in &tokens {
+            for &(tb, vb) in &tokens {
+                prop_assert_eq!(ta == tb, va == vb);
+            }
+        }
+    }
+
+    #[test]
+    fn gamma_tokens_are_equal_exactly_when_values_are_across_the_window(
+        fields in proptest::collection::vec(
+            (20u32..=40, prop_oneof![Just(0u64), Just(1), Just(2), Just(u64::MAX)]),
+            1..24
+        ),
+        lead in proptest::collection::vec(any::<bool>(), 0..8)
+    ) {
+        // Zero runs of 20–40 give codewords of 41–81 bits, on both
+        // sides of the 56-bit register window.
+        let values: Vec<u64> = fields
+            .iter()
+            .map(|&(zeros, low)| 1u64 << zeros | low & ((1u64 << zeros) - 1))
+            .collect();
+        let mut stream = BitString::new();
+        for &v in &values {
+            stream.push_elias_gamma(v);
+        }
+        let buf = host_buffer(&stream, &[], &lead, &[], &[]);
+        let mut r = BitSlice::new(&buf, lead.len(), stream.len()).reader();
+        let tokens: Vec<_> = values
+            .iter()
+            .map(|_| r.try_read_elias_gamma_token().expect("encoder output decodes"))
+            .collect();
+        prop_assert_eq!(r.remaining(), 0);
+        for (ta, va) in tokens.iter().zip(&values) {
+            for (tb, vb) in tokens.iter().zip(&values) {
+                prop_assert_eq!(ta == tb, va == vb, "{} vs {}", va, vb);
+            }
+        }
     }
 }

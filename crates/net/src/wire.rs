@@ -74,7 +74,7 @@ pub enum WireMsg {
     /// A construction-protocol payload riding the per-edge reliable
     /// channel: GHS fragment messages (`marker == false`) or
     /// distributed-marker messages (`marker == true`), already
-    /// bit-serialized by [`compute::fragment`](crate::compute).
+    /// bit-serialized by the construction protocol's `fragment` codec.
     Compute {
         /// `false` = GHS phase (CONNECT/INITIATE/TEST/…), `true` =
         /// marker phase (span/convergecast/announce/…). Drives the

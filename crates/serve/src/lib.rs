@@ -3,7 +3,7 @@
 //! The paper's observation that two labels answer any `MAX`/`FLOW`/
 //! `DIST` query makes the label store a natural network service: tiny
 //! requests, tiny answers, no server-side tree walk. This crate puts a
-//! TCP front end over `mstv-store`'s [`QueryEngine`] using the
+//! TCP front end over `mstv-store`'s [`QueryEngine`](mstv_store::QueryEngine) using the
 //! versioned wire protocol of [`mstv_store::proto`] — the same
 //! `Request`/`Response`/[`ErrorCode`](mstv_store::proto::ErrorCode)
 //! vocabulary the in-process `run_batch_response` API speaks, so a

@@ -12,6 +12,11 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+# A broken or private intra-doc link is a warning to plain rustdoc, so
+# it is denied here before it can pile up.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
+
 echo "== cargo test =="
 # RUST_TEST_THREADS deliberately unpinned: the suite must pass under
 # whatever parallelism the host picks — serializing tests could mask
@@ -268,15 +273,17 @@ diff "$tmp/adv_1.txt" "$tmp/adv_2.txt" \
 diff "$tmp/adv_1.txt" <(sed '$d' "$tmp/adv_4.txt") \
     || { echo "ci: adversary runs diverge between 1 and 4 workers"; exit 1; }
 
-echo "== deterministic experiment tables (E1-E9, E12, E17) =="
+echo "== deterministic experiment tables (E1-E9, E12, E17, E20) =="
 # These experiments print counts from fixed seeds (label bits, verdicts,
 # messages, causal rounds, query-loop checksums), never a timing, so each
 # run must reproduce its committed table byte for byte. E3 and E7 build
 # γ_small labels on centroid decompositions, so their tables also pin
 # the decomposition engine. E17 also writes its series as JSON: it gets
 # a scratch path, so CI never rewrites the tracked BENCH_compute.json,
-# and that file is diffed too. E10 prints timings and E11 takes about a
-# minute, so they stay out of this stage.
+# and that file is diffed too. E20 prints its memory point's wall time
+# and peak RSS, so only the count series it writes as JSON is diffed.
+# E10 prints timings and E11 takes about a minute, so they stay out of
+# this stage.
 cargo build -q --release --offline -p mstv-bench --bins
 for e in exp_label_size exp_baseline_compare exp_gamma_small exp_pi_gamma_soundness \
          exp_agreement exp_lower_bound exp_sensitivity exp_flow exp_distributed \
@@ -289,6 +296,9 @@ for e in exp_label_size exp_baseline_compare exp_gamma_small exp_pi_gamma_soundn
 done
 diff BENCH_compute.json "$tmp/BENCH_compute.json" \
     || { echo "ci: exp_compute no longer reproduces BENCH_compute.json"; exit 1; }
+target/release/exp_adversary "$tmp/BENCH_adversary.json" >/dev/null
+diff BENCH_adversary.json "$tmp/BENCH_adversary.json" \
+    || { echo "ci: exp_adversary no longer reproduces BENCH_adversary.json"; exit 1; }
 
 echo "== distributed examples (construction, verification, self-stabilization) =="
 # Both examples assert what they print: the wire runs agree with the

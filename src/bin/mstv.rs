@@ -490,7 +490,7 @@ impl NetInstanceParams {
     }
 
     /// The instance topology alone — what a construction run starts
-    /// from. `rng` continues past the graph so [`build`] can draw
+    /// from. `rng` continues past the graph so [`Self::build`] can draw
     /// fault targets from the same stream.
     fn graph(&self, rng: &mut StdRng) -> mst_verification::graph::Graph {
         gen::random_connected(
@@ -1308,7 +1308,10 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     }
     const VALUE_FLAGS: [&str; 4] = ["--batch", "--queries", "--seed", "--verify-against"];
     reject_unknown_flags(args, &VALUE_FLAGS, &["--mmap", "--bench"])?;
-    let path = args.first().ok_or("missing snapshot file (or --connect)")?;
+    let words = positional_words(args, &VALUE_FLAGS);
+    let (&path, query_words) = words
+        .split_first()
+        .ok_or("missing snapshot file (or --connect)")?;
     // --mmap serves label bytes straight from the page cache: the file
     // is validated once at open, then every label decode slices the
     // mapped bytes instead of owned copies.
@@ -1329,11 +1332,10 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     } else if args.iter().any(|a| a == "--bench") {
         cmd_query_bench(args, &engine)
     } else {
-        let words = positional_words(&args[1..], &VALUE_FLAGS);
-        if words.is_empty() {
+        if query_words.is_empty() {
             return Err("missing query (or --batch/--bench)".to_owned());
         }
-        let q = parse_query(&words, "query")?;
+        let q = parse_query(query_words, "query")?;
         let a = engine.query(q).map_err(|e| e.to_string())?;
         outln!("{}", show_answer(&q, &a));
         Ok(())

@@ -419,8 +419,9 @@ fn query_flags_may_precede_the_query_words() {
     );
 
     // Flag placement must not matter: `--mmap`/`--seed` before the
-    // positional query words parse the same as after them, and the
-    // zero-copy answer equals the owned-path answer.
+    // positional query words, or before the snapshot path itself,
+    // parse the same as after them, and the zero-copy answer equals
+    // the owned-path answer.
     let owned = run_ok(&dir, &["query", &snap, "max", "3", "17"], &[]);
     let flags_after = run_ok(&dir, &["query", &snap, "max", "3", "17", "--mmap"], &[]);
     let flags_before = run_ok(
@@ -428,8 +429,14 @@ fn query_flags_may_precede_the_query_words() {
         &["query", &snap, "--mmap", "--seed", "2", "max", "3", "17"],
         &[],
     );
+    let flags_before_path = run_ok(
+        &dir,
+        &["query", "--mmap", "--seed", "2", &snap, "max", "3", "17"],
+        &[],
+    );
     assert_eq!(owned, flags_after);
     assert_eq!(owned, flags_before);
+    assert_eq!(owned, flags_before_path);
 }
 
 #[test]
